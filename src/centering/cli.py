@@ -36,7 +36,7 @@ def _load_document(ref: str):
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         doc = _load_document(args.corpus)
-    except (CorpusError, FileNotFoundError, OSError) as exc:
+    except (CorpusError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mode = Mode.CLASSIC if args.classic else None

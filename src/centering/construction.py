@@ -85,20 +85,22 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     entities in marker order.
     """
     cand = build_candidates(u, prior_cf)
+    # One entry per (pronoun, candidate), shared by every list that binds
+    # the pronoun to that candidate; a fixed marker has a single slot.
+    bound_entries = {}
     for p, options in zip(cand.pronouns, cand.candidates):
         if not options:
             raise UnresolvablePronoun(p)
-    results = []
-    for combo in product(*cand.candidates):
-        binding = {p.mid: e for p, e in zip(cand.pronouns, combo)}
-        entries = []
-        for m in u.markers:
-            entity = binding[m.mid] if m.is_pronoun else m.entity
-            if entity is None:
-                raise ValueError(f"marker {m.mid!r} has no entity; allocate indices first")
-            entries.append(CfEntry(entity, m))
-        results.append(CfList(tuple(entries)))
-    return results
+        bound_entries[p.mid] = [CfEntry(e, p) for e in options]
+    slots = []
+    for m in u.markers:
+        if m.is_pronoun:
+            slots.append(bound_entries[m.mid])
+        elif m.entity is None:
+            raise ValueError(f"marker {m.mid!r} has no entity; allocate indices first")
+        else:
+            slots.append((CfEntry(m.entity, m),))
+    return [CfList(entries) for entries in product(*slots)]
 
 
 def propose_anchors(u: Utterance, prior_cf: CfList) -> list[Anchor]:

@@ -152,6 +152,11 @@ def _parse_np(tokens: list[str], line: int) -> CorpusNp:
             raise SchemaError(f"indefinite index must be X-series, got {index!r}", line, "index")
         if kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
             raise SchemaError("names and definites take their surface as index", line, "index")
+    if entity is None and kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
+        try:
+            derive_entity_id(fields["surface"])
+        except ValueError as exc:
+            raise SchemaError(str(exc), line, "surface") from None
     contra = frozenset(c for c in fields.get("contra", "").split(",") if c)
     if fields["id"] in contra:
         raise SchemaError(f"np {fields['id']!r} is contraindexed with itself", line, "contra")
@@ -278,9 +283,17 @@ def format_corpus(doc: CorpusDocument) -> str:
 
 
 def derive_entity_id(surface: str) -> str:
-    """Fallback semantic id for names/definites without an explicit one."""
+    """Fallback semantic id for names/definites without an explicit one.
+
+    Raises ValueError when the surface has no letter or digit: such NPs
+    would all share one id and so co-specify silently.
+    """
     derived = re.sub(r"[^0-9A-Za-z]+", "-", surface).strip("-").upper()
-    return derived or "UNNAMED"
+    if not derived:
+        raise ValueError(
+            f"surface {surface!r} has no letter or digit to derive an entity id from; give entity="
+        )
+    return derived
 
 
 def build_utterances(doc: CorpusDocument) -> list[Utterance]:

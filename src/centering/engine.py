@@ -30,6 +30,7 @@ from .model import (
     Transition,
     Utterance,
     allocate_indices,
+    explicit_indices,
 )
 
 DIAG_UNRESOLVABLE = "unresolvable-pronoun"
@@ -170,7 +171,7 @@ def process_utterance(state: DiscourseState, u: Utterance) -> tuple[DiscourseSta
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:
     """Fold process_utterance over a discourse from a fresh state."""
-    state = DiscourseState(mode=mode)
+    state = DiscourseState(mode=mode, reserved_indices=explicit_indices(utterances))
     results = []
     for u in utterances:
         state, result = process_utterance(state, u)

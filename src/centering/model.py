@@ -260,6 +260,9 @@ class DiscourseState:
     pronoun_count: int = 0
     indefinite_count: int = 0
     used_indices: set[str] = field(default_factory=set)
+    # Explicit indices of utterances still to come: fresh indices skip
+    # them, but they move no counter until their utterance registers them.
+    reserved_indices: frozenset[str] = frozenset()
     last_transition: Transition | None = None
 
 
@@ -277,9 +280,10 @@ def _register_index(state: DiscourseState, marker: ReferenceMarker) -> None:
 def _next_index(state: DiscourseState, prefix: str) -> str:
     count = state.pronoun_count if prefix == "A" else state.indefinite_count
     count += 1
-    while f"{prefix}{count}" in state.used_indices:
-        count += 1
     index = f"{prefix}{count}"
+    while index in state.used_indices or index in state.reserved_indices:
+        count += 1
+        index = f"{prefix}{count}"
     state.used_indices.add(index)
     if prefix == "A":
         state.pronoun_count = count
@@ -288,13 +292,25 @@ def _next_index(state: DiscourseState, prefix: str) -> str:
     return index
 
 
+def explicit_indices(utterances: list[Utterance]) -> frozenset[str]:
+    """The pre-annotated A-/X-series indices of a discourse."""
+    return frozenset(
+        m.index
+        for u in utterances
+        for m in u.markers
+        if m.index is not None and m.kind in (MarkerKind.PRONOUN, MarkerKind.INDEFINITE)
+    )
+
+
 def allocate_indices(u: Utterance, state: DiscourseState) -> Utterance:
     """Fill in missing A-/X-series indices, advancing the state's counters.
 
     Pre-annotated indices are registered first so fresh ones never collide
-    with them, and they pull the counters forward to stay monotonic.
-    Anonymous indefinites (no entity id given) are bound to a fresh entity
-    named after their surface and identified by their new index.
+    with them, and they pull the counters forward to stay monotonic. Fresh
+    indices also skip `state.reserved_indices`, so a later utterance's
+    pre-annotated index is never handed out early. Anonymous indefinites
+    (no entity id given) are bound to a fresh entity named after their
+    surface and identified by their new index.
     """
     for m in u.markers:
         if m.index is not None and m.kind in (MarkerKind.PRONOUN, MarkerKind.INDEFINITE):

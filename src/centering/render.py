@@ -15,23 +15,17 @@ from .engine import UtteranceResult
 from .filters import FILTER_NAMES
 from .model import CfEntry, CfList
 
-_ROMAN = (
-    (1000, "m"), (900, "cm"), (500, "d"), (400, "cd"),
-    (100, "c"), (90, "xc"), (50, "l"), (40, "xl"),
-    (10, "x"), (9, "ix"), (5, "v"), (4, "iv"), (1, "i"),
-)
+# Roman digits by place value; thousands are repeated "m"s.
+_ONES = ("", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
+_TENS = ("", "x", "xx", "xxx", "xl", "l", "lx", "lxx", "lxxx", "xc")
+_HUNDREDS = ("", "c", "cc", "ccc", "cd", "d", "dc", "dcc", "dccc", "cm")
 
 
 def roman(n: int) -> str:
     """Lowercase roman numeral for a positive anchor ordinal."""
     if n <= 0:
         raise ValueError(f"need a positive ordinal, got {n}")
-    out = []
-    for value, glyph in _ROMAN:
-        while n >= value:
-            out.append(glyph)
-            n -= value
-    return "".join(out)
+    return "m" * (n // 1000) + _HUNDREDS[n // 100 % 10] + _TENS[n // 10 % 10] + _ONES[n % 10]
 
 
 def display_cb(entry: CfEntry | None) -> str:
@@ -53,14 +47,32 @@ def _binding_line(result: UtteranceResult) -> str | None:
     return ", ".join(f"{surface} = {name}" for surface, name in pairs)
 
 
+def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], list[str]]:
+    """Roman labels of the eliminated anchors per filter, and of the survivors."""
+    eliminated: dict[str, list[str]] = {name: [] for name in FILTER_NAMES}
+    survivors: list[str] = []
+    for v in result.verdicts:
+        label = roman(v.anchor_id)
+        if v.passed:
+            survivors.append(label)
+        for name in v.eliminated_by:
+            eliminated[name].append(label)
+    return eliminated, survivors
+
+
 def _anchor_dump(result: UtteranceResult) -> str:
     verdict_by_id = {v.anchor_id: v for v in result.verdicts}
     transition_by_ordinal = {c.anchor.ordinal: c.transition for c in result.ranked}
     winner = result.ranked[0].anchor.ordinal if result.ranked else None
+    # Anchors that differ only in their center share one Cf list object.
+    cf_text: dict[int, str] = {}
     lines = [f"anchors ({result.anchors_constructed}):"]
     for anchor in result.anchors:
         label = roman(anchor.ordinal)
-        body = f"<{display_cb(anchor.cb)}, {display_cf(anchor.cf)}>"
+        shown = cf_text.get(id(anchor.cf))
+        if shown is None:
+            shown = cf_text[id(anchor.cf)] = display_cf(anchor.cf)
+        body = f"<{display_cb(anchor.cb)}, {shown}>"
         verdict = verdict_by_id.get(anchor.ordinal)
         if verdict is not None and not verdict.passed:
             note = "eliminated: " + ", ".join(n for n in FILTER_NAMES if n in verdict.eliminated_by)
@@ -74,12 +86,11 @@ def _anchor_dump(result: UtteranceResult) -> str:
 
 
 def _filter_explain(result: UtteranceResult) -> str:
+    eliminated, survivors = _labels_by_filter(result)
     lines = ["filters:"]
-    for name in FILTER_NAMES:
-        ids = [v.anchor_id for v in result.verdicts if name in v.eliminated_by]
-        lines.append(f"  {name}: " + (" ".join(roman(i) for i in ids) if ids else "-"))
-    survivors = [v.anchor_id for v in result.verdicts if v.passed]
-    lines.append("  survivors: " + (" ".join(roman(i) for i in survivors) if survivors else "-"))
+    for name, labels in eliminated.items():
+        lines.append(f"  {name}: " + (" ".join(labels) if labels else "-"))
+    lines.append("  survivors: " + (" ".join(survivors) if survivors else "-"))
     if result.after_retention:
         lines.append("  note: previous transition was RETAINING")
     return "\n".join(lines)
@@ -116,6 +127,7 @@ def _record(result: UtteranceResult) -> dict:
     diagnostic = None
     if result.diagnostic_kind is not None:
         diagnostic = {"kind": result.diagnostic_kind, "message": result.diagnostic}
+    eliminated, survivors = _labels_by_filter(result)
     return {
         "u": result.position,
         "text": result.text,
@@ -124,11 +136,8 @@ def _record(result: UtteranceResult) -> dict:
         "cf": [e.display for e in result.cf.entries],
         "bindings": bindings,
         "anchors_constructed": result.anchors_constructed,
-        "eliminated": {
-            name: [roman(v.anchor_id) for v in result.verdicts if name in v.eliminated_by]
-            for name in FILTER_NAMES
-        },
-        "survivors": [roman(v.anchor_id) for v in result.verdicts if v.passed],
+        "eliminated": eliminated,
+        "survivors": survivors,
         "ranked": [
             {
                 "anchor": roman(c.anchor.ordinal) if c.anchor.ordinal is not None else None,

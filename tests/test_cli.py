@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -105,3 +106,70 @@ def test_bad_flag_raises_usage_error():
     with pytest.raises(SystemExit) as err:
         cli_main(["run", "fig2", "--bogus"])
     assert err.value.code == 2
+
+
+def test_non_utf8_file_is_a_corpus_error_for_run_and_check(tmp_path, capsys):
+    target = tmp_path / "latin1.corpus"
+    target.write_bytes("discourse d\nutterance Zoë waved.\n".encode("latin-1"))
+    for command in ("run", "check"):
+        assert cli_main([command, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_explicit_index_taken_earlier_by_allocation_still_runs(tmp_path, capsys):
+    target = tmp_path / "late-index.corpus"
+    target.write_text(
+        "discourse late\n"
+        "utterance Carl waved.\n"
+        "np id=c surface=Carl kind=name gf=SUBJ agr=masc,sg,3\n"
+        "utterance He smiled.\n"
+        "np id=h surface=He kind=pronoun gf=SUBJ agr=masc,sg,3\n"
+        "utterance He left.\n"
+        "np id=h surface=He kind=pronoun gf=SUBJ agr=masc,sg,3 index=A1\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["check", str(target)]) == 0
+    assert cli_main(["run", str(target), "--format", "structured"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+    # The unindexed pronoun skips A1, which U3 reserves.
+    assert [r["bindings"] for r in records] == [{}, {"A2": "CARL"}, {"A1": "CARL"}]
+
+
+def _random_corpus(rng):
+    """A small corpus of names, pronouns and indefinites, some of them with
+    explicit indices (possibly clashing ones, which `check` must reject)."""
+    lines = ["discourse r"]
+    for u in range(rng.randint(1, 4)):
+        lines.append(f"utterance u{u}.")
+        ids = [f"n{j}" for j in range(rng.randint(1, 3))]
+        for j, np_id in enumerate(ids):
+            kind = rng.choice(("name", "pronoun", "indefinite"))
+            gender = rng.choice(("fem", "masc", "-"))
+            fields = [f"id={np_id}", f"kind={kind}", f"gf={rng.choice(('SUBJ', 'OBJ', 'ADJ'))}"]
+            if kind == "name":
+                fields.append(f"surface={rng.choice(('Ann', 'Bo', 'Cy'))}")
+            else:
+                fields.append("surface=it")
+                if rng.random() < 0.4:
+                    fields.append(f"index={'A' if kind == 'pronoun' else 'X'}{rng.randint(1, 5)}")
+            fields.append(f"agr={gender},sg,3")
+            others = [o for o in ids if o != np_id]
+            if others and rng.random() < 0.3:
+                fields.append(f"contra={rng.choice(others)}")
+            lines.append("np " + " ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_every_corpus_check_accepts_also_runs(tmp_path, capsys):
+    rng = random.Random(4242)
+    target = tmp_path / "random.corpus"
+    accepted = 0
+    for _ in range(300):
+        target.write_text(_random_corpus(rng), encoding="utf-8")
+        if cli_main(["check", str(target)]) != 0:
+            continue
+        accepted += 1
+        assert cli_main(["run", str(target)]) in (0, 1), target.read_text()
+        capsys.readouterr()
+    assert accepted > 100

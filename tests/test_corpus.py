@@ -128,6 +128,21 @@ class TestErrors:
             parse_corpus(text)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("kind", ["name", "definite"])
+    def test_surface_without_letters_or_digits_needs_an_entity(self, kind):
+        # Both would otherwise derive one shared id and co-specify silently.
+        text = (
+            "discourse d\n"
+            "utterance !! ??\n"
+            f'np id=a surface="!!" kind={kind} gf=SUBJ contra=b\n'
+            f'np id=b surface="??" kind={kind} gf=OBJ\n'
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "surface")
+        fixed = text.replace('"!!"', '"!!" entity=BANG').replace('"??"', '"??" entity=HUH')
+        assert [np.entity for np in parse_corpus(fixed).utterances[0].nps] == ["BANG", "HUH"]
+
     def test_name_with_index_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=Ann kind=name gf=SUBJ index=A1\n"
         with pytest.raises(SchemaError):

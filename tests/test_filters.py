@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -12,10 +13,23 @@ from centering import (
     filter_constraint3,
     filter_contraindex,
     filter_rule1,
+    UnresolvablePronoun,
     propose_anchors,
     run_filters,
 )
-from support import FEM, MASC, OBJ, SUBJ, bind, cf_of, name, pronoun, race_scene, utt
+from support import (
+    FEM,
+    MASC,
+    OBJ,
+    SUBJ,
+    bind,
+    cf_of,
+    name,
+    pronoun,
+    race_scene,
+    random_scene,
+    utt,
+)
 
 
 @pytest.fixture()
@@ -156,3 +170,61 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
     for anchor in survivors:
         bound = [e.entity.id for e in anchor.cf.entries]
         assert len(bound) == len(set(bound))
+
+
+def _per_anchor_verdicts(anchors, prior_cf, u):
+    """run_filters' contract, stated with the per-anchor predicates."""
+    verdicts, survivors = [], []
+    for pos, anchor in enumerate(anchors, start=1):
+        failed = set()
+        if not filter_contraindex(anchor, u):
+            failed.add(CONTRA)
+        if not filter_constraint3(anchor, prior_cf):
+            failed.add(CONSTRAINT3)
+        if not filter_rule1(anchor, prior_cf, u):
+            failed.add(RULE1)
+        anchor_id = anchor.ordinal if anchor.ordinal is not None else pos
+        verdicts.append((anchor_id, not failed, frozenset(failed)))
+        if not failed:
+            survivors.append(anchor)
+    return survivors, verdicts
+
+
+def _anchor_lists(rng, anchors, prior_cf):
+    """The canonical list plus reorderings and re-pairings of it."""
+    yield anchors
+    shuffled = [a if rng.random() < 0.5 else Anchor(a.cb, a.cf) for a in anchors]
+    rng.shuffle(shuffled)
+    yield shuffled
+    # One Cf list object paired with centers from anywhere, its own entries
+    # included, not just with the prior centers.
+    cf_lists = list({id(a.cf): a.cf for a in anchors}.values())
+    repaired = []
+    for ordinal in range(1, 2 * len(anchors) + 1):
+        cf = rng.choice(cf_lists)
+        cb = rng.choice((None, *prior_cf.entries, *cf.entries))
+        repaired.append(Anchor(cb, cf, ordinal))
+    yield repaired
+    # Equal but distinct Cf list objects.
+    yield [Anchor(a.cb, CfList(a.cf.entries), a.ordinal) if rng.random() < 0.5 else a for a in anchors]
+
+
+def test_run_filters_matches_the_per_anchor_predicates_randomized():
+    rng = random.Random(5150)
+    checked = 0
+    for _ in range(400):
+        prior_cf, u = random_scene(rng)
+        try:
+            anchors = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        # A shorter prior list leaves some pronouns bound outside it.
+        priors = (prior_cf, CfList(prior_cf.entries[1:]))
+        for variant in _anchor_lists(rng, anchors, prior_cf):
+            for prior in priors:
+                survivors, verdicts = run_filters(variant, prior, u)
+                expected_survivors, expected = _per_anchor_verdicts(variant, prior, u)
+                assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
+                assert [id(a) for a in survivors] == [id(a) for a in expected_survivors]
+            checked += 1
+    assert checked > 400

@@ -5,12 +5,29 @@ import pytest
 from centering import Mode, load_bundled, parse_corpus, process_document, render_trace, roman
 
 
+def _subtractive_roman(n):
+    out = ""
+    for value, glyph in (
+        (1000, "m"), (900, "cm"), (500, "d"), (400, "cd"), (100, "c"), (90, "xc"),
+        (50, "l"), (40, "xl"), (10, "x"), (9, "ix"), (5, "v"), (4, "iv"), (1, "i"),
+    ):
+        while n >= value:
+            out += glyph
+            n -= value
+    return out
+
+
 def test_roman_numerals():
     labels = [roman(n) for n in range(1, 17)]
     assert labels == [
         "i", "ii", "iii", "iv", "v", "vi", "vii", "viii",
         "ix", "x", "xi", "xii", "xiii", "xiv", "xv", "xvi",
     ]
+    for n in range(1, 5001):
+        assert roman(n) == _subtractive_roman(n), n
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            roman(bad)
 
 
 def test_empty_results_render_empty():
