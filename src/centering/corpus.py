@@ -8,16 +8,21 @@ format. Blank lines and lines starting with `#` are ignored. Directives:
     utterance <text>          opens a new utterance; text runs to end of line
     np key=value ...          one noun phrase of the current utterance
 
-`np` fields use shell-style quoting (surface="Alfa Romeo"):
+`np` fields use POSIX-shell quoting, exactly as `shlex.split` reads it
+(surface="Alfa Romeo", surface='the "old" house', surface='it'"'"'s').
+Lines made of plain, "double-quoted" and 'single-quoted' pieces are split
+without shlex, with identical results; any other line (a backslash
+outside single quotes, an unbalanced quote) goes to shlex itself. The
+fields:
 
-    id=<np-id>      required; unique within the utterance; what `contra`
-                    references point at
-    surface=<str>   required; the NP as it appears in the text
+    id=<np-id>      required, non-empty; unique within the utterance; what
+                    `contra` references point at
+    surface=<str>   required, non-empty; the NP as it appears in the text
     kind=<pronoun|name|definite|indefinite>    required
     gf=<SUBJ|OBJ|OBJ2|OTHER|ADJ>               required
     agr=<gender,number,person>  optional; `-` leaves a feature
                     unspecified (agr=fem,sg,3 or agr=-,pl,-)
-    entity=<ID>     optional semantic identity; forbidden for pronouns.
+    entity=<ID>     optional non-empty semantic identity; forbidden for pronouns.
                     Names/definites default to an id derived from the
                     surface; indefinites default to their allocated X index.
     index=<A_/X_>   optional pre-assigned index: A-series for pronouns,
@@ -60,6 +65,18 @@ GF_NAMES = {v: k for k, v in GF_TOKENS.items()}
 KIND_TOKENS = {k.value: k for k in MarkerKind}
 NP_FIELDS = ("id", "surface", "kind", "gf", "agr", "entity", "index", "contra")
 REQUIRED_NP_FIELDS = ("id", "surface", "kind", "gf")
+# An empty one would make NPs share an id or an entity without saying so.
+NON_EMPTY_NP_FIELDS = ("id", "surface", "entity")
+
+# One match per field: a run of plain, "double-" and 'single-quoted' pieces
+# (shlex joins adjacent pieces into one token), else one stray non-blank
+# character that no piece can start with: a backslash or an unbalanced
+# quote. The three piece forms start on distinct characters, and a match
+# can fail only on its first piece, so the engine never backtracks into a
+# piece it has taken: matching is linear in the line length.
+_NP_FIELD = re.compile(r"""(?:[^ \t\r\n"'\\]+|"[^"\\]*"|'[^']*')+|[^ \t\r\n]""")
+_QUOTED_PIECE = re.compile(r""""([^"]*)"|'([^']*)'""")
+_STRAY = frozenset("\"'\\")
 
 
 class CorpusError(Exception):
@@ -120,6 +137,22 @@ def _parse_agreement(value: str, line: int) -> Agreement:
         raise SchemaError(str(exc), line, "agr") from None
 
 
+def split_np_fields(rest: str) -> list[str]:
+    """`shlex.split(rest)`, without shlex unless a backslash outside single
+    quotes or an unbalanced quote needs it; raises shlex's ValueError."""
+    fields = _NP_FIELD.findall(rest)
+    if '"' in rest or "'" in rest or "\\" in rest:
+        for i, field in enumerate(fields):
+            if field in _STRAY:
+                return shlex.split(rest)
+            if '"' in field and "'" in field:
+                fields[i] = _QUOTED_PIECE.sub(r"\1\2", field)
+            else:
+                # With one quote kind, every quote in the field delimits a piece.
+                fields[i] = field.replace('"', "").replace("'", "")
+    return fields
+
+
 def _parse_np(tokens: list[str], line: int) -> CorpusNp:
     fields: dict[str, str] = {}
     for token in tokens:
@@ -130,6 +163,8 @@ def _parse_np(tokens: list[str], line: int) -> CorpusNp:
             raise SchemaError(f"unknown np field {key!r}", line, key)
         if key in fields:
             raise SchemaError(f"duplicate np field {key!r}", line, key)
+        if not value and key in NON_EMPTY_NP_FIELDS:
+            raise SchemaError(f"np field {key!r} needs a non-empty value", line, key)
         fields[key] = value
     for key in REQUIRED_NP_FIELDS:
         if key not in fields:
@@ -166,21 +201,25 @@ def _parse_np(tokens: list[str], line: int) -> CorpusNp:
 def _close_utterance(
     text: str, nps: list[tuple[CorpusNp, int]], line: int
 ) -> CorpusUtterance:
-    ids = {}
+    by_id: dict[str, CorpusNp] = {}
     for np, np_line in nps:
-        if np.id in ids:
+        if np.id in by_id:
             raise DuplicateNpId(f"np id {np.id!r} already used in this utterance", np_line, "id")
-        ids[np.id] = np_line
+        by_id[np.id] = np
+    # Normalize contra symmetry: if a lists b, b lists a. Only an NP that
+    # lacks a back-reference is copied.
+    missing: dict[str, set[str]] = {}
     for np, np_line in nps:
         for ref in np.contra:
-            if ref not in ids:
+            other = by_id.get(ref)
+            if other is None:
                 raise DanglingContraRef(f"contra reference {ref!r} names no np here", np_line, "contra")
-    # Normalize contra symmetry: if a lists b, b lists a.
-    mutual: dict[str, set[str]] = {np.id: set(np.contra) for np, _ in nps}
-    for np, _ in nps:
-        for ref in np.contra:
-            mutual[ref].add(np.id)
-    closed = tuple(replace(np, contra=frozenset(mutual[np.id])) for np, _ in nps)
+            if np.id not in other.contra:
+                missing.setdefault(ref, set()).add(np.id)
+    closed = tuple(
+        replace(np, contra=np.contra | missing[np.id]) if np.id in missing else np
+        for np, _ in nps
+    )
     return CorpusUtterance(text, closed)
 
 
@@ -231,7 +270,7 @@ def parse_corpus(text: str) -> CorpusDocument:
             if current is None:
                 raise SchemaError("np outside any utterance", lineno)
             try:
-                tokens = shlex.split(rest)
+                tokens = split_np_fields(rest)
             except ValueError as exc:
                 raise SchemaError(f"bad quoting: {exc}", lineno) from None
             np = _parse_np(tokens, lineno)

@@ -90,6 +90,21 @@ def test_check_schema_error_exits_two(tmp_path, capsys):
     assert "line 3" in captured.err
 
 
+def test_check_rejects_empty_entity_values(tmp_path, capsys):
+    # Both names would otherwise share entity "" and, contraindexed, leave
+    # no viable anchor while check said ok.
+    target = tmp_path / "empty.corpus"
+    target.write_text(
+        "discourse empty\n"
+        "utterance Ann met Bo.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ entity= contra=b\n"
+        "np id=b surface=Bo kind=name gf=OBJ entity=\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["check", str(target)]) == 2
+    assert "line 3: entity:" in capsys.readouterr().err
+
+
 def test_missing_corpus_exits_two(capsys):
     assert cli_main(["run", "no-such-file.corpus"]) == 2
     assert "error" in capsys.readouterr().err

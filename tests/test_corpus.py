@@ -1,4 +1,8 @@
+import shlex
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centering import (
     Agreement,
@@ -17,6 +21,7 @@ from centering import (
     load_bundled,
     parse_corpus,
 )
+from centering.corpus import split_np_fields
 
 MINIMAL = """\
 discourse demo
@@ -143,6 +148,34 @@ class TestErrors:
         fixed = text.replace('"!!"', '"!!" entity=BANG').replace('"??"', '"??" entity=HUH')
         assert [np.entity for np in parse_corpus(fixed).utterances[0].nps] == ["BANG", "HUH"]
 
+    @pytest.mark.parametrize("empty", ["id=", "surface=''", 'entity=""'])
+    def test_empty_id_surface_or_entity_rejected(self, empty):
+        # Two names with entity= would both get entity id "" and merge.
+        key = empty.partition("=")[0]
+        fields = {"id": "id=a", "surface": "surface=Ann", "entity": "entity=ANN"}
+        fields[key] = empty
+        text = (
+            "discourse d\n"
+            "utterance Ann met Bo.\n"
+            f"np {' '.join(fields.values())} kind=name gf=SUBJ contra=b\n"
+            "np id=b surface=Bo kind=name gf=OBJ entity=BO\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, key)
+
+    def test_long_np_line_with_a_stray_quote_is_a_quoting_error(self):
+        # About 10,000 characters: a splitter that backtracks exponentially
+        # on an unbalanced quote would never finish this test.
+        text = (
+            "discourse d\n"
+            "utterance x.\n"
+            "np id=a kind=name gf=SUBJ surface=" + "x" * 10_000 + '"\n'
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert err.value.line == 3 and "bad quoting: No closing quotation" in str(err.value)
+
     def test_name_with_index_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=Ann kind=name gf=SUBJ index=A1\n"
         with pytest.raises(SchemaError):
@@ -181,25 +214,41 @@ class TestRoundTrip:
             assert parse_corpus(format_corpus(doc)) == doc
 
     def test_quoting_survives(self):
-        doc = CorpusDocument(
-            "q",
-            Mode.EXTENDED,
-            (
-                CorpusUtterance(
-                    "A tricky 'case'.",
-                    (
-                        CorpusNp(
-                            "n1",
-                            "a tricky 'case'",
-                            MarkerKind.INDEFINITE,
-                            GrammaticalFunction.OBJECT,
-                            Agreement("neut", "sg", "3"),
+        # format_corpus quotes with shlex.quote: the second surface comes out
+        # as adjacent pieces, 'the "old" captain'"'"'s log'.
+        for surface in ("a tricky 'case'", 'the "old" captain\'s log'):
+            doc = CorpusDocument(
+                "q",
+                Mode.EXTENDED,
+                (
+                    CorpusUtterance(
+                        "A tricky 'case'.",
+                        (
+                            CorpusNp(
+                                "n1",
+                                surface,
+                                MarkerKind.INDEFINITE,
+                                GrammaticalFunction.OBJECT,
+                                Agreement("neut", "sg", "3"),
+                            ),
                         ),
                     ),
                 ),
-            ),
-        )
-        assert parse_corpus(format_corpus(doc)) == doc
+            )
+            assert parse_corpus(format_corpus(doc)) == doc
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=" \t\r\n\"'\\=,ab\xa0", max_size=24))
+def test_np_field_split_matches_shlex(text):
+    assert _split_outcome(split_np_fields, text) == _split_outcome(shlex.split, text)
 
 
 class TestBuildUtterances:
