@@ -34,19 +34,14 @@ class NoViableAnchor(Exception):
     """Every proposed anchor was filtered out; resolution failed."""
 
 
-_PREFERENCE = {
-    Transition.CONTINUING: 0,
-    Transition.RETAINING: 1,
-    Transition.SHIFTING_1: 2,
-    Transition.SHIFTING: 3,
-}
+# Transition's declaration order is the preference order.
+_PREFERENCE = {transition: rank for rank, transition in enumerate(Transition)}
 
 
 @dataclass(frozen=True)
 class ClassifiedAnchor:
     anchor: Anchor
     transition: Transition
-    cp: Entity
 
 
 def preference_rank(transition: Transition) -> int:
@@ -87,21 +82,16 @@ def rank_and_select(
     """Order surviving anchors by transition preference and pick the winner.
 
     The sort key is (preference, construction ordinal), so the result does
-    not depend on the order survivors are passed in; anchors without
-    ordinals fall back to input position. `tie` reports whether the top
-    preference class holds more than one anchor; the winner is then the
-    construction-order first, leaving the ambiguity visible to callers.
+    not depend on the order survivors are passed in. `tie` reports whether
+    the top preference class holds more than one anchor; the winner is
+    then the construction-order first, leaving the ambiguity visible to
+    callers.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
-    keyed = []
-    for pos, anchor in enumerate(survivors):
-        transition = classify(anchor, prev_cb, mode)
-        ordinal = anchor.ordinal if anchor.ordinal is not None else pos
-        keyed.append(
-            (preference_rank(transition), ordinal, ClassifiedAnchor(anchor, transition, anchor.cf.entries[0].entity))
-        )
-    keyed.sort(key=lambda item: item[:2])
-    ranked = [classified for _, _, classified in keyed]
-    tie = len(keyed) > 1 and keyed[0][0] == keyed[1][0]
+    ranked = sorted(
+        (ClassifiedAnchor(anchor, classify(anchor, prev_cb, mode)) for anchor in survivors),
+        key=lambda c: (preference_rank(c.transition), c.anchor.ordinal),
+    )
+    tie = len(ranked) > 1 and ranked[0].transition is ranked[1].transition
     return ranked[0], ranked, tie

@@ -16,27 +16,27 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError, build_utterances, bundled_corpora, parse_corpus
+from .corpus import CorpusError, build_utterances, bundled_corpora, load_bundled, parse_corpus
 from .engine import process_document
 from .model import Mode
 from .render import render_trace
+
+# A corpus that cannot be read (OSError, including an unknown id), decoded
+# (UnicodeDecodeError, a ValueError) or validated (CorpusError): exit 2.
+_CORPUS_ERRORS = (CorpusError, OSError, ValueError)
 
 
 def _load_document(ref: str):
     path = Path(ref)
     if path.exists():
         return parse_corpus(path.read_text(encoding="utf-8"))
-    bundled = bundled_corpora()
-    key = ref.removesuffix(".corpus")
-    if key in bundled:
-        return parse_corpus(bundled[key])
-    raise FileNotFoundError(f"no such file or bundled corpus: {ref}")
+    return load_bundled(ref)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         doc = _load_document(args.corpus)
-    except (CorpusError, OSError, UnicodeDecodeError) as exc:
+    except _CORPUS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mode = Mode.CLASSIC if args.classic else None
@@ -54,7 +54,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         doc = _load_document(args.corpus)
         build_utterances(doc)
-    except (CorpusError, FileNotFoundError, OSError, ValueError) as exc:
+    except _CORPUS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"ok: {doc.id}: {len(doc.utterances)} utterances")

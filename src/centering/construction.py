@@ -15,7 +15,6 @@ considered unless it also appears there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .model import (
@@ -38,21 +37,6 @@ class UnresolvablePronoun(Exception):
         super().__init__(f"pronoun {ref} ({marker.surface!r}) has no compatible antecedent")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Raw material for anchor construction: pronouns, their candidate
-    entities (aligned by position), and the backward-center candidates."""
-
-    pronouns: tuple[ReferenceMarker, ...]
-    candidates: tuple[tuple[Entity, ...], ...]
-    cb_candidates: tuple[CfEntry | None, ...]
-
-
-def collect_pronouns(u: Utterance) -> list[ReferenceMarker]:
-    """Pronoun markers of the utterance, in obliqueness order."""
-    return [m for m in u.markers if m.is_pronoun]
-
-
 def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
     """Prior-center entities whose source agreement unifies with the pronoun.
 
@@ -70,13 +54,6 @@ def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
     return out
 
 
-def build_candidates(u: Utterance, prior_cf: CfList) -> CandidateSet:
-    pronouns = tuple(collect_pronouns(u))
-    candidates = tuple(tuple(pronoun_candidates(p, prior_cf)) for p in pronouns)
-    cb_candidates: tuple[CfEntry | None, ...] = (*prior_cf.entries, None)
-    return CandidateSet(pronouns, candidates, cb_candidates)
-
-
 def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     """All full binding assignments for the utterance's markers.
 
@@ -84,18 +61,15 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     An utterance without pronouns yields exactly one list: the fixed
     entities in marker order.
     """
-    cand = build_candidates(u, prior_cf)
     # One entry per (pronoun, candidate), shared by every list that binds
     # the pronoun to that candidate; a fixed marker has a single slot.
-    bound_entries = {}
-    for p, options in zip(cand.pronouns, cand.candidates):
-        if not options:
-            raise UnresolvablePronoun(p)
-        bound_entries[p.mid] = [CfEntry(e, p) for e in options]
     slots = []
     for m in u.markers:
         if m.is_pronoun:
-            slots.append(bound_entries[m.mid])
+            options = pronoun_candidates(m, prior_cf)
+            if not options:
+                raise UnresolvablePronoun(m)
+            slots.append([CfEntry(e, m) for e in options])
         elif m.entity is None:
             raise ValueError(f"marker {m.mid!r} has no entity; allocate indices first")
         else:

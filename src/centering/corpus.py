@@ -4,7 +4,8 @@ A corpus file is UTF-8 text holding one discourse in a line-oriented
 format. Blank lines and lines starting with `#` are ignored. Directives:
 
     discourse <id>            required, before anything else
-    mode <classic|extended>   optional, before the first utterance
+    mode <classic|extended>   optional, at most once, after `discourse`
+                              and before the first utterance
     utterance <text>          opens a new utterance; text runs to end of line
     np key=value ...          one noun phrase of the current utterance
 
@@ -42,8 +43,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .model import (
-    INDEFINITE_INDEX,
-    PRONOUN_INDEX,
     Agreement,
     Entity,
     EntityKind,
@@ -52,6 +51,7 @@ from .model import (
     Mode,
     ReferenceMarker,
     Utterance,
+    check_index,
 )
 
 GF_TOKENS = {
@@ -181,12 +181,12 @@ def _parse_np(tokens: list[str], line: int) -> CorpusNp:
         raise SchemaError("pronouns cannot carry an entity id", line, "entity")
     index = fields.get("index")
     if index is not None:
-        if kind is MarkerKind.PRONOUN and not PRONOUN_INDEX.match(index):
-            raise SchemaError(f"pronoun index must be A-series, got {index!r}", line, "index")
-        if kind is MarkerKind.INDEFINITE and not INDEFINITE_INDEX.match(index):
-            raise SchemaError(f"indefinite index must be X-series, got {index!r}", line, "index")
         if kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
             raise SchemaError("names and definites take their surface as index", line, "index")
+        try:
+            check_index(kind, index)
+        except ValueError as exc:
+            raise SchemaError(str(exc), line, "index") from None
     if entity is None and kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
         try:
             derive_entity_id(fields["surface"])
@@ -226,7 +226,7 @@ def _close_utterance(
 def parse_corpus(text: str) -> CorpusDocument:
     """Parse and validate one corpus document; errors carry line positions."""
     doc_id: str | None = None
-    mode = Mode.EXTENDED
+    mode: Mode | None = None
     utterances: list[CorpusUtterance] = []
     current: tuple[str, int] | None = None  # (text, opening line)
     nps: list[tuple[CorpusNp, int]] = []
@@ -253,6 +253,10 @@ def parse_corpus(text: str) -> CorpusDocument:
                 raise SchemaError("discourse needs an id", lineno)
             doc_id = rest
         elif directive == "mode":
+            if doc_id is None:
+                raise SchemaError("discourse directive must come first", lineno)
+            if mode is not None:
+                raise SchemaError("duplicate mode directive", lineno)
             if utterances or current is not None:
                 raise SchemaError("mode must precede the first utterance", lineno)
             try:
@@ -288,26 +292,22 @@ def parse_corpus(text: str) -> CorpusDocument:
     if doc_id is None:
         raise SchemaError("missing discourse directive", 1)
     flush()
-    return CorpusDocument(doc_id, mode, tuple(utterances))
-
-
-def _quote(value: str) -> str:
-    return shlex.quote(value)
+    return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
 def _format_np(np: CorpusNp) -> str:
-    parts = [f"np id={_quote(np.id)}", f"surface={_quote(np.surface)}"]
+    parts = [f"np id={shlex.quote(np.id)}", f"surface={shlex.quote(np.surface)}"]
     parts.append(f"kind={np.kind.value}")
     parts.append(f"gf={GF_NAMES[np.gf]}")
     if (np.agr.gender, np.agr.number, np.agr.person) != (None, None, None):
         feats = ",".join(v if v is not None else "-" for v in (np.agr.gender, np.agr.number, np.agr.person))
         parts.append(f"agr={feats}")
     if np.entity is not None:
-        parts.append(f"entity={_quote(np.entity)}")
+        parts.append(f"entity={shlex.quote(np.entity)}")
     if np.index is not None:
         parts.append(f"index={np.index}")
     if np.contra:
-        parts.append("contra=" + ",".join(sorted(np.contra)))
+        parts.append("contra=" + shlex.quote(",".join(sorted(np.contra))))
     return " ".join(parts)
 
 
@@ -391,9 +391,12 @@ def bundled_corpora() -> dict[str, str]:
 
 
 def load_bundled(name: str) -> CorpusDocument:
-    """Parse a bundled corpus by id (with or without the .corpus suffix)."""
+    """Parse a bundled corpus by id (with or without the .corpus suffix).
+
+    Raises FileNotFoundError when no bundled corpus has that id.
+    """
     corpora = bundled_corpora()
     key = name.removesuffix(".corpus")
     if key not in corpora:
-        raise KeyError(f"no bundled corpus {name!r}; have {sorted(corpora)}")
+        raise FileNotFoundError(f"no such file or bundled corpus: {name} (bundled: {', '.join(corpora)})")
     return parse_corpus(corpora[key])

@@ -51,21 +51,26 @@ class UtteranceResult:
     marker on a discourse opener).
     """
 
-    position: int
-    text: str
     utterance: Utterance
     transition: Transition | None
     cb: CfEntry | None
     cf: CfList
     bindings: dict[str, Entity] | None
     anchors: tuple[Anchor, ...]
-    anchors_constructed: int
     verdicts: tuple[FilterVerdict, ...]
     ranked: tuple[ClassifiedAnchor, ...]
     tie: bool
     after_retention: bool
     diagnostic_kind: str | None = None
     diagnostic: str | None = None
+
+    @property
+    def position(self) -> int:
+        return self.utterance.position
+
+    @property
+    def anchors_constructed(self) -> int:
+        return len(self.anchors)
 
 
 def _promote_initial(anchor: Anchor) -> Anchor:
@@ -85,21 +90,17 @@ def _commit_fallback(
     after_retention: bool,
     anchors: tuple[Anchor, ...] = (),
     verdicts: tuple[FilterVerdict, ...] = (),
-) -> tuple[DiscourseState, UtteranceResult]:
-    fixed = tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun and m.entity is not None)
-    committed = Anchor(None, CfList(fixed))
-    state.prev = (committed, u)
+) -> UtteranceResult:
+    fixed = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun and m.entity is not None))
+    state.prev = (None, fixed)
     state.last_transition = None
-    result = UtteranceResult(
-        position=u.position,
-        text=u.text,
+    return UtteranceResult(
         utterance=u,
         transition=None,
         cb=None,
-        cf=committed.cf,
+        cf=fixed,
         bindings=None,
         anchors=anchors,
-        anchors_constructed=len(anchors),
         verdicts=verdicts,
         ranked=(),
         tie=False,
@@ -107,20 +108,16 @@ def _commit_fallback(
         diagnostic_kind=kind,
         diagnostic=message,
     )
-    return state, result
 
 
-def process_utterance(state: DiscourseState, u: Utterance) -> tuple[DiscourseState, UtteranceResult]:
-    """Run the full pipeline on one utterance and advance the state."""
+def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
+    """Run the full pipeline on one utterance, advancing `state` in place."""
     u = allocate_indices(u, state)
     after_retention = state.last_transition is Transition.RETAINING
-    if state.prev is not None:
-        prior_anchor, _ = state.prev
-        prior_cf = prior_anchor.cf
-        prev_cb = prior_anchor.cb.entity if prior_anchor.cb is not None else None
+    if state.prev is None:
+        prev_cb, prior_cf = NO_PRIOR, CfList()
     else:
-        prior_cf = CfList()
-        prev_cb = NO_PRIOR
+        prev_cb, prior_cf = state.prev
     try:
         anchors = propose_anchors(u, prior_cf)
     except UnresolvablePronoun as exc:
@@ -138,27 +135,25 @@ def process_utterance(state: DiscourseState, u: Utterance) -> tuple[DiscourseSta
         return _commit_fallback(
             state, u, DIAG_EMPTY, str(exc), after_retention, tuple(anchors), tuple(verdicts)
         )
-    bindings = {e.marker.index: e.entity for e in winner.anchor.cf.entries if e.marker.is_pronoun}
-    state.prev = (winner.anchor, u)
+    cb, cf = winner.anchor.cb, winner.anchor.cf
+    bindings = {e.marker.index: e.entity for e in cf.entries if e.marker.is_pronoun}
+    state.prev = (cb.entity if cb is not None else None, cf)
     state.last_transition = winner.transition
     kind = message = None
     if tie:
         top = sum(1 for c in ranked if c.transition is winner.transition)
         kind = DIAG_TIE
         message = (
-            f"{top} anchors share transition {winner.transition.label}; "
+            f"{top} anchors share transition {winner.transition.value}; "
             "kept the construction-order first"
         )
-    result = UtteranceResult(
-        position=u.position,
-        text=u.text,
+    return UtteranceResult(
         utterance=u,
         transition=winner.transition,
-        cb=winner.anchor.cb,
-        cf=winner.anchor.cf,
+        cb=cb,
+        cf=cf,
         bindings=bindings,
         anchors=tuple(anchors),
-        anchors_constructed=len(anchors),
         verdicts=tuple(verdicts),
         ranked=tuple(ranked),
         tie=tie,
@@ -166,17 +161,12 @@ def process_utterance(state: DiscourseState, u: Utterance) -> tuple[DiscourseSta
         diagnostic_kind=kind,
         diagnostic=message,
     )
-    return state, result
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:
     """Fold process_utterance over a discourse from a fresh state."""
     state = DiscourseState(mode=mode, reserved_indices=explicit_indices(utterances))
-    results = []
-    for u in utterances:
-        state, result = process_utterance(state, u)
-        results.append(result)
-    return results
+    return [process_utterance(state, u) for u in utterances]
 
 
 def process_document(doc, mode: Mode | None = None) -> list[UtteranceResult]:

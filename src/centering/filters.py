@@ -28,12 +28,11 @@ class FilterVerdict:
     """Outcome of all filters for one anchor (id = construction ordinal)."""
 
     anchor_id: int
-    passed: bool
     eliminated_by: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if self.passed != (not self.eliminated_by):
-            raise ValueError("passed must mean an empty elimination set")
+    @property
+    def passed(self) -> bool:
+        return not self.eliminated_by
 
 
 def filter_contraindex(anchor: Anchor, u: Utterance) -> bool:
@@ -119,7 +118,7 @@ def run_filters(
     facts: dict[int, tuple[int, str | None, set[str] | None]] = {}
     survivors: list[Anchor] = []
     verdicts: list[FilterVerdict] = []
-    for pos, anchor in enumerate(anchors, start=1):
+    for anchor in anchors:
         cf = anchor.cf
         fact = facts.get(id(cf))
         if fact is None:
@@ -130,8 +129,7 @@ def run_filters(
             mask |= 2
         if pronoun_ids is not None and cb_id not in pronoun_ids:
             mask |= 4
-        anchor_id = anchor.ordinal if anchor.ordinal is not None else pos
-        verdicts.append(FilterVerdict(anchor_id, not mask, _ELIMINATED[mask]))
+        verdicts.append(FilterVerdict(anchor.ordinal, _ELIMINATED[mask]))
         if not mask:
             survivors.append(anchor)
     return survivors, verdicts

@@ -14,9 +14,6 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
-PRONOUN_INDEX = re.compile(r"A[1-9][0-9]*\Z")
-INDEFINITE_INDEX = re.compile(r"X[1-9][0-9]*\Z")
-
 GENDERS = frozenset({"fem", "masc", "neut"})
 NUMBERS = frozenset({"sg", "pl"})
 PERSONS = frozenset({"1", "2", "3"})
@@ -41,10 +38,22 @@ class MarkerKind(Enum):
     INDEFINITE = "indefinite"
 
 
+# The index series of each kind that draws from one; names and definites
+# are indexed by their surface string instead.
+INDEX_SERIES = {MarkerKind.PRONOUN: "A", MarkerKind.INDEFINITE: "X"}
+_INDEX_PATTERNS = {kind: re.compile(rf"{prefix}[1-9][0-9]*\Z") for kind, prefix in INDEX_SERIES.items()}
+
+
+def check_index(kind: MarkerKind, index: str) -> None:
+    """Raise ValueError unless `index` belongs to the series `kind` draws from."""
+    pattern = _INDEX_PATTERNS.get(kind)
+    if pattern is not None and not pattern.match(index):
+        raise ValueError(f"{kind.value} index must be {INDEX_SERIES[kind]}-series, got {index!r}")
+
+
 class EntityKind(Enum):
     NAMED = "named"
     INDEFINITE = "indefinite"
-    UNRESOLVED = "unresolved"
 
 
 class Mode(Enum):
@@ -65,10 +74,6 @@ class Transition(Enum):
     RETAINING = "RETAINING"
     SHIFTING_1 = "SHIFTING-1"
     SHIFTING = "SHIFTING"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,10 @@ class ReferenceMarker:
     def __post_init__(self) -> None:
         if not isinstance(self.contra, frozenset):
             object.__setattr__(self, "contra", frozenset(self.contra))
-        if self.index is None and self.kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
+        if self.index is None and self.kind not in INDEX_SERIES:
             object.__setattr__(self, "index", self.surface)
         if self.index is not None:
-            if self.kind is MarkerKind.PRONOUN and not PRONOUN_INDEX.match(self.index):
-                raise ValueError(f"pronoun index must be A-series, got {self.index!r}")
-            if self.kind is MarkerKind.INDEFINITE and not INDEFINITE_INDEX.match(self.index):
-                raise ValueError(f"indefinite index must be X-series, got {self.index!r}")
+            check_index(self.kind, self.index)
         if self.kind is MarkerKind.PRONOUN and self.entity is not None:
             raise ValueError(f"pronoun {self.surface!r} cannot carry a pre-bound entity")
         if self.mid is None:
@@ -223,16 +225,6 @@ class CfList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def cp(self) -> Entity | None:
-        return self.entries[0].entity if self.entries else None
-
-    def entities(self) -> tuple[Entity, ...]:
-        return tuple(e.entity for e in self.entries)
-
     def assignment(self) -> dict[str, Entity]:
         """Map marker mid -> bound entity."""
         return {e.marker.mid: e.entity for e in self.entries}
@@ -248,15 +240,20 @@ class Anchor:
 
     cb: CfEntry | None
     cf: CfList
-    ordinal: int | None = None
+    ordinal: int
 
 
 @dataclass
 class DiscourseState:
-    """Rolling per-discourse bookkeeping; owned and advanced by the engine."""
+    """Rolling per-discourse bookkeeping; owned and advanced by the engine.
+
+    `prev` is what the next utterance reads of the last committed one: its
+    center (None for a null center) and its Cf list; None before the
+    first utterance.
+    """
 
     mode: Mode = Mode.EXTENDED
-    prev: tuple[Anchor, Utterance] | None = None
+    prev: tuple[Entity | None, CfList] | None = None
     pronoun_count: int = 0
     indefinite_count: int = 0
     used_indices: set[str] = field(default_factory=set)
@@ -277,15 +274,16 @@ def _register_index(state: DiscourseState, marker: ReferenceMarker) -> None:
         state.indefinite_count = max(state.indefinite_count, numeral)
 
 
-def _next_index(state: DiscourseState, prefix: str) -> str:
-    count = state.pronoun_count if prefix == "A" else state.indefinite_count
+def _next_index(state: DiscourseState, kind: MarkerKind) -> str:
+    prefix = INDEX_SERIES[kind]
+    count = state.pronoun_count if kind is MarkerKind.PRONOUN else state.indefinite_count
     count += 1
     index = f"{prefix}{count}"
     while index in state.used_indices or index in state.reserved_indices:
         count += 1
         index = f"{prefix}{count}"
     state.used_indices.add(index)
-    if prefix == "A":
+    if kind is MarkerKind.PRONOUN:
         state.pronoun_count = count
     else:
         state.indefinite_count = count
@@ -298,7 +296,7 @@ def explicit_indices(utterances: list[Utterance]) -> frozenset[str]:
         m.index
         for u in utterances
         for m in u.markers
-        if m.index is not None and m.kind in (MarkerKind.PRONOUN, MarkerKind.INDEFINITE)
+        if m.index is not None and m.kind in INDEX_SERIES
     )
 
 
@@ -313,15 +311,12 @@ def allocate_indices(u: Utterance, state: DiscourseState) -> Utterance:
     surface and identified by their new index.
     """
     for m in u.markers:
-        if m.index is not None and m.kind in (MarkerKind.PRONOUN, MarkerKind.INDEFINITE):
+        if m.index is not None and m.kind in INDEX_SERIES:
             _register_index(state, m)
     out = []
     for m in u.markers:
-        if m.index is None:
-            if m.kind is MarkerKind.PRONOUN:
-                m = replace(m, index=_next_index(state, "A"))
-            elif m.kind is MarkerKind.INDEFINITE:
-                m = replace(m, index=_next_index(state, "X"))
+        if m.index is None and m.kind in INDEX_SERIES:
+            m = replace(m, index=_next_index(state, m.kind))
         if m.kind is MarkerKind.INDEFINITE and m.entity is None:
             m = replace(m, entity=Entity(m.index, EntityKind.INDEFINITE, m.surface))
         out.append(m)

@@ -78,7 +78,7 @@ def _anchor_dump(result: UtteranceResult) -> str:
             note = "eliminated: " + ", ".join(n for n in FILTER_NAMES if n in verdict.eliminated_by)
         else:
             transition = transition_by_ordinal.get(anchor.ordinal)
-            note = transition.label if transition is not None else ""
+            note = transition.value if transition is not None else ""
             if anchor.ordinal == winner:
                 note = (note + "  <- selected").strip()
         lines.append(f"  {label:>5}. {body}  {note}".rstrip())
@@ -101,10 +101,10 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
     for r in results:
         stanza = []
         if r.transition is not None:
-            stanza.append(f"{r.transition.label}...")
+            stanza.append(f"{r.transition.value}...")
         else:
             stanza.append(f"** {r.diagnostic_kind}: {r.diagnostic}")
-        stanza.append(f"U{r.position}: {r.text}")
+        stanza.append(f"U{r.position}: {r.utterance.text}")
         stanza.append(f"Cb: {display_cb(r.cb)}")
         stanza.append(f"Cf: {display_cf(r.cf)}")
         paragraphs.append("\n".join(stanza))
@@ -130,8 +130,8 @@ def _record(result: UtteranceResult) -> dict:
     eliminated, survivors = _labels_by_filter(result)
     return {
         "u": result.position,
-        "text": result.text,
-        "transition": result.transition.label if result.transition else None,
+        "text": result.utterance.text,
+        "transition": result.transition.value if result.transition else None,
         "cb": display_cb(result.cb),
         "cf": [e.display for e in result.cf.entries],
         "bindings": bindings,
@@ -140,8 +140,8 @@ def _record(result: UtteranceResult) -> dict:
         "survivors": survivors,
         "ranked": [
             {
-                "anchor": roman(c.anchor.ordinal) if c.anchor.ordinal is not None else None,
-                "transition": c.transition.label,
+                "anchor": roman(c.anchor.ordinal),
+                "transition": c.transition.value,
                 "cb": display_cb(c.anchor.cb),
                 "cf": [e.display for e in c.anchor.cf.entries],
             }

@@ -63,7 +63,7 @@ class TestClassify:
         )
         she = pronoun("She", index="A4", gf=SUBJ, agr=FEM)
         him = pronoun("him", index="A5", gf=OBJ, agr=MASC)
-        anchor = Anchor(prior.entries[0], CfList((bind(she, prior.entries[1].entity), bind(him, pollard))))
+        anchor = Anchor(prior.entries[0], CfList((bind(she, prior.entries[1].entity), bind(him, pollard))), 1)
         assert classify(anchor, pollard) is Transition.RETAINING
 
     def test_retaining_with_named_subject(self):
@@ -72,7 +72,7 @@ class TestClassify:
         friedman_m = name("Friedman", "FRIEDMAN", gf=SUBJ, agr=FEM)
         her = pronoun("her", index="A8", gf=OBJ, agr=FEM)
         prior_entry = bind(pronoun("She", index="A7", gf=SUBJ, agr=FEM), brennan)
-        anchor = Anchor(prior_entry, CfList((bind(friedman_m, friedman_m.entity), bind(her, brennan))))
+        anchor = Anchor(prior_entry, CfList((bind(friedman_m, friedman_m.entity), bind(her, brennan))), 1)
         assert classify(anchor, brennan) is Transition.RETAINING
 
     def test_continuing_when_center_kept_and_preferred(self):
@@ -80,23 +80,23 @@ class TestClassify:
         he = pronoun("He", index="A1", gf=SUBJ, agr=MASC)
         lyn = name("Lyn", "FRIEDMAN", gf=OBJ, agr=FEM)
         carl = name("Carl", "POLLARD", gf=SUBJ, agr=MASC)
-        anchor = Anchor(bind(carl, pollard), CfList((bind(he, pollard), bind(lyn, lyn.entity))))
+        anchor = Anchor(bind(carl, pollard), CfList((bind(he, pollard), bind(lyn, lyn.entity))), 1)
         assert classify(anchor, pollard) is Transition.CONTINUING
 
     def test_no_prior_utterance_counts_as_keeping_the_center(self):
         carl = name("Carl", "POLLARD", agr=MASC)
-        opener = Anchor(bind(carl, carl.entity), cf_of(carl))
+        opener = Anchor(bind(carl, carl.entity), cf_of(carl), 1)
         assert classify(opener, NO_PRIOR) is Transition.CONTINUING
 
     def test_null_center_is_a_shift(self):
         cam = name("Cam", "CAM", agr=MASC)
-        anchor = Anchor(None, cf_of(cam))
+        anchor = Anchor(None, cf_of(cam), 1)
         assert classify(anchor, Entity("ANN")) is Transition.SHIFTING
         assert classify(anchor, None) is Transition.SHIFTING
 
     def test_empty_cf_raises(self):
         with pytest.raises(EmptyCf):
-            classify(Anchor(None, CfList()), NO_PRIOR)
+            classify(Anchor(None, CfList(), 1), NO_PRIOR)
 
 
 class TestRankAndSelect:

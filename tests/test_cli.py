@@ -105,6 +105,24 @@ def test_check_rejects_empty_entity_values(tmp_path, capsys):
     assert "line 3: entity:" in capsys.readouterr().err
 
 
+def test_check_rejects_mode_before_discourse_or_repeated(tmp_path, capsys):
+    target = tmp_path / "modes.corpus"
+    target.write_text(
+        "mode classic\n"
+        "discourse d\n"
+        "mode extended\n"
+        "mode classic\n"
+        "utterance Ann waved.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["check", str(target)]) == 2
+    assert "line 1:" in capsys.readouterr().err
+    target.write_text("\n".join(target.read_text(encoding="utf-8").splitlines()[1:]), encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    assert "line 3:" in capsys.readouterr().err
+
+
 def test_missing_corpus_exits_two(capsys):
     assert cli_main(["run", "no-such-file.corpus"]) == 2
     assert "error" in capsys.readouterr().err

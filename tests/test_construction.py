@@ -6,7 +6,6 @@ from centering import (
     Agreement,
     CfList,
     UnresolvablePronoun,
-    collect_pronouns,
     propose_anchors,
     propose_cf_lists,
     pronoun_candidates,
@@ -28,22 +27,31 @@ from support import (
 )
 
 
+def bound_pronouns(u, prior_cf):
+    """Indices of the pronouns each proposed Cf list binds, in slot order."""
+    return {
+        tuple(e.marker.index for e in cf.entries if e.marker.is_pronoun)
+        for cf in propose_cf_lists(u, prior_cf)
+    }
+
+
 class TestCollectPronouns:
     def test_two_pronouns_in_order(self):
-        _, u, _ = race_scene()
-        assert [m.index for m in collect_pronouns(u)] == ["A9", "A10"]
+        prior_cf, u, _ = race_scene()
+        assert bound_pronouns(u, prior_cf) == {("A9", "A10")}
 
     def test_no_pronouns(self):
         u = utt("Carl works at HP.", name("Carl", "POLLARD", agr=MASC))
-        assert collect_pronouns(u) == []
+        assert bound_pronouns(u, CfList()) == {()}
 
     def test_subject_pronoun_first(self):
+        prior = cf_of(name("Carl", "POLLARD", agr=MASC), name("Lyn", "FRIEDMAN", gf=OBJ, agr=FEM))
         u = utt(
             "He promised to get her a raise.",
             pronoun("her", index="A3", gf=OBJ, agr=FEM),
             pronoun("He", index="A2", gf=SUBJ, agr=MASC),
         )
-        assert [m.index for m in collect_pronouns(u)] == ["A2", "A3"]
+        assert bound_pronouns(u, prior) == {("A2", "A3")}
 
 
 class TestPronounCandidates:

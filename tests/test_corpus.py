@@ -54,6 +54,12 @@ def test_bundled_race_corpus_shape():
     assert b.id in a.contra and a.id in b.contra
 
 
+def test_unknown_bundled_corpus_is_a_missing_file():
+    with pytest.raises(FileNotFoundError) as err:
+        load_bundled("no-such-corpus")
+    assert "fig4" in str(err.value)
+
+
 def test_empty_utterance_list_is_valid():
     doc = parse_corpus("discourse empty\n")
     assert doc.utterances == ()
@@ -202,6 +208,19 @@ class TestErrors:
         with pytest.raises(SchemaError):
             parse_corpus("discourse d\nutterance x.\nmode classic\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("mode classic\ndiscourse d\nutterance x.\n", 1),
+            ("discourse d\nmode extended\n# again\nmode classic\nutterance x.\n", 4),
+        ],
+        ids=["before-discourse", "repeated"],
+    )
+    def test_mode_only_once_and_after_discourse(self, text, line):
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert err.value.line == line
+
     def test_bad_agreement_shape(self):
         with pytest.raises(SchemaError):
             parse_corpus("discourse d\nutterance x.\nnp id=a surface=x kind=name gf=SUBJ agr=fem,sg\n")
@@ -215,22 +234,30 @@ class TestRoundTrip:
 
     def test_quoting_survives(self):
         # format_corpus quotes with shlex.quote: the second surface comes out
-        # as adjacent pieces, 'the "old" captain'"'"'s log'.
-        for surface in ("a tricky 'case'", 'the "old" captain\'s log'):
+        # as adjacent pieces, 'the "old" captain'"'"'s log'. The last input
+        # has ids, and so contra lists, holding a blank and a quote.
+        inputs = [
+            (("n1", surface, frozenset()),)
+            for surface in ("a tricky 'case'", 'the "old" captain\'s log')
+        ]
+        inputs.append((("a b", "it", frozenset({"c'd"})), ("c'd", "that", frozenset({"a b"}))))
+        for nps in inputs:
             doc = CorpusDocument(
                 "q",
                 Mode.EXTENDED,
                 (
                     CorpusUtterance(
                         "A tricky 'case'.",
-                        (
+                        tuple(
                             CorpusNp(
-                                "n1",
+                                np_id,
                                 surface,
                                 MarkerKind.INDEFINITE,
                                 GrammaticalFunction.OBJECT,
                                 Agreement("neut", "sg", "3"),
-                            ),
+                                contra,
+                            )
+                            for np_id, surface, contra in nps
                         ),
                     ),
                 ),

