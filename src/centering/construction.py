@@ -7,6 +7,8 @@ assignments iterate the Cartesian product of per-pronoun candidate
 lists, later pronouns varying fastest, candidates in prior-Cf order.
 The anchor count is therefore always
 (len(prior_cf) + 1) * product(len(candidates(p)) for each pronoun p).
+The anchors are returned as an `AnchorGrid`, the centers and the Cf
+lists whose product they are, so no `Anchor` exists until one is read.
 
 Pronoun candidates come only from the previous utterance's committed
 forward centers; an antecedent elsewhere in the same utterance is not
@@ -18,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 
 from .model import (
-    Anchor,
+    AnchorGrid,
     CfEntry,
     CfList,
     Entity,
@@ -77,13 +79,6 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     return [CfList(entries) for entries in product(*slots)]
 
 
-def propose_anchors(u: Utterance, prior_cf: CfList) -> list[Anchor]:
+def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
     """Every candidate anchor, in canonical order with 1-based ordinals."""
-    cf_lists = propose_cf_lists(u, prior_cf)
-    anchors = []
-    ordinal = 1
-    for cb in (*prior_cf.entries, None):
-        for cf in cf_lists:
-            anchors.append(Anchor(cb, cf, ordinal))
-            ordinal += 1
-    return anchors
+    return AnchorGrid((*prior_cf.entries, None), tuple(propose_cf_lists(u, prior_cf)))

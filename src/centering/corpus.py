@@ -16,8 +16,8 @@ without shlex, with identical results; any other line (a backslash
 outside single quotes, an unbalanced quote) goes to shlex itself. The
 fields:
 
-    id=<np-id>      required, non-empty; unique within the utterance; what
-                    `contra` references point at
+    id=<np-id>      required, non-empty, without a `,`; unique within the
+                    utterance; what `contra` references point at
     surface=<str>   required, non-empty; the NP as it appears in the text
     kind=<pronoun|name|definite|indefinite>    required
     gf=<SUBJ|OBJ|OBJ2|OTHER|ADJ>               required
@@ -153,7 +153,10 @@ def split_np_fields(rest: str) -> list[str]:
     return fields
 
 
-def _parse_np(tokens: list[str], line: int) -> CorpusNp:
+def _parse_np(tokens: list[str], line: int, agreements: dict[str, Agreement]) -> CorpusNp:
+    """One np line's fields. `agreements` maps each `agr=` value parsed
+    so far to its Agreement; a bad value is never stored, so it raises on
+    each line that holds it."""
     fields: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -175,7 +178,16 @@ def _parse_np(tokens: list[str], line: int) -> CorpusNp:
     gf = GF_TOKENS.get(fields["gf"])
     if gf is None:
         raise SchemaError(f"bad gf {fields['gf']!r}", line, "gf")
-    agr = _parse_agreement(fields["agr"], line) if "agr" in fields else Agreement()
+    if "," in fields["id"]:
+        # contra= lists are comma-separated, so such an id could not be named there.
+        raise SchemaError(f"np id {fields['id']!r} cannot hold a ','", line, "id")
+    agr_text = fields.get("agr")
+    if agr_text is None:
+        agr = Agreement()
+    else:
+        agr = agreements.get(agr_text)
+        if agr is None:
+            agr = agreements[agr_text] = _parse_agreement(agr_text, line)
     entity = fields.get("entity")
     if entity is not None and kind is MarkerKind.PRONOUN:
         raise SchemaError("pronouns cannot carry an entity id", line, "entity")
@@ -231,6 +243,7 @@ def parse_corpus(text: str) -> CorpusDocument:
     current: tuple[str, int] | None = None  # (text, opening line)
     nps: list[tuple[CorpusNp, int]] = []
     seen_indices: dict[str, int] = {}
+    agreements: dict[str, Agreement] = {}
 
     def flush() -> None:
         nonlocal current, nps
@@ -277,7 +290,7 @@ def parse_corpus(text: str) -> CorpusDocument:
                 tokens = split_np_fields(rest)
             except ValueError as exc:
                 raise SchemaError(f"bad quoting: {exc}", lineno) from None
-            np = _parse_np(tokens, lineno)
+            np = _parse_np(tokens, lineno, agreements)
             if np.index is not None:
                 if np.index in seen_indices:
                     raise SchemaError(

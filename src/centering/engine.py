@@ -19,9 +19,10 @@ from .classification import (
     rank_and_select,
 )
 from .construction import UnresolvablePronoun, propose_anchors
-from .filters import FilterVerdict, run_filters
+from .filters import FilterVerdicts, run_filters
 from .model import (
     Anchor,
+    AnchorGrid,
     CfEntry,
     CfList,
     DiscourseState,
@@ -56,8 +57,8 @@ class UtteranceResult:
     cb: CfEntry | None
     cf: CfList
     bindings: dict[str, Entity] | None
-    anchors: tuple[Anchor, ...]
-    verdicts: tuple[FilterVerdict, ...]
+    anchors: AnchorGrid
+    verdicts: FilterVerdicts
     ranked: tuple[ClassifiedAnchor, ...]
     tie: bool
     after_retention: bool
@@ -88,8 +89,8 @@ def _commit_fallback(
     kind: str,
     message: str,
     after_retention: bool,
-    anchors: tuple[Anchor, ...] = (),
-    verdicts: tuple[FilterVerdict, ...] = (),
+    anchors: AnchorGrid = AnchorGrid((), ()),
+    verdicts: FilterVerdicts = FilterVerdicts(b""),
 ) -> UtteranceResult:
     fixed = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun and m.entity is not None))
     state.prev = (None, fixed)
@@ -129,11 +130,11 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
         winner, ranked, tie = rank_and_select(survivors, prev_cb, state.mode)
     except NoViableAnchor as exc:
         return _commit_fallback(
-            state, u, DIAG_NO_VIABLE, str(exc), after_retention, tuple(anchors), tuple(verdicts)
+            state, u, DIAG_NO_VIABLE, str(exc), after_retention, anchors, verdicts
         )
     except EmptyCf as exc:
         return _commit_fallback(
-            state, u, DIAG_EMPTY, str(exc), after_retention, tuple(anchors), tuple(verdicts)
+            state, u, DIAG_EMPTY, str(exc), after_retention, anchors, verdicts
         )
     cb, cf = winner.anchor.cb, winner.anchor.cf
     bindings = {e.marker.index: e.entity for e in cf.entries if e.marker.is_pronoun}
@@ -153,8 +154,8 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
         cb=cb,
         cf=cf,
         bindings=bindings,
-        anchors=tuple(anchors),
-        verdicts=tuple(verdicts),
+        anchors=anchors,
+        verdicts=verdicts,
         ranked=tuple(ranked),
         tie=tie,
         after_retention=after_retention,

@@ -11,6 +11,7 @@ mutable, and only the engine advances it.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -195,21 +196,23 @@ class Utterance:
 
 @dataclass(frozen=True)
 class CfEntry:
-    """One forward-center slot: an entity plus the marker realizing it."""
+    """One forward-center slot: an entity plus the marker realizing it.
+
+    `display` is its trace form, worked out once: one entry is shared by
+    every Cf list that binds its marker to its entity.
+    """
 
     entity: Entity
     marker: ReferenceMarker
+    display: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.entity is None:
             raise ValueError(f"entry for marker {self.marker.mid!r} has no entity")
-
-    @property
-    def display(self) -> str:
         # Anonymous indefinites have entity id == index; showing the surface
         # there keeps displays like [X2:Alfa Romeo] readable.
         tag = self.marker.surface if self.marker.index == self.entity.id else self.marker.index
-        return f"[{self.entity.id}:{tag}]"
+        object.__setattr__(self, "display", f"[{self.entity.id}:{tag}]")
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,53 @@ class Anchor:
     cb: CfEntry | None
     cf: CfList
     ordinal: int
+
+
+class AnchorGrid(Sequence[Anchor]):
+    """Every candidate anchor of one utterance, kept as positions.
+
+    The anchors are the pairs of `cbs` × `cf_lists`, center-major: index
+    i pairs cbs[i // len(cf_lists)] with cf_lists[i % len(cf_lists)] and
+    has ordinal i + 1. An `Anchor` is built only when one is read. A grid
+    is a value: equal fields make equal grids; do not reassign them.
+    """
+
+    # Not a frozen dataclass: making one costs about 1 ms at import, which
+    # every CLI start pays.
+    __slots__ = ("cbs", "cf_lists")
+
+    def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
+        self.cbs = cbs
+        self.cf_lists = cf_lists
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AnchorGrid) and (self.cbs, self.cf_lists) == (other.cbs, other.cf_lists)
+
+    def __hash__(self) -> int:
+        return hash((self.cbs, self.cf_lists))
+
+    def __repr__(self) -> str:
+        return f"AnchorGrid(cbs={self.cbs!r}, cf_lists={self.cf_lists!r})"
+
+    def __len__(self) -> int:
+        return len(self.cbs) * len(self.cf_lists)
+
+    def _at(self, i: int) -> Anchor:
+        row, column = divmod(i, len(self.cf_lists))
+        return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(positions, range):
+            return [self._at(i) for i in positions]
+        return self._at(positions)
+
+    def __iter__(self) -> Iterator[Anchor]:
+        ordinal = 1
+        for cb in self.cbs:
+            for cf in self.cf_lists:
+                yield Anchor(cb, cf, ordinal)
+                ordinal += 1
 
 
 @dataclass

@@ -10,6 +10,7 @@ tie flags; field order is fixed, so identical runs serialize identically.
 from __future__ import annotations
 
 import json
+from itertools import compress, count
 
 from .engine import UtteranceResult
 from .filters import FILTER_NAMES
@@ -26,6 +27,30 @@ def roman(n: int) -> str:
     if n <= 0:
         raise ValueError(f"need a positive ordinal, got {n}")
     return "m" * (n // 1000) + _HUNDREDS[n // 100 % 10] + _TENS[n // 10 % 10] + _ONES[n % 10]
+
+
+# _LABELS[i] is the label of ordinal i + 1. Grown on demand; it never
+# holds more labels than the longest anchor list rendered needs anyway.
+_LABELS: list[str] = []
+
+
+def _labels(n: int) -> list[str]:
+    """The label table, holding at least the labels of ordinals 1..n."""
+    if len(_LABELS) < n:
+        _LABELS.extend(roman(k) for k in range(len(_LABELS) + 1, n + 1))
+    return _LABELS
+
+
+# Verdict masks (see FilterVerdicts) translated to 1 where a filter's bit
+# is set, or to 1 where none is (the survivors).
+_HAS_BIT = {
+    name: bytes(mask >> bit & 1 for mask in range(256)) for bit, name in enumerate(FILTER_NAMES)
+}
+_PASSED = bytes(mask == 0 for mask in range(256))
+_ELIMINATION_NOTES = tuple(
+    "eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+    for mask in range(1 << len(FILTER_NAMES))
+)
 
 
 def display_cb(entry: CfEntry | None) -> str:
@@ -49,37 +74,28 @@ def _binding_line(result: UtteranceResult) -> str | None:
 
 def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], list[str]]:
     """Roman labels of the eliminated anchors per filter, and of the survivors."""
-    eliminated: dict[str, list[str]] = {name: [] for name in FILTER_NAMES}
-    survivors: list[str] = []
-    for v in result.verdicts:
-        label = roman(v.anchor_id)
-        if v.passed:
-            survivors.append(label)
-        for name in v.eliminated_by:
-            eliminated[name].append(label)
-    return eliminated, survivors
+    masks = result.verdicts.masks
+    labels = _labels(len(masks))
+    eliminated = {name: list(compress(labels, masks.translate(has))) for name, has in _HAS_BIT.items()}
+    return eliminated, list(compress(labels, masks.translate(_PASSED)))
 
 
 def _anchor_dump(result: UtteranceResult) -> str:
-    verdict_by_id = {v.anchor_id: v for v in result.verdicts}
+    grid = result.anchors
     transition_by_ordinal = {c.anchor.ordinal: c.transition for c in result.ranked}
     winner = result.ranked[0].anchor.ordinal if result.ranked else None
-    # Anchors that differ only in their center share one Cf list object.
-    cf_text: dict[int, str] = {}
-    lines = [f"anchors ({result.anchors_constructed}):"]
-    for anchor in result.anchors:
-        label = roman(anchor.ordinal)
-        shown = cf_text.get(id(anchor.cf))
-        if shown is None:
-            shown = cf_text[id(anchor.cf)] = display_cf(anchor.cf)
-        body = f"<{display_cb(anchor.cb)}, {shown}>"
-        verdict = verdict_by_id.get(anchor.ordinal)
-        if verdict is not None and not verdict.passed:
-            note = "eliminated: " + ", ".join(n for n in FILTER_NAMES if n in verdict.eliminated_by)
+    # Each center and each Cf list is formatted once, then paired in grid order.
+    cb_texts = [display_cb(cb) for cb in grid.cbs]
+    cf_texts = [display_cf(cf) for cf in grid.cf_lists]
+    bodies = (f"<{cb_text}, {cf_text}>" for cb_text in cb_texts for cf_text in cf_texts)
+    lines = [f"anchors ({len(grid)}):"]
+    for ordinal, label, mask, body in zip(count(1), _labels(len(grid)), result.verdicts.masks, bodies):
+        if mask:
+            note = _ELIMINATION_NOTES[mask]
         else:
-            transition = transition_by_ordinal.get(anchor.ordinal)
+            transition = transition_by_ordinal.get(ordinal)
             note = transition.value if transition is not None else ""
-            if anchor.ordinal == winner:
+            if ordinal == winner:
                 note = (note + "  <- selected").strip()
         lines.append(f"  {label:>5}. {body}  {note}".rstrip())
     return "\n".join(lines)
@@ -128,6 +144,7 @@ def _record(result: UtteranceResult) -> dict:
     if result.diagnostic_kind is not None:
         diagnostic = {"kind": result.diagnostic_kind, "message": result.diagnostic}
     eliminated, survivors = _labels_by_filter(result)
+    labels = _labels(result.anchors_constructed)
     return {
         "u": result.position,
         "text": result.utterance.text,
@@ -140,7 +157,7 @@ def _record(result: UtteranceResult) -> dict:
         "survivors": survivors,
         "ranked": [
             {
-                "anchor": roman(c.anchor.ordinal),
+                "anchor": labels[c.anchor.ordinal - 1],
                 "transition": c.transition.value,
                 "cb": display_cb(c.anchor.cb),
                 "cf": [e.display for e in c.anchor.cf.entries],

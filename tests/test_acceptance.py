@@ -209,9 +209,9 @@ def test_criterion_7c_rank_filter_commutation():
         prev_cb = None
         for r in results:
             if prev_cf is not None and r.anchors:
-                survivors, _ = run_filters(list(r.anchors), prev_cf, r.utterance)
+                survivors, _ = run_filters(r.anchors, prev_cf, r.utterance)
                 winner, _, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
-                alt = rank_then_filter(list(r.anchors), prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
+                alt = rank_then_filter(r.anchors, prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
                 assert winner.anchor.ordinal == alt
             prev_cf = r.cf
             prev_cb = r.cb.entity if r.cb is not None else None

@@ -105,6 +105,20 @@ def test_check_rejects_empty_entity_values(tmp_path, capsys):
     assert "line 3: entity:" in capsys.readouterr().err
 
 
+def test_check_rejects_a_comma_in_an_np_id(tmp_path, capsys):
+    # Its sibling's contra list would name "a,b", which re-parses as two ids.
+    target = tmp_path / "comma.corpus"
+    target.write_text(
+        "discourse comma\n"
+        "utterance Ann met Bo.\n"
+        'np id="a,b" surface=Ann kind=name gf=SUBJ contra=c\n'
+        "np id=c surface=Bo kind=name gf=OBJ\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["check", str(target)]) == 2
+    assert "line 3: id:" in capsys.readouterr().err
+
+
 def test_check_rejects_mode_before_discourse_or_repeated(tmp_path, capsys):
     target = tmp_path / "modes.corpus"
     target.write_text(

@@ -4,6 +4,8 @@ import pytest
 
 from centering import (
     Agreement,
+    Anchor,
+    AnchorGrid,
     CfList,
     UnresolvablePronoun,
     propose_anchors,
@@ -192,3 +194,60 @@ def test_anchor_count_law_randomized():
                 anchor.cb.entity.id if anchor.cb else None,
                 tuple(e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun),
             ) in oracle
+
+
+def _oracle_key(anchor):
+    return (
+        anchor.cb.entity.id if anchor.cb else None,
+        tuple(e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun),
+    )
+
+
+def _assert_indexes_like(grid, expected, rng):
+    """`grid` behaves as the list `expected` of anchors, with ordinals
+    index + 1, for every index and for random slices."""
+    n = len(expected)
+    assert len(grid) == n and list(grid) == expected
+    assert [a.ordinal for a in grid] == list(range(1, n + 1))
+    for i in range(-n, n):
+        assert grid[i] == expected[i]
+    for bad in (n, -n - 1, n + 7):
+        with pytest.raises(IndexError):
+            grid[bad]
+    assert grid[:] == expected and grid[::-1] == expected[::-1]
+    for _ in range(20):
+        bounds = [rng.choice((None, rng.randint(-n - 2, n + 2))) for _ in range(2)]
+        s = slice(*bounds, rng.choice((None, 1, 2, 3, -1, -2)))
+        assert grid[s] == expected[s], s
+
+
+def test_anchor_grid_against_the_oracle_randomized():
+    rng = random.Random(9090)
+    checked = 0
+    while checked < 200:
+        prior_cf, u = random_scene(rng)
+        try:
+            grid = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        oracle = oracle_enumerate_anchors(u, prior_cf)
+        # Center-major, the Cf lists varying fastest.
+        expected = [
+            Anchor(cb, cf, ordinal)
+            for ordinal, (cb, cf) in enumerate(
+                ((cb, cf) for cb in grid.cbs for cf in grid.cf_lists), start=1
+            )
+        ]
+        assert [_oracle_key(a) for a in expected] == oracle
+        _assert_indexes_like(grid, expected, rng)
+        checked += 1
+
+
+def test_empty_anchor_grid():
+    # The engine's fallback results carry the first one.
+    rng = random.Random(3)
+    prior_cf, _, _ = race_scene()
+    for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf.entries, None), ())):
+        assert not grid
+        _assert_indexes_like(grid, [], rng)
+    assert AnchorGrid((), ()) == AnchorGrid((), ())

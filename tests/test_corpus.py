@@ -170,6 +170,36 @@ class TestErrors:
             parse_corpus(text)
         assert (err.value.line, err.value.fieldname) == (3, key)
 
+    @pytest.mark.parametrize("np_id", ['"a,b"', "a,", ",b"])
+    def test_comma_in_np_id_rejected(self, np_id):
+        # contra= lists are comma-separated: the sibling's contra, written
+        # out, would name two ids and fail to re-parse.
+        text = (
+            "discourse d\n"
+            "utterance It hit it.\n"
+            f"np id={np_id} surface=it kind=pronoun gf=SUBJ contra=c\n"
+            "np id=c surface=it kind=pronoun gf=OBJ\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "id")
+
+    def test_agreement_values_are_shared_and_a_bad_one_reports_its_line(self):
+        lines = [
+            "discourse d",
+            "utterance Ann met Eve.",
+            "np id=a surface=Ann kind=name gf=SUBJ agr=fem,sg,3",
+            "np id=b surface=Eve kind=name gf=OBJ agr=fem,sg,3",
+        ]
+        a, b = parse_corpus("\n".join(lines) + "\n").utterances[0].nps
+        assert a.agr is b.agr and a.agr == Agreement("fem", "sg", "3")
+        for bad in ("fem,sg,4", "fem,sg"):
+            text = "\n".join([*lines, f"np id=c surface=Cy kind=name gf=OBJ2 agr={bad}"]) + "\n"
+            for _ in range(2):  # the same failure on a second parse
+                with pytest.raises(SchemaError) as err:
+                    parse_corpus(text)
+                assert (err.value.line, err.value.fieldname) == (5, "agr")
+
     def test_long_np_line_with_a_stray_quote_is_a_quoting_error(self):
         # About 10,000 characters: a splitter that backtracks exponentially
         # on an unbalanced quote would never finish this test.
@@ -234,13 +264,20 @@ class TestRoundTrip:
 
     def test_quoting_survives(self):
         # format_corpus quotes with shlex.quote: the second surface comes out
-        # as adjacent pieces, 'the "old" captain'"'"'s log'. The last input
-        # has ids, and so contra lists, holding a blank and a quote.
+        # as adjacent pieces, 'the "old" captain'"'"'s log'. The last two
+        # inputs have ids, and so contra lists, holding blanks, quotes, `=`
+        # and `;`.
         inputs = [
             (("n1", surface, frozenset()),)
             for surface in ("a tricky 'case'", 'the "old" captain\'s log')
         ]
         inputs.append((("a b", "it", frozenset({"c'd"})), ("c'd", "that", frozenset({"a b"}))))
+        # A contra list of two ids, each needing quotes of its own.
+        inputs.append((
+            ("x=1", "it", frozenset({"p;q", "r s"})),
+            ("p;q", "that", frozenset({"x=1"})),
+            ("r s", "this", frozenset({"x=1"})),
+        ))
         for nps in inputs:
             doc = CorpusDocument(
                 "q",

@@ -1,4 +1,5 @@
 from centering import (
+    AnchorGrid,
     DiscourseState,
     Mode,
     Transition,
@@ -89,6 +90,7 @@ class TestStateEvolution:
         assert first.diagnostic_kind == "unresolvable-pronoun"
         assert first.bindings is None and first.cb is None
         assert len(first.cf.entries) == 0
+        assert first.anchors == AnchorGrid((), ()) and len(first.verdicts) == 0
         # The discourse continues; the next utterance opens fresh via a shift.
         assert second.transition is Transition.SHIFTING
         assert second.cb is None
@@ -104,6 +106,9 @@ class TestStateEvolution:
         results = process_discourse([u1, u2])
         second = results[1]
         assert second.diagnostic_kind == "no-viable-anchor"
+        # Every anchor and verdict is kept for the trace to explain.
+        assert len(second.anchors) == len(second.verdicts) == 2
+        assert not any(v.passed for v in second.verdicts)
         assert second.cb is None
         assert [e.entity.id for e in second.cf.entries] == ["ANN"]
 

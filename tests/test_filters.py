@@ -8,6 +8,7 @@ from centering import (
     CONTRA,
     RULE1,
     Anchor,
+    AnchorGrid,
     CfList,
     filter_constraint3,
     filter_contraindex,
@@ -127,8 +128,27 @@ class TestRunFilters:
         assert by_id[16] == {CONTRA, CONSTRAINT3, RULE1}
 
     def test_empty_input(self):
+        # The empty grid the engine's fallback results carry, and a grid
+        # with centers but no Cf list.
         prior, u, _ = race_scene()
-        assert run_filters([], prior, u) == ([], [])
+        for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior.entries), ())):
+            survivors, verdicts = run_filters(grid, prior, u)
+            assert survivors == [] and len(verdicts) == 0 and list(verdicts) == []
+            assert verdicts.masks == b""
+            with pytest.raises(IndexError):
+                verdicts[0]
+
+    def test_verdicts_index_like_a_list(self, scene):
+        prior_cf, u, anchors = scene
+        _, verdicts = run_filters(anchors, prior_cf, u)
+        listed = list(verdicts)
+        assert [v.anchor_id for v in listed] == list(range(1, 17))
+        assert [verdicts[i] for i in range(-16, 16)] == listed + listed
+        assert verdicts[3:12:4] == listed[3:12:4] and verdicts[::-3] == listed[::-3]
+        assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
+        for bad in (16, -17):
+            with pytest.raises(IndexError):
+                verdicts[bad]
 
     def test_order_invariance_against_sequential_application(self, scene):
         prior_cf, u, anchors = scene
@@ -182,23 +202,20 @@ def _per_anchor_verdicts(anchors, prior_cf, u):
     return survivors, verdicts
 
 
-def _anchor_lists(rng, anchors, prior_cf):
-    """The canonical list plus reorderings and re-pairings of it."""
-    yield anchors
-    shuffled = [a if rng.random() < 0.5 else Anchor(a.cb, a.cf, a.ordinal) for a in anchors]
-    rng.shuffle(shuffled)
-    yield shuffled
-    # One Cf list object paired with centers from anywhere, its own entries
-    # included, not just with the prior centers.
-    cf_lists = list({id(a.cf): a.cf for a in anchors}.values())
-    repaired = []
-    for ordinal in range(1, 2 * len(anchors) + 1):
-        cf = rng.choice(cf_lists)
-        cb = rng.choice((None, *prior_cf.entries, *cf.entries))
-        repaired.append(Anchor(cb, cf, ordinal))
-    yield repaired
-    # Equal but distinct Cf list objects.
-    yield [Anchor(a.cb, CfList(a.cf.entries), a.ordinal) if rng.random() < 0.5 else a for a in anchors]
+def _grids(rng, grid, prior_cf):
+    """The canonical grid plus re-pairings of its centers and Cf lists."""
+    yield grid
+    # Centers from anywhere, the Cf lists' own entries included, not just
+    # the prior centers; the same center may come back.
+    own = [e for cf in grid.cf_lists for e in cf.entries]
+    cbs = tuple(rng.choice((None, *prior_cf.entries, *own)) for _ in range(rng.randint(1, 6)))
+    yield AnchorGrid(cbs, grid.cf_lists)
+    # One Cf list object repeated, and equal but distinct Cf list objects.
+    cf_lists = tuple(
+        CfList(cf.entries) if rng.random() < 0.5 else cf
+        for cf in rng.choices(grid.cf_lists, k=2 * len(grid.cf_lists))
+    )
+    yield AnchorGrid(cbs, cf_lists)
 
 
 def test_run_filters_matches_the_per_anchor_predicates_randomized():
@@ -207,16 +224,19 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
     for _ in range(400):
         prior_cf, u = random_scene(rng)
         try:
-            anchors = propose_anchors(u, prior_cf)
+            grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
         # A shorter prior list leaves some pronouns bound outside it.
         priors = (prior_cf, CfList(prior_cf.entries[1:]))
-        for variant in _anchor_lists(rng, anchors, prior_cf):
+        for variant in _grids(rng, grid, prior_cf):
             for prior in priors:
                 survivors, verdicts = run_filters(variant, prior, u)
-                expected_survivors, expected = _per_anchor_verdicts(variant, prior, u)
+                expected_survivors, expected = _per_anchor_verdicts(list(variant), prior, u)
                 assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
-                assert [id(a) for a in survivors] == [id(a) for a in expected_survivors]
+                # The very center and Cf list objects of each survivor.
+                assert [(a.ordinal, id(a.cb), id(a.cf)) for a in survivors] == [
+                    (a.ordinal, id(a.cb), id(a.cf)) for a in expected_survivors
+                ]
             checked += 1
     assert checked > 400
