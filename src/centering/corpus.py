@@ -25,7 +25,8 @@ fields:
                     unspecified (agr=fem,sg,3 or agr=-,pl,-)
     entity=<ID>     optional non-empty semantic identity; forbidden for pronouns.
                     Names/definites default to an id derived from the
-                    surface; indefinites default to their allocated X index.
+                    surface; indefinites default to their allocated X index,
+                    which skips every index and entity id used elsewhere.
     index=<A_/X_>   optional pre-assigned index: A-series for pronouns,
                     X-series for indefinites. Names and definites always
                     use their surface string and take no index field.
@@ -33,25 +34,35 @@ fields:
                     symmetry is normalized on load
 
 Unknown directives and unknown `np` fields are rejected.
+
+Each np line is read straight into a `ReferenceMarker` (`mid` = np id;
+names, definites and `entity=` indefinites bound to one `Entity` per id),
+whose own rules report as line-precise `SchemaError`s. `build_utterances`
+allocates the missing indices; `check` runs it too.
 """
 
 from __future__ import annotations
 
 import re
 import shlex
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .model import (
+    INDEX_SERIES,
     Agreement,
+    DiscourseState,
     Entity,
     EntityKind,
     GrammaticalFunction,
+    MarkerError,
     MarkerKind,
     Mode,
     ReferenceMarker,
     Utterance,
-    check_index,
+    allocate_markers,
+    rank_markers,
+    reserved_ids,
 )
 
 GF_TOKENS = {
@@ -103,21 +114,11 @@ class DuplicateNpId(CorpusError):
 
 
 @dataclass(frozen=True)
-class CorpusNp:
-    id: str
-    surface: str
-    kind: MarkerKind
-    gf: GrammaticalFunction
-    agr: Agreement = Agreement()
-    contra: frozenset[str] = frozenset()
-    entity: str | None = None
-    index: str | None = None
-
-
-@dataclass(frozen=True)
 class CorpusUtterance:
+    """An utterance's text and its np lines as markers, in file order."""
+
     text: str
-    nps: tuple[CorpusNp, ...] = ()
+    nps: tuple[ReferenceMarker, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,13 @@ def split_np_fields(rest: str) -> list[str]:
     return fields
 
 
-def _parse_np(tokens: list[str], line: int, agreements: dict[str, Agreement]) -> CorpusNp:
-    """One np line's fields. `agreements` maps each `agr=` value parsed
-    so far to its Agreement; a bad value is never stored, so it raises on
-    each line that holds it."""
+def _parse_np(
+    tokens: list[str], line: int, agreements: dict[str, Agreement], entities: dict[str, Entity]
+) -> ReferenceMarker:
+    """One np line as a marker. `agreements` maps each `agr=` value parsed
+    so far to its Agreement (a bad value is never stored, so it raises on
+    each line that holds it); `entities` interns the document's entities
+    by id, so every marker of one entity shares one Entity."""
     fields: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -188,48 +192,50 @@ def _parse_np(tokens: list[str], line: int, agreements: dict[str, Agreement]) ->
         agr = agreements.get(agr_text)
         if agr is None:
             agr = agreements[agr_text] = _parse_agreement(agr_text, line)
-    entity = fields.get("entity")
-    if entity is not None and kind is MarkerKind.PRONOUN:
-        raise SchemaError("pronouns cannot carry an entity id", line, "entity")
-    index = fields.get("index")
-    if index is not None:
-        if kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
-            raise SchemaError("names and definites take their surface as index", line, "index")
+    surface = fields["surface"]
+    if "index" in fields and kind not in INDEX_SERIES:
+        raise SchemaError("names and definites take their surface as index", line, "index")
+    eid = fields.get("entity")
+    if eid is None and kind not in INDEX_SERIES:
         try:
-            check_index(kind, index)
-        except ValueError as exc:
-            raise SchemaError(str(exc), line, "index") from None
-    if entity is None and kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
-        try:
-            derive_entity_id(fields["surface"])
+            eid = derive_entity_id(surface)
         except ValueError as exc:
             raise SchemaError(str(exc), line, "surface") from None
+    entity = None
+    if eid is not None:
+        entity = entities.get(eid)
+        if entity is None:
+            ekind = EntityKind.INDEFINITE if kind is MarkerKind.INDEFINITE else EntityKind.NAMED
+            entity = entities[eid] = Entity(eid, ekind, surface)
     contra = frozenset(c for c in fields.get("contra", "").split(",") if c)
-    if fields["id"] in contra:
-        raise SchemaError(f"np {fields['id']!r} is contraindexed with itself", line, "contra")
-    return CorpusNp(fields["id"], fields["surface"], kind, gf, agr, contra, entity, index)
+    try:
+        return ReferenceMarker(surface, kind, gf, agr, contra, entity, fields.get("index"), fields["id"])
+    except MarkerError as exc:
+        raise SchemaError(str(exc), line, exc.fieldname) from None
 
 
-def _close_utterance(
-    text: str, nps: list[tuple[CorpusNp, int]], line: int
-) -> CorpusUtterance:
-    by_id: dict[str, CorpusNp] = {}
+def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> CorpusUtterance:
+    by_id: dict[str, ReferenceMarker] = {}
     for np, np_line in nps:
-        if np.id in by_id:
-            raise DuplicateNpId(f"np id {np.id!r} already used in this utterance", np_line, "id")
-        by_id[np.id] = np
+        if np.mid in by_id:
+            raise DuplicateNpId(f"np id {np.mid!r} already used in this utterance", np_line, "id")
+        by_id[np.mid] = np
     # Normalize contra symmetry: if a lists b, b lists a. Only an NP that
-    # lacks a back-reference is copied.
+    # lacks a back-reference is rebuilt.
     missing: dict[str, set[str]] = {}
     for np, np_line in nps:
         for ref in np.contra:
             other = by_id.get(ref)
             if other is None:
                 raise DanglingContraRef(f"contra reference {ref!r} names no np here", np_line, "contra")
-            if np.id not in other.contra:
-                missing.setdefault(ref, set()).add(np.id)
+            if np.mid not in other.contra:
+                missing.setdefault(ref, set()).add(np.mid)
     closed = tuple(
-        replace(np, contra=np.contra | missing[np.id]) if np.id in missing else np
+        ReferenceMarker(
+            np.surface, np.kind, np.gf, np.agr, np.contra | missing[np.mid], np.entity, np.index, np.mid
+        )
+        if np.mid in missing
+        else np
         for np, _ in nps
     )
     return CorpusUtterance(text, closed)
@@ -240,15 +246,16 @@ def parse_corpus(text: str) -> CorpusDocument:
     doc_id: str | None = None
     mode: Mode | None = None
     utterances: list[CorpusUtterance] = []
-    current: tuple[str, int] | None = None  # (text, opening line)
-    nps: list[tuple[CorpusNp, int]] = []
+    current: str | None = None  # the open utterance's text
+    nps: list[tuple[ReferenceMarker, int]] = []
     seen_indices: dict[str, int] = {}
     agreements: dict[str, Agreement] = {}
+    entities: dict[str, Entity] = {}
 
     def flush() -> None:
         nonlocal current, nps
         if current is not None:
-            utterances.append(_close_utterance(current[0], nps, current[1]))
+            utterances.append(_close_utterance(current, nps))
         current, nps = None, []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -282,7 +289,7 @@ def parse_corpus(text: str) -> CorpusDocument:
             if not rest:
                 raise SchemaError("utterance text missing", lineno)
             flush()
-            current = (rest, lineno)
+            current = rest
         elif directive == "np":
             if current is None:
                 raise SchemaError("np outside any utterance", lineno)
@@ -290,8 +297,8 @@ def parse_corpus(text: str) -> CorpusDocument:
                 tokens = split_np_fields(rest)
             except ValueError as exc:
                 raise SchemaError(f"bad quoting: {exc}", lineno) from None
-            np = _parse_np(tokens, lineno, agreements)
-            if np.index is not None:
+            np = _parse_np(tokens, lineno, agreements, entities)
+            if np.index is not None and np.kind in INDEX_SERIES:
                 if np.index in seen_indices:
                     raise SchemaError(
                         f"index {np.index} already assigned at line {seen_indices[np.index]}",
@@ -308,16 +315,21 @@ def parse_corpus(text: str) -> CorpusDocument:
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
-def _format_np(np: CorpusNp) -> str:
-    parts = [f"np id={shlex.quote(np.id)}", f"surface={shlex.quote(np.surface)}"]
+def _format_np(np: ReferenceMarker) -> str:
+    parts = [f"np id={shlex.quote(np.mid)}", f"surface={shlex.quote(np.surface)}"]
     parts.append(f"kind={np.kind.value}")
     parts.append(f"gf={GF_NAMES[np.gf]}")
     if (np.agr.gender, np.agr.number, np.agr.person) != (None, None, None):
         feats = ",".join(v if v is not None else "-" for v in (np.agr.gender, np.agr.number, np.agr.person))
         parts.append(f"agr={feats}")
     if np.entity is not None:
-        parts.append(f"entity={shlex.quote(np.entity)}")
-    if np.index is not None:
+        try:  # the id parse_corpus gives the line without an entity=
+            implied = None if np.kind in INDEX_SERIES else derive_entity_id(np.surface)
+        except ValueError:
+            implied = None
+        if np.entity.id != implied:
+            parts.append(f"entity={shlex.quote(np.entity.id)}")
+    if np.index is not None and np.kind in INDEX_SERIES:
         parts.append(f"index={np.index}")
     if np.contra:
         parts.append("contra=" + shlex.quote(",".join(sorted(np.contra))))
@@ -349,48 +361,15 @@ def derive_entity_id(surface: str) -> str:
 
 
 def build_utterances(doc: CorpusDocument) -> list[Utterance]:
-    """Instantiate model utterances, interning entities by id across the
-    discourse so co-specification and display names stay consistent."""
-    registry: dict[str, Entity] = {}
-
-    def intern(eid: str, kind: EntityKind, surface: str) -> Entity:
-        if eid not in registry:
-            registry[eid] = Entity(eid, kind, surface)
-        return registry[eid]
-
-    utterances = []
-    for position, cu in enumerate(doc.utterances, start=1):
-        markers = []
-        for np in cu.nps:
-            entity = None
-            if np.kind is not MarkerKind.PRONOUN:
-                if np.entity is not None:
-                    eid = np.entity
-                elif np.kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
-                    eid = derive_entity_id(np.surface)
-                else:
-                    eid = None  # anonymous indefinite; bound at index allocation
-                if eid is not None:
-                    ekind = (
-                        EntityKind.INDEFINITE
-                        if np.kind is MarkerKind.INDEFINITE
-                        else EntityKind.NAMED
-                    )
-                    entity = intern(eid, ekind, np.surface)
-            markers.append(
-                ReferenceMarker(
-                    surface=np.surface,
-                    kind=np.kind,
-                    gf=np.gf,
-                    agr=np.agr,
-                    contra=np.contra,
-                    entity=entity,
-                    index=np.index,
-                    mid=np.id,
-                )
-            )
-        utterances.append(Utterance(cu.text, tuple(markers), position))
-    return utterances
+    """The document's model utterances, each built once, with every
+    missing index allocated by `model.allocate_markers`. Allocation reads
+    only discourse order and explicit indices, so it runs here, on the
+    path `check` and `run` share."""
+    state = DiscourseState(reserved_ids=reserved_ids(np for cu in doc.utterances for np in cu.nps))
+    return [
+        Utterance(cu.text, allocate_markers(tuple(rank_markers(list(cu.nps))), state), position)
+        for position, cu in enumerate(doc.utterances, start=1)
+    ]
 
 
 def bundled_corpora() -> dict[str, str]:

@@ -31,7 +31,7 @@ from .model import (
     Transition,
     Utterance,
     allocate_indices,
-    explicit_indices,
+    reserved_ids,
 )
 
 DIAG_UNRESOLVABLE = "unresolvable-pronoun"
@@ -166,7 +166,7 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:
     """Fold process_utterance over a discourse from a fresh state."""
-    state = DiscourseState(mode=mode, reserved_indices=explicit_indices(utterances))
+    state = DiscourseState(mode=mode, reserved_ids=reserved_ids(m for u in utterances for m in u.markers))
     return [process_utterance(state, u) for u in utterances]
 
 

@@ -11,8 +11,8 @@ mutable, and only the engine advances it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 GENDERS = frozenset({"fem", "masc", "neut"})
@@ -45,11 +45,12 @@ INDEX_SERIES = {MarkerKind.PRONOUN: "A", MarkerKind.INDEFINITE: "X"}
 _INDEX_PATTERNS = {kind: re.compile(rf"{prefix}[1-9][0-9]*\Z") for kind, prefix in INDEX_SERIES.items()}
 
 
-def check_index(kind: MarkerKind, index: str) -> None:
-    """Raise ValueError unless `index` belongs to the series `kind` draws from."""
-    pattern = _INDEX_PATTERNS.get(kind)
-    if pattern is not None and not pattern.match(index):
-        raise ValueError(f"{kind.value} index must be {INDEX_SERIES[kind]}-series, got {index!r}")
+class MarkerError(ValueError):
+    """A ReferenceMarker breaks a rule; `fieldname` names the field at fault."""
+
+    def __init__(self, message: str, fieldname: str):
+        super().__init__(message)
+        self.fieldname = fieldname
 
 
 class EntityKind(Enum):
@@ -143,6 +144,9 @@ class ReferenceMarker:
     X-series for indefinites, the surface string for names and definites.
     Pronouns stay unbound (`entity` None); proposed bindings live in
     CfList entries, never on the marker itself.
+
+    Construction raises MarkerError unless a pronoun carries no entity,
+    an A-/X-index is of its kind's series and `mid` is not in `contra`.
     """
 
     surface: str
@@ -157,16 +161,19 @@ class ReferenceMarker:
     def __post_init__(self) -> None:
         if not isinstance(self.contra, frozenset):
             object.__setattr__(self, "contra", frozenset(self.contra))
-        if self.index is None and self.kind not in INDEX_SERIES:
-            object.__setattr__(self, "index", self.surface)
-        if self.index is not None:
-            check_index(self.kind, self.index)
         if self.kind is MarkerKind.PRONOUN and self.entity is not None:
-            raise ValueError(f"pronoun {self.surface!r} cannot carry a pre-bound entity")
+            raise MarkerError("pronouns cannot carry an entity id", "entity")
+        pattern = _INDEX_PATTERNS.get(self.kind)
+        if pattern is None:
+            if self.index is None:
+                object.__setattr__(self, "index", self.surface)
+        elif self.index is not None and not pattern.match(self.index):
+            series = INDEX_SERIES[self.kind]
+            raise MarkerError(f"{self.kind.value} index must be {series}-series, got {self.index!r}", "index")
         if self.mid is None:
             object.__setattr__(self, "mid", self.index or self.surface)
         if self.mid in self.contra:
-            raise ValueError(f"marker {self.mid!r} is contraindexed with itself")
+            raise MarkerError(f"marker {self.mid!r} is contraindexed with itself", "contra")
 
     @property
     def is_pronoun(self) -> bool:
@@ -307,9 +314,10 @@ class DiscourseState:
     pronoun_count: int = 0
     indefinite_count: int = 0
     used_indices: set[str] = field(default_factory=set)
-    # Explicit indices of utterances still to come: fresh indices skip
-    # them, but they move no counter until their utterance registers them.
-    reserved_indices: frozenset[str] = frozenset()
+    # Ids fresh indices skip: explicit indices of utterances still to come
+    # (they move no counter until registered) and every entity id of the
+    # discourse, as an anonymous indefinite's entity is named after its index.
+    reserved_ids: frozenset[str] = frozenset()
     last_transition: Transition | None = None
 
 
@@ -329,7 +337,7 @@ def _next_index(state: DiscourseState, kind: MarkerKind) -> str:
     count = state.pronoun_count if kind is MarkerKind.PRONOUN else state.indefinite_count
     count += 1
     index = f"{prefix}{count}"
-    while index in state.used_indices or index in state.reserved_indices:
+    while index in state.used_indices or index in state.reserved_ids:
         count += 1
         index = f"{prefix}{count}"
     state.used_indices.add(index)
@@ -340,34 +348,46 @@ def _next_index(state: DiscourseState, kind: MarkerKind) -> str:
     return index
 
 
-def explicit_indices(utterances: list[Utterance]) -> frozenset[str]:
-    """The pre-annotated A-/X-series indices of a discourse."""
-    return frozenset(
-        m.index
-        for u in utterances
-        for m in u.markers
-        if m.index is not None and m.kind in INDEX_SERIES
-    )
+def reserved_ids(markers: Iterable[ReferenceMarker]) -> frozenset[str]:
+    """A discourse's pre-annotated A-/X-series indices and entity ids."""
+    ids = set()
+    for m in markers:
+        if m.kind in INDEX_SERIES and m.index is not None:
+            ids.add(m.index)
+        if m.entity is not None:
+            ids.add(m.entity.id)
+    return frozenset(ids)
 
 
-def allocate_indices(u: Utterance, state: DiscourseState) -> Utterance:
-    """Fill in missing A-/X-series indices, advancing the state's counters.
+def allocate_markers(markers: tuple[ReferenceMarker, ...], state: DiscourseState) -> tuple[ReferenceMarker, ...]:
+    """Fill in missing A-/X-series indices of one utterance's markers (in
+    obliqueness order), advancing the state's counters.
 
     Pre-annotated indices are registered first so fresh ones never collide
     with them, and they pull the counters forward to stay monotonic. Fresh
-    indices also skip `state.reserved_indices`, so a later utterance's
-    pre-annotated index is never handed out early. Anonymous indefinites
-    (no entity id given) are bound to a fresh entity named after their
-    surface and identified by their new index.
+    indices also skip `state.reserved_ids`. Anonymous indefinites (no
+    entity id given) are bound to a fresh entity named after their surface
+    and identified by their index. Only a marker that gains an index or an
+    entity is rebuilt; `markers` itself comes back when none does.
     """
-    for m in u.markers:
+    for m in markers:
         if m.index is not None and m.kind in INDEX_SERIES:
             _register_index(state, m)
-    out = []
-    for m in u.markers:
-        if m.index is None and m.kind in INDEX_SERIES:
-            m = replace(m, index=_next_index(state, m.kind))
-        if m.kind is MarkerKind.INDEFINITE and m.entity is None:
-            m = replace(m, entity=Entity(m.index, EntityKind.INDEFINITE, m.surface))
-        out.append(m)
-    return replace(u, markers=tuple(out))
+    out = None
+    for i, m in enumerate(markers):
+        index, entity = m.index, m.entity
+        if index is None:  # only A-/X-series kinds are left without one
+            index = _next_index(state, m.kind)
+        if entity is None and m.kind is MarkerKind.INDEFINITE:
+            entity = Entity(index, EntityKind.INDEFINITE, m.surface)
+        if index is not m.index or entity is not m.entity:
+            if out is None:
+                out = list(markers)
+            out[i] = ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid)
+    return markers if out is None else tuple(out)
+
+
+def allocate_indices(u: Utterance, state: DiscourseState) -> Utterance:
+    """`u` with `allocate_markers` applied; `u` itself when nothing is missing."""
+    markers = allocate_markers(u.markers, state)
+    return u if markers is u.markers else Utterance(u.text, markers, u.position)

@@ -1,6 +1,6 @@
 import centering
 
-REMOVED = ("CandidateSet", "build_candidates", "collect_pronouns")
+REMOVED = ("CandidateSet", "CorpusNp", "build_candidates", "collect_pronouns")
 
 
 def test_every_exported_name_resolves():

@@ -183,6 +183,23 @@ def test_explicit_index_taken_earlier_by_allocation_still_runs(tmp_path, capsys)
     assert [r["bindings"] for r in records] == [{}, {"A2": "CARL"}, {"A1": "CARL"}]
 
 
+def test_fresh_x_index_skips_an_entity_id_in_use(tmp_path, capsys):
+    target = tmp_path / "x-entity.corpus"
+    target.write_text(
+        "discourse merge\n"
+        "utterance Ann saw a car.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ agr=fem,sg,3 entity=X1\n"
+        'np id=c surface="a car" kind=indefinite gf=OBJ agr=neut,sg,3\n'
+        "utterance It was red.\n"
+        "np id=i surface=It kind=pronoun gf=SUBJ agr=neut,sg,3\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["run", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert "Cf: ([X1:Ann] [X2:a car])" in out
+    assert "Cb: [X2:a car]" in out
+
+
 def _random_corpus(rng):
     """A small corpus of names, pronouns and indefinites, some of them with
     explicit indices (possibly clashing ones, which `check` must reject)."""

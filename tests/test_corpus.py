@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from centering import (
     Agreement,
     CorpusDocument,
-    CorpusNp,
     CorpusUtterance,
     DanglingContraRef,
     DuplicateNpId,
     GrammaticalFunction,
     MarkerKind,
     Mode,
+    ReferenceMarker,
     SchemaError,
     build_utterances,
     bundled_corpora,
@@ -51,7 +51,7 @@ def test_bundled_race_corpus_shape():
     pronouns = [np for np in last.nps if np.kind is MarkerKind.PRONOUN]
     assert len(pronouns) == 2
     a, b = pronouns
-    assert b.id in a.contra and a.id in b.contra
+    assert b.mid in a.contra and a.mid in b.contra
 
 
 def test_unknown_bundled_corpus_is_a_missing_file():
@@ -119,13 +119,15 @@ class TestErrors:
 
     def test_pronoun_with_entity_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=she kind=pronoun gf=SUBJ entity=ANN\n"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "entity")
 
     def test_self_contra_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=x kind=name gf=SUBJ contra=a\n"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "contra")
 
     def test_duplicate_explicit_index_across_utterances(self):
         text = (
@@ -152,7 +154,7 @@ class TestErrors:
             parse_corpus(text)
         assert (err.value.line, err.value.fieldname) == (3, "surface")
         fixed = text.replace('"!!"', '"!!" entity=BANG').replace('"??"', '"??" entity=HUH')
-        assert [np.entity for np in parse_corpus(fixed).utterances[0].nps] == ["BANG", "HUH"]
+        assert [np.entity.id for np in parse_corpus(fixed).utterances[0].nps] == ["BANG", "HUH"]
 
     @pytest.mark.parametrize("empty", ["id=", "surface=''", 'entity=""'])
     def test_empty_id_surface_or_entity_rejected(self, empty):
@@ -214,13 +216,15 @@ class TestErrors:
 
     def test_name_with_index_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=Ann kind=name gf=SUBJ index=A1\n"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "index")
 
     def test_wrong_index_series(self):
         text = "discourse d\nutterance x.\nnp id=a surface=she kind=pronoun gf=SUBJ index=X1\n"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (3, "index")
 
     def test_np_outside_utterance(self):
         with pytest.raises(SchemaError):
@@ -286,13 +290,13 @@ class TestRoundTrip:
                     CorpusUtterance(
                         "A tricky 'case'.",
                         tuple(
-                            CorpusNp(
-                                np_id,
+                            ReferenceMarker(
                                 surface,
                                 MarkerKind.INDEFINITE,
                                 GrammaticalFunction.OBJECT,
                                 Agreement("neut", "sg", "3"),
                                 contra,
+                                mid=np_id,
                             )
                             for np_id, surface, contra in nps
                         ),
@@ -336,13 +340,15 @@ class TestBuildUtterances:
         (u,) = build_utterances(doc)
         assert u.markers[0].entity.id == "LAGUNA-SECA"
 
-    def test_anonymous_indefinite_left_unbound_until_allocation(self):
+    def test_anonymous_indefinite_bound_to_its_x_index_by_build_utterances(self):
         doc = parse_corpus(
             "discourse d\nutterance x.\n"
             'np id=a surface="Alfa Romeo" kind=indefinite gf=OBJ\n'
         )
+        assert doc.utterances[0].nps[0].entity is None
         (u,) = build_utterances(doc)
-        assert u.markers[0].entity is None
+        m = u.markers[0]
+        assert (m.index, m.entity.id, m.entity.name) == ("X1", "X1", "Alfa Romeo")
 
     def test_positions_are_one_based(self):
         doc = load_bundled("fig2")

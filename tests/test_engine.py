@@ -10,7 +10,7 @@ from centering import (
     process_utterance,
     render_trace,
 )
-from support import FEM, MASC, OBJ, SUBJ, name, pronoun, utt, validate_committed
+from support import FEM, MASC, NEUT, OBJ, SUBJ, indefinite, name, pronoun, utt, validate_committed
 
 
 def bindings_by_surface(result):
@@ -112,6 +112,16 @@ class TestStateEvolution:
         assert second.cb is None
         assert [e.entity.id for e in second.cf.entries] == ["ANN"]
 
+    def test_fresh_x_index_skips_an_entity_id_in_use(self):
+        # An anonymous indefinite's entity is named after its X-index: X1,
+        # Ann's entity, would merge the two referents.
+        u1 = utt("Ann saw a car.", name("Ann", "X1", agr=FEM), indefinite("a car", gf=OBJ), position=1)
+        u2 = utt("It was red.", pronoun("It", agr=NEUT), position=2)
+        first, second = process_discourse([u1, u2])
+        assert [e.display for e in first.cf.entries] == ["[X1:Ann]", "[X2:a car]"]
+        assert second.bindings == {"A1": first.cf.entries[1].entity}
+        assert second.diagnostic_kind is None
+
     def test_utterance_without_markers(self):
         u1 = utt("Ann waved.", name("Ann", "ANN", agr=FEM), position=1)
         u2 = utt("Yes.", position=2)
@@ -129,6 +139,12 @@ class TestStateEvolution:
             center, cf = state.prev
             assert cf is result.cf
             assert center == (result.cb.entity if result.cb else None)
+
+    def test_run_path_rebuilds_no_utterance(self):
+        # build_utterances already bound fig4's anonymous indefinite.
+        utterances = build_utterances(load_bundled("fig4"))
+        results = process_discourse(utterances)
+        assert all(r.utterance is u for r, u in zip(results, utterances))
 
     def test_prefix_replay_equivalence(self):
         utterances = build_utterances(load_bundled("fig4"))

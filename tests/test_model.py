@@ -155,6 +155,15 @@ class TestAllocateIndices:
         with pytest.raises(ValueError):
             allocate_indices(utt("y", pronoun("her", index="A7", agr=FEM), position=2), state)
 
+    def test_only_markers_missing_something_are_rebuilt(self):
+        indexed = utt("x", name("Carl", "POLLARD"), pronoun("he", index="A1", gf=OBJ),
+                      indefinite("a car", "CAR", index="X1"))
+        assert allocate_indices(indexed, DiscourseState()) is indexed
+        partly = utt("y", name("Carl", "POLLARD"), pronoun("he", gf=OBJ))
+        out = allocate_indices(partly, DiscourseState())
+        assert out.markers[0] is partly.markers[0]
+        assert out.markers[1].index == "A1" and out.markers[1].mid == "he"
+
     def test_names_are_untouched(self):
         state = DiscourseState()
         u = allocate_indices(utt("x", name("Carl", "POLLARD", agr=MASC)), state)

@@ -1,15 +1,19 @@
 """Property checks backed by hypothesis and seeded randomized inputs."""
 
+import io
 import random
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centering import (
     NO_PRIOR,
     Agreement,
+    CorpusError,
     GrammaticalFunction,
     Mode,
     UnresolvablePronoun,
@@ -17,6 +21,8 @@ from centering import (
     filter_constraint3,
     filter_contraindex,
     filter_rule1,
+    format_corpus,
+    parse_corpus,
     preference_rank,
     process_discourse,
     propose_anchors,
@@ -26,6 +32,7 @@ from centering import (
     run_filters,
     unify_agreement,
 )
+from centering.cli import cli_main
 from support import (
     pronoun,
     random_discourse,
@@ -180,3 +187,90 @@ def test_classification_requires_no_prior_marker_for_first_use():
     # same thing as having no previous utterance.
     assert NO_PRIOR is not None
     assert repr(NO_PRIOR) == "NO_PRIOR"
+
+
+# --- generated corpus text -------------------------------------------------
+
+_SURFACES = {
+    "name": ("Ann", "Bo", "Cy"),
+    "definite": ("the car", "the dog"),
+    "indefinite": ("a car", "a dog"),
+    "pronoun": ("she", "he", "it", "they"),
+}
+_SERIES = {"pronoun": "A", "indefinite": "X"}
+# X- and A-shaped ids can meet allocated indices; ANN meets a derived id.
+_ENTITY_IDS = ("ANN", "CAR", "X1", "X2", "A1")
+# Each breaks a rule of the format, at least for some kinds.
+_BAD_FIELDS = (
+    "gf=BAD", "kind=noun", "agr=fem,sg", "color=red", "contra=ghost", 'surface="open', "index=A1", "entity=ANN",
+)
+
+
+@st.composite
+def corpus_texts(draw):
+    """Corpus text of at most 4 utterances with at most 3 pronouns each,
+    varying kinds, gfs, agreement, explicit A-/X-indices, `entity=` and
+    `contra`; some lines break a rule of the format."""
+    lines = ["discourse h"]
+    if draw(st.booleans()):
+        lines.append(f"mode {draw(st.sampled_from(['classic', 'extended']))}")
+    for u in range(draw(st.integers(0, 4))):
+        lines.append(f"utterance u{u}.")
+        ids = [f"n{j}" for j in range(draw(st.integers(0, 4)))]
+        pronouns = 0
+        for np_id in ids:
+            kind = draw(st.sampled_from(sorted(_SURFACES)))
+            if kind == "pronoun":
+                pronouns += 1
+                if pronouns > 3:
+                    kind = "name"
+            fields = [
+                f"id={np_id}",
+                f"surface={shlex.quote(draw(st.sampled_from(_SURFACES[kind])))}",
+                f"kind={kind}",
+                f"gf={draw(st.sampled_from(['SUBJ', 'OBJ', 'OBJ2', 'OTHER', 'ADJ']))}",
+            ]
+            gender = draw(st.sampled_from(["fem", "masc", "neut", "-"]))
+            fields.append(f"agr={gender},{draw(st.sampled_from(['sg', 'pl', '-']))},3")
+            if kind in _SERIES and draw(st.integers(0, 2)) == 0:
+                series = _SERIES[kind] if draw(st.integers(0, 7)) else draw(st.sampled_from("AX"))
+                fields.append(f"index={series}{draw(st.integers(1, 6))}")
+            if kind != "pronoun" and draw(st.integers(0, 2)) == 0:
+                fields.append(f"entity={draw(st.sampled_from(_ENTITY_IDS))}")
+            others = [other for other in ids if other != np_id]
+            if others and draw(st.integers(0, 2)) == 0:
+                fields.append(f"contra={draw(st.sampled_from(others))}")
+            if draw(st.integers(0, 19)) == 0:
+                fields.append(draw(st.sampled_from((*_BAD_FIELDS, f"contra={np_id}"))))
+            lines.append("np " + " ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_texts())
+def test_corpus_text_parses_or_raises_a_corpus_error_and_round_trips(text):
+    try:
+        doc = parse_corpus(text)
+    except CorpusError:
+        return
+    assert parse_corpus(format_corpus(doc)) == doc
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "h.corpus"
+
+
+def _cli(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli_main(argv)
+
+
+@settings(max_examples=75, deadline=None)
+@given(text=corpus_texts())
+def test_run_exits_0_1_or_2_and_check_ok_means_run_works(corpus_file, text):
+    corpus_file.write_text(text, encoding="utf-8")
+    code = _cli(["run", str(corpus_file)])
+    assert code in (0, 1, 2)
+    if _cli(["check", str(corpus_file)]) == 0:
+        assert code != 2
