@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import CorpusError, build_utterances, bundled_corpora, load_bundled, parse_corpus
 from .engine import process_document
-from .model import Mode
+from .model import Mode, allocate_indices
 from .render import render_trace
 
 # A corpus that cannot be read (OSError, including an unknown id), decoded
@@ -53,7 +53,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         doc = _load_document(args.corpus)
-        build_utterances(doc)
+        allocate_indices(build_utterances(doc))
     except _CORPUS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

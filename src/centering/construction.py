@@ -35,8 +35,7 @@ class UnresolvablePronoun(Exception):
 
     def __init__(self, marker: ReferenceMarker):
         self.marker = marker
-        ref = marker.index or marker.mid
-        super().__init__(f"pronoun {ref} ({marker.surface!r}) has no compatible antecedent")
+        super().__init__(f"pronoun {marker.index} ({marker.surface!r}) has no compatible antecedent")
 
 
 def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
@@ -59,21 +58,22 @@ def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
 def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     """All full binding assignments for the utterance's markers.
 
-    Raises UnresolvablePronoun if any pronoun has an empty candidate list.
-    An utterance without pronouns yields exactly one list: the fixed
-    entities in marker order.
+    Raises UnresolvablePronoun if any pronoun has an empty candidate list,
+    and ValueError if a marker lacks its index or a non-pronoun its
+    entity, which `allocate_indices` fills in. An utterance without
+    pronouns yields exactly one list: the fixed entities in marker order.
     """
     # One entry per (pronoun, candidate), shared by every list that binds
     # the pronoun to that candidate; a fixed marker has a single slot.
     slots = []
     for m in u.markers:
+        if m.index is None or (m.entity is None and not m.is_pronoun):
+            raise ValueError(f"marker {m.mid!r} has no index or entity; allocate indices first")
         if m.is_pronoun:
             options = pronoun_candidates(m, prior_cf)
             if not options:
                 raise UnresolvablePronoun(m)
             slots.append([CfEntry(e, m) for e in options])
-        elif m.entity is None:
-            raise ValueError(f"marker {m.mid!r} has no entity; allocate indices first")
         else:
             slots.append((CfEntry(m.entity, m),))
     return [CfList(entries) for entries in product(*slots)]

@@ -25,8 +25,10 @@ fields:
                     unspecified (agr=fem,sg,3 or agr=-,pl,-)
     entity=<ID>     optional non-empty semantic identity; forbidden for pronouns.
                     Names/definites default to an id derived from the
-                    surface; indefinites default to their allocated X index,
-                    which skips every index and entity id used elsewhere.
+                    surface; indefinites default to their X index, which
+                    must then be no entity id of the discourse (an
+                    allocated one skips every index and entity id used
+                    elsewhere).
     index=<A_/X_>   optional pre-assigned index: A-series for pronouns,
                     X-series for indefinites. Names and definites always
                     use their surface string and take no index field.
@@ -35,23 +37,25 @@ fields:
 
 Unknown directives and unknown `np` fields are rejected.
 
-Each np line is read straight into a `ReferenceMarker` (`mid` = np id;
-names, definites and `entity=` indefinites bound to one `Entity` per id),
-whose own rules report as line-precise `SchemaError`s. `build_utterances`
-allocates the missing indices; `check` runs it too.
+Lines end at `\r\n`, `\r` or `\n`, and only there. Each np line is read
+straight into a `ReferenceMarker` (`mid` = np id; names, definites and
+`entity=` indefinites bound to one `Entity` per id), whose own rules
+report as line-precise `SchemaError`s. `build_utterances` turns the
+document into model `Utterance`s; `model.allocate_indices` then fills in
+the missing indices, for `check` and `run` alike.
 """
 
 from __future__ import annotations
 
 import re
 import shlex
+import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 
 from .model import (
     INDEX_SERIES,
     Agreement,
-    DiscourseState,
     Entity,
     EntityKind,
     GrammaticalFunction,
@@ -60,9 +64,6 @@ from .model import (
     Mode,
     ReferenceMarker,
     Utterance,
-    allocate_markers,
-    rank_markers,
-    reserved_ids,
 )
 
 GF_TOKENS = {
@@ -249,6 +250,7 @@ def parse_corpus(text: str) -> CorpusDocument:
     current: str | None = None  # the open utterance's text
     nps: list[tuple[ReferenceMarker, int]] = []
     seen_indices: dict[str, int] = {}
+    anonymous: dict[str, int] = {}  # index -> line of an indefinite without entity
     agreements: dict[str, Agreement] = {}
     entities: dict[str, Entity] = {}
 
@@ -258,7 +260,10 @@ def parse_corpus(text: str) -> CorpusDocument:
             utterances.append(_close_utterance(current, nps))
         current, nps = None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Not str.splitlines: that also breaks at U+2028, \x0c, \x1c and more,
+    # which may sit inside an utterance's text.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -306,12 +311,23 @@ def parse_corpus(text: str) -> CorpusDocument:
                         "index",
                     )
                 seen_indices[np.index] = lineno
+                if np.entity is None and np.kind is MarkerKind.INDEFINITE:
+                    anonymous[np.index] = lineno
             nps.append((np, lineno))
         else:
             raise SchemaError(f"unknown directive {directive!r}", lineno)
     if doc_id is None:
         raise SchemaError("missing discourse directive", 1)
     flush()
+    for index, lineno in anonymous.items():
+        if index in entities:
+            # An anonymous indefinite's entity is named after its index.
+            raise SchemaError(
+                f"index {index} is also an entity id, so this indefinite would merge with it; "
+                "use another index or give entity=",
+                lineno,
+                "index",
+            )
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
@@ -347,12 +363,19 @@ def format_corpus(doc: CorpusDocument) -> str:
 
 
 def derive_entity_id(surface: str) -> str:
-    """Fallback semantic id for names/definites without an explicit one.
+    """Fallback semantic id for names/definites without an explicit one:
+    the surface in Unicode normal form C, upper-cased, with each run of
+    characters other than letters, digits and combining marks, in any
+    script, made one `-`.
 
     Raises ValueError when the surface has no letter or digit: such NPs
     would all share one id and so co-specify silently.
     """
-    derived = re.sub(r"[^0-9A-Za-z]+", "-", surface).strip("-").upper()
+    # Marks are kept: as separators they would make Devanagari words that
+    # differ only in a vowel sign one id.
+    text = unicodedata.normalize("NFC", surface)
+    kept = "".join(c if c.isalnum() or unicodedata.category(c)[0] == "M" else " " for c in text)
+    derived = "-".join(kept.split()).upper()
     if not derived:
         raise ValueError(
             f"surface {surface!r} has no letter or digit to derive an entity id from; give entity="
@@ -361,15 +384,9 @@ def derive_entity_id(surface: str) -> str:
 
 
 def build_utterances(doc: CorpusDocument) -> list[Utterance]:
-    """The document's model utterances, each built once, with every
-    missing index allocated by `model.allocate_markers`. Allocation reads
-    only discourse order and explicit indices, so it runs here, on the
-    path `check` and `run` share."""
-    state = DiscourseState(reserved_ids=reserved_ids(np for cu in doc.utterances for np in cu.nps))
-    return [
-        Utterance(cu.text, allocate_markers(tuple(rank_markers(list(cu.nps))), state), position)
-        for position, cu in enumerate(doc.utterances, start=1)
-    ]
+    """The document's model utterances, markers ranked, positions from 1;
+    `model.allocate_indices` fills in their missing indices."""
+    return [Utterance(cu.text, cu.nps, position) for position, cu in enumerate(doc.utterances, start=1)]
 
 
 def bundled_corpora() -> dict[str, str]:

@@ -1,10 +1,11 @@
 """Per-utterance pipeline and discourse-state evolution.
 
-For each utterance: allocate indices, construct the candidate anchors,
-filter them, classify and rank the survivors, commit the winner into the
-rolling state, and record a full trace of what happened. Resolution
-failures never abort a run: the state advances with a null center and
-the fixed (non-pronoun) entities, and the result carries the diagnostic.
+A discourse's indices are allocated once, for the whole of it. Then, for
+each utterance: construct the candidate anchors, filter them, classify
+and rank the survivors, commit the winner into the rolling state, and
+record a full trace of what happened. Resolution failures never abort a
+run: the state advances with a null center and the fixed (non-pronoun)
+entities, and the result carries the diagnostic.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
     Transition,
     Utterance,
     allocate_indices,
-    reserved_ids,
 )
 
 DIAG_UNRESOLVABLE = "unresolvable-pronoun"
@@ -112,8 +112,11 @@ def _commit_fallback(
 
 
 def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
-    """Run the full pipeline on one utterance, advancing `state` in place."""
-    u = allocate_indices(u, state)
+    """Run the full pipeline on one utterance, advancing `state` in place.
+
+    Every marker of `u` must carry its index, as `allocate_indices` leaves
+    it; a missing one raises ValueError.
+    """
     after_retention = state.last_transition is Transition.RETAINING
     if state.prev is None:
         prev_cb, prior_cf = NO_PRIOR, CfList()
@@ -165,9 +168,10 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:
-    """Fold process_utterance over a discourse from a fresh state."""
-    state = DiscourseState(mode=mode, reserved_ids=reserved_ids(m for u in utterances for m in u.markers))
-    return [process_utterance(state, u) for u in utterances]
+    """Allocate the discourse's indices, then fold process_utterance over
+    it from a fresh state."""
+    state = DiscourseState(mode=mode)
+    return [process_utterance(state, u) for u in allocate_indices(utterances)]
 
 
 def process_document(doc, mode: Mode | None = None) -> list[UtteranceResult]:

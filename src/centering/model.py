@@ -11,7 +11,7 @@ mutable, and only the engine advances it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -311,83 +311,65 @@ class DiscourseState:
 
     mode: Mode = Mode.EXTENDED
     prev: tuple[Entity | None, CfList] | None = None
-    pronoun_count: int = 0
-    indefinite_count: int = 0
-    used_indices: set[str] = field(default_factory=set)
-    # Ids fresh indices skip: explicit indices of utterances still to come
-    # (they move no counter until registered) and every entity id of the
-    # discourse, as an anonymous indefinite's entity is named after its index.
-    reserved_ids: frozenset[str] = frozenset()
     last_transition: Transition | None = None
 
 
-def _register_index(state: DiscourseState, marker: ReferenceMarker) -> None:
-    if marker.index in state.used_indices:
-        raise ValueError(f"index {marker.index} already used in this discourse")
-    state.used_indices.add(marker.index)
-    numeral = int(marker.index[1:])
-    if marker.kind is MarkerKind.PRONOUN:
-        state.pronoun_count = max(state.pronoun_count, numeral)
-    else:
-        state.indefinite_count = max(state.indefinite_count, numeral)
+def allocate_indices(utterances: Sequence[Utterance]) -> list[Utterance]:
+    """The discourse with every missing A-/X-series index filled in, in
+    discourse and obliqueness order.
 
+    An index is a property of the whole discourse: fresh indices skip
+    every explicit index anywhere in it, and every entity id, as an
+    anonymous indefinite's entity is named after its index. Before an
+    utterance's fresh indices are drawn, its explicit ones pull their
+    series' counter forward; a fresh index is the counter + 1, skipping
+    taken ids, so it is also above every index drawn before it.
+    Anonymous indefinites are bound to a fresh entity named after their
+    surface and identified by their index. Only a marker that gains an
+    index or an entity is rebuilt, and an utterance missing nothing comes
+    back itself.
 
-def _next_index(state: DiscourseState, kind: MarkerKind) -> str:
-    prefix = INDEX_SERIES[kind]
-    count = state.pronoun_count if kind is MarkerKind.PRONOUN else state.indefinite_count
-    count += 1
-    index = f"{prefix}{count}"
-    while index in state.used_indices or index in state.reserved_ids:
-        count += 1
-        index = f"{prefix}{count}"
-    state.used_indices.add(index)
-    if kind is MarkerKind.PRONOUN:
-        state.pronoun_count = count
-    else:
-        state.indefinite_count = count
-    return index
-
-
-def reserved_ids(markers: Iterable[ReferenceMarker]) -> frozenset[str]:
-    """A discourse's pre-annotated A-/X-series indices and entity ids."""
-    ids = set()
-    for m in markers:
-        if m.kind in INDEX_SERIES and m.index is not None:
-            ids.add(m.index)
-        if m.entity is not None:
-            ids.add(m.entity.id)
-    return frozenset(ids)
-
-
-def allocate_markers(markers: tuple[ReferenceMarker, ...], state: DiscourseState) -> tuple[ReferenceMarker, ...]:
-    """Fill in missing A-/X-series indices of one utterance's markers (in
-    obliqueness order), advancing the state's counters.
-
-    Pre-annotated indices are registered first so fresh ones never collide
-    with them, and they pull the counters forward to stay monotonic. Fresh
-    indices also skip `state.reserved_ids`. Anonymous indefinites (no
-    entity id given) are bound to a fresh entity named after their surface
-    and identified by their index. Only a marker that gains an index or an
-    entity is rebuilt; `markers` itself comes back when none does.
+    Raises ValueError when an explicit index is used twice, or when an
+    anonymous indefinite's explicit index is an entity id: the two
+    referents would merge.
     """
-    for m in markers:
-        if m.index is not None and m.kind in INDEX_SERIES:
-            _register_index(state, m)
-    out = None
-    for i, m in enumerate(markers):
-        index, entity = m.index, m.entity
-        if index is None:  # only A-/X-series kinds are left without one
-            index = _next_index(state, m.kind)
-        if entity is None and m.kind is MarkerKind.INDEFINITE:
-            entity = Entity(index, EntityKind.INDEFINITE, m.surface)
-        if index is not m.index or entity is not m.entity:
-            if out is None:
-                out = list(markers)
-            out[i] = ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid)
-    return markers if out is None else tuple(out)
-
-
-def allocate_indices(u: Utterance, state: DiscourseState) -> Utterance:
-    """`u` with `allocate_markers` applied; `u` itself when nothing is missing."""
-    markers = allocate_markers(u.markers, state)
-    return u if markers is u.markers else Utterance(u.text, markers, u.position)
+    taken: set[str] = set()
+    entity_ids: set[str] = set()
+    anonymous: list[ReferenceMarker] = []  # indefinites with an index but no entity
+    for u in utterances:
+        for m in u.markers:
+            if m.entity is not None:
+                entity_ids.add(m.entity.id)
+            if m.index is not None and m.kind in INDEX_SERIES:
+                if m.index in taken:
+                    raise ValueError(f"index {m.index} already used in this discourse")
+                taken.add(m.index)
+                if m.entity is None and m.kind is MarkerKind.INDEFINITE:
+                    anonymous.append(m)
+    for m in anonymous:
+        if m.index in entity_ids:
+            raise ValueError(f"index {m.index} of indefinite {m.mid!r} is also an entity id in this discourse")
+    taken |= entity_ids
+    counts = dict.fromkeys(INDEX_SERIES, 0)
+    out = []
+    for u in utterances:
+        for m in u.markers:
+            if m.index is not None and m.kind in INDEX_SERIES:
+                counts[m.kind] = max(counts[m.kind], int(m.index[1:]))
+        markers = None
+        for i, m in enumerate(u.markers):
+            index, entity = m.index, m.entity
+            if index is None:  # only A-/X-series kinds are left without one
+                prefix, count = INDEX_SERIES[m.kind], counts[m.kind] + 1
+                while f"{prefix}{count}" in taken:
+                    count += 1
+                counts[m.kind] = count
+                index = f"{prefix}{count}"
+            if entity is None and m.kind is MarkerKind.INDEFINITE:
+                entity = Entity(index, EntityKind.INDEFINITE, m.surface)
+            if index is not m.index or entity is not m.entity:
+                if markers is None:
+                    markers = list(u.markers)
+                markers[i] = ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid)
+        out.append(u if markers is None else Utterance(u.text, tuple(markers), u.position))
+    return out

@@ -200,6 +200,21 @@ def test_fresh_x_index_skips_an_entity_id_in_use(tmp_path, capsys):
     assert "Cb: [X2:a car]" in out
 
 
+def test_explicit_x_index_that_is_an_entity_id_is_a_corpus_error(tmp_path, capsys):
+    target = tmp_path / "x-entity.corpus"
+    target.write_text(
+        "discourse merge\n"
+        "utterance Ann saw a car.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ agr=fem,sg,3 entity=X1\n"
+        'np id=c surface="a car" kind=indefinite gf=OBJ agr=neut,sg,3 index=X1\n',
+        encoding="utf-8",
+    )
+    for command in ("check", "run"):
+        assert cli_main([command, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 4: index: index X1 is also an entity id")
+
+
 def _random_corpus(rng):
     """A small corpus of names, pronouns and indefinites, some of them with
     explicit indices (possibly clashing ones, which `check` must reject)."""

@@ -15,13 +15,14 @@ from centering import (
     Mode,
     ReferenceMarker,
     SchemaError,
+    allocate_indices,
     build_utterances,
     bundled_corpora,
     format_corpus,
     load_bundled,
     parse_corpus,
 )
-from centering.corpus import split_np_fields
+from centering.corpus import derive_entity_id, split_np_fields
 
 MINIMAL = """\
 discourse demo
@@ -140,6 +141,18 @@ class TestErrors:
         with pytest.raises(SchemaError) as err:
             parse_corpus(text)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("name_first", [True, False])
+    def test_anonymous_indefinite_index_that_is_an_entity_id(self, name_first):
+        # The indefinite's entity would be named X1 and merge with Ann's.
+        ann = "utterance Ann waved.\nnp id=a surface=Ann kind=name gf=SUBJ entity=X1\n"
+        car = 'utterance A car came.\nnp id=c surface="a car" kind=indefinite gf=SUBJ index=X1\n'
+        text = "discourse d\n" + (ann + car if name_first else car + ann)
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (5 if name_first else 3, "index")
+        # With an entity of its own, the index is only a display label.
+        assert parse_corpus(text.replace("index=X1", "index=X1 entity=CAR"))
 
     @pytest.mark.parametrize("kind", ["name", "definite"])
     def test_surface_without_letters_or_digits_needs_an_entity(self, kind):
@@ -260,6 +273,52 @@ class TestErrors:
             parse_corpus("discourse d\nutterance x.\nnp id=a surface=x kind=name gf=SUBJ agr=fem,sg\n")
 
 
+def test_only_cr_lf_and_crlf_end_a_line():
+    # str.splitlines would also break at each of these.
+    breaks = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+    text = (
+        "discourse d\r\n"
+        f"utterance Ann met Bo{breaks}in town.\r"
+        f"np id=a surface='Ann{breaks}Lee' kind=name gf=SUBJ\n"
+        "np id=b surface=Bo kind=name gf=OBJ\n"
+    )
+    doc = parse_corpus(text)
+    (cu,) = doc.utterances
+    assert cu.text == f"Ann met Bo{breaks}in town."
+    assert cu.nps[0].surface == f"Ann{breaks}Lee"
+    assert parse_corpus(format_corpus(doc)) == doc
+    with pytest.raises(SchemaError) as err:
+        parse_corpus(text + "np id=c surface=Cy kind=noun gf=OBJ\n")
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "surface, derived",
+    [
+        # ASCII surfaces keep the ids they always had.
+        ("Carl", "CARL"),
+        ("Laguna Seca", "LAGUNA-SECA"),
+        ("the big_red car!", "THE-BIG-RED-CAR"),
+        ("  R2-D2 ", "R2-D2"),
+        ("O'Brien & co.", "O-BRIEN-CO"),
+        # Other letters and digits count as letters and digits.
+        ("Jürgen", "JÜRGEN"),
+        ("Jörgen", "JÖRGEN"),
+        ("Σωκράτης", "ΣΩΚΡΆΤΗΣ"),
+        ("東京 タワー", "東京-タワー"),
+        ("٣ Zoë", "٣-ZOË"),
+        # A decomposed accent is read as the precomposed letter.
+        ("Jo\u0301rgen", "JÓRGEN"),
+        ("Jo\u0300rgen", "JÒRGEN"),
+        # Marks without a precomposed form stay with their letter.
+        ("हिन्दी", "हिन्दी"),
+        ("हुन्दु", "हुन्दु"),
+    ],
+)
+def test_derive_entity_id(surface, derived):
+    assert derive_entity_id(surface) == derived
+
+
 class TestRoundTrip:
     def test_bundled_corpora_round_trip(self):
         for name, text in bundled_corpora().items():
@@ -340,13 +399,15 @@ class TestBuildUtterances:
         (u,) = build_utterances(doc)
         assert u.markers[0].entity.id == "LAGUNA-SECA"
 
-    def test_anonymous_indefinite_bound_to_its_x_index_by_build_utterances(self):
+    def test_anonymous_indefinite_gets_x_index_from_allocation(self):
         doc = parse_corpus(
             "discourse d\nutterance x.\n"
             'np id=a surface="Alfa Romeo" kind=indefinite gf=OBJ\n'
         )
-        assert doc.utterances[0].nps[0].entity is None
-        (u,) = build_utterances(doc)
+        (built,) = build_utterances(doc)
+        assert built.markers[0] is doc.utterances[0].nps[0]
+        assert built.markers[0].entity is None
+        (u,) = allocate_indices([built])
         m = u.markers[0]
         assert (m.index, m.entity.id, m.entity.name) == ("X1", "X1", "Alfa Romeo")
 

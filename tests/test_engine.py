@@ -1,8 +1,11 @@
+import pytest
+
 from centering import (
     AnchorGrid,
     DiscourseState,
     Mode,
     Transition,
+    allocate_indices,
     build_utterances,
     load_bundled,
     process_discourse,
@@ -130,7 +133,7 @@ class TestStateEvolution:
         assert results[1].transition is None
 
     def test_exactly_one_anchor_committed_per_utterance(self):
-        utterances = build_utterances(load_bundled("fig4"))
+        utterances = allocate_indices(build_utterances(load_bundled("fig4")))
         state = DiscourseState()
         for u in utterances:
             result = process_utterance(state, u)
@@ -140,11 +143,16 @@ class TestStateEvolution:
             assert cf is result.cf
             assert center == (result.cb.entity if result.cb else None)
 
-    def test_run_path_rebuilds_no_utterance(self):
-        # build_utterances already bound fig4's anonymous indefinite.
-        utterances = build_utterances(load_bundled("fig4"))
+    def test_allocated_utterances_are_not_rebuilt(self):
+        # Once fig4's anonymous indefinite is bound, nothing is missing.
+        utterances = allocate_indices(build_utterances(load_bundled("fig4")))
         results = process_discourse(utterances)
         assert all(r.utterance is u for r, u in zip(results, utterances))
+
+    def test_process_utterance_needs_allocated_indices(self):
+        for u in (utt("She left.", pronoun("She", agr=FEM)), utt("A car came.", indefinite("a car", gf=SUBJ))):
+            with pytest.raises(ValueError, match="allocate indices first"):
+                process_utterance(DiscourseState(), u)
 
     def test_prefix_replay_equivalence(self):
         utterances = build_utterances(load_bundled("fig4"))

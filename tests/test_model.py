@@ -2,7 +2,6 @@ import pytest
 
 from centering import (
     Agreement,
-    DiscourseState,
     Entity,
     EntityKind,
     GrammaticalFunction,
@@ -114,28 +113,27 @@ class TestMarkers:
 
 class TestAllocateIndices:
     def test_first_pronoun_gets_a1(self):
-        state = DiscourseState()
-        u = allocate_indices(utt("She left.", pronoun("She", agr=FEM)), state)
-        assert u.markers[0].index == "A1"
-        assert state.pronoun_count == 1
+        u1, u2 = allocate_indices([
+            utt("She left.", pronoun("She", agr=FEM)),
+            utt("She came back.", pronoun("She", agr=FEM), position=2),
+        ])
+        assert u1.markers[0].index == "A1"
+        assert u2.markers[0].index == "A2"
 
     def test_series_continue_in_marker_order(self):
-        state = DiscourseState()
-        state.pronoun_count = 8
-        state.used_indices = {f"A{i}" for i in range(1, 9)}
         u = utt(
             "She often beats her.",
-            pronoun("She", gf=SUBJ, agr=FEM, mid="she"),
             pronoun("her", gf=OBJ, agr=FEM, mid="her"),
+            pronoun("She", gf=SUBJ, agr=FEM, mid="she"),
+            position=2,
         )
-        out = allocate_indices(u, state)
-        assert [m.index for m in out.markers] == ["A9", "A10"]
+        _, out = allocate_indices([utt("x", pronoun("she", index="A8")), u])
+        assert [(m.mid, m.index) for m in out.markers] == [("she", "A9"), ("her", "A10")]
 
     def test_indefinites_draw_from_x_series(self):
-        state = DiscourseState()
-        u = allocate_indices(utt("a car", indefinite("Alfa Romeo")), state)
+        (u,) = allocate_indices([utt("a car", indefinite("Alfa Romeo"))])
         m = u.markers[0]
-        assert m.index.startswith("X")
+        assert m.index == "X1"
         # Anonymous indefinites come back bound to a fresh entity.
         assert m.entity is not None
         assert m.entity.id == m.index
@@ -143,32 +141,54 @@ class TestAllocateIndices:
         assert m.entity.name == "Alfa Romeo"
 
     def test_explicit_indices_advance_counters(self):
-        state = DiscourseState()
-        u1 = utt("x", pronoun("She", index="A7", agr=FEM), position=1)
-        allocate_indices(u1, state)
-        u2 = allocate_indices(utt("y", pronoun("her", agr=FEM), position=2), state)
-        assert u2.markers[0].index == "A8"
+        # Each utterance's explicit indices pull the counter forward before
+        # its own fresh ones are drawn.
+        u1 = utt("x", pronoun("She", index="A7", agr=FEM), pronoun("her", gf=OBJ, agr=FEM), position=1)
+        u2 = utt("y", pronoun("her", agr=FEM), position=2)
+        out1, out2 = allocate_indices([u1, u2])
+        assert [m.index for m in out1.markers] == ["A7", "A8"]
+        assert out2.markers[0].index == "A9"
+
+    def test_fresh_index_skips_an_explicit_index_of_a_later_utterance(self):
+        u1 = utt("x", pronoun("She", agr=FEM), indefinite("a car"), position=1)
+        u2 = utt("y", pronoun("her", index="A1", agr=FEM), indefinite("a dog", index="X1"), position=2)
+        out1, out2 = allocate_indices([u1, u2])
+        assert [m.index for m in out1.markers] == ["A2", "X2"]
+        assert [m.index for m in out2.markers] == ["A1", "X1"]
 
     def test_duplicate_explicit_index_rejected(self):
-        state = DiscourseState()
-        allocate_indices(utt("x", pronoun("She", index="A7", agr=FEM)), state)
-        with pytest.raises(ValueError):
-            allocate_indices(utt("y", pronoun("her", index="A7", agr=FEM), position=2), state)
+        u1 = utt("x", pronoun("She", index="A7", agr=FEM))
+        u2 = utt("y", pronoun("her", index="A7", agr=FEM), position=2)
+        with pytest.raises(ValueError, match="A7"):
+            allocate_indices([u1, u2])
+
+    def test_anonymous_indefinite_index_must_not_be_an_entity_id(self):
+        car = indefinite("a car", index="X1", mid="car")
+        for discourse in (
+            [utt("x", name("Ann", "X1")), utt("y", car, position=2)],
+            [utt("y", car), utt("x", name("Ann", "X1"), position=2)],
+        ):
+            with pytest.raises(ValueError, match="X1"):
+                allocate_indices(discourse)
+        # With an entity of its own, its index only labels it.
+        owned = indefinite("a car", "CAR", index="X1")
+        assert allocate_indices([utt("x", name("Ann", "X1")), utt("y", owned, position=2)])
 
     def test_only_markers_missing_something_are_rebuilt(self):
         indexed = utt("x", name("Carl", "POLLARD"), pronoun("he", index="A1", gf=OBJ),
                       indefinite("a car", "CAR", index="X1"))
-        assert allocate_indices(indexed, DiscourseState()) is indexed
+        assert allocate_indices([indexed])[0] is indexed
         partly = utt("y", name("Carl", "POLLARD"), pronoun("he", gf=OBJ))
-        out = allocate_indices(partly, DiscourseState())
+        (out,) = allocate_indices([partly])
         assert out.markers[0] is partly.markers[0]
         assert out.markers[1].index == "A1" and out.markers[1].mid == "he"
 
     def test_names_are_untouched(self):
-        state = DiscourseState()
-        u = allocate_indices(utt("x", name("Carl", "POLLARD", agr=MASC)), state)
-        assert u.markers[0].index == "Carl"
-        assert state.used_indices == set()
+        # A name's index is its surface, which reserves nothing in a series.
+        u = utt("x", name("A1", "ROBOT", agr=NEUT), pronoun("it", gf=OBJ, agr=NEUT))
+        (out,) = allocate_indices([u])
+        assert out.markers[0] is u.markers[0] and out.markers[0].index == "A1"
+        assert out.markers[1].index == "A1"
 
 
 def test_obliqueness_total_order():
