@@ -9,9 +9,11 @@ shift) and plain shifting; classic mode lumps both under shifting.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .model import Anchor, Entity, Mode, Transition
+from .filters import Survivors
+from .model import Anchor, CfEntry, CfList, Entity, Mode, Transition
 
 
 class _NoPrior:
@@ -34,8 +36,10 @@ class NoViableAnchor(Exception):
     """Every proposed anchor was filtered out; resolution failed."""
 
 
-# Transition's declaration order is the preference order.
-_PREFERENCE = {transition: rank for rank, transition in enumerate(Transition)}
+# Transition's declaration order is the preference order. Iterating an
+# Enum class runs Python code, so the hot paths read this tuple instead.
+_BY_PREFERENCE = tuple(Transition)
+_PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,19 @@ def classify(
     which counts as keeping the center (a discourse opener that centers
     its own preferred center is a continuation).
     """
-    if not anchor.cf.entries:
+    return _classify(anchor.cb, anchor.cf, prev_cb, mode)
+
+
+def _classify(cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior, mode: Mode) -> Transition:
+    """`classify` on an anchor's center and Cf list, so no Anchor need exist."""
+    if not cf.entries:
         raise EmptyCf("utterance has no centers to classify")
-    cp = anchor.cf.entries[0].entity
+    cp = cf.entries[0].entity
     if prev_cb is NO_PRIOR:
         same_cb = True
     else:
-        same_cb = anchor.cb is not None and prev_cb is not None and anchor.cb.entity == prev_cb
-    cb_is_cp = anchor.cb is not None and anchor.cb.entity == cp
+        same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
+    cb_is_cp = cb is not None and cb.entity == cp
     if same_cb:
         return Transition.CONTINUING if cb_is_cp else Transition.RETAINING
     if cb_is_cp and mode is Mode.EXTENDED:
@@ -74,24 +83,91 @@ def classify(
     return Transition.SHIFTING
 
 
+class Ranking(Sequence[ClassifiedAnchor]):
+    """Survivors in rank order, kept as grid positions with a transition each.
+
+    `positions[k]` is the grid position of the k-th ranked anchor of
+    `survivors` and `transitions[k]` its transition. A `ClassifiedAnchor`
+    is built only when one is read. A ranking is a value, like AnchorGrid.
+    """
+
+    __slots__ = ("survivors", "positions", "transitions")
+
+    def __init__(
+        self, survivors: Survivors, positions: tuple[int, ...], transitions: tuple[Transition, ...]
+    ) -> None:
+        self.survivors = survivors
+        self.positions = positions
+        self.transitions = transitions
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Ranking) and (self.survivors, self.positions, self.transitions) == (
+            other.survivors, other.positions, other.transitions)
+
+    def __hash__(self) -> int:
+        return hash((self.survivors, self.positions, self.transitions))
+
+    def __repr__(self) -> str:
+        return f"Ranking({self.survivors!r}, {self.positions!r}, {self.transitions!r})"
+
+    def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
+        """(position, transition, center, Cf list) of each ranked anchor, in
+        rank order, without building anchors."""
+        cell = self.survivors.cell
+        for position, transition in zip(self.positions, self.transitions):
+            yield (position, transition, *cell(position))
+
+    def _at(self, k: int) -> ClassifiedAnchor:
+        return ClassifiedAnchor(self.survivors.anchor_at(self.positions[k]), self.transitions[k])
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._at(k) for k in range(len(self))[index]]
+        return self._at(index)
+
+    def __iter__(self) -> Iterator[ClassifiedAnchor]:
+        return map(self._at, range(len(self)))
+
+
 def rank_and_select(
-    survivors: list[Anchor],
+    survivors: Survivors,
     prev_cb: Entity | None | _NoPrior,
     mode: Mode = Mode.EXTENDED,
-) -> tuple[ClassifiedAnchor, list[ClassifiedAnchor], bool]:
+) -> tuple[ClassifiedAnchor, Ranking, bool]:
     """Order surviving anchors by transition preference and pick the winner.
 
-    The sort key is (preference, construction ordinal), so the result does
-    not depend on the order survivors are passed in. `tie` reports whether
-    the top preference class holds more than one anchor; the winner is
-    then the construction-order first, leaving the ambiguity visible to
+    An anchor's transition depends only on its center and its preferred
+    center, so `classify`'s rule runs once per distinct (center row,
+    preferred center entity). The survivors are bucketed by preference in
+    their increasing grid order, which puts them in (preference,
+    construction ordinal) order without a sort. `tie` reports whether the
+    top preference class holds more than one anchor; the winner is then
+    the construction-order first, leaving the ambiguity visible to
     callers.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
-    ranked = sorted(
-        (ClassifiedAnchor(anchor, classify(anchor, prev_cb, mode)) for anchor in survivors),
-        key=lambda c: (preference_rank(c.transition), c.anchor.ordinal),
-    )
-    tie = len(ranked) > 1 and ranked[0].transition is ranked[1].transition
+    cf_lists = survivors.grid.cf_lists
+    width = len(cf_lists)
+    buckets: list[list[int]] = [[] for _ in _BY_PREFERENCE]
+    bucket_of: dict[tuple[int, str | None], list[int]] = {}
+    for position in survivors.positions:
+        entries = cf_lists[position % width].entries
+        key = (position // width, entries[0].entity.id if entries else None)
+        bucket = bucket_of.get(key)
+        if bucket is None:
+            transition = _classify(*survivors.cell(position), prev_cb, mode)
+            bucket = bucket_of[key] = buckets[_PREFERENCE[transition]]
+        bucket.append(position)
+    positions: list[int] = []
+    transitions: list[Transition] = []
+    for transition, bucket in zip(_BY_PREFERENCE, buckets):
+        if bucket:
+            positions += bucket
+            transitions += [transition] * len(bucket)
+    ranked = Ranking(survivors, tuple(positions), tuple(transitions))
+    tie = len(positions) > 1 and transitions[0] is transitions[1]
     return ranked[0], ranked, tie

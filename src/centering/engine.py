@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 from .classification import (
     NO_PRIOR,
-    ClassifiedAnchor,
     EmptyCf,
     NoViableAnchor,
+    Ranking,
     rank_and_select,
 )
 from .construction import UnresolvablePronoun, propose_anchors
-from .filters import FilterVerdicts, run_filters
+from .filters import FilterVerdicts, Survivors, run_filters
 from .model import (
-    Anchor,
     AnchorGrid,
     CfEntry,
     CfList,
@@ -49,7 +48,8 @@ class UtteranceResult:
     pronouns of the utterance; it is None when resolution failed. `cb`
     keeps the realizing marker, so its display shows the prior utterance's
     index for the center (the current utterance's own preferred-center
-    marker on a discourse opener).
+    marker on a discourse opener). `ranked` is empty when no anchor was
+    committed.
     """
 
     utterance: Utterance
@@ -59,7 +59,7 @@ class UtteranceResult:
     bindings: dict[str, Entity] | None
     anchors: AnchorGrid
     verdicts: FilterVerdicts
-    ranked: tuple[ClassifiedAnchor, ...]
+    ranked: Ranking
     tie: bool
     after_retention: bool
     diagnostic_kind: str | None = None
@@ -74,13 +74,7 @@ class UtteranceResult:
         return len(self.anchors)
 
 
-def _promote_initial(anchor: Anchor) -> Anchor:
-    # A discourse opener centers its own preferred center. Promotion runs
-    # after filtering because the realization filter only passes the null
-    # center when nothing precedes.
-    if anchor.cb is None and anchor.cf.entries:
-        return Anchor(anchor.cf.entries[0], anchor.cf, anchor.ordinal)
-    return anchor
+_NOTHING_RANKED = Ranking(Survivors(AnchorGrid((), ()), ()), (), ())
 
 
 def _commit_fallback(
@@ -103,7 +97,7 @@ def _commit_fallback(
         bindings=None,
         anchors=anchors,
         verdicts=verdicts,
-        ranked=(),
+        ranked=_NOTHING_RANKED,
         tie=False,
         after_retention=after_retention,
         diagnostic_kind=kind,
@@ -128,7 +122,10 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
         return _commit_fallback(state, u, DIAG_UNRESOLVABLE, str(exc), after_retention)
     survivors, verdicts = run_filters(anchors, prior_cf, u)
     if state.prev is None:
-        survivors = [_promote_initial(a) for a in survivors]
+        # A discourse opener centers its own preferred center. Promotion
+        # comes after filtering because the realization filter only
+        # passes the null center when nothing precedes.
+        survivors = survivors.promoted()
     try:
         winner, ranked, tie = rank_and_select(survivors, prev_cb, state.mode)
     except NoViableAnchor as exc:
@@ -145,7 +142,7 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
     state.last_transition = winner.transition
     kind = message = None
     if tie:
-        top = sum(1 for c in ranked if c.transition is winner.transition)
+        top = ranked.transitions.count(winner.transition)
         kind = DIAG_TIE
         message = (
             f"{top} anchors share transition {winner.transition.value}; "
@@ -159,7 +156,7 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
         bindings=bindings,
         anchors=anchors,
         verdicts=verdicts,
-        ranked=tuple(ranked),
+        ranked=ranked,
         tie=tie,
         after_retention=after_retention,
         diagnostic_kind=kind,

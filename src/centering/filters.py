@@ -9,15 +9,17 @@ the top prior entity it realizes, the ids its pronouns bind) is
 independent of the backward center, so it is worked out once per Cf
 list, and each center's row of verdicts is then decided from those facts
 and the center alone. A verdict records every violated filter, not just
-the first; the verdicts are kept as one byte of filter bits per anchor.
+the first; the verdicts are kept as one byte of filter bits per anchor,
+and the survivors as their positions in the grid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress, count
 
-from .model import Anchor, AnchorGrid, CfList, Utterance
+from .model import Anchor, AnchorGrid, CfEntry, CfList, Utterance
 
 CONTRA = "contra"
 CONSTRAINT3 = "constraint3"
@@ -81,6 +83,8 @@ _ELIMINATED = tuple(
     frozenset(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
     for mask in range(1 << len(FILTER_NAMES))
 )
+# Verdict masks translated to 1 where no filter's bit is set: the survivors.
+SURVIVED = bytes(mask == 0 for mask in range(256))
 
 
 class FilterVerdicts(Sequence[FilterVerdict]):
@@ -123,15 +127,68 @@ class FilterVerdicts(Sequence[FilterVerdict]):
             yield FilterVerdict(ordinal, _ELIMINATED[mask])
 
 
-def run_filters(
-    grid: AnchorGrid, prior_cf: CfList, u: Utterance
-) -> tuple[list[Anchor], FilterVerdicts]:
+class Survivors(Sequence[Anchor]):
+    """The anchors of an AnchorGrid that passed every filter, kept as positions.
+
+    `positions` are their indices into `grid` (ordinal - 1), increasing
+    whatever order they were given in. With `promote`, an anchor with the
+    null center and a non-empty Cf list is read as centering its own
+    preferred center: a discourse opener's survivors. An `Anchor` is built
+    only when one is read. A view is a value, like AnchorGrid.
+    """
+
+    __slots__ = ("grid", "positions", "promote")
+
+    def __init__(self, grid: AnchorGrid, positions: Iterable[int], promote: bool = False) -> None:
+        self.grid = grid
+        self.positions = tuple(sorted(positions))
+        self.promote = promote
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Survivors) and (self.grid, self.positions, self.promote) == (
+            other.grid, other.positions, other.promote)
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.positions, self.promote))
+
+    def __repr__(self) -> str:
+        return f"Survivors({self.grid!r}, {self.positions!r}, promote={self.promote!r})"
+
+    def promoted(self) -> Survivors:
+        """The same survivors, read as a discourse opener's."""
+        return Survivors(self.grid, self.positions, True)
+
+    def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
+        """The center and Cf list of the anchor at a grid position."""
+        cf_lists = self.grid.cf_lists
+        cb = self.grid.cbs[position // len(cf_lists)]
+        cf = cf_lists[position % len(cf_lists)]
+        if cb is None and self.promote and cf.entries:
+            cb = cf.entries[0]
+        return cb, cf
+
+    def anchor_at(self, position: int) -> Anchor:
+        return Anchor(*self.cell(position), position + 1)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.anchor_at(p) for p in self.positions[index]]
+        return self.anchor_at(self.positions[index])
+
+    def __iter__(self) -> Iterator[Anchor]:
+        return map(self.anchor_at, self.positions)
+
+
+def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survivors, FilterVerdicts]:
     """Evaluate all three filters on every anchor of `grid`.
 
     The grid's Cf lists are bindings of `u`'s markers, entry i realizing
-    marker i, as `propose_anchors(u, ...)` builds them. Survivors come in
-    ordinal order; the verdicts record the full elimination set of every
-    anchor.
+    marker i, as `propose_anchors(u, ...)` builds them. Returns the
+    survivors as a view of `grid`, and the verdicts, which record the
+    full elimination set of every anchor.
     """
     cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
     every_cb = frozenset(cb_ids)
@@ -166,11 +223,4 @@ def run_filters(
         for cb_id in cb_ids
         for contra, top, rule1_passes in facts
     ])
-    survivors = []
-    width = len(grid.cf_lists)
-    i = masks.find(0)
-    while i >= 0:
-        row, column = divmod(i, width)
-        survivors.append(Anchor(grid.cbs[row], grid.cf_lists[column], i + 1))
-        i = masks.find(0, i + 1)
-    return survivors, FilterVerdicts(masks)
+    return Survivors(grid, compress(count(), masks.translate(SURVIVED))), FilterVerdicts(masks)

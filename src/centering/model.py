@@ -38,6 +38,10 @@ class MarkerKind(Enum):
     DEFINITE = "definite"
     INDEFINITE = "indefinite"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # spares dict lookups Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
 
 # The index series of each kind that draws from one; names and definites
 # are indexed by their surface string instead.
@@ -76,6 +80,8 @@ class Transition(Enum):
     RETAINING = "RETAINING"
     SHIFTING_1 = "SHIFTING-1"
     SHIFTING = "SHIFTING"
+
+    __hash__ = object.__hash__  # as for MarkerKind
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,11 @@ class CfEntry:
     def __post_init__(self) -> None:
         if self.entity is None:
             raise ValueError(f"entry for marker {self.marker.mid!r} has no entity")
-        # Anonymous indefinites have entity id == index; showing the surface
-        # there keeps displays like [X2:Alfa Romeo] readable.
-        tag = self.marker.surface if self.marker.index == self.entity.id else self.marker.index
+        # An anonymous indefinite's entity id is its index; showing the
+        # surface there keeps displays like [X2:Alfa Romeo] readable.
+        marker = self.marker
+        anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == self.entity.id
+        tag = marker.surface if anonymous else marker.index
         object.__setattr__(self, "display", f"[{self.entity.id}:{tag}]")
 
 

@@ -9,12 +9,12 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-import json
 from itertools import compress, count
+from json.encoder import encode_basestring
 
 from .engine import UtteranceResult
-from .filters import FILTER_NAMES
-from .model import CfEntry, CfList
+from .filters import FILTER_NAMES, SURVIVED
+from .model import CfEntry, CfList, Transition
 
 # Roman digits by place value; thousands are repeated "m"s.
 _ONES = ("", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
@@ -42,11 +42,10 @@ def _labels(n: int) -> list[str]:
 
 
 # Verdict masks (see FilterVerdicts) translated to 1 where a filter's bit
-# is set, or to 1 where none is (the survivors).
+# is set.
 _HAS_BIT = {
     name: bytes(mask >> bit & 1 for mask in range(256)) for bit, name in enumerate(FILTER_NAMES)
 }
-_PASSED = bytes(mask == 0 for mask in range(256))
 _ELIMINATION_NOTES = tuple(
     "eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
     for mask in range(1 << len(FILTER_NAMES))
@@ -77,25 +76,26 @@ def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], li
     masks = result.verdicts.masks
     labels = _labels(len(masks))
     eliminated = {name: list(compress(labels, masks.translate(has))) for name, has in _HAS_BIT.items()}
-    return eliminated, list(compress(labels, masks.translate(_PASSED)))
+    return eliminated, list(compress(labels, masks.translate(SURVIVED)))
 
 
 def _anchor_dump(result: UtteranceResult) -> str:
     grid = result.anchors
-    transition_by_ordinal = {c.anchor.ordinal: c.transition for c in result.ranked}
-    winner = result.ranked[0].anchor.ordinal if result.ranked else None
+    ranked = result.ranked
+    transition_at = dict(zip(ranked.positions, ranked.transitions))
+    winner = ranked.positions[0] if ranked else None
     # Each center and each Cf list is formatted once, then paired in grid order.
     cb_texts = [display_cb(cb) for cb in grid.cbs]
     cf_texts = [display_cf(cf) for cf in grid.cf_lists]
     bodies = (f"<{cb_text}, {cf_text}>" for cb_text in cb_texts for cf_text in cf_texts)
     lines = [f"anchors ({len(grid)}):"]
-    for ordinal, label, mask, body in zip(count(1), _labels(len(grid)), result.verdicts.masks, bodies):
+    for position, label, mask, body in zip(count(), _labels(len(grid)), result.verdicts.masks, bodies):
         if mask:
             note = _ELIMINATION_NOTES[mask]
         else:
-            transition = transition_by_ordinal.get(ordinal)
+            transition = transition_at.get(position)
             note = transition.value if transition is not None else ""
-            if ordinal == winner:
+            if position == winner:
                 note = (note + "  <- selected").strip()
         lines.append(f"  {label:>5}. {body}  {note}".rstrip())
     return "\n".join(lines)
@@ -136,38 +136,82 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
     return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
 
 
-def _record(result: UtteranceResult) -> dict:
-    bindings = None
-    if result.bindings is not None:
-        bindings = {index: entity.id for index, entity in result.bindings.items()}
-    diagnostic = None
-    if result.diagnostic_kind is not None:
-        diagnostic = {"kind": result.diagnostic_kind, "message": result.diagnostic}
-    eliminated, survivors = _labels_by_filter(result)
+# `structured` writes each record's JSON itself, in the layout of
+# json.dumps(record, ensure_ascii=False): ", " and ": " separators, and
+# strings escaped by encode_basestring, as json.dumps escapes them.
+_TRANSITION_JSON = {t: encode_basestring(t.value) for t in Transition}
+
+
+def _json_str(text: str | None) -> str:
+    return "null" if text is None else encode_basestring(text)
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _json_labels(labels: list[str]) -> str:
+    # Roman labels hold nothing to escape.
+    return '["' + '", "'.join(labels) + '"]' if labels else "[]"
+
+
+class _JsonPieces:
+    """The JSON of each center and Cf list of one render, encoded once.
+
+    Keyed by id(): the results being rendered keep every center and Cf
+    list alive while the pieces are used, so no id is reused meanwhile.
+    """
+
+    __slots__ = ("cbs", "cf_lists")
+
+    def __init__(self) -> None:
+        self.cbs: dict[int, str] = {}
+        self.cf_lists: dict[int, str] = {}
+
+    def cb(self, entry: CfEntry | None) -> str:
+        text = self.cbs.get(id(entry))
+        if text is None:
+            text = self.cbs[id(entry)] = encode_basestring(display_cb(entry))
+        return text
+
+    def cf(self, cf: CfList) -> str:
+        text = self.cf_lists.get(id(cf))
+        if text is None:
+            text = "[" + ", ".join([encode_basestring(e.display) for e in cf.entries]) + "]"
+            self.cf_lists[id(cf)] = text
+        return text
+
+
+def _structured_line(result: UtteranceResult, pieces: _JsonPieces) -> str:
+    """One `structured` record: the utterance, its anchor counts, the
+    labels each filter eliminated, and the ranked survivors."""
+    cb, cf = pieces.cb, pieces.cf
     labels = _labels(result.anchors_constructed)
-    return {
-        "u": result.position,
-        "text": result.utterance.text,
-        "transition": result.transition.value if result.transition else None,
-        "cb": display_cb(result.cb),
-        "cf": [e.display for e in result.cf.entries],
-        "bindings": bindings,
-        "anchors_constructed": result.anchors_constructed,
-        "eliminated": eliminated,
-        "survivors": survivors,
-        "ranked": [
-            {
-                "anchor": labels[c.anchor.ordinal - 1],
-                "transition": c.transition.value,
-                "cb": display_cb(c.anchor.cb),
-                "cf": [e.display for e in c.anchor.cf.entries],
-            }
-            for c in result.ranked
-        ],
-        "tie": result.tie,
-        "after_retention": result.after_retention,
-        "diagnostic": diagnostic,
-    }
+    ranked = ", ".join([
+        f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
+        f'"cb": {cb(center)}, "cf": {cf(cf_list)}}}'
+        for position, transition, center, cf_list in result.ranked.cells()
+    ])
+    bindings = "null"
+    if result.bindings is not None:
+        bindings = "{" + ", ".join([
+            f"{encode_basestring(index)}: {encode_basestring(entity.id)}"
+            for index, entity in result.bindings.items()
+        ]) + "}"
+    diagnostic = "null"
+    if result.diagnostic_kind is not None:
+        diagnostic = f'{{"kind": {_json_str(result.diagnostic_kind)}, "message": {_json_str(result.diagnostic)}}}'
+    eliminated, survivors = _labels_by_filter(result)
+    by_filter = ", ".join([f"{encode_basestring(name)}: {_json_labels(names)}" for name, names in eliminated.items()])
+    transition = result.transition.value if result.transition is not None else None
+    return (
+        f'{{"u": {result.position}, "text": {_json_str(result.utterance.text)}, '
+        f'"transition": {_json_str(transition)}, "cb": {cb(result.cb)}, "cf": {cf(result.cf)}, '
+        f'"bindings": {bindings}, "anchors_constructed": {result.anchors_constructed}, '
+        f'"eliminated": {{{by_filter}}}, "survivors": {_json_labels(survivors)}, '
+        f'"ranked": [{ranked}], "tie": {_json_bool(result.tie)}, '
+        f'"after_retention": {_json_bool(result.after_retention)}, "diagnostic": {diagnostic}}}\n'
+    )
 
 
 def render_trace(
@@ -179,7 +223,8 @@ def render_trace(
 ) -> str:
     """Render processed results as `figure` stanzas or `structured` JSONL."""
     if format == "structured":
-        return "".join(json.dumps(_record(r), ensure_ascii=False) + "\n" for r in results)
+        pieces = _JsonPieces()
+        return "".join([_structured_line(r, pieces) for r in results])
     if format == "figure":
         return _figure(results, dump_anchors, explain)
     raise ValueError(f"unknown trace format {format!r}")

@@ -178,7 +178,7 @@ def test_criterion_7b_filter_order_invariance():
             remaining = list(anchors)
             for predicate in order:
                 remaining = [a for a in remaining if predicate(a)]
-            assert remaining == survivors
+            assert remaining == list(survivors)
         # And agreement with the independent filter re-derivation.
         assert [a.ordinal for a in survivors] == [
             a.ordinal for a in anchors if oracle_passes_filters(a, prior_cf, u)

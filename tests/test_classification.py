@@ -10,9 +10,13 @@ from centering import (
     CfList,
     Mode,
     NoViableAnchor,
+    Survivors,
     Transition,
     UnresolvablePronoun,
     classify,
+    filter_constraint3,
+    filter_contraindex,
+    filter_rule1,
     load_bundled,
     preference_rank,
     process_document,
@@ -143,9 +147,9 @@ class TestRankAndSelect:
         survivors = surviving(prior_cf, u)
         rng = random.Random(7)
         for _ in range(10):
-            shuffled = survivors[:]
+            shuffled = list(survivors.positions)
             rng.shuffle(shuffled)
-            winner, ranked, _ = rank_and_select(shuffled, prev_cb)
+            winner, ranked, _ = rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)
             assert winner.anchor.ordinal == 2
             assert [c.anchor.ordinal for c in ranked] == [2, 3]
 
@@ -183,3 +187,70 @@ def test_corpus_exercises_every_transition_cell():
         for result in process_document(load_bundled(corpus)):
             seen.update(c.transition for c in result.ranked)
     assert seen == set(Transition)
+
+
+def _reference_ranking(anchors, prev_cb, mode, promote):
+    """rank_and_select's contract stated per anchor: promote an opener's
+    null centers, classify every anchor, sort by (preference, ordinal)."""
+    if promote:
+        anchors = [
+            Anchor(a.cf.entries[0], a.cf, a.ordinal) if a.cb is None and a.cf.entries else a for a in anchors
+        ]
+    classified = [(classify(a, prev_cb, mode), a) for a in anchors]
+    classified.sort(key=lambda c: (preference_rank(c[0]), c[1].ordinal))
+    return [(a.ordinal, t, a.cb, a.cf) for t, a in classified]
+
+
+def _priors(rng, prior_cf):
+    """The scene's prior Cf list, and one that realizes an entity twice
+    (two center rows for one entity), via a pronoun bound to it."""
+    yield prior_cf
+    if prior_cf.entries:
+        twice = rng.choice(prior_cf.entries)
+        again = bind(pronoun("pro", index="A99", gf=OTHER, agr=twice.marker.agr), twice.entity)
+        entries = list(prior_cf.entries)
+        entries.insert(rng.randint(0, len(entries)), again)
+        yield CfList(tuple(entries))
+
+
+def test_grid_ranking_matches_the_per_anchor_reference_randomized():
+    rng = random.Random(8080)
+    seen = {"tie": 0, "promoted": 0, "twice": 0, "contra": 0, "empty": 0}
+    for _ in range(300):
+        scene_prior, u = random_scene(rng)
+        for prior_cf in _priors(rng, scene_prior):
+            try:
+                grid = propose_anchors(u, prior_cf)
+            except UnresolvablePronoun:
+                continue
+            survivors, _ = run_filters(grid, prior_cf, u)
+            passing = [
+                a for a in grid
+                if filter_contraindex(a, u) and filter_constraint3(a, prior_cf) and filter_rule1(a, prior_cf, u)
+            ]
+            ids = [e.entity.id for e in prior_cf.entries]
+            for promote in (False, True):
+                view = survivors.promoted() if promote else survivors
+                for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf.entries[:1]), Entity("FRESH")):
+                    for mode in Mode:
+                        if not passing:
+                            with pytest.raises(NoViableAnchor):
+                                rank_and_select(view, prev_cb, mode)
+                            continue
+                        if not u.markers:
+                            seen["empty"] += 1
+                            with pytest.raises(EmptyCf):
+                                rank_and_select(view, prev_cb, mode)
+                            continue
+                        expected = _reference_ranking(passing, prev_cb, mode, promote)
+                        winner, ranked, tie = rank_and_select(view, prev_cb, mode)
+                        got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked]
+                        assert got == expected
+                        assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
+                        assert (winner.anchor.ordinal, winner.transition) == expected[0][:2]
+                        assert tie == (len(expected) > 1 and expected[0][1] is expected[1][1])
+                        seen["tie"] += tie
+                        seen["promoted"] += promote
+                        seen["twice"] += len(set(ids)) < len(ids)
+                        seen["contra"] += any(m.contra for m in u.markers)
+    assert min(seen.values()) > 20, seen

@@ -112,6 +112,7 @@ class TestStateEvolution:
         # Every anchor and verdict is kept for the trace to explain.
         assert len(second.anchors) == len(second.verdicts) == 2
         assert not any(v.passed for v in second.verdicts)
+        assert list(second.ranked) == [] and not second.tie
         assert second.cb is None
         assert [e.entity.id for e in second.cf.entries] == ["ANN"]
 

@@ -10,6 +10,7 @@ from centering import (
     Anchor,
     AnchorGrid,
     CfList,
+    Survivors,
     filter_constraint3,
     filter_contraindex,
     filter_rule1,
@@ -133,7 +134,8 @@ class TestRunFilters:
         prior, u, _ = race_scene()
         for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior.entries), ())):
             survivors, verdicts = run_filters(grid, prior, u)
-            assert survivors == [] and len(verdicts) == 0 and list(verdicts) == []
+            assert survivors == Survivors(grid, ()) and list(survivors) == []
+            assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks == b""
             with pytest.raises(IndexError):
                 verdicts[0]
@@ -150,6 +152,18 @@ class TestRunFilters:
             with pytest.raises(IndexError):
                 verdicts[bad]
 
+    def test_survivors_index_like_a_list(self, scene):
+        prior_cf, u, anchors = scene
+        survivors, _ = run_filters(anchors, prior_cf, u)
+        assert survivors.grid is anchors and survivors.positions == (1, 2)
+        listed = [anchors[1], anchors[2]]
+        assert list(survivors) == listed and [survivors[i] for i in (-2, -1, 0, 1)] == listed + listed
+        assert survivors[::-1] == listed[::-1]
+        with pytest.raises(IndexError):
+            survivors[2]
+        assert survivors == Survivors(anchors, [2, 1]) and hash(survivors) == hash(Survivors(anchors, (1, 2)))
+        assert survivors != survivors.promoted() and survivors.promoted().promote
+
     def test_order_invariance_against_sequential_application(self, scene):
         prior_cf, u, anchors = scene
         survivors, _ = run_filters(anchors, prior_cf, u)
@@ -162,7 +176,7 @@ class TestRunFilters:
             remaining = list(anchors)
             for key in order:
                 remaining = [a for a in remaining if predicates[key](a)]
-            assert remaining == survivors
+            assert remaining == list(survivors)
 
 
 def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):

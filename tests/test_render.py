@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from centering import Mode, load_bundled, parse_corpus, process_document, render_trace, roman
+from centering import Mode, load_bundled, parse_corpus, process_discourse, process_document, render_trace, roman
+from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, utt
 
 
 def _subtractive_roman(n):
@@ -94,3 +95,60 @@ def test_figure_marks_failures():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         render_trace([], "csv")
+
+
+def test_cf_entry_shows_the_surface_only_for_an_anonymous_indefinite():
+    # A pronoun indexed A1 bound to a name whose entity id is A1 keeps
+    # its index; only an indefinite named after its index shows its surface.
+    text = (
+        "discourse d\n"
+        "utterance Ann waved at a car.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ agr=fem,sg,3 entity=A1\n"
+        "np id=c surface=\"a car\" kind=indefinite gf=OBJ agr=neut,sg,3 index=X1\n"
+        "utterance She left.\n"
+        "np id=s surface=She kind=pronoun gf=SUBJ agr=fem,sg,3 index=A1\n"
+    )
+    lines = render_trace(process_document(parse_corpus(text))).splitlines()
+    assert "Cf: ([A1:Ann] [X1:a car])" in lines
+    assert "Cb: [A1:Ann]" in lines
+    assert "Cf: ([A1:A1])" in lines
+
+
+def _awkward_discourse():
+    """Surfaces, entity ids and text holding what JSON must escape or may
+    keep: quotes, backslashes, a tab, U+2028 and non-ASCII letters."""
+    jurgen = name('J\u00fcrgen "Jo" \\', 'J\u00dcRGEN"\\', gf=SUBJ, agr=MASC)
+    sokrates = name("\u03a3\u03c9\u03ba\u03c1\u03ac\u03c4\u03b7\u03c2", "\u03a3\u03a9\u039a", gf=OBJ, agr=MASC)
+    book = indefinite("a \u201cbook\u201d\t\\")
+    return [
+        utt('J\u00fcrgen gave "it"\tto\u2028\u03a3\u03c9\u03ba\u03c1\u03ac\u03c4\u03b7\u03c2 \\o/', jurgen, sokrates, book,
+            position=1),
+        utt("He\tthanked him \u2028 twice.", pronoun("He", gf=SUBJ, agr=MASC), pronoun("him", gf=OBJ, agr=MASC),
+            position=2),
+        utt("Nobody\u2028else.", position=3),
+    ]
+
+
+@pytest.mark.parametrize("mode", [Mode.EXTENDED, Mode.CLASSIC])
+def test_structured_lines_are_canonical_json_of_the_results(mode):
+    results = process_discourse(_awkward_discourse(), mode)
+    # Split at "\n" only: str.splitlines also splits at the U+2028 that
+    # json.dumps(..., ensure_ascii=False) leaves unescaped.
+    lines = render_trace(results, "structured").split("\n")
+    assert lines.pop() == "" and len(lines) == len(results) == 3
+    assert "\u2028" in lines[0] and "J\u00fcrgen" in lines[0] and '\\"Jo\\"' in lines[0]
+    for line, r in zip(lines, results):
+        record = json.loads(line)
+        assert line == json.dumps(record, ensure_ascii=False)
+        assert record["text"] == r.utterance.text
+        assert record["ranked"] == [
+            {
+                "anchor": roman(c.anchor.ordinal),
+                "transition": c.transition.value,
+                "cb": c.anchor.cb.display if c.anchor.cb is not None else "NIL",
+                "cf": [e.display for e in c.anchor.cf.entries],
+            }
+            for c in r.ranked
+        ]
+    assert json.loads(lines[1])["ranked"], "the pronouns give more than one reading to rank"
+    assert json.loads(lines[2])["diagnostic"]["kind"] == "empty-utterance"
