@@ -9,11 +9,11 @@ shift) and plain shifting; classic mode lumps both under shifting.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .filters import Survivors
-from .model import Anchor, CfEntry, CfList, Entity, Mode, Transition
+from .model import Anchor, AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, View
 
 
 class _NoPrior:
@@ -60,8 +60,9 @@ def classify(
 
     `prev_cb` is the previous utterance's committed center, None when that
     center was null; pass NO_PRIOR when there is no previous utterance,
-    which counts as keeping the center (a discourse opener that centers
-    its own preferred center is a continuation).
+    which counts as keeping the center. A discourse opener centers its
+    own preferred center, so under NO_PRIOR a null center reads as the
+    preferred center: a continuation.
     """
     return _classify(anchor.cb, anchor.cf, prev_cb, mode)
 
@@ -72,9 +73,9 @@ def _classify(cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior,
         raise EmptyCf("utterance has no centers to classify")
     cp = cf.entries[0].entity
     if prev_cb is NO_PRIOR:
-        same_cb = True
-    else:
-        same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
+        # An opener keeps the center, and a null one is its preferred center.
+        return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
+    same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
     cb_is_cp = cb is not None and cb.entity == cp
     if same_cb:
         return Transition.CONTINUING if cb_is_cp else Transition.RETAINING
@@ -83,53 +84,47 @@ def _classify(cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior,
     return Transition.SHIFTING
 
 
-class Ranking(Sequence[ClassifiedAnchor]):
+class Ranking(View):
     """Survivors in rank order, kept as grid positions with a transition each.
 
     `positions[k]` is the grid position of the k-th ranked anchor of
-    `survivors` and `transitions[k]` its transition. A `ClassifiedAnchor`
-    is built only when one is read. A ranking is a value, like AnchorGrid.
+    `grid` and `transitions[k]` its transition. In an `opener`'s ranking,
+    an anchor with the null center and a non-empty Cf list centers its
+    own preferred center, as `classify` reads it under NO_PRIOR.
     """
 
-    __slots__ = ("survivors", "positions", "transitions")
+    __slots__ = ("grid", "positions", "transitions", "opener")
 
     def __init__(
-        self, survivors: Survivors, positions: tuple[int, ...], transitions: tuple[Transition, ...]
+        self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...], opener: bool
     ) -> None:
-        self.survivors = survivors
+        self.grid = grid
         self.positions = positions
         self.transitions = transitions
+        self.opener = opener
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ranking) and (self.survivors, self.positions, self.transitions) == (
-            other.survivors, other.positions, other.transitions)
-
-    def __hash__(self) -> int:
-        return hash((self.survivors, self.positions, self.transitions))
-
-    def __repr__(self) -> str:
-        return f"Ranking({self.survivors!r}, {self.positions!r}, {self.transitions!r})"
+    def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
+        """The center and Cf list of the anchor at a grid position."""
+        cf_lists = self.grid.cf_lists
+        cb = self.grid.cbs[position // len(cf_lists)]
+        cf = cf_lists[position % len(cf_lists)]
+        if cb is None and self.opener and cf.entries:
+            cb = cf.entries[0]
+        return cb, cf
 
     def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
         """(position, transition, center, Cf list) of each ranked anchor, in
         rank order, without building anchors."""
-        cell = self.survivors.cell
+        cell = self.cell
         for position, transition in zip(self.positions, self.transitions):
             yield (position, transition, *cell(position))
-
-    def _at(self, k: int) -> ClassifiedAnchor:
-        return ClassifiedAnchor(self.survivors.anchor_at(self.positions[k]), self.transitions[k])
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._at(k) for k in range(len(self))[index]]
-        return self._at(index)
-
-    def __iter__(self) -> Iterator[ClassifiedAnchor]:
-        return map(self._at, range(len(self)))
+    def _at(self, k: int) -> ClassifiedAnchor:
+        position = self.positions[k]
+        return ClassifiedAnchor(Anchor(*self.cell(position), position + 1), self.transitions[k])
 
 
 def rank_and_select(
@@ -143,23 +138,26 @@ def rank_and_select(
     center, so `classify`'s rule runs once per distinct (center row,
     preferred center entity). The survivors are bucketed by preference in
     their increasing grid order, which puts them in (preference,
-    construction ordinal) order without a sort. `tie` reports whether the
-    top preference class holds more than one anchor; the winner is then
-    the construction-order first, leaving the ambiguity visible to
-    callers.
+    construction ordinal) order without a sort. Under NO_PRIOR, `ranked`
+    reads a null center as the opener's preferred center, as `classify`
+    does. `tie` reports whether the top preference class holds more than
+    one anchor; the winner is then the construction-order first, leaving
+    the ambiguity visible to callers.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
-    cf_lists = survivors.grid.cf_lists
+    grid = survivors.grid
+    cbs, cf_lists = grid.cbs, grid.cf_lists
     width = len(cf_lists)
     buckets: list[list[int]] = [[] for _ in _BY_PREFERENCE]
     bucket_of: dict[tuple[int, str | None], list[int]] = {}
     for position in survivors.positions:
-        entries = cf_lists[position % width].entries
-        key = (position // width, entries[0].entity.id if entries else None)
+        row = position // width
+        cf = cf_lists[position % width]
+        key = (row, cf.entries[0].entity.id if cf.entries else None)
         bucket = bucket_of.get(key)
         if bucket is None:
-            transition = _classify(*survivors.cell(position), prev_cb, mode)
+            transition = _classify(cbs[row], cf, prev_cb, mode)
             bucket = bucket_of[key] = buckets[_PREFERENCE[transition]]
         bucket.append(position)
     positions: list[int] = []
@@ -168,6 +166,6 @@ def rank_and_select(
         if bucket:
             positions += bucket
             transitions += [transition] * len(bucket)
-    ranked = Ranking(survivors, tuple(positions), tuple(transitions))
+    ranked = Ranking(grid, tuple(positions), tuple(transitions), opener=prev_cb is NO_PRIOR)
     tie = len(positions) > 1 and transitions[0] is transitions[1]
     return ranked[0], ranked, tie

@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("corpus", help="corpus file or bundled corpus id")
     run.add_argument("--classic", action="store_true", help="use the three-way transition typology")
     run.add_argument("--format", choices=("figure", "structured"), default="figure")
-    run.add_argument("--dump-anchors", action="store_true", help="list every constructed anchor")
-    run.add_argument("--explain", action="store_true", help="show per-filter elimination lists")
+    run.add_argument("--dump-anchors", action="store_true", help="list every constructed anchor (figure format only)")
+    run.add_argument("--explain", action="store_true", help="show per-filter elimination lists (figure format only)")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="validate a corpus file")

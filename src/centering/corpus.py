@@ -57,7 +57,6 @@ from .model import (
     INDEX_SERIES,
     Agreement,
     Entity,
-    EntityKind,
     GrammaticalFunction,
     MarkerError,
     MarkerKind,
@@ -206,8 +205,7 @@ def _parse_np(
     if eid is not None:
         entity = entities.get(eid)
         if entity is None:
-            ekind = EntityKind.INDEFINITE if kind is MarkerKind.INDEFINITE else EntityKind.NAMED
-            entity = entities[eid] = Entity(eid, ekind, surface)
+            entity = entities[eid] = Entity(eid, surface)
     contra = frozenset(c for c in fields.get("contra", "").split(",") if c)
     try:
         return ReferenceMarker(surface, kind, gf, agr, contra, entity, fields.get("index"), fields["id"])

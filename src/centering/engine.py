@@ -20,7 +20,7 @@ from .classification import (
     rank_and_select,
 )
 from .construction import UnresolvablePronoun, propose_anchors
-from .filters import FilterVerdicts, Survivors, run_filters
+from .filters import FilterVerdicts, run_filters
 from .model import (
     AnchorGrid,
     CfEntry,
@@ -74,7 +74,7 @@ class UtteranceResult:
         return len(self.anchors)
 
 
-_NOTHING_RANKED = Ranking(Survivors(AnchorGrid((), ()), ()), (), ())
+_NOTHING_RANKED = Ranking(AnchorGrid((), ()), (), (), opener=False)
 
 
 def _commit_fallback(
@@ -112,20 +112,12 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
     it; a missing one raises ValueError.
     """
     after_retention = state.last_transition is Transition.RETAINING
-    if state.prev is None:
-        prev_cb, prior_cf = NO_PRIOR, CfList()
-    else:
-        prev_cb, prior_cf = state.prev
+    prev_cb, prior_cf = state.prev or (NO_PRIOR, CfList())
     try:
         anchors = propose_anchors(u, prior_cf)
     except UnresolvablePronoun as exc:
         return _commit_fallback(state, u, DIAG_UNRESOLVABLE, str(exc), after_retention)
     survivors, verdicts = run_filters(anchors, prior_cf, u)
-    if state.prev is None:
-        # A discourse opener centers its own preferred center. Promotion
-        # comes after filtering because the realization filter only
-        # passes the null center when nothing precedes.
-        survivors = survivors.promoted()
     try:
         winner, ranked, tie = rank_and_select(survivors, prev_cb, state.mode)
     except NoViableAnchor as exc:

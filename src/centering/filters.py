@@ -15,11 +15,11 @@ and the survivors as their positions in the grid.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .model import Anchor, AnchorGrid, CfEntry, CfList, Utterance
+from .model import Anchor, AnchorGrid, CfList, Utterance, View
 
 CONTRA = "contra"
 CONSTRAINT3 = "constraint3"
@@ -87,28 +87,18 @@ _ELIMINATED = tuple(
 SURVIVED = bytes(mask == 0 for mask in range(256))
 
 
-class FilterVerdicts(Sequence[FilterVerdict]):
+class FilterVerdicts(View):
     """The verdicts on an AnchorGrid's anchors, in ordinal order.
 
     `masks[i]` holds the verdict on the anchor with ordinal i + 1: bit b
     is set iff filter FILTER_NAMES[b] eliminated it, so 0 means it
-    survived. A `FilterVerdict` is built only when one is read.
+    survived.
     """
 
-    # Not a frozen dataclass, for the reason AnchorGrid is not.
     __slots__ = ("masks",)
 
     def __init__(self, masks: bytes) -> None:
         self.masks = masks
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FilterVerdicts) and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
-
-    def __repr__(self) -> str:
-        return f"FilterVerdicts({self.masks!r})"
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -116,70 +106,25 @@ class FilterVerdicts(Sequence[FilterVerdict]):
     def _at(self, i: int) -> FilterVerdict:
         return FilterVerdict(i + 1, _ELIMINATED[self.masks[i]])
 
-    def __getitem__(self, index):
-        positions = range(len(self))[index]
-        if isinstance(positions, range):
-            return [self._at(i) for i in positions]
-        return self._at(positions)
 
-    def __iter__(self) -> Iterator[FilterVerdict]:
-        for ordinal, mask in enumerate(self.masks, 1):
-            yield FilterVerdict(ordinal, _ELIMINATED[mask])
-
-
-class Survivors(Sequence[Anchor]):
+class Survivors(View):
     """The anchors of an AnchorGrid that passed every filter, kept as positions.
 
     `positions` are their indices into `grid` (ordinal - 1), increasing
-    whatever order they were given in. With `promote`, an anchor with the
-    null center and a non-empty Cf list is read as centering its own
-    preferred center: a discourse opener's survivors. An `Anchor` is built
-    only when one is read. A view is a value, like AnchorGrid.
+    whatever order they were given in.
     """
 
-    __slots__ = ("grid", "positions", "promote")
+    __slots__ = ("grid", "positions")
 
-    def __init__(self, grid: AnchorGrid, positions: Iterable[int], promote: bool = False) -> None:
+    def __init__(self, grid: AnchorGrid, positions: Iterable[int]) -> None:
         self.grid = grid
         self.positions = tuple(sorted(positions))
-        self.promote = promote
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Survivors) and (self.grid, self.positions, self.promote) == (
-            other.grid, other.positions, other.promote)
-
-    def __hash__(self) -> int:
-        return hash((self.grid, self.positions, self.promote))
-
-    def __repr__(self) -> str:
-        return f"Survivors({self.grid!r}, {self.positions!r}, promote={self.promote!r})"
-
-    def promoted(self) -> Survivors:
-        """The same survivors, read as a discourse opener's."""
-        return Survivors(self.grid, self.positions, True)
-
-    def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
-        """The center and Cf list of the anchor at a grid position."""
-        cf_lists = self.grid.cf_lists
-        cb = self.grid.cbs[position // len(cf_lists)]
-        cf = cf_lists[position % len(cf_lists)]
-        if cb is None and self.promote and cf.entries:
-            cb = cf.entries[0]
-        return cb, cf
-
-    def anchor_at(self, position: int) -> Anchor:
-        return Anchor(*self.cell(position), position + 1)
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self.anchor_at(p) for p in self.positions[index]]
-        return self.anchor_at(self.positions[index])
-
-    def __iter__(self) -> Iterator[Anchor]:
-        return map(self.anchor_at, self.positions)
+    def _at(self, k: int) -> Anchor:
+        return self.grid._at(self.positions[k])
 
 
 def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survivors, FilterVerdicts]:

@@ -57,11 +57,6 @@ class MarkerError(ValueError):
         self.fieldname = fieldname
 
 
-class EntityKind(Enum):
-    NAMED = "named"
-    INDEFINITE = "indefinite"
-
-
 class Mode(Enum):
     """Transition typology: classic three-way or extended four-way."""
 
@@ -124,7 +119,6 @@ class Entity:
     """
 
     id: str
-    kind: EntityKind = EntityKind.NAMED
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -261,38 +255,31 @@ class Anchor:
     ordinal: int
 
 
-class AnchorGrid(Sequence[Anchor]):
-    """Every candidate anchor of one utterance, kept as positions.
+class View(Sequence):
+    """Base of the pipeline's lazy sequences, each a value kept in slots.
 
-    The anchors are the pairs of `cbs` × `cf_lists`, center-major: index
-    i pairs cbs[i // len(cf_lists)] with cf_lists[i % len(cf_lists)] and
-    has ordinal i + 1. An `Anchor` is built only when one is read. A grid
-    is a value: equal fields make equal grids; do not reassign them.
+    A view names its fields in `__slots__` and defines `__len__` and
+    `_at(i)`, which builds item i when it is read. Views are equal when
+    they are of one type with equal fields, and hash and print by their
+    fields; indices and slices work as on a list. Do not reassign fields.
     """
 
-    # Not a frozen dataclass: making one costs about 1 ms at import, which
+    # Not frozen dataclasses: making one costs about 1 ms at import, which
     # every CLI start pays.
-    __slots__ = ("cbs", "cf_lists")
+    __slots__ = ()
 
-    def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
-        self.cbs = cbs
-        self.cf_lists = cf_lists
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnchorGrid) and (self.cbs, self.cf_lists) == (other.cbs, other.cf_lists)
+        return type(other) is type(self) and self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash((self.cbs, self.cf_lists))
+        return hash(self._fields())
 
     def __repr__(self) -> str:
-        return f"AnchorGrid(cbs={self.cbs!r}, cf_lists={self.cf_lists!r})"
-
-    def __len__(self) -> int:
-        return len(self.cbs) * len(self.cf_lists)
-
-    def _at(self, i: int) -> Anchor:
-        row, column = divmod(i, len(self.cf_lists))
-        return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __getitem__(self, index):
         positions = range(len(self))[index]
@@ -300,12 +287,30 @@ class AnchorGrid(Sequence[Anchor]):
             return [self._at(i) for i in positions]
         return self._at(positions)
 
-    def __iter__(self) -> Iterator[Anchor]:
-        ordinal = 1
-        for cb in self.cbs:
-            for cf in self.cf_lists:
-                yield Anchor(cb, cf, ordinal)
-                ordinal += 1
+    def __iter__(self) -> Iterator:
+        return map(self._at, range(len(self)))
+
+
+class AnchorGrid(View):
+    """Every candidate anchor of one utterance, kept as positions.
+
+    The anchors are the pairs of `cbs` × `cf_lists`, center-major: index
+    i pairs cbs[i // len(cf_lists)] with cf_lists[i % len(cf_lists)] and
+    has ordinal i + 1.
+    """
+
+    __slots__ = ("cbs", "cf_lists")
+
+    def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
+        self.cbs = cbs
+        self.cf_lists = cf_lists
+
+    def __len__(self) -> int:
+        return len(self.cbs) * len(self.cf_lists)
+
+    def _at(self, i: int) -> Anchor:
+        row, column = divmod(i, len(self.cf_lists))
+        return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
 
 
 @dataclass
@@ -374,7 +379,7 @@ def allocate_indices(utterances: Sequence[Utterance]) -> list[Utterance]:
                 counts[m.kind] = count
                 index = f"{prefix}{count}"
             if entity is None and m.kind is MarkerKind.INDEFINITE:
-                entity = Entity(index, EntityKind.INDEFINITE, m.surface)
+                entity = Entity(index, m.surface)
             if index is not m.index or entity is not m.entity:
                 if markers is None:
                     markers = list(u.markers)

@@ -16,7 +16,6 @@ from centering import (
     CfEntry,
     CfList,
     Entity,
-    EntityKind,
     GrammaticalFunction,
     MarkerKind,
     ReferenceMarker,
@@ -42,7 +41,7 @@ def name(surface, entity_id, gf=SUBJ, agr=None, contra=(), mid=None):
         gf=gf,
         agr=agr if agr is not None else Agreement(),
         contra=frozenset(contra),
-        entity=Entity(entity_id, EntityKind.NAMED, surface),
+        entity=Entity(entity_id, surface),
         mid=mid,
     )
 
@@ -60,7 +59,7 @@ def pronoun(surface, index=None, gf=SUBJ, agr=None, contra=(), mid=None):
 
 
 def indefinite(surface, entity_id=None, index=None, gf=ADJ, agr=None, contra=(), mid=None):
-    entity = Entity(entity_id, EntityKind.INDEFINITE, surface) if entity_id else None
+    entity = Entity(entity_id, surface) if entity_id else None
     return ReferenceMarker(
         surface=surface,
         kind=MarkerKind.INDEFINITE,
@@ -95,7 +94,7 @@ def race_scene():
     her_prior = pronoun("her", index="A8", gf=OBJ, agr=FEM)
     weekends = indefinite("weekends", entity_id="WEEKEND", index="X3", gf=ADJ,
                           agr=Agreement("neut", "pl", "3"))
-    brennan = Entity("BRENNAN", EntityKind.NAMED, "Brennan")
+    brennan = Entity("BRENNAN", "Brennan")
     prior_cf = CfList((
         CfEntry(friedman_m.entity, friedman_m),
         CfEntry(brennan, her_prior),
@@ -108,6 +107,33 @@ def race_scene():
         position=4,
     )
     return prior_cf, u, brennan
+
+
+def assert_indexes_like(view, expected, rng):
+    """`view` behaves as the list `expected`: its length, iteration, every
+    index, indices out of range, and random slices."""
+    n = len(expected)
+    assert len(view) == n and list(view) == expected
+    for i in range(-n, n):
+        assert view[i] == expected[i]
+    for bad in (n, -n - 1, n + 7):
+        try:
+            view[bad]
+        except IndexError:
+            continue
+        raise AssertionError(f"index {bad} of a {n}-item view did not raise IndexError")
+    assert view[:] == expected and view[::-1] == expected[::-1]
+    for _ in range(20):
+        bounds = [rng.choice((None, rng.randint(-n - 2, n + 2))) for _ in range(2)]
+        s = slice(*bounds, rng.choice((None, 1, 2, 3, -1, -2)))
+        assert view[s] == expected[s], s
+
+
+def assert_value_by_fields(view):
+    """`view` equals, hashes and prints as a fresh view built from its fields."""
+    twin = type(view)(*(getattr(view, name) for name in view.__slots__))
+    assert twin is not view and twin == view and hash(twin) == hash(view)
+    assert repr(twin) == repr(view) and repr(view).startswith(type(view).__name__ + "(")
 
 
 # --- independent oracles ---------------------------------------------------
@@ -173,7 +199,7 @@ def random_scene(rng: random.Random):
     """A random (prior_cf, utterance) pair: prior centers realized by
     name-like markers, current utterance a mix of names and pronouns with
     random agreement and random symmetric contraindexing."""
-    pool = [Entity(f"E{i}", EntityKind.NAMED, f"E{i}") for i in range(rng.randint(1, 5))]
+    pool = [Entity(f"E{i}", f"E{i}") for i in range(rng.randint(1, 5))]
     gender = {e.id: rng.choice(_GENDERS) for e in pool}
 
     prior_markers = []
@@ -235,7 +261,7 @@ def random_scene(rng: random.Random):
 
 def random_discourse(rng: random.Random, max_utterances: int = 5) -> list[Utterance]:
     """A random well-formed discourse of unannotated names and pronouns."""
-    pool = [Entity(f"E{i}", EntityKind.NAMED, f"E{i}") for i in range(rng.randint(2, 5))]
+    pool = [Entity(f"E{i}", f"E{i}") for i in range(rng.randint(2, 5))]
     gender = {e.id: rng.choice(_GENDERS) for e in pool}
     utterances = []
     for position in range(1, rng.randint(1, max_utterances) + 1):

@@ -92,6 +92,11 @@ class TestClassify:
         opener = Anchor(bind(carl, carl.entity), cf_of(carl), 1)
         assert classify(opener, NO_PRIOR) is Transition.CONTINUING
 
+    def test_opener_null_center_reads_as_its_preferred_center(self):
+        carl = name("Carl", "POLLARD", agr=MASC)
+        for mode in Mode:
+            assert classify(Anchor(None, cf_of(carl), 1), NO_PRIOR, mode) is Transition.CONTINUING
+
     def test_null_center_is_a_shift(self):
         cam = name("Cam", "CAM", agr=MASC)
         anchor = Anchor(None, cf_of(cam), 1)
@@ -189,10 +194,10 @@ def test_corpus_exercises_every_transition_cell():
     assert seen == set(Transition)
 
 
-def _reference_ranking(anchors, prev_cb, mode, promote):
+def _reference_ranking(anchors, prev_cb, mode):
     """rank_and_select's contract stated per anchor: promote an opener's
     null centers, classify every anchor, sort by (preference, ordinal)."""
-    if promote:
+    if prev_cb is NO_PRIOR:
         anchors = [
             Anchor(a.cf.entries[0], a.cf, a.ordinal) if a.cb is None and a.cf.entries else a for a in anchors
         ]
@@ -229,28 +234,26 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                 if filter_contraindex(a, u) and filter_constraint3(a, prior_cf) and filter_rule1(a, prior_cf, u)
             ]
             ids = [e.entity.id for e in prior_cf.entries]
-            for promote in (False, True):
-                view = survivors.promoted() if promote else survivors
-                for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf.entries[:1]), Entity("FRESH")):
-                    for mode in Mode:
-                        if not passing:
-                            with pytest.raises(NoViableAnchor):
-                                rank_and_select(view, prev_cb, mode)
-                            continue
-                        if not u.markers:
-                            seen["empty"] += 1
-                            with pytest.raises(EmptyCf):
-                                rank_and_select(view, prev_cb, mode)
-                            continue
-                        expected = _reference_ranking(passing, prev_cb, mode, promote)
-                        winner, ranked, tie = rank_and_select(view, prev_cb, mode)
-                        got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked]
-                        assert got == expected
-                        assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
-                        assert (winner.anchor.ordinal, winner.transition) == expected[0][:2]
-                        assert tie == (len(expected) > 1 and expected[0][1] is expected[1][1])
-                        seen["tie"] += tie
-                        seen["promoted"] += promote
-                        seen["twice"] += len(set(ids)) < len(ids)
-                        seen["contra"] += any(m.contra for m in u.markers)
+            for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf.entries[:1]), Entity("FRESH")):
+                for mode in Mode:
+                    if not passing:
+                        with pytest.raises(NoViableAnchor):
+                            rank_and_select(survivors, prev_cb, mode)
+                        continue
+                    if not u.markers:
+                        seen["empty"] += 1
+                        with pytest.raises(EmptyCf):
+                            rank_and_select(survivors, prev_cb, mode)
+                        continue
+                    expected = _reference_ranking(passing, prev_cb, mode)
+                    winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
+                    got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked]
+                    assert got == expected
+                    assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
+                    assert (winner.anchor.ordinal, winner.transition) == expected[0][:2]
+                    assert tie == (len(expected) > 1 and expected[0][1] is expected[1][1])
+                    seen["tie"] += tie
+                    seen["promoted"] += prev_cb is NO_PRIOR and any(a.cb is None for a in passing)
+                    seen["twice"] += len(set(ids)) < len(ids)
+                    seen["contra"] += any(m.contra for m in u.markers)
     assert min(seen.values()) > 20, seen

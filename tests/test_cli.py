@@ -45,6 +45,17 @@ def test_run_structured_output(capsys):
     assert records[2]["bindings"] == {"A2": "PLANCK", "A3": "FLINTSTONE"}
 
 
+def test_dump_anchors_and_explain_leave_structured_output_unchanged(capsys):
+    # Both flags add figure paragraphs; a structured record carries the
+    # eliminations and the ranking in its own fields either way.
+    for corpus in ("fig4", "fig7"):
+        outputs = set()
+        for flags in ([], ["--dump-anchors"], ["--explain"], ["--dump-anchors", "--explain"]):
+            assert cli_main(["run", corpus, "--format", "structured", *flags]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1 and outputs != {""}
+
+
 def test_run_file_path(tmp_path, capsys):
     target = tmp_path / "tiny.corpus"
     target.write_text(

@@ -19,6 +19,7 @@ from support import (
     OBJ2,
     OTHER,
     SUBJ,
+    assert_indexes_like,
     cf_of,
     name,
     oracle_enumerate_anchors,
@@ -203,24 +204,6 @@ def _oracle_key(anchor):
     )
 
 
-def _assert_indexes_like(grid, expected, rng):
-    """`grid` behaves as the list `expected` of anchors, with ordinals
-    index + 1, for every index and for random slices."""
-    n = len(expected)
-    assert len(grid) == n and list(grid) == expected
-    assert [a.ordinal for a in grid] == list(range(1, n + 1))
-    for i in range(-n, n):
-        assert grid[i] == expected[i]
-    for bad in (n, -n - 1, n + 7):
-        with pytest.raises(IndexError):
-            grid[bad]
-    assert grid[:] == expected and grid[::-1] == expected[::-1]
-    for _ in range(20):
-        bounds = [rng.choice((None, rng.randint(-n - 2, n + 2))) for _ in range(2)]
-        s = slice(*bounds, rng.choice((None, 1, 2, 3, -1, -2)))
-        assert grid[s] == expected[s], s
-
-
 def test_anchor_grid_against_the_oracle_randomized():
     rng = random.Random(9090)
     checked = 0
@@ -239,7 +222,7 @@ def test_anchor_grid_against_the_oracle_randomized():
             )
         ]
         assert [_oracle_key(a) for a in expected] == oracle
-        _assert_indexes_like(grid, expected, rng)
+        assert_indexes_like(grid, expected, rng)
         checked += 1
 
 
@@ -249,5 +232,5 @@ def test_empty_anchor_grid():
     prior_cf, _, _ = race_scene()
     for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf.entries, None), ())):
         assert not grid
-        _assert_indexes_like(grid, [], rng)
+        assert_indexes_like(grid, [], rng)
     assert AnchorGrid((), ()) == AnchorGrid((), ())

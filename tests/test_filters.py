@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,12 +10,17 @@ from centering import (
     Anchor,
     AnchorGrid,
     CfList,
+    ClassifiedAnchor,
+    FilterVerdicts,
+    Ranking,
     Survivors,
+    Transition,
     filter_constraint3,
     filter_contraindex,
     filter_rule1,
     UnresolvablePronoun,
     propose_anchors,
+    rank_and_select,
     run_filters,
 )
 from support import (
@@ -23,6 +28,8 @@ from support import (
     MASC,
     OBJ,
     SUBJ,
+    assert_indexes_like,
+    assert_value_by_fields,
     bind,
     cf_of,
     name,
@@ -140,30 +147,6 @@ class TestRunFilters:
             with pytest.raises(IndexError):
                 verdicts[0]
 
-    def test_verdicts_index_like_a_list(self, scene):
-        prior_cf, u, anchors = scene
-        _, verdicts = run_filters(anchors, prior_cf, u)
-        listed = list(verdicts)
-        assert [v.anchor_id for v in listed] == list(range(1, 17))
-        assert [verdicts[i] for i in range(-16, 16)] == listed + listed
-        assert verdicts[3:12:4] == listed[3:12:4] and verdicts[::-3] == listed[::-3]
-        assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
-        for bad in (16, -17):
-            with pytest.raises(IndexError):
-                verdicts[bad]
-
-    def test_survivors_index_like_a_list(self, scene):
-        prior_cf, u, anchors = scene
-        survivors, _ = run_filters(anchors, prior_cf, u)
-        assert survivors.grid is anchors and survivors.positions == (1, 2)
-        listed = [anchors[1], anchors[2]]
-        assert list(survivors) == listed and [survivors[i] for i in (-2, -1, 0, 1)] == listed + listed
-        assert survivors[::-1] == listed[::-1]
-        with pytest.raises(IndexError):
-            survivors[2]
-        assert survivors == Survivors(anchors, [2, 1]) and hash(survivors) == hash(Survivors(anchors, (1, 2)))
-        assert survivors != survivors.promoted() and survivors.promoted().promote
-
     def test_order_invariance_against_sequential_application(self, scene):
         prior_cf, u, anchors = scene
         survivors, _ = run_filters(anchors, prior_cf, u)
@@ -177,6 +160,37 @@ class TestRunFilters:
             for key in order:
                 remaining = [a for a in remaining if predicates[key](a)]
             assert remaining == list(survivors)
+
+
+def test_views_index_like_lists_and_compare_by_fields():
+    # The four lazy views of the 16-anchor scene share one protocol:
+    # list indexing and slicing, and equality, hashing and repr by fields.
+    rng = random.Random(16)
+    prior_cf, u, prev_cb = race_scene()
+    grid = propose_anchors(u, prior_cf)
+    survivors, verdicts = run_filters(grid, prior_cf, u)
+    _, ranked, _ = rank_and_select(survivors, prev_cb)
+    anchors = [Anchor(cb, cf, k) for k, (cb, cf) in enumerate(product(grid.cbs, grid.cf_lists), 1)]
+    eliminated = {1: {CONTRA}, 2: set(), 3: set(), 6: {CONSTRAINT3}, 16: {CONTRA, CONSTRAINT3, RULE1}}
+    listed = list(verdicts)
+    assert [v.anchor_id for v in listed] == list(range(1, 17))
+    assert all(listed[k - 1].eliminated_by == names for k, names in eliminated.items())
+    assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
+    assert survivors.grid is grid and survivors.positions == (1, 2)
+    classified = [
+        ClassifiedAnchor(anchors[1], Transition.SHIFTING_1),
+        ClassifiedAnchor(anchors[2], Transition.SHIFTING),
+    ]
+    for view, expected in ((grid, anchors), (verdicts, listed), (survivors, anchors[1:3]), (ranked, classified)):
+        assert_indexes_like(view, expected, rng)
+        assert_value_by_fields(view)
+    assert survivors == Survivors(grid, [2, 1]) and hash(survivors) == hash(Survivors(grid, (1, 2)))
+    # Equal items do not make equal views: a view equals only its own type.
+    assert list(Survivors(grid, range(16))) == list(grid) and Survivors(grid, range(16)) != grid
+    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Survivors(AnchorGrid((), ()), ()),
+             Ranking(AnchorGrid((), ()), (), (), opener=False))
+    for a, b in combinations(empty, 2):
+        assert a != b and list(a) == list(b) == []
 
 
 def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):

@@ -3,7 +3,6 @@ import pytest
 from centering import (
     Agreement,
     Entity,
-    EntityKind,
     GrammaticalFunction,
     MarkerKind,
     ReferenceMarker,
@@ -71,8 +70,8 @@ class TestRankMarkers:
 
 class TestEntity:
     def test_equality_is_by_id_only(self):
-        a7 = Entity("BRENNAN", EntityKind.NAMED, "Brennan")
-        a8 = Entity("BRENNAN", EntityKind.NAMED, "she")
+        a7 = Entity("BRENNAN", "Brennan")
+        a8 = Entity("BRENNAN", "she")
         assert a7 == a8
         assert hash(a7) == hash(a8)
         assert Entity("BRENNAN") != Entity("FRIEDMAN")
@@ -136,9 +135,7 @@ class TestAllocateIndices:
         assert m.index == "X1"
         # Anonymous indefinites come back bound to a fresh entity.
         assert m.entity is not None
-        assert m.entity.id == m.index
-        assert m.entity.kind is EntityKind.INDEFINITE
-        assert m.entity.name == "Alfa Romeo"
+        assert (m.entity.id, m.entity.name) == (m.index, "Alfa Romeo")
 
     def test_explicit_indices_advance_counters(self):
         # Each utterance's explicit indices pull the counter forward before
