@@ -10,6 +10,7 @@ from centering import (
     Anchor,
     AnchorGrid,
     CfList,
+    NO_PRIOR,
     ClassifiedAnchor,
     FilterVerdicts,
     Ranking,
@@ -146,6 +147,33 @@ class TestRunFilters:
             assert verdicts.masks == b""
             with pytest.raises(IndexError):
                 verdicts[0]
+
+    def test_verdicts_index_like_a_list(self, scene):
+        prior_cf, u, anchors = scene
+        _, verdicts = run_filters(anchors, prior_cf, u)
+        listed = list(verdicts)
+        assert [v.anchor_id for v in listed] == list(range(1, 17))
+        assert [verdicts[i] for i in range(-16, 16)] == listed + listed
+        assert verdicts[3:12:4] == listed[3:12:4] and verdicts[::-3] == listed[::-3]
+        assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
+        for bad in (16, -17):
+            with pytest.raises(IndexError):
+                verdicts[bad]
+
+    def test_survivors_index_like_a_list(self, scene):
+        prior_cf, u, anchors = scene
+        survivors, _ = run_filters(anchors, prior_cf, u)
+        assert survivors.grid is anchors and survivors.positions == (1, 2)
+        listed = [anchors[1], anchors[2]]
+        assert list(survivors) == listed and [survivors[i] for i in (-2, -1, 0, 1)] == listed + listed
+        assert survivors[::-1] == listed[::-1]
+        with pytest.raises(IndexError):
+            survivors[2]
+        assert survivors == Survivors(anchors, [2, 1]) and hash(survivors) == hash(Survivors(anchors, (1, 2)))
+        # The opener reading is carried by the ranking, not the survivors.
+        _, as_opener, _ = rank_and_select(survivors, NO_PRIOR)
+        _, as_follower, _ = rank_and_select(survivors, None)
+        assert as_opener.opener and not as_follower.opener and as_opener != as_follower
 
     def test_order_invariance_against_sequential_application(self, scene):
         prior_cf, u, anchors = scene
