@@ -142,8 +142,11 @@ def rank_and_select(
     reads a null center as the opener's preferred center, as `classify`
     does. `tie` reports whether the top preference class holds more than
     one anchor; the winner is then the construction-order first, leaving
-    the ambiguity visible to callers.
+    the ambiguity visible to callers. Raises TypeError on anything but a
+    Survivors, and NoViableAnchor on an empty one.
     """
+    if not isinstance(survivors, Survivors):
+        raise TypeError(f"rank_and_select needs Survivors, got {type(survivors).__name__}")
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
     grid = survivors.grid

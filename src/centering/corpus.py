@@ -30,8 +30,9 @@ fields:
                     allocated one skips every index and entity id used
                     elsewhere).
     index=<A_/X_>   optional pre-assigned index: A-series for pronouns,
-                    X-series for indefinites. Names and definites always
-                    use their surface string and take no index field.
+                    X-series for indefinites, each used at most once in
+                    the discourse. Names and definites always use their
+                    surface string and take no index field.
     contra=<id,..>  optional contraindexed sibling NPs (same utterance);
                     symmetry is normalized on load
 
@@ -40,9 +41,11 @@ Unknown directives and unknown `np` fields are rejected.
 Lines end at `\r\n`, `\r` or `\n`, and only there. Each np line is read
 straight into a `ReferenceMarker` (`mid` = np id; names, definites and
 `entity=` indefinites bound to one `Entity` per id), whose own rules
-report as line-precise `SchemaError`s. `build_utterances` turns the
-document into model `Utterance`s; `model.allocate_indices` then fills in
-the missing indices, for `check` and `run` alike.
+report as line-precise `SchemaError`s. The discourse-wide index rules
+are `model.reserved_ids`, checked once the whole file is read; its error
+is reported at the line of the np it blames. `build_utterances` turns
+the document into model `Utterance`s; `model.allocate_indices` then
+fills in the missing indices, for `check` and `run` alike.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .model import (
     Mode,
     ReferenceMarker,
     Utterance,
+    reserved_ids,
 )
 
 GF_TOKENS = {
@@ -246,17 +250,16 @@ def parse_corpus(text: str) -> CorpusDocument:
     mode: Mode | None = None
     utterances: list[CorpusUtterance] = []
     current: str | None = None  # the open utterance's text
-    nps: list[tuple[ReferenceMarker, int]] = []
-    seen_indices: dict[str, int] = {}
-    anonymous: dict[str, int] = {}  # index -> line of an indefinite without entity
+    nps: list[tuple[ReferenceMarker, int]] = []  # the document's np lines so far
+    opened = 0  # where the open utterance's np lines start in `nps`
     agreements: dict[str, Agreement] = {}
     entities: dict[str, Entity] = {}
 
     def flush() -> None:
-        nonlocal current, nps
+        nonlocal current, opened
         if current is not None:
-            utterances.append(_close_utterance(current, nps))
-        current, nps = None, []
+            utterances.append(_close_utterance(current, nps[opened:]))
+        current, opened = None, len(nps)
 
     # Not str.splitlines: that also breaks at U+2028, \x0c, \x1c and more,
     # which may sit inside an utterance's text.
@@ -300,32 +303,17 @@ def parse_corpus(text: str) -> CorpusDocument:
                 tokens = split_np_fields(rest)
             except ValueError as exc:
                 raise SchemaError(f"bad quoting: {exc}", lineno) from None
-            np = _parse_np(tokens, lineno, agreements, entities)
-            if np.index is not None and np.kind in INDEX_SERIES:
-                if np.index in seen_indices:
-                    raise SchemaError(
-                        f"index {np.index} already assigned at line {seen_indices[np.index]}",
-                        lineno,
-                        "index",
-                    )
-                seen_indices[np.index] = lineno
-                if np.entity is None and np.kind is MarkerKind.INDEFINITE:
-                    anonymous[np.index] = lineno
-            nps.append((np, lineno))
+            nps.append((_parse_np(tokens, lineno, agreements, entities), lineno))
         else:
             raise SchemaError(f"unknown directive {directive!r}", lineno)
     if doc_id is None:
         raise SchemaError("missing discourse directive", 1)
     flush()
-    for index, lineno in anonymous.items():
-        if index in entities:
-            # An anonymous indefinite's entity is named after its index.
-            raise SchemaError(
-                f"index {index} is also an entity id, so this indefinite would merge with it; "
-                "use another index or give entity=",
-                lineno,
-                "index",
-            )
+    try:
+        reserved_ids([np for np, _ in nps])
+    except MarkerError as exc:
+        lineno = next(lineno for np, lineno in nps if np is exc.marker)
+        raise SchemaError(str(exc), lineno, exc.fieldname) from None
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 

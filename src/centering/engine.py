@@ -37,18 +37,20 @@ DIAG_UNRESOLVABLE = "unresolvable-pronoun"
 DIAG_NO_VIABLE = "no-viable-anchor"
 DIAG_EMPTY = "empty-utterance"
 DIAG_TIE = "tie"
-FAILURE_DIAGNOSTICS = frozenset({DIAG_UNRESOLVABLE, DIAG_NO_VIABLE, DIAG_EMPTY})
+# The diagnostic of each resolution failure.
+_FAILURES = {UnresolvablePronoun: DIAG_UNRESOLVABLE, NoViableAnchor: DIAG_NO_VIABLE, EmptyCf: DIAG_EMPTY}
+FAILURE_DIAGNOSTICS = frozenset(_FAILURES.values())
 
 
 @dataclass(frozen=True)
 class UtteranceResult:
     """Everything recorded about one processed utterance.
 
-    `bindings` maps pronoun index to bound entity and covers exactly the
-    pronouns of the utterance; it is None when resolution failed. `cb`
-    keeps the realizing marker, so its display shows the prior utterance's
-    index for the center (the current utterance's own preferred-center
-    marker on a discourse opener). `ranked` is empty when no anchor was
+    `transition` is None when resolution failed; `diagnostic_kind` then
+    names the failure, and otherwise is "tie" or None. `cb` keeps the
+    realizing marker, so its display shows the prior utterance's index
+    for the center (the current utterance's own preferred-center marker
+    on a discourse opener). `ranked` is empty when no anchor was
     committed.
     """
 
@@ -56,11 +58,9 @@ class UtteranceResult:
     transition: Transition | None
     cb: CfEntry | None
     cf: CfList
-    bindings: dict[str, Entity] | None
     anchors: AnchorGrid
     verdicts: FilterVerdicts
     ranked: Ranking
-    tie: bool
     after_retention: bool
     diagnostic_kind: str | None = None
     diagnostic: str | None = None
@@ -73,36 +73,23 @@ class UtteranceResult:
     def anchors_constructed(self) -> int:
         return len(self.anchors)
 
+    @property
+    def tie(self) -> bool:
+        """Whether the top preference class held more than one anchor."""
+        return self.diagnostic_kind == DIAG_TIE
 
-_NOTHING_RANKED = Ranking(AnchorGrid((), ()), (), (), opener=False)
+    @property
+    def bindings(self) -> dict[str, Entity] | None:
+        """Pronoun index -> bound entity, covering exactly the utterance's
+        pronouns; None when resolution failed."""
+        if self.transition is None:
+            return None
+        return {e.marker.index: e.entity for e in self.cf.entries if e.marker.is_pronoun}
 
 
-def _commit_fallback(
-    state: DiscourseState,
-    u: Utterance,
-    kind: str,
-    message: str,
-    after_retention: bool,
-    anchors: AnchorGrid = AnchorGrid((), ()),
-    verdicts: FilterVerdicts = FilterVerdicts(b""),
-) -> UtteranceResult:
-    fixed = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun and m.entity is not None))
-    state.prev = (None, fixed)
-    state.last_transition = None
-    return UtteranceResult(
-        utterance=u,
-        transition=None,
-        cb=None,
-        cf=fixed,
-        bindings=None,
-        anchors=anchors,
-        verdicts=verdicts,
-        ranked=_NOTHING_RANKED,
-        tie=False,
-        after_retention=after_retention,
-        diagnostic_kind=kind,
-        diagnostic=message,
-    )
+_NO_ANCHORS = AnchorGrid((), ())
+_NO_VERDICTS = FilterVerdicts(b"")
+_NOTHING_RANKED = Ranking(_NO_ANCHORS, (), (), opener=False)
 
 
 def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
@@ -113,47 +100,28 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
     """
     after_retention = state.last_transition is Transition.RETAINING
     prev_cb, prior_cf = state.prev or (NO_PRIOR, CfList())
+    anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
+    kind = message = None
     try:
         anchors = propose_anchors(u, prior_cf)
-    except UnresolvablePronoun as exc:
-        return _commit_fallback(state, u, DIAG_UNRESOLVABLE, str(exc), after_retention)
-    survivors, verdicts = run_filters(anchors, prior_cf, u)
-    try:
+        survivors, verdicts = run_filters(anchors, prior_cf, u)
         winner, ranked, tie = rank_and_select(survivors, prev_cb, state.mode)
-    except NoViableAnchor as exc:
-        return _commit_fallback(
-            state, u, DIAG_NO_VIABLE, str(exc), after_retention, anchors, verdicts
-        )
-    except EmptyCf as exc:
-        return _commit_fallback(
-            state, u, DIAG_EMPTY, str(exc), after_retention, anchors, verdicts
-        )
-    cb, cf = winner.anchor.cb, winner.anchor.cf
-    bindings = {e.marker.index: e.entity for e in cf.entries if e.marker.is_pronoun}
+    except (UnresolvablePronoun, NoViableAnchor, EmptyCf) as exc:
+        # Commit a null center and the fixed (non-pronoun) entities.
+        transition, cb = None, None
+        cf = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun))
+        kind, message = _FAILURES[type(exc)], str(exc)
+    else:
+        transition, cb, cf = winner.transition, winner.anchor.cb, winner.anchor.cf
+        if tie:
+            kind = DIAG_TIE
+            message = (
+                f"{ranked.transitions.count(transition)} anchors share transition {transition.value}; "
+                "kept the construction-order first"
+            )
     state.prev = (cb.entity if cb is not None else None, cf)
-    state.last_transition = winner.transition
-    kind = message = None
-    if tie:
-        top = ranked.transitions.count(winner.transition)
-        kind = DIAG_TIE
-        message = (
-            f"{top} anchors share transition {winner.transition.value}; "
-            "kept the construction-order first"
-        )
-    return UtteranceResult(
-        utterance=u,
-        transition=winner.transition,
-        cb=cb,
-        cf=cf,
-        bindings=bindings,
-        anchors=anchors,
-        verdicts=verdicts,
-        ranked=ranked,
-        tie=tie,
-        after_retention=after_retention,
-        diagnostic_kind=kind,
-        diagnostic=message,
-    )
+    state.last_transition = transition
+    return UtteranceResult(u, transition, cb, cf, anchors, verdicts, ranked, after_retention, kind, message)
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:

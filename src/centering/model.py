@@ -11,7 +11,7 @@ mutable, and only the engine advances it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -50,11 +50,16 @@ _INDEX_PATTERNS = {kind: re.compile(rf"{prefix}[1-9][0-9]*\Z") for kind, prefix 
 
 
 class MarkerError(ValueError):
-    """A ReferenceMarker breaks a rule; `fieldname` names the field at fault."""
+    """A ReferenceMarker breaks a rule; `fieldname` names the field at fault.
 
-    def __init__(self, message: str, fieldname: str):
+    `marker` is the marker blamed when a discourse-wide rule fails, and
+    None when the marker at fault could not be built.
+    """
+
+    def __init__(self, message: str, fieldname: str, marker: ReferenceMarker | None = None):
         super().__init__(message)
         self.fieldname = fieldname
+        self.marker = marker
 
 
 class Mode(Enum):
@@ -145,8 +150,9 @@ class ReferenceMarker:
     Pronouns stay unbound (`entity` None); proposed bindings live in
     CfList entries, never on the marker itself.
 
-    Construction raises MarkerError unless a pronoun carries no entity,
-    an A-/X-index is of its kind's series and `mid` is not in `contra`.
+    Construction raises MarkerError unless a pronoun carries no entity, a
+    name or definite carries one, an A-/X-index is of its kind's series
+    and `mid` is not in `contra`.
     """
 
     surface: str
@@ -165,6 +171,8 @@ class ReferenceMarker:
             raise MarkerError("pronouns cannot carry an entity id", "entity")
         pattern = _INDEX_PATTERNS.get(self.kind)
         if pattern is None:
+            if self.entity is None:
+                raise MarkerError(f"{self.kind.value} {self.surface!r} needs an entity", "entity")
             if self.index is None:
                 object.__setattr__(self, "index", self.surface)
         elif self.index is not None and not pattern.match(self.index):
@@ -327,42 +335,53 @@ class DiscourseState:
     last_transition: Transition | None = None
 
 
-def allocate_indices(utterances: Sequence[Utterance]) -> list[Utterance]:
-    """The discourse with every missing A-/X-series index filled in, in
-    discourse and obliqueness order.
+def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:
+    """The ids that fresh A-/X-indices must skip in a discourse of
+    `markers`: every explicit index, and every entity id, as an anonymous
+    indefinite's entity is named after its index.
 
-    An index is a property of the whole discourse: fresh indices skip
-    every explicit index anywhere in it, and every entity id, as an
-    anonymous indefinite's entity is named after its index. Before an
-    utterance's fresh indices are drawn, its explicit ones pull their
-    series' counter forward; a fresh index is the counter + 1, skipping
-    taken ids, so it is also above every index drawn before it.
-    Anonymous indefinites are bound to a fresh entity named after their
-    surface and identified by their index. Only a marker that gains an
-    index or an entity is rebuilt, and an utterance missing nothing comes
-    back itself.
-
-    Raises ValueError when an explicit index is used twice, or when an
-    anonymous indefinite's explicit index is an entity id: the two
-    referents would merge.
+    Raises MarkerError blaming the marker at fault when an explicit index
+    is used a second time, or when an anonymous indefinite's explicit
+    index is an entity id: the two referents would merge.
     """
     taken: set[str] = set()
     entity_ids: set[str] = set()
     anonymous: list[ReferenceMarker] = []  # indefinites with an index but no entity
-    for u in utterances:
-        for m in u.markers:
-            if m.entity is not None:
-                entity_ids.add(m.entity.id)
-            if m.index is not None and m.kind in INDEX_SERIES:
-                if m.index in taken:
-                    raise ValueError(f"index {m.index} already used in this discourse")
-                taken.add(m.index)
-                if m.entity is None and m.kind is MarkerKind.INDEFINITE:
-                    anonymous.append(m)
+    for m in markers:
+        if m.entity is not None:
+            entity_ids.add(m.entity.id)
+        if m.index is not None and m.kind in INDEX_SERIES:
+            if m.index in taken:
+                raise MarkerError(f"index {m.index} already used in this discourse", "index", m)
+            taken.add(m.index)
+            if m.entity is None and m.kind is MarkerKind.INDEFINITE:
+                anonymous.append(m)
     for m in anonymous:
         if m.index in entity_ids:
-            raise ValueError(f"index {m.index} of indefinite {m.mid!r} is also an entity id in this discourse")
-    taken |= entity_ids
+            raise MarkerError(
+                f"index {m.index} is also an entity id, so this indefinite would merge with it; "
+                "use another index or give entity=",
+                "index",
+                m,
+            )
+    return taken | entity_ids
+
+
+def allocate_indices(utterances: Sequence[Utterance]) -> list[Utterance]:
+    """The discourse with every missing A-/X-series index filled in, in
+    discourse and obliqueness order.
+
+    An index is a property of the whole discourse: fresh indices skip the
+    discourse's `reserved_ids`, which also raises its MarkerError here.
+    Before an utterance's fresh indices are drawn, its explicit ones pull
+    their series' counter forward; a fresh index is the counter + 1,
+    skipping taken ids, so it is also above every index drawn before it.
+    Anonymous indefinites are bound to a fresh entity named after their
+    surface and identified by their index. Only a marker that gains an
+    index or an entity is rebuilt, and an utterance missing nothing comes
+    back itself.
+    """
+    taken = reserved_ids(m for u in utterances for m in u.markers)
     counts = dict.fromkeys(INDEX_SERIES, 0)
     out = []
     for u in utterances:

@@ -60,15 +60,11 @@ def display_cf(cf: CfList) -> str:
     return "(" + " ".join(e.display for e in cf.entries) + ")"
 
 
-def _binding_line(result: UtteranceResult) -> str | None:
-    pairs = [
-        (e.marker.surface, e.entity.name)
-        for e in result.cf.entries
-        if e.marker.is_pronoun
-    ]
-    if not pairs or result.bindings is None:
-        return None
-    return ", ".join(f"{surface} = {name}" for surface, name in pairs)
+def _binding_line(result: UtteranceResult) -> str:
+    """How a committed utterance bound its pronouns; empty when it has none."""
+    if result.transition is None:
+        return ""
+    return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf.entries if e.marker.is_pronoun)
 
 
 def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], list[str]]:
@@ -193,10 +189,11 @@ def _structured_line(result: UtteranceResult, pieces: _JsonPieces) -> str:
         for position, transition, center, cf_list in result.ranked.cells()
     ])
     bindings = "null"
-    if result.bindings is not None:
+    bound = result.bindings
+    if bound is not None:
         bindings = "{" + ", ".join([
             f"{encode_basestring(index)}: {encode_basestring(entity.id)}"
-            for index, entity in result.bindings.items()
+            for index, entity in bound.items()
         ]) + "}"
     diagnostic = "null"
     if result.diagnostic_kind is not None:

@@ -5,6 +5,7 @@ import pytest
 from centering import (
     NO_PRIOR,
     Anchor,
+    AnchorGrid,
     EmptyCf,
     Entity,
     CfList,
@@ -145,7 +146,14 @@ class TestRankAndSelect:
 
     def test_empty_survivors_raise(self):
         with pytest.raises(NoViableAnchor):
-            rank_and_select([], NO_PRIOR)
+            rank_and_select(Survivors(AnchorGrid((), ()), ()), NO_PRIOR)
+
+    def test_survivors_required(self):
+        prior_cf, u, prev_cb = race_scene()
+        survivors = surviving(prior_cf, u)
+        for wrong in ([], list(survivors)):
+            with pytest.raises(TypeError, match="Survivors"):
+                rank_and_select(wrong, prev_cb)
 
     def test_winner_invariant_under_permutation(self):
         prior_cf, u, prev_cb = race_scene()

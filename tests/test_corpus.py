@@ -23,6 +23,8 @@ from centering import (
     parse_corpus,
 )
 from centering.corpus import derive_entity_id, split_np_fields
+from centering.model import MarkerError
+from support import SUBJ, indefinite, name, pronoun, utt
 
 MINIMAL = """\
 discourse demo
@@ -153,6 +155,38 @@ class TestErrors:
         assert (err.value.line, err.value.fieldname) == (5 if name_first else 3, "index")
         # With an entity of its own, the index is only a display label.
         assert parse_corpus(text.replace("index=X1", "index=X1 entity=CAR"))
+
+    # Each discourse index rule, broken at line 5 of a corpus and by the
+    # same discourse built in the library: (corpus lines, discourse).
+    INDEX_RULES = {
+        "index used twice": (
+            "utterance x.\nnp id=a surface=she kind=pronoun gf=SUBJ index=A1\n"
+            "utterance y.\nnp id=b surface=her kind=pronoun gf=SUBJ index=A1\n",
+            lambda: [
+                utt("x.", pronoun("she", index="A1", mid="a")),
+                utt("y.", pronoun("her", index="A1", mid="b"), position=2),
+            ],
+        ),
+        "anonymous index is an entity id": (
+            "utterance Ann waved.\nnp id=a surface=Ann kind=name gf=SUBJ entity=X1\n"
+            'utterance A car came.\nnp id=c surface="a car" kind=indefinite gf=SUBJ index=X1\n',
+            lambda: [
+                utt("Ann waved.", name("Ann", "X1", mid="a")),
+                utt("A car came.", indefinite("a car", index="X1", gf=SUBJ, mid="c"), position=2),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", INDEX_RULES)
+    def test_index_rule_reads_as_the_library_states_it(self, rule):
+        lines, discourse = self.INDEX_RULES[rule]
+        utterances = discourse()
+        with pytest.raises(MarkerError) as stated:
+            allocate_indices(utterances)
+        assert stated.value.marker is utterances[1].markers[0]
+        with pytest.raises(SchemaError) as err:
+            parse_corpus("discourse d\n" + lines)
+        assert str(err.value) == f"line 5: index: {stated.value}"
 
     @pytest.mark.parametrize("kind", ["name", "definite"])
     def test_surface_without_letters_or_digits_needs_an_entity(self, kind):

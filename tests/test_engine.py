@@ -130,8 +130,13 @@ class TestStateEvolution:
         u1 = utt("Ann waved.", name("Ann", "ANN", agr=FEM), position=1)
         u2 = utt("Yes.", position=2)
         results = process_discourse([u1, u2])
-        assert results[1].diagnostic_kind == "empty-utterance"
-        assert results[1].transition is None
+        second = results[1]
+        assert second.diagnostic_kind == "empty-utterance"
+        assert second.transition is None
+        # Ann's center and the null center, each with the one empty Cf list.
+        assert len(second.anchors) == len(second.verdicts) == 2
+        assert list(second.ranked) == []
+        assert second.bindings is None and not second.tie
 
     def test_exactly_one_anchor_committed_per_utterance(self):
         utterances = allocate_indices(build_utterances(load_bundled("fig4")))
@@ -154,6 +159,10 @@ class TestStateEvolution:
         for u in (utt("She left.", pronoun("She", agr=FEM)), utt("A car came.", indefinite("a car", gf=SUBJ))):
             with pytest.raises(ValueError, match="allocate indices first"):
                 process_utterance(DiscourseState(), u)
+        # Also when a pronoun fails first and the fallback commits the rest.
+        u = utt("She saw a car.", pronoun("She", index="A1"), indefinite("a car", gf=OBJ, mid="car"))
+        with pytest.raises(ValueError, match="'car' has no entity"):
+            process_utterance(DiscourseState(), u)
 
     def test_prefix_replay_equivalence(self):
         utterances = build_utterances(load_bundled("fig4"))

@@ -10,6 +10,7 @@ from centering import (
     rank_markers,
     unify_agreement,
 )
+from centering.model import MarkerError
 from support import ADJ, FEM, MASC, NEUT, OBJ, OTHER, SUBJ, indefinite, name, pronoun, utt
 
 
@@ -98,6 +99,13 @@ class TestMarkers:
                 surface="she", kind=MarkerKind.PRONOUN, gf=SUBJ,
                 entity=Entity("BRENNAN"),
             )
+
+    @pytest.mark.parametrize("kind", [MarkerKind.NAME, MarkerKind.DEFINITE])
+    def test_name_or_definite_needs_an_entity(self, kind):
+        # Allocation only ever binds indefinites, so nothing would give it one.
+        with pytest.raises(MarkerError) as err:
+            ReferenceMarker("Ann", kind, SUBJ)
+        assert err.value.fieldname == "entity"
 
     def test_self_contraindexing_rejected(self):
         with pytest.raises(ValueError):

@@ -252,7 +252,8 @@ def corpus_texts(draw):
 def test_corpus_text_parses_or_raises_a_corpus_error_and_round_trips(text):
     try:
         doc = parse_corpus(text)
-    except CorpusError:
+    except CorpusError as exc:
+        assert exc.line is not None
         return
     assert parse_corpus(format_corpus(doc)) == doc
 
