@@ -10,10 +10,9 @@ shift) and plain shifting; classic mode lumps both under shifting.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .filters import Survivors
-from .model import Anchor, AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, View
+from .model import Anchor, AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value, View
 
 
 class _NoPrior:
@@ -42,10 +41,14 @@ _BY_PREFERENCE = tuple(Transition)
 _PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
 
 
-@dataclass(frozen=True)
-class ClassifiedAnchor:
-    anchor: Anchor
-    transition: Transition
+class ClassifiedAnchor(Value):
+    """An anchor with the transition it makes."""
+
+    __slots__ = ("anchor", "transition")
+
+    def __init__(self, anchor: Anchor, transition: Transition) -> None:
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "transition", transition)
 
 
 def preference_rank(transition: Transition) -> int:
@@ -98,10 +101,10 @@ class Ranking(View):
     def __init__(
         self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...], opener: bool
     ) -> None:
-        self.grid = grid
-        self.positions = positions
-        self.transitions = transitions
-        self.opener = opener
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "opener", opener)
 
     def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
         """The center and Cf list of the anchor at a grid position."""

@@ -53,7 +53,6 @@ from __future__ import annotations
 import re
 import shlex
 import unicodedata
-from dataclasses import dataclass
 from importlib import resources
 
 from .model import (
@@ -66,6 +65,7 @@ from .model import (
     Mode,
     ReferenceMarker,
     Utterance,
+    Value,
     reserved_ids,
 )
 
@@ -117,19 +117,27 @@ class DuplicateNpId(CorpusError):
     """Two NPs in one utterance share an id."""
 
 
-@dataclass(frozen=True)
-class CorpusUtterance:
+class CorpusUtterance(Value):
     """An utterance's text and its np lines as markers, in file order."""
 
-    text: str
-    nps: tuple[ReferenceMarker, ...] = ()
+    __slots__ = ("text", "nps")
+
+    def __init__(self, text: str, nps: tuple[ReferenceMarker, ...] = ()) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "nps", nps)
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
-    id: str
-    mode: Mode = Mode.EXTENDED
-    utterances: tuple[CorpusUtterance, ...] = ()
+class CorpusDocument(Value):
+    """A parsed corpus: its discourse id, mode and utterances."""
+
+    __slots__ = ("id", "mode", "utterances")
+
+    def __init__(
+        self, id: str, mode: Mode = Mode.EXTENDED, utterances: tuple[CorpusUtterance, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "utterances", utterances)
 
 
 def _parse_agreement(value: str, line: int) -> Agreement:

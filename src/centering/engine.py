@@ -10,8 +10,6 @@ entities, and the result carries the diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classification import (
     NO_PRIOR,
     EmptyCf,
@@ -30,6 +28,7 @@ from .model import (
     Mode,
     Transition,
     Utterance,
+    Value,
     allocate_indices,
 )
 
@@ -42,8 +41,7 @@ _FAILURES = {UnresolvablePronoun: DIAG_UNRESOLVABLE, NoViableAnchor: DIAG_NO_VIA
 FAILURE_DIAGNOSTICS = frozenset(_FAILURES.values())
 
 
-@dataclass(frozen=True)
-class UtteranceResult:
+class UtteranceResult(Value):
     """Everything recorded about one processed utterance.
 
     `transition` is None when resolution failed; `diagnostic_kind` then
@@ -54,16 +52,34 @@ class UtteranceResult:
     committed.
     """
 
-    utterance: Utterance
-    transition: Transition | None
-    cb: CfEntry | None
-    cf: CfList
-    anchors: AnchorGrid
-    verdicts: FilterVerdicts
-    ranked: Ranking
-    after_retention: bool
-    diagnostic_kind: str | None = None
-    diagnostic: str | None = None
+    __slots__ = (
+        "utterance", "transition", "cb", "cf", "anchors", "verdicts", "ranked",
+        "after_retention", "diagnostic_kind", "diagnostic",
+    )
+
+    def __init__(
+        self,
+        utterance: Utterance,
+        transition: Transition | None,
+        cb: CfEntry | None,
+        cf: CfList,
+        anchors: AnchorGrid,
+        verdicts: FilterVerdicts,
+        ranked: Ranking,
+        after_retention: bool,
+        diagnostic_kind: str | None = None,
+        diagnostic: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "utterance", utterance)
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "cb", cb)
+        object.__setattr__(self, "cf", cf)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "ranked", ranked)
+        object.__setattr__(self, "after_retention", after_retention)
+        object.__setattr__(self, "diagnostic_kind", diagnostic_kind)
+        object.__setattr__(self, "diagnostic", diagnostic)
 
     @property
     def position(self) -> int:

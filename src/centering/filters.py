@@ -16,10 +16,9 @@ and the survivors as their positions in the grid.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import compress, count
 
-from .model import Anchor, AnchorGrid, CfList, Utterance, View
+from .model import Anchor, AnchorGrid, CfList, Utterance, Value, View
 
 CONTRA = "contra"
 CONSTRAINT3 = "constraint3"
@@ -27,12 +26,14 @@ RULE1 = "rule1"
 FILTER_NAMES = (CONTRA, CONSTRAINT3, RULE1)
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(Value):
     """Outcome of all filters for one anchor (id = construction ordinal)."""
 
-    anchor_id: int
-    eliminated_by: frozenset[str]
+    __slots__ = ("anchor_id", "eliminated_by")
+
+    def __init__(self, anchor_id: int, eliminated_by: frozenset[str]) -> None:
+        object.__setattr__(self, "anchor_id", anchor_id)
+        object.__setattr__(self, "eliminated_by", eliminated_by)
 
     @property
     def passed(self) -> bool:
@@ -98,7 +99,7 @@ class FilterVerdicts(View):
     __slots__ = ("masks",)
 
     def __init__(self, masks: bytes) -> None:
-        self.masks = masks
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -117,8 +118,8 @@ class Survivors(View):
     __slots__ = ("grid", "positions")
 
     def __init__(self, grid: AnchorGrid, positions: Iterable[int]) -> None:
-        self.grid = grid
-        self.positions = tuple(sorted(positions))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "positions", tuple(sorted(positions)))
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -3,8 +3,11 @@
 Everything the pipeline shares lives here: grammatical functions and
 their prominence order, agreement features, discourse entities,
 per-utterance reference markers, forward-center lists, candidate
-anchors, transition types, and the rolling per-discourse state. All
-types are immutable values after construction; only DiscourseState is
+anchors, transition types, and the rolling per-discourse state.
+
+Every type but DiscourseState is a `Value`: a slot class whose fields
+are read-only once `__init__` has checked and set them, and which
+compares, hashes, prints and pickles by its fields. DiscourseState is
 mutable, and only the engine advances it.
 """
 
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 GENDERS = frozenset({"fem", "masc", "neut"})
@@ -84,196 +86,16 @@ class Transition(Enum):
     __hash__ = object.__hash__  # as for MarkerKind
 
 
-@dataclass(frozen=True)
-class Agreement:
-    """Gender/number/person features; None leaves a feature unspecified."""
+class Value:
+    """Base of the model's immutable values, each kept in slots.
 
-    gender: str | None = None
-    number: str | None = None
-    person: str | None = None
-
-    def __post_init__(self) -> None:
-        for value, allowed in (
-            (self.gender, GENDERS),
-            (self.number, NUMBERS),
-            (self.person, PERSONS),
-        ):
-            if value is not None and value not in allowed:
-                raise ValueError(f"bad agreement feature {value!r}")
-
-
-def unify_agreement(a: Agreement, b: Agreement) -> bool:
-    """True iff no specified feature clashes; unspecified matches anything."""
-    return all(
-        x is None or y is None or x == y
-        for x, y in (
-            (a.gender, b.gender),
-            (a.number, b.number),
-            (a.person, b.person),
-        )
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Entity:
-    """A discourse-level individual.
-
-    Identity, and hence co-specification, is by `id` alone; `name` is the
-    display form used in binding reports (the surface that introduced the
-    entity, e.g. "Carl" for POLLARD).
+    A value names its fields in `__slots__`, and its `__init__` checks
+    them and sets each with `object.__setattr__`; after that, assigning
+    or deleting a field raises AttributeError. Values are equal when they
+    are of one type with equal fields, and hash and print by their
+    fields. pickle and copy restore the fields past the guard.
     """
 
-    id: str
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Entity) and self.id == other.id
-
-    def __hash__(self) -> int:
-        return hash(self.id)
-
-    def __repr__(self) -> str:
-        return f"Entity({self.id})"
-
-
-@dataclass(frozen=True)
-class ReferenceMarker:
-    """One NP occurrence in an utterance.
-
-    `mid` identifies the marker within its utterance and is what contra
-    sets refer to. `index` is the display index: A-series for pronouns,
-    X-series for indefinites, the surface string for names and definites.
-    Pronouns stay unbound (`entity` None); proposed bindings live in
-    CfList entries, never on the marker itself.
-
-    Construction raises MarkerError unless a pronoun carries no entity, a
-    name or definite carries one, an A-/X-index is of its kind's series
-    and `mid` is not in `contra`.
-    """
-
-    surface: str
-    kind: MarkerKind
-    gf: GrammaticalFunction
-    agr: Agreement = Agreement()
-    contra: frozenset[str] = frozenset()
-    entity: Entity | None = None
-    index: str | None = None
-    mid: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.contra, frozenset):
-            object.__setattr__(self, "contra", frozenset(self.contra))
-        if self.kind is MarkerKind.PRONOUN and self.entity is not None:
-            raise MarkerError("pronouns cannot carry an entity id", "entity")
-        pattern = _INDEX_PATTERNS.get(self.kind)
-        if pattern is None:
-            if self.entity is None:
-                raise MarkerError(f"{self.kind.value} {self.surface!r} needs an entity", "entity")
-            if self.index is None:
-                object.__setattr__(self, "index", self.surface)
-        elif self.index is not None and not pattern.match(self.index):
-            series = INDEX_SERIES[self.kind]
-            raise MarkerError(f"{self.kind.value} index must be {series}-series, got {self.index!r}", "index")
-        if self.mid is None:
-            object.__setattr__(self, "mid", self.index or self.surface)
-        if self.mid in self.contra:
-            raise MarkerError(f"marker {self.mid!r} is contraindexed with itself", "contra")
-
-    @property
-    def is_pronoun(self) -> bool:
-        return self.kind is MarkerKind.PRONOUN
-
-
-def rank_markers(markers: list[ReferenceMarker]) -> list[ReferenceMarker]:
-    """Stable sort by grammatical-function rank; input order breaks ties."""
-    return sorted(markers, key=lambda m: m.gf)
-
-
-@dataclass(frozen=True)
-class Utterance:
-    """One utterance; markers are (re)ordered by obliqueness on construction."""
-
-    text: str
-    markers: tuple[ReferenceMarker, ...]
-    position: int = 1
-
-    def __post_init__(self) -> None:
-        ordered = tuple(rank_markers(list(self.markers)))
-        object.__setattr__(self, "markers", ordered)
-        mids = [m.mid for m in ordered]
-        if len(set(mids)) != len(mids):
-            raise ValueError(f"duplicate marker ids in utterance {self.position}")
-
-
-@dataclass(frozen=True)
-class CfEntry:
-    """One forward-center slot: an entity plus the marker realizing it.
-
-    `display` is its trace form, worked out once: one entry is shared by
-    every Cf list that binds its marker to its entity.
-    """
-
-    entity: Entity
-    marker: ReferenceMarker
-    display: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.entity is None:
-            raise ValueError(f"entry for marker {self.marker.mid!r} has no entity")
-        # An anonymous indefinite's entity id is its index; showing the
-        # surface there keeps displays like [X2:Alfa Romeo] readable.
-        marker = self.marker
-        anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == self.entity.id
-        tag = marker.surface if anonymous else marker.index
-        object.__setattr__(self, "display", f"[{self.entity.id}:{tag}]")
-
-
-@dataclass(frozen=True)
-class CfList:
-    """Forward-looking centers in obliqueness order; head is the preferred center."""
-
-    entries: tuple[CfEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def assignment(self) -> dict[str, Entity]:
-        """Map marker mid -> bound entity."""
-        return {e.marker.mid: e.entity for e in self.entries}
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """A candidate pairing of backward center (None = null center) and Cf.
-
-    `ordinal` is the 1-based construction-order position; it labels the
-    anchor in traces and provides the deterministic tie-break.
-    """
-
-    cb: CfEntry | None
-    cf: CfList
-    ordinal: int
-
-
-class View(Sequence):
-    """Base of the pipeline's lazy sequences, each a value kept in slots.
-
-    A view names its fields in `__slots__` and defines `__len__` and
-    `_at(i)`, which builds item i when it is read. Views are equal when
-    they are of one type with equal fields, and hash and print by their
-    fields; indices and slices work as on a list. Do not reassign fields.
-    """
-
-    # Not frozen dataclasses: making one costs about 1 ms at import, which
-    # every CLI start pays.
     __slots__ = ()
 
     def _fields(self) -> tuple:
@@ -288,6 +110,213 @@ class View(Sequence):
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} fields are read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} fields are read-only")
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Agreement(Value):
+    """Gender/number/person features; None leaves a feature unspecified."""
+
+    __slots__ = ("gender", "number", "person")
+
+    def __init__(
+        self, gender: str | None = None, number: str | None = None, person: str | None = None
+    ) -> None:
+        for value, allowed in ((gender, GENDERS), (number, NUMBERS), (person, PERSONS)):
+            if value is not None and value not in allowed:
+                raise ValueError(f"bad agreement feature {value!r}")
+        object.__setattr__(self, "gender", gender)
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "person", person)
+
+
+def unify_agreement(a: Agreement, b: Agreement) -> bool:
+    """True iff no specified feature clashes; unspecified matches anything."""
+    return all(
+        x is None or y is None or x == y
+        for x, y in (
+            (a.gender, b.gender),
+            (a.number, b.number),
+            (a.person, b.person),
+        )
+    )
+
+
+class Entity(Value):
+    """A discourse-level individual.
+
+    Identity, and hence co-specification, is by `id` alone; `name` is the
+    display form used in binding reports (the surface that introduced the
+    entity, e.g. "Carl" for POLLARD), and defaults to the id.
+    """
+
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: str, name: str = "") -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "name", name or id)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Entity) and self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash(self.id)
+
+    def __repr__(self) -> str:
+        return f"Entity({self.id})"
+
+
+class ReferenceMarker(Value):
+    """One NP occurrence in an utterance.
+
+    `mid` identifies the marker within its utterance and is what contra
+    sets refer to. `index` is the display index: A-series for pronouns,
+    X-series for indefinites, the surface string for names and definites.
+    Pronouns stay unbound (`entity` None); proposed bindings live in
+    CfList entries, never on the marker itself.
+
+    Construction raises MarkerError unless a pronoun carries no entity, a
+    name or definite carries one, an A-/X-index is of its kind's series
+    and `mid` is not in `contra`.
+    """
+
+    __slots__ = ("surface", "kind", "gf", "agr", "contra", "entity", "index", "mid")
+
+    def __init__(
+        self,
+        surface: str,
+        kind: MarkerKind,
+        gf: GrammaticalFunction,
+        agr: Agreement = Agreement(),
+        contra: Iterable[str] = frozenset(),
+        entity: Entity | None = None,
+        index: str | None = None,
+        mid: str | None = None,
+    ) -> None:
+        contra = frozenset(contra)
+        if kind is MarkerKind.PRONOUN and entity is not None:
+            raise MarkerError("pronouns cannot carry an entity id", "entity")
+        pattern = _INDEX_PATTERNS.get(kind)
+        if pattern is None:
+            if entity is None:
+                raise MarkerError(f"{kind.value} {surface!r} needs an entity", "entity")
+            if index is None:
+                index = surface
+        elif index is not None and not pattern.match(index):
+            series = INDEX_SERIES[kind]
+            raise MarkerError(f"{kind.value} index must be {series}-series, got {index!r}", "index")
+        if mid is None:
+            mid = index or surface
+        if mid in contra:
+            raise MarkerError(f"marker {mid!r} is contraindexed with itself", "contra")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gf", gf)
+        object.__setattr__(self, "agr", agr)
+        object.__setattr__(self, "contra", contra)
+        object.__setattr__(self, "entity", entity)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mid", mid)
+
+    @property
+    def is_pronoun(self) -> bool:
+        return self.kind is MarkerKind.PRONOUN
+
+
+def rank_markers(markers: list[ReferenceMarker]) -> list[ReferenceMarker]:
+    """Stable sort by grammatical-function rank; input order breaks ties."""
+    return sorted(markers, key=lambda m: m.gf)
+
+
+class Utterance(Value):
+    """One utterance; markers are (re)ordered by obliqueness on construction."""
+
+    __slots__ = ("text", "markers", "position")
+
+    def __init__(self, text: str, markers: Iterable[ReferenceMarker], position: int = 1) -> None:
+        ordered = tuple(rank_markers(list(markers)))
+        mids = [m.mid for m in ordered]
+        if len(set(mids)) != len(mids):
+            raise ValueError(f"duplicate marker ids in utterance {position}")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "markers", ordered)
+        object.__setattr__(self, "position", position)
+
+
+class CfEntry(Value):
+    """One forward-center slot: an entity plus the marker realizing it.
+
+    `display` is its trace form, worked out once: one entry is shared by
+    every Cf list that binds its marker to its entity. It follows from
+    the other two fields, so it changes no comparison.
+    """
+
+    __slots__ = ("entity", "marker", "display")
+
+    def __init__(self, entity: Entity, marker: ReferenceMarker) -> None:
+        if entity is None:
+            raise ValueError(f"entry for marker {marker.mid!r} has no entity")
+        # An anonymous indefinite's entity id is its index; showing the
+        # surface there keeps displays like [X2:Alfa Romeo] readable.
+        anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == entity.id
+        tag = marker.surface if anonymous else marker.index
+        object.__setattr__(self, "entity", entity)
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "display", f"[{entity.id}:{tag}]")
+
+
+class CfList(Value):
+    """Forward-looking centers in obliqueness order; head is the preferred center."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Iterable[CfEntry] = ()) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def assignment(self) -> dict[str, Entity]:
+        """Map marker mid -> bound entity."""
+        return {e.marker.mid: e.entity for e in self.entries}
+
+
+class Anchor(Value):
+    """A candidate pairing of backward center (None = null center) and Cf.
+
+    `ordinal` is the 1-based construction-order position; it labels the
+    anchor in traces and provides the deterministic tie-break.
+    """
+
+    __slots__ = ("cb", "cf", "ordinal")
+
+    def __init__(self, cb: CfEntry | None, cf: CfList, ordinal: int) -> None:
+        object.__setattr__(self, "cb", cb)
+        object.__setattr__(self, "cf", cf)
+        object.__setattr__(self, "ordinal", ordinal)
+
+
+class View(Value, Sequence):
+    """Base of the pipeline's lazy sequences: values whose items are built
+    when they are read.
+
+    A view defines `__len__` and `_at(i)`, which builds item i; indices
+    and slices work as on a list. A view equals only a view of its own
+    type, whatever its items.
+    """
+
+    __slots__ = ()
 
     def __getitem__(self, index):
         positions = range(len(self))[index]
@@ -310,8 +339,8 @@ class AnchorGrid(View):
     __slots__ = ("cbs", "cf_lists")
 
     def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
-        self.cbs = cbs
-        self.cf_lists = cf_lists
+        object.__setattr__(self, "cbs", cbs)
+        object.__setattr__(self, "cf_lists", cf_lists)
 
     def __len__(self) -> int:
         return len(self.cbs) * len(self.cf_lists)
@@ -321,7 +350,6 @@ class AnchorGrid(View):
         return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
 
 
-@dataclass
 class DiscourseState:
     """Rolling per-discourse bookkeeping; owned and advanced by the engine.
 
@@ -330,9 +358,17 @@ class DiscourseState:
     first utterance.
     """
 
-    mode: Mode = Mode.EXTENDED
-    prev: tuple[Entity | None, CfList] | None = None
-    last_transition: Transition | None = None
+    __slots__ = ("mode", "prev", "last_transition")
+
+    def __init__(
+        self,
+        mode: Mode = Mode.EXTENDED,
+        prev: tuple[Entity | None, CfList] | None = None,
+        last_transition: Transition | None = None,
+    ) -> None:
+        self.mode = mode
+        self.prev = prev
+        self.last_transition = last_transition
 
 
 def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:

@@ -7,6 +7,9 @@ filtering code paths so they stay meaningful as checks.
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
 import random
 from itertools import combinations
 
@@ -129,11 +132,30 @@ def assert_indexes_like(view, expected, rng):
         assert view[s] == expected[s], s
 
 
-def assert_value_by_fields(view):
-    """`view` equals, hashes and prints as a fresh view built from its fields."""
-    twin = type(view)(*(getattr(view, name) for name in view.__slots__))
-    assert twin is not view and twin == view and hash(twin) == hash(view)
-    assert repr(twin) == repr(view) and repr(view).startswith(type(view).__name__ + "(")
+def assert_value_by_fields(value, *others):
+    """`value` is a value of its fields.
+
+    A fresh one built from the fields its constructor takes equals it,
+    hashes alike and prints alike, its repr opening with the type's name;
+    so do its pickle, its copy and its deep copy. Each of `others`, of
+    the same type with some field changed, is unequal to it. Assigning
+    any field raises AttributeError and leaves the field as it was.
+    """
+    cls = type(value)
+    twin = cls(*(getattr(value, name) for name in inspect.signature(cls).parameters))
+    assert twin is not value and repr(twin) == repr(value) and repr(value).startswith(cls.__name__ + "(")
+    for same in (twin, pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(same) is cls and same == value and hash(same) == hash(value), same
+    for other in others:
+        assert type(other) is cls and other != value, other
+    for name in value.__slots__:
+        field = getattr(value, name)
+        try:
+            setattr(value, name, None)
+        except AttributeError:
+            assert getattr(value, name) is field
+            continue
+        raise AssertionError(f"{cls.__name__}.{name} could be assigned")
 
 
 # --- independent oracles ---------------------------------------------------

@@ -1,4 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import centering
+import centering.model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 REMOVED = ("CandidateSet", "CorpusNp", "EntityKind", "build_candidates", "collect_pronouns")
 
@@ -13,3 +20,19 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in centering.__all__
         assert not hasattr(centering, name), name
+
+
+def test_marker_error_is_exported():
+    assert centering.MarkerError is centering.model.MarkerError
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which nothing
+    # else the CLI needs imports; every CLI start would pay for them.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import centering.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -2,16 +2,45 @@ import pytest
 
 from centering import (
     Agreement,
+    Anchor,
+    AnchorGrid,
+    CfEntry,
+    CfList,
+    ClassifiedAnchor,
+    CorpusDocument,
+    CorpusUtterance,
     Entity,
+    FilterVerdict,
+    FilterVerdicts,
     GrammaticalFunction,
     MarkerKind,
+    Mode,
+    Ranking,
     ReferenceMarker,
+    Survivors,
+    Utterance,
+    UtteranceResult,
     allocate_indices,
+    load_bundled,
+    process_document,
     rank_markers,
     unify_agreement,
 )
-from centering.model import MarkerError
-from support import ADJ, FEM, MASC, NEUT, OBJ, OTHER, SUBJ, indefinite, name, pronoun, utt
+from centering.model import MarkerError, Value, View
+from support import (
+    ADJ,
+    FEM,
+    MASC,
+    NEUT,
+    OBJ,
+    OTHER,
+    SUBJ,
+    assert_value_by_fields,
+    indefinite,
+    name,
+    pronoun,
+    utt,
+)
 
 
 class TestAgreement:
@@ -201,3 +230,46 @@ def test_obliqueness_total_order():
     assert ranks == sorted(ranks)
     assert ranks[0] is GrammaticalFunction.SUBJECT
     assert ranks[-1] is GrammaticalFunction.ADJUNCT
+
+
+def _value_types(base=Value):
+    """Every Value subclass but the abstract View, at any depth."""
+    for cls in base.__subclasses__():
+        if cls is not View:
+            yield cls
+        yield from _value_types(cls)
+
+
+def test_every_value_type_is_a_value_of_its_fields():
+    # Each type checks its own fields and sets them once; afterwards it
+    # compares, hashes, pickles and copies as its fields, and no field
+    # can be assigned. One value and an unequal one per type, from fig4.
+    doc = load_bundled("fig4")
+    first, *_, last = process_document(doc)
+    grid, verdicts, ranked = last.anchors, last.verdicts, last.ranked
+    markers = last.utterance.markers
+    brennan = Entity("BRENNAN", "Brennan")
+    cases = {
+        Agreement: (FEM, MASC),
+        Entity: (brennan, Entity("FRIEDMAN", "Brennan")),
+        ReferenceMarker: (markers[0], markers[1]),
+        Utterance: (last.utterance, first.utterance),
+        CfEntry: (last.cf.entries[0], last.cf.entries[1]),
+        CfList: (last.cf, first.cf),
+        Anchor: (grid[0], grid[1]),
+        FilterVerdict: (verdicts[0], verdicts[1]),
+        ClassifiedAnchor: (ranked[0], ranked[1]),
+        UtteranceResult: (last, first),
+        CorpusUtterance: (doc.utterances[-1], doc.utterances[0]),
+        CorpusDocument: (doc, CorpusDocument(doc.id, Mode.CLASSIC, doc.utterances)),
+        AnchorGrid: (grid, first.anchors),
+        FilterVerdicts: (verdicts, first.verdicts),
+        Survivors: (Survivors(grid, ranked.positions), Survivors(grid, ranked.positions[:1])),
+        Ranking: (ranked, first.ranked),
+    }
+    assert set(cases) == set(_value_types())
+    for value, other in cases.values():
+        assert_value_by_fields(value, other)
+    # An entity's fields are its id: a new name makes no new entity.
+    renamed = Entity("BRENNAN", "she")
+    assert renamed == brennan and hash(renamed) == hash(brennan)

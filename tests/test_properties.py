@@ -13,11 +13,18 @@ from hypothesis import strategies as st
 from centering import (
     NO_PRIOR,
     Agreement,
+    CfList,
     CorpusError,
+    DiscourseState,
+    EmptyCf,
     GrammaticalFunction,
     Mode,
+    NoViableAnchor,
+    Ranking,
     Survivors,
+    Transition,
     UnresolvablePronoun,
+    allocate_indices,
     classify,
     filter_constraint3,
     filter_contraindex,
@@ -26,6 +33,7 @@ from centering import (
     parse_corpus,
     preference_rank,
     process_discourse,
+    process_utterance,
     propose_anchors,
     rank_and_select,
     rank_markers,
@@ -181,6 +189,51 @@ def test_winner_permutation_invariance_randomized():
         rng.shuffle(shuffled)
         again, _, _ = rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)
         assert winner.anchor.ordinal == again.anchor.ordinal
+
+
+def _split_shifting(classic: Ranking) -> Ranking:
+    """`classic` with its SHIFTING bucket split in two: the anchors whose
+    center is their own preferred center, as SHIFTING-1, then the rest,
+    each part in the bucket's order."""
+    kept, centered, shifting = [], [], []
+    for position, transition, cb, cf in classic.cells():
+        if transition is not Transition.SHIFTING:
+            kept.append((position, transition))
+        elif cb is not None and cb.entity == cf.entries[0].entity:
+            centered.append((position, Transition.SHIFTING_1))
+        else:
+            shifting.append((position, transition))
+    positions, transitions = zip(*kept, *centered, *shifting)
+    return Ranking(classic.grid, positions, transitions, classic.opener)
+
+
+def test_extended_ranking_splits_the_classic_shifting_bucket():
+    # The paper's extension refines the classic typology and changes
+    # nothing else: from one state, the extended ranking of the same
+    # survivors, and so its winner and tie flag, is the classic ranking
+    # with the SHIFTING bucket split, SHIFTING-1 first.
+    rng = random.Random(1994)
+    splits = mixed = 0
+    for _ in range(250):
+        utterances = allocate_indices(random_discourse(rng))
+        for mode in Mode:
+            state = DiscourseState(mode)
+            for u in utterances:
+                prev_cb, prior_cf = state.prev or (NO_PRIOR, CfList())
+                try:
+                    survivors, _ = run_filters(propose_anchors(u, prior_cf), prior_cf, u)
+                    _, classic, _ = rank_and_select(survivors, prev_cb, Mode.CLASSIC)
+                    _, extended, tie = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+                except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
+                    pass
+                else:
+                    expected = _split_shifting(classic)
+                    assert extended == expected
+                    assert tie == (len(expected) > 1 and expected.transitions[0] is expected.transitions[1])
+                    splits += Transition.SHIFTING_1 in expected.transitions
+                    mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
+                process_utterance(state, u)
+    assert splits > 50 and mixed > 0
 
 
 def test_classification_requires_no_prior_marker_for_first_use():
