@@ -1,7 +1,8 @@
 """Corpus file reading, validation, and writing.
 
 A corpus file is UTF-8 text holding one discourse in a line-oriented
-format. Blank lines and lines starting with `#` are ignored. Directives:
+format; one leading byte-order mark is ignored. Blank lines and lines
+starting with `#` are ignored. Directives:
 
     discourse <id>            required, before anything else
     mode <classic|extended>   optional, at most once, after `discourse`
@@ -11,10 +12,13 @@ format. Blank lines and lines starting with `#` are ignored. Directives:
 
 `np` fields use POSIX-shell quoting, exactly as `shlex.split` reads it
 (surface="Alfa Romeo", surface='the "old" house', surface='it'"'"'s').
-Lines made of plain, "double-quoted" and 'single-quoted' pieces are split
-without shlex, with identical results; any other line (a backslash
-outside single quotes, an unbalanced quote) goes to shlex itself. The
-fields:
+A line is read by the first of three tiers that takes it, with identical
+results. A line in `format_corpus`'s own layout (the fields in the order
+below, one space apart, each value one non-empty plain, "double-quoted"
+or 'single-quoted' piece) is read by one regular-expression match. Any
+other line made of plain, "double-quoted" and 'single-quoted' pieces is
+split without shlex. The rest (a backslash outside single quotes, an
+unbalanced quote) goes to shlex itself. The fields:
 
     id=<np-id>      required, non-empty, without a `,`; unique within the
                     utterance; what `contra` references point at
@@ -53,7 +57,6 @@ from __future__ import annotations
 import re
 import shlex
 import unicodedata
-from importlib import resources
 
 from .model import (
     INDEX_SERIES,
@@ -92,6 +95,20 @@ NON_EMPTY_NP_FIELDS = ("id", "surface", "entity")
 _NP_FIELD = re.compile(r"""(?:[^ \t\r\n"'\\]+|"[^"\\]*"|'[^']*')+|[^ \t\r\n]""")
 _QUOTED_PIECE = re.compile(r""""([^"]*)"|'([^']*)'""")
 _STRAY = frozenset("\"'\\")
+
+# An np line in format_corpus's own layout: the fields in NP_FIELDS order,
+# one space apart, the last four optional, each value one non-empty
+# plain, "double-quoted" or 'single-quoted' piece, one group per form. A
+# piece's form is fixed by its first character, a value ends only at a
+# space or the end, and each key is a distinct literal, so a failing match
+# gives back at most the piece it is in: matching is linear in the line
+# length. A string, which parse_corpus compiles through re's cache, so
+# importing the module costs nothing.
+_VALUE = r"""(?:([^ \t\r\n"'\\]+)|"([^"\\]+)"|'([^']+)')"""
+_CANONICAL_NP = " ".join(f"{key}={_VALUE}" for key in REQUIRED_NP_FIELDS) + "".join(
+    f"(?: {key}={_VALUE})?" for key in NP_FIELDS[len(REQUIRED_NP_FIELDS) :]
+)
+_CANONICAL_GROUPS = tuple((key, 3 * i) for i, key in enumerate(NP_FIELDS))
 
 
 class CorpusError(Exception):
@@ -166,13 +183,9 @@ def split_np_fields(rest: str) -> list[str]:
     return fields
 
 
-def _parse_np(
-    tokens: list[str], line: int, agreements: dict[str, Agreement], entities: dict[str, Entity]
-) -> ReferenceMarker:
-    """One np line as a marker. `agreements` maps each `agr=` value parsed
-    so far to its Agreement (a bad value is never stored, so it raises on
-    each line that holds it); `entities` interns the document's entities
-    by id, so every marker of one entity shares one Entity."""
+def _np_fields(tokens: list[str], line: int) -> dict[str, str]:
+    """The fields of a split np line: each token one known `key=value`,
+    no key twice, no empty id, surface or entity, every required key."""
     fields: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -188,15 +201,40 @@ def _parse_np(
     for key in REQUIRED_NP_FIELDS:
         if key not in fields:
             raise SchemaError(f"missing required np field {key!r}", line, key)
+    return fields
+
+
+def _canonical_fields(match: re.Match[str]) -> dict[str, str]:
+    """The fields of a line that `_CANONICAL_NP` matched, as `_np_fields`
+    gives them: its values, unquoted, in file order."""
+    groups = match.groups()
+    fields = {}
+    for key, i in _CANONICAL_GROUPS:
+        value = groups[i] or groups[i + 1] or groups[i + 2]
+        if value is not None:
+            fields[key] = value
+    return fields
+
+
+def _np_marker(
+    fields: dict[str, str], line: int, agreements: dict[str, Agreement], entities: dict[str, Entity]
+) -> ReferenceMarker:
+    """One np line's fields as a marker. Both ways of reading a line end
+    here, so each rule on the values, and its error, is stated once.
+    `agreements` maps each `agr=` value parsed so far to its Agreement (a
+    bad value is never stored, so it raises on each line that holds it);
+    `entities` interns the document's entities by id, so every marker of
+    one entity shares one Entity."""
     kind = KIND_TOKENS.get(fields["kind"])
     if kind is None:
         raise SchemaError(f"bad kind {fields['kind']!r}", line, "kind")
     gf = GF_TOKENS.get(fields["gf"])
     if gf is None:
         raise SchemaError(f"bad gf {fields['gf']!r}", line, "gf")
-    if "," in fields["id"]:
+    mid = fields["id"]
+    if "," in mid:
         # contra= lists are comma-separated, so such an id could not be named there.
-        raise SchemaError(f"np id {fields['id']!r} cannot hold a ','", line, "id")
+        raise SchemaError(f"np id {mid!r} cannot hold a ','", line, "id")
     agr_text = fields.get("agr")
     if agr_text is None:
         agr = Agreement()
@@ -205,7 +243,8 @@ def _parse_np(
         if agr is None:
             agr = agreements[agr_text] = _parse_agreement(agr_text, line)
     surface = fields["surface"]
-    if "index" in fields and kind not in INDEX_SERIES:
+    index = fields.get("index")
+    if index is not None and kind not in INDEX_SERIES:
         raise SchemaError("names and definites take their surface as index", line, "index")
     eid = fields.get("entity")
     if eid is None and kind not in INDEX_SERIES:
@@ -218,9 +257,9 @@ def _parse_np(
         entity = entities.get(eid)
         if entity is None:
             entity = entities[eid] = Entity(eid, surface)
-    contra = frozenset(c for c in fields.get("contra", "").split(",") if c)
+    contra = frozenset(filter(None, fields.get("contra", "").split(",")))
     try:
-        return ReferenceMarker(surface, kind, gf, agr, contra, entity, fields.get("index"), fields["id"])
+        return ReferenceMarker(surface, kind, gf, agr, contra, entity, index, mid)
     except MarkerError as exc:
         raise SchemaError(str(exc), line, exc.fieldname) from None
 
@@ -253,7 +292,8 @@ def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> Corpu
 
 
 def parse_corpus(text: str) -> CorpusDocument:
-    """Parse and validate one corpus document; errors carry line positions."""
+    """Parse and validate one corpus document; errors carry line positions.
+    One leading byte-order mark (U+FEFF) is ignored."""
     doc_id: str | None = None
     mode: Mode | None = None
     utterances: list[CorpusUtterance] = []
@@ -271,14 +311,27 @@ def parse_corpus(text: str) -> CorpusDocument:
 
     # Not str.splitlines: that also breaks at U+2028, \x0c, \x1c and more,
     # which may sit inside an utterance's text.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    canonical_np = re.compile(_CANONICAL_NP).fullmatch
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        directive, _, rest = line.partition(" ")
+        directive, _, rest = raw.strip().partition(" ")
         rest = rest.strip()
-        if directive == "discourse":
+        if directive == "np":  # most lines: tested first
+            if current is None:
+                raise SchemaError("np outside any utterance", lineno)
+            match = canonical_np(rest)
+            if match is not None:
+                fields = _canonical_fields(match)
+            else:
+                try:
+                    tokens = split_np_fields(rest)
+                except ValueError as exc:
+                    raise SchemaError(f"bad quoting: {exc}", lineno) from None
+                fields = _np_fields(tokens, lineno)
+            nps.append((_np_marker(fields, lineno, agreements, entities), lineno))
+        elif not directive or directive.startswith("#"):
+            continue
+        elif directive == "discourse":
             if doc_id is not None:
                 raise SchemaError("duplicate discourse directive", lineno)
             if utterances or current is not None:
@@ -304,14 +357,6 @@ def parse_corpus(text: str) -> CorpusDocument:
                 raise SchemaError("utterance text missing", lineno)
             flush()
             current = rest
-        elif directive == "np":
-            if current is None:
-                raise SchemaError("np outside any utterance", lineno)
-            try:
-                tokens = split_np_fields(rest)
-            except ValueError as exc:
-                raise SchemaError(f"bad quoting: {exc}", lineno) from None
-            nps.append((_parse_np(tokens, lineno, agreements, entities), lineno))
         else:
             raise SchemaError(f"unknown directive {directive!r}", lineno)
     if doc_id is None:
@@ -385,6 +430,8 @@ def build_utterances(doc: CorpusDocument) -> list[Utterance]:
 
 def bundled_corpora() -> dict[str, str]:
     """Map bundled corpus id -> file contents."""
+    from importlib import resources  # only here: a CLI start would pay for it
+
     out = {}
     data = resources.files(__package__) / "data"
     for entry in sorted(data.iterdir(), key=lambda e: e.name):

@@ -28,10 +28,11 @@ def test_marker_error_is_exported():
 
 def test_cli_import_leaves_out_dataclasses():
     # dataclasses imports inspect, ast, dis and tokenize, which nothing
-    # else the CLI needs imports; every CLI start would pay for them.
+    # else the CLI needs imports; every CLI start would pay for them. So
+    # would it for importlib.resources, which only the bundled corpora need.
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import centering.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

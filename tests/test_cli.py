@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from centering import bundled_corpora
 from centering.cli import cli_main
 
 
@@ -66,6 +67,19 @@ def test_run_file_path(tmp_path, capsys):
     )
     assert cli_main(["run", str(target)]) == 0
     assert "CONTINUING..." in capsys.readouterr().out
+
+
+def test_check_and_run_accept_a_byte_order_mark(tmp_path, capsys):
+    # As an editor that saves "UTF-8 with BOM" writes the file.
+    text = bundled_corpora()["fig2"]
+    plain, marked = tmp_path / "plain.corpus", tmp_path / "marked.corpus"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    for command in ("check", "run"):
+        assert cli_main([command, str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert cli_main([command, str(marked)]) == 0
+        assert capsys.readouterr() == expected and expected.out
 
 
 def test_run_unresolved_pronoun_exits_one(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import shlex
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from centering import (
     Agreement,
     CorpusDocument,
+    CorpusError,
     CorpusUtterance,
     DanglingContraRef,
     DuplicateNpId,
@@ -22,7 +24,8 @@ from centering import (
     load_bundled,
     parse_corpus,
 )
-from centering.corpus import derive_entity_id, split_np_fields
+from centering import corpus
+from centering.corpus import GF_TOKENS, KIND_TOKENS, derive_entity_id, split_np_fields
 from centering.model import MarkerError
 from support import SUBJ, indefinite, name, pronoun, utt
 
@@ -261,6 +264,23 @@ class TestErrors:
             parse_corpus(text)
         assert err.value.line == 3 and "bad quoting: No closing quotation" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ["id=a", "surface=" + "x" * 10_000 + '"', "kind=name", "gf=SUBJ"],
+            ["id=a", "surface=Ann", "kind=name", "gf=SUBJ", "agr=" + "x" * 10_000 + '"'],
+            [f"{key}=" + "x" * 1_250 for key in corpus.NP_FIELDS[:-1]] + ["contra=" + "x" * 1_250 + '"'],
+            [f'{key}="' + "x" * 1_250 + '"' for key in corpus.NP_FIELDS[:-1]] + ['contra="' + "x" * 1_250],
+        ],
+    )
+    def test_long_canonical_np_line_with_a_stray_quote_is_a_quoting_error(self, fields):
+        # The same for a line in format_corpus's layout, which the canonical
+        # pattern tries first: on each of these it fails only at the end.
+        text = "discourse d\nutterance x.\nnp " + " ".join(fields) + "\n"
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert err.value.line == 3 and "bad quoting: No closing quotation" in str(err.value)
+
     def test_name_with_index_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=Ann kind=name gf=SUBJ index=A1\n"
         with pytest.raises(SchemaError) as err:
@@ -324,6 +344,13 @@ def test_only_cr_lf_and_crlf_end_a_line():
     with pytest.raises(SchemaError) as err:
         parse_corpus(text + "np id=c surface=Cy kind=noun gf=OBJ\n")
     assert err.value.line == 5
+
+
+def test_one_leading_byte_order_mark_is_ignored():
+    assert parse_corpus("\ufeff" + MINIMAL) == parse_corpus(MINIMAL)
+    with pytest.raises(SchemaError) as err:
+        parse_corpus("\ufeff\ufeff" + MINIMAL)
+    assert err.value.line == 1 and "unknown directive" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -410,6 +437,142 @@ def _split_outcome(split, text):
 @given(st.text(alphabet=" \t\r\n\"'\\=,ab\xa0", max_size=24))
 def test_np_field_split_matches_shlex(text):
     assert _split_outcome(split_np_fields, text) == _split_outcome(shlex.split, text)
+
+
+# Values for each np field, valid and not: quotes, blanks, `=`, `,`,
+# backslashes, and words outside the kind and gf vocabularies.
+_NP_VALUES = {
+    "id": ["a", "n0", "a b", "a,b", "x=1", "c'd", 'q"r', "\\"],
+    "surface": ["Ann", " the old house ", "it's", 'the "old" house', "!!", "a\\\\b", "x\\", "Zoë"],
+    "kind": [*KIND_TOKENS, "Name", "the name"],
+    "gf": [*GF_TOKENS, "subj"],
+    "agr": ["fem,sg,3", "-,pl,-", "fem,sg", "fem,sg,4"],
+    "entity": ["ANN", "A B", "it's", "E\\"],
+    "index": ["A1", "X2", "A0", "B3"],
+    "contra": ["c", "c,a", ",c", "zz"],
+}
+_FLAWS = ("order", "repeat", "drop", "unknown", "empty", "gap", "quoting")
+
+
+@st.composite
+def _np_value(draw, value, tidy):
+    """`value` written as an np field value, and whether that is one
+    non-empty piece of the canonical layout. A tidy value takes such a
+    form when one fits it; another may be split into pieces or quoted
+    in a form that does not fit it."""
+    forms = [
+        (value, not set(value) & set(" \t\"'\\")),
+        (f'"{value}"', not set(value) & set('"\\')),
+        (f"'{value}'", "'" not in value),
+        (shlex.quote(value), "'" not in value),
+    ]
+    if tidy and value and any(fits for _, fits in forms):
+        return draw(st.sampled_from([text for text, fits in forms if fits])), True
+    if draw(st.booleans()):
+        text, fits = draw(st.sampled_from(forms))
+        return text, bool(value) and fits
+    cut = draw(st.integers(0, len(value)))
+    return f"'{value[:cut]}'" + shlex.quote(value[cut:]), False
+
+
+@st.composite
+def np_lines(draw):
+    """An np line, and whether it is in format_corpus's layout: the fields
+    in order, one space apart, each value one non-empty piece. A line
+    with a flaw has its fields out of order, one repeated, a required one
+    dropped, an unknown one added or one value empty, a tab or two spaces
+    in one gap, or one value quoted in any form; a line without one is
+    canonical unless a value admits no one-piece form."""
+    flaw = draw(st.sampled_from([None] * len(_FLAWS) + list(_FLAWS)))
+    keys = [*corpus.REQUIRED_NP_FIELDS] + [k for k in corpus.NP_FIELDS[4:] if draw(st.booleans())]
+    canonical = True
+    if flaw == "order":
+        keys = draw(st.permutations(keys))
+        canonical = list(keys) == [k for k in corpus.NP_FIELDS if k in keys]
+    elif flaw == "repeat":
+        keys = [*keys, draw(st.sampled_from(keys))]
+        canonical = False
+    elif flaw == "drop":
+        dropped = draw(st.sampled_from(corpus.REQUIRED_NP_FIELDS))
+        keys = [k for k in keys if k != dropped]
+        canonical = False
+    odd = draw(st.sampled_from(keys)) if flaw in ("empty", "quoting") else None
+    fields = []
+    for key in keys:
+        value = "" if key == odd and flaw == "empty" else draw(st.sampled_from(_NP_VALUES[key]))
+        text, one_piece = draw(_np_value(value, key != odd or flaw != "quoting"))
+        fields.append(f"{key}={text}")
+        canonical = canonical and one_piece
+    if flaw == "unknown":
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["foo=1", "id", "=x"])))
+        canonical = False
+    gaps = [" "] * (len(fields) - 1)
+    if flaw == "gap":
+        gaps[draw(st.integers(0, len(gaps) - 1))] = draw(st.sampled_from(["  ", "\t", " \t"]))
+        canonical = False
+    return "".join(gap + field for gap, field in zip(["", *gaps], fields)), canonical
+
+
+def _parse_outcome(text):
+    """The document and its entities' names (Entity compares by id only),
+    or the error's type, line, field and message."""
+    try:
+        doc = parse_corpus(text)
+    except CorpusError as exc:
+        return type(exc), exc.line, exc.fieldname, str(exc)
+    return doc, [np.entity and np.entity.name for cu in doc.utterances for np in cu.nps]
+
+
+def _assert_parses_as_the_general_path_does(line, canonical):
+    assert (re.fullmatch(corpus._CANONICAL_NP, line) is not None) == canonical
+    text = f"discourse d\nutterance x.\nnp id=c surface=Cy kind=name gf=OBJ2 entity=CY\nnp {line}\n"
+    outcome = _parse_outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_CANONICAL_NP", "(?!)")  # matches nothing
+        assert _parse_outcome(text) == outcome
+
+
+@settings(max_examples=400)
+@given(np_lines())
+def test_canonical_np_lines_parse_as_the_general_path_does(case):
+    _assert_parses_as_the_general_path_does(*case)
+
+
+@pytest.mark.parametrize(
+    "line, canonical",
+    [
+        ("id=a surface='the old house' kind=definite gf=OBJ agr=neut,sg,3 entity=HOUSE contra=c", True),
+        ('id=a surface="say \'hi\'" kind=name gf=SUBJ entity=\'A "B"\' index=X1', True),
+        ('id=a surface="a\\b" kind=name gf=SUBJ', False),  # shlex keeps this backslash
+        ('id=a surface="a\\\\b" kind=name gf=SUBJ', False),  # and reads this pair as one
+        ('id=a surface="x\\" kind=name gf=SUBJ', False),  # an escaped closing quote
+        ("id=a surface='x\\' kind=name gf=SUBJ", True),  # no escapes in single quotes
+        ("id=a surface='it'\"'\"'s' kind=name gf=SUBJ", False),
+        ("id=a surface=it\\'s kind=name gf=SUBJ", False),
+        ("id=a surface=\"Ann kind=name gf=SUBJ", False),
+        ("id=a kind=name surface=Ann gf=SUBJ", False),
+        ("id=a surface=Ann  kind=name gf=SUBJ", False),
+        ("id=a surface=Ann\tkind=name gf=SUBJ", False),
+        ("id=a surface=Ann kind=name gf=SUBJ\tagr=fem,sg,3", False),
+        ("id=a surface=Ann kind=name gf=SUBJ gf=OBJ", False),
+        ("id=a surface='' kind=name gf=SUBJ entity=ANN", False),
+        ("id=a surface=Ann kind=name gf=SUBJ contra=''", False),
+        ("id=a surface=Ann kind=noun gf=SUBJ", True),
+        ("id=a,b surface=Ann kind=name gf=SUBJ", True),
+        ("id=a=b surface=Ann kind=name gf=SUBJ agr=entity=X", True),
+    ],
+)
+def test_tricky_np_lines_parse_as_the_general_path_does(line, canonical):
+    _assert_parses_as_the_general_path_does(line, canonical)
+
+
+def test_format_corpus_np_lines_take_the_canonical_path():
+    # Every np line format_corpus writes for the bundled corpora, none of
+    # which needs a multi-piece value.
+    for text in bundled_corpora().values():
+        for line in format_corpus(parse_corpus(text)).splitlines():
+            if line.startswith("np "):
+                assert re.fullmatch(corpus._CANONICAL_NP, line[3:]), line
 
 
 class TestBuildUtterances:

@@ -33,6 +33,7 @@ from centering import (
     parse_corpus,
     preference_rank,
     process_discourse,
+    process_document,
     process_utterance,
     propose_anchors,
     rank_and_select,
@@ -42,6 +43,7 @@ from centering import (
     unify_agreement,
 )
 from centering.cli import cli_main
+from centering.corpus import derive_entity_id
 from support import (
     pronoun,
     random_discourse,
@@ -234,6 +236,70 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                     mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
                 process_utterance(state, u)
     assert splits > 50 and mixed > 0
+
+
+_CAST = {"fem": ("Brennan", "Friedman", "Lyn", "Susan", "Rosa"), "masc": ("Carl", "Max", "Fred", "Tom", "Ivo")}
+_PRONOUNS = {"fem": ("She", "her"), "masc": ("He", "him"), "-": ("It", "it")}
+_THINGS = ("weekends", "races", "tires", "laps")
+
+
+def _fig4_member(rng: random.Random) -> tuple[str, str, str]:
+    """A fig4-shaped discourse and its two entity ids, old then new: the
+    old one is named and kept as center, the new one comes in as subject
+    while a pronoun keeps the old one (a RETAINING step), then two
+    contraindexed pronouns of one agreement, subject and object. Around
+    them: an optional continuation before the retention, plural things
+    that agree with no pronoun, and optional contra between the names."""
+    gender = rng.choice(["fem", "masc"])
+    old, new = rng.sample(_CAST[gender], 2)
+    agr = f"{gender},sg,3"
+    # A gender-blind pronoun still has just the two women or men to bind.
+    pronoun_agr = rng.choice([agr, "-,sg,3"])
+    subj, obj = _PRONOUNS[gender if pronoun_agr == agr else "-"]
+
+    def things() -> list[str]:
+        return [
+            f"np id=t{k} surface={rng.choice(_THINGS)} kind=indefinite gf={rng.choice(['OBJ2', 'OTHER', 'ADJ'])}"
+            " agr=neut,pl,3"
+            for k in range(rng.randint(0, 2))
+        ]
+
+    lines = ["discourse fig4-family"]
+    lines += [f"utterance {old} drives.", f"np id=n surface={old} kind=name gf=SUBJ agr={agr}", *things()]
+    if rng.random() < 0.5:
+        lines += [f"utterance {subj} drives fast.", f"np id=p surface={subj} kind=pronoun gf=SUBJ agr={pronoun_agr}"]
+    contra = rng.choice([("", ""), (" contra=p", " contra=n")])
+    lines += [
+        f"utterance {new} races {obj}.",
+        f"np id=n surface={new} kind=name gf=SUBJ agr={agr}{contra[0]}",
+        f"np id=p surface={obj} kind=pronoun gf=OBJ agr={pronoun_agr}{contra[1]}",
+        *things(),
+        f"utterance {subj} beats {obj}.",
+        f"np id=s surface={subj} kind=pronoun gf=SUBJ agr={pronoun_agr} contra=o",
+        f"np id=o surface={obj} kind=pronoun gf=OBJ agr={pronoun_agr} contra=s",
+        *things(),
+    ]
+    return "\n".join(lines) + "\n", derive_entity_id(old), derive_entity_id(new)
+
+
+def test_extension_breaks_the_classic_tie_on_a_fig4_shaped_family():
+    # The case the paper's extension adds: after a RETAINING step, two
+    # agreement-identical pronouns as subject and object. Classic mode
+    # ties two SHIFTING readings; extended mode ranks the one whose
+    # center is its preferred center (SHIFTING-1) first and binds as fig4
+    # does: the subject to the newcomer, the object to the old center.
+    rng = random.Random("fig4-family")
+    for _ in range(40):
+        text, old, new = _fig4_member(rng)
+        doc = parse_corpus(text)
+        classic = process_document(doc, Mode.CLASSIC)
+        extended = process_document(doc, Mode.EXTENDED)
+        assert classic[-2].transition is extended[-2].transition is Transition.RETAINING, text
+        assert classic[-1].transition is Transition.SHIFTING and classic[-1].tie, text
+        last = extended[-1]
+        assert last.transition is Transition.SHIFTING_1 and not last.tie, text
+        bound = {e.marker.mid: e.entity.id for e in last.cf.entries if e.marker.is_pronoun}
+        assert bound == {"s": new, "o": old}, text
 
 
 def test_classification_requires_no_prior_marker_for_first_use():
