@@ -47,8 +47,9 @@ class ClassifiedAnchor(Value):
     __slots__ = ("anchor", "transition")
 
     def __init__(self, anchor: Anchor, transition: Transition) -> None:
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "transition", transition)
+        set_anchor, set_transition = self._setters
+        set_anchor(self, anchor)
+        set_transition(self, transition)
 
 
 def preference_rank(transition: Transition) -> int:
@@ -101,10 +102,11 @@ class Ranking(View):
     def __init__(
         self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...], opener: bool
     ) -> None:
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "opener", opener)
+        set_grid, set_positions, set_transitions, set_opener = self._setters
+        set_grid(self, grid)
+        set_positions(self, positions)
+        set_transitions(self, transitions)
+        set_opener(self, opener)
 
     def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
         """The center and Cf list of the anchor at a grid position."""

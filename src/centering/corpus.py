@@ -140,8 +140,9 @@ class CorpusUtterance(Value):
     __slots__ = ("text", "nps")
 
     def __init__(self, text: str, nps: tuple[ReferenceMarker, ...] = ()) -> None:
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "nps", nps)
+        set_text, set_nps = self._setters
+        set_text(self, text)
+        set_nps(self, nps)
 
 
 class CorpusDocument(Value):
@@ -152,9 +153,10 @@ class CorpusDocument(Value):
     def __init__(
         self, id: str, mode: Mode = Mode.EXTENDED, utterances: tuple[CorpusUtterance, ...] = ()
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "utterances", utterances)
+        set_id, set_mode, set_utterances = self._setters
+        set_id(self, id)
+        set_mode(self, mode)
+        set_utterances(self, utterances)
 
 
 def _parse_agreement(value: str, line: int) -> Agreement:
@@ -392,13 +394,28 @@ def _format_np(np: ReferenceMarker) -> str:
 
 
 def format_corpus(doc: CorpusDocument) -> str:
-    """Write a document back out; parse(format_corpus(doc)) == doc."""
-    lines = [f"discourse {doc.id}", f"mode {doc.mode.value}"]
-    for cu in doc.utterances:
+    """Write a document back out; parse(format_corpus(doc)) == doc.
+
+    Raises ValueError when the discourse id or an utterance's text would
+    not read back equal: when it is empty, has whitespace at either end
+    or holds a line break.
+    """
+    lines = [f"discourse {_rest_of_line(doc.id, 'discourse id')}", f"mode {doc.mode.value}"]
+    for position, cu in enumerate(doc.utterances, start=1):
         lines.append("")
-        lines.append(f"utterance {cu.text}")
+        lines.append(f"utterance {_rest_of_line(cu.text, f'utterance {position} text')}")
         lines.extend(_format_np(np) for np in cu.nps)
     return "\n".join(lines) + "\n"
+
+
+def _rest_of_line(value: str, what: str) -> str:
+    """`value`, unquoted to the end of its line, if parse_corpus reads it back equal."""
+    if not value or value != value.strip() or "\r" in value or "\n" in value:
+        raise ValueError(
+            f"{what} {value!r} would not read back: it must be non-empty, "
+            "without whitespace at either end or a line break"
+        )
+    return value
 
 
 def derive_entity_id(surface: str) -> str:

@@ -70,16 +70,18 @@ class UtteranceResult(Value):
         diagnostic_kind: str | None = None,
         diagnostic: str | None = None,
     ) -> None:
-        object.__setattr__(self, "utterance", utterance)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "cb", cb)
-        object.__setattr__(self, "cf", cf)
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "ranked", ranked)
-        object.__setattr__(self, "after_retention", after_retention)
-        object.__setattr__(self, "diagnostic_kind", diagnostic_kind)
-        object.__setattr__(self, "diagnostic", diagnostic)
+        (set_utterance, set_transition, set_cb, set_cf, set_anchors, set_verdicts, set_ranked,
+         set_after_retention, set_diagnostic_kind, set_diagnostic) = self._setters
+        set_utterance(self, utterance)
+        set_transition(self, transition)
+        set_cb(self, cb)
+        set_cf(self, cf)
+        set_anchors(self, anchors)
+        set_verdicts(self, verdicts)
+        set_ranked(self, ranked)
+        set_after_retention(self, after_retention)
+        set_diagnostic_kind(self, diagnostic_kind)
+        set_diagnostic(self, diagnostic)
 
     @property
     def position(self) -> int:

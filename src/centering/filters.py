@@ -32,8 +32,9 @@ class FilterVerdict(Value):
     __slots__ = ("anchor_id", "eliminated_by")
 
     def __init__(self, anchor_id: int, eliminated_by: frozenset[str]) -> None:
-        object.__setattr__(self, "anchor_id", anchor_id)
-        object.__setattr__(self, "eliminated_by", eliminated_by)
+        set_anchor_id, set_eliminated_by = self._setters
+        set_anchor_id(self, anchor_id)
+        set_eliminated_by(self, eliminated_by)
 
     @property
     def passed(self) -> bool:
@@ -99,7 +100,8 @@ class FilterVerdicts(View):
     __slots__ = ("masks",)
 
     def __init__(self, masks: bytes) -> None:
-        object.__setattr__(self, "masks", masks)
+        (set_masks,) = self._setters
+        set_masks(self, masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -118,8 +120,9 @@ class Survivors(View):
     __slots__ = ("grid", "positions")
 
     def __init__(self, grid: AnchorGrid, positions: Iterable[int]) -> None:
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "positions", tuple(sorted(positions)))
+        set_grid, set_positions = self._setters
+        set_grid(self, grid)
+        set_positions(self, tuple(sorted(positions)))
 
     def __len__(self) -> int:
         return len(self.positions)

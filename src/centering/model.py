@@ -5,10 +5,11 @@ their prominence order, agreement features, discourse entities,
 per-utterance reference markers, forward-center lists, candidate
 anchors, transition types, and the rolling per-discourse state.
 
-Every type but DiscourseState is a `Value`: a slot class whose fields
-are read-only once `__init__` has checked and set them, and which
-compares, hashes, prints and pickles by its fields. DiscourseState is
-mutable, and only the engine advances it.
+Every type but DiscourseState is a `Value`: a slot class whose `__init__`
+checks its fields and sets each once through the class's slot setters.
+After that its fields are read-only, and it compares, hashes, prints
+and pickles by them. DiscourseState is mutable, and only the engine
+advances it.
 """
 
 from __future__ import annotations
@@ -89,14 +90,20 @@ class Transition(Enum):
 class Value:
     """Base of the model's immutable values, each kept in slots.
 
-    A value names its fields in `__slots__`, and its `__init__` checks
-    them and sets each with `object.__setattr__`; after that, assigning
-    or deleting a field raises AttributeError. Values are equal when they
-    are of one type with equal fields, and hash and print by their
-    fields. pickle and copy restore the fields past the guard.
+    A value names its fields in `__slots__`. Each value class gets
+    `_setters`, the `__set__` of its own slot descriptors in `__slots__`
+    order, and its `__init__` checks the fields and sets each once
+    through them, which skips the guard: assigning or deleting a field
+    still raises AttributeError. Values are equal when they are of one
+    type with equal fields, and hash and print by their fields. pickle
+    and copy restore the fields through the same setters.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -121,8 +128,8 @@ class Value:
         return self._fields()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, state):
+            set_field(self, value)
 
 
 class Agreement(Value):
@@ -136,9 +143,10 @@ class Agreement(Value):
         for value, allowed in ((gender, GENDERS), (number, NUMBERS), (person, PERSONS)):
             if value is not None and value not in allowed:
                 raise ValueError(f"bad agreement feature {value!r}")
-        object.__setattr__(self, "gender", gender)
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "person", person)
+        set_gender, set_number, set_person = self._setters
+        set_gender(self, gender)
+        set_number(self, number)
+        set_person(self, person)
 
 
 def unify_agreement(a: Agreement, b: Agreement) -> bool:
@@ -164,8 +172,9 @@ class Entity(Value):
     __slots__ = ("id", "name")
 
     def __init__(self, id: str, name: str = "") -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "name", name or id)
+        set_id, set_name = self._setters
+        set_id(self, id)
+        set_name(self, name or id)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Entity) and self.id == other.id
@@ -220,14 +229,15 @@ class ReferenceMarker(Value):
             mid = index or surface
         if mid in contra:
             raise MarkerError(f"marker {mid!r} is contraindexed with itself", "contra")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "agr", agr)
-        object.__setattr__(self, "contra", contra)
-        object.__setattr__(self, "entity", entity)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "mid", mid)
+        set_surface, set_kind, set_gf, set_agr, set_contra, set_entity, set_index, set_mid = self._setters
+        set_surface(self, surface)
+        set_kind(self, kind)
+        set_gf(self, gf)
+        set_agr(self, agr)
+        set_contra(self, contra)
+        set_entity(self, entity)
+        set_index(self, index)
+        set_mid(self, mid)
 
     @property
     def is_pronoun(self) -> bool:
@@ -249,9 +259,10 @@ class Utterance(Value):
         mids = [m.mid for m in ordered]
         if len(set(mids)) != len(mids):
             raise ValueError(f"duplicate marker ids in utterance {position}")
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "markers", ordered)
-        object.__setattr__(self, "position", position)
+        set_text, set_markers, set_position = self._setters
+        set_text(self, text)
+        set_markers(self, ordered)
+        set_position(self, position)
 
 
 class CfEntry(Value):
@@ -271,9 +282,10 @@ class CfEntry(Value):
         # surface there keeps displays like [X2:Alfa Romeo] readable.
         anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == entity.id
         tag = marker.surface if anonymous else marker.index
-        object.__setattr__(self, "entity", entity)
-        object.__setattr__(self, "marker", marker)
-        object.__setattr__(self, "display", f"[{entity.id}:{tag}]")
+        set_entity, set_marker, set_display = self._setters
+        set_entity(self, entity)
+        set_marker(self, marker)
+        set_display(self, f"[{entity.id}:{tag}]")
 
 
 class CfList(Value):
@@ -282,7 +294,8 @@ class CfList(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[CfEntry] = ()) -> None:
-        object.__setattr__(self, "entries", tuple(entries))
+        (set_entries,) = self._setters
+        set_entries(self, tuple(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -302,9 +315,10 @@ class Anchor(Value):
     __slots__ = ("cb", "cf", "ordinal")
 
     def __init__(self, cb: CfEntry | None, cf: CfList, ordinal: int) -> None:
-        object.__setattr__(self, "cb", cb)
-        object.__setattr__(self, "cf", cf)
-        object.__setattr__(self, "ordinal", ordinal)
+        set_cb, set_cf, set_ordinal = self._setters
+        set_cb(self, cb)
+        set_cf(self, cf)
+        set_ordinal(self, ordinal)
 
 
 class View(Value, Sequence):
@@ -339,8 +353,9 @@ class AnchorGrid(View):
     __slots__ = ("cbs", "cf_lists")
 
     def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
-        object.__setattr__(self, "cbs", cbs)
-        object.__setattr__(self, "cf_lists", cf_lists)
+        set_cbs, set_cf_lists = self._setters
+        set_cbs(self, cbs)
+        set_cf_lists(self, cf_lists)
 
     def __len__(self) -> int:
         return len(self.cbs) * len(self.cf_lists)

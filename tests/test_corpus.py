@@ -425,6 +425,29 @@ class TestRoundTrip:
             )
             assert parse_corpus(format_corpus(doc)) == doc
 
+    @pytest.mark.parametrize(
+        "doc_id, text",
+        [
+            ("d", "Ann waved. "),
+            ("d", " Ann"),
+            ("d", "Ann\nwaved."),
+            ("d", "Ann\rwaved."),
+            ("d", ""),
+            ("d ", "Ann waved."),
+            ("a\nb", "Ann waved."),
+        ],
+    )
+    def test_format_corpus_refuses_what_would_not_read_back(self, doc_id, text):
+        # Both are written unquoted to the end of their line, so parse_corpus
+        # would strip them, split them or find them missing.
+        fine = CorpusUtterance("Ann\twaved.", ())
+        doc = CorpusDocument(doc_id, Mode.EXTENDED, (fine, CorpusUtterance(text, ())))
+        named = f"utterance 2 text {text!r}" if doc_id == "d" else f"discourse id {doc_id!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            format_corpus(doc)
+        ok = CorpusDocument("d", Mode.EXTENDED, (fine, CorpusUtterance("Ann waved.", ())))
+        assert parse_corpus(format_corpus(ok)) == ok
+
 
 def _split_outcome(split, text):
     try:

@@ -273,3 +273,14 @@ def test_every_value_type_is_a_value_of_its_fields():
     # An entity's fields are its id: a new name makes no new entity.
     renamed = Entity("BRENNAN", "she")
     assert renamed == brennan and hash(renamed) == hash(brennan)
+
+
+def test_every_value_type_sets_its_fields_through_its_slot_setters():
+    # Construction skips the guard by calling the class's own slot
+    # descriptors' __set__, in __slots__ order; no __init__ goes through
+    # a __setattr__, the guard's or object's.
+    for cls in _value_types():
+        descriptors = [cls.__dict__[name] for name in cls.__slots__]
+        assert [s.__self__ for s in cls._setters] == descriptors, cls
+        assert all(s.__name__ == "__set__" for s in cls._setters), cls
+        assert "__setattr__" not in cls.__init__.__code__.co_names, cls

@@ -174,6 +174,22 @@ def test_replay_prefix_equivalence_randomized():
         assert render_trace(prefix, "structured") == render_trace(whole[:k], "structured")
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_results_of_a_prefix_are_a_prefix_of_the_results(mode):
+    # Streaming results relies on this. It is stated on allocated
+    # utterances: on raw input, an explicit index later in the discourse
+    # moves earlier fresh indices, by design.
+    rng = random.Random(4242)
+    prefixes = 0
+    for _ in range(250):
+        us = allocate_indices(random_discourse(rng, max_utterances=8))
+        whole = process_discourse(us, mode)
+        for k in range(len(us) + 1):
+            assert process_discourse(us[:k], mode) == whole[:k]
+            prefixes += 1
+    assert prefixes > 1000
+
+
 def test_winner_permutation_invariance_randomized():
     rng = random.Random(65)
     for _ in range(200):
