@@ -12,13 +12,12 @@ starting with `#` are ignored. Directives:
 
 `np` fields use POSIX-shell quoting, exactly as `shlex.split` reads it
 (surface="Alfa Romeo", surface='the "old" house', surface='it'"'"'s').
-A line is read by the first of three tiers that takes it, with identical
-results. A line in `format_corpus`'s own layout (the fields in the order
-below, one space apart, each value one non-empty plain, "double-quoted"
-or 'single-quoted' piece) is read by one regular-expression match. Any
-other line made of plain, "double-quoted" and 'single-quoted' pieces is
-split without shlex. The rest (a backslash outside single quotes, an
-unbalanced quote) goes to shlex itself. The fields:
+A line is read in one of two ways, with identical results. A line in
+`format_corpus`'s own layout (the fields in the order below, one space
+apart, each value one non-empty plain, "double-quoted" or 'single-quoted'
+piece) is read by one regular-expression match; any other line goes
+through shlex. `format_corpus` rewrites a file into that layout. The
+fields:
 
     id=<np-id>      required, non-empty, without a `,`; unique within the
                     utterance; what `contra` references point at
@@ -85,16 +84,6 @@ NP_FIELDS = ("id", "surface", "kind", "gf", "agr", "entity", "index", "contra")
 REQUIRED_NP_FIELDS = ("id", "surface", "kind", "gf")
 # An empty one would make NPs share an id or an entity without saying so.
 NON_EMPTY_NP_FIELDS = ("id", "surface", "entity")
-
-# One match per field: a run of plain, "double-" and 'single-quoted' pieces
-# (shlex joins adjacent pieces into one token), else one stray non-blank
-# character that no piece can start with: a backslash or an unbalanced
-# quote. The three piece forms start on distinct characters, and a match
-# can fail only on its first piece, so the engine never backtracks into a
-# piece it has taken: matching is linear in the line length.
-_NP_FIELD = re.compile(r"""(?:[^ \t\r\n"'\\]+|"[^"\\]*"|'[^']*')+|[^ \t\r\n]""")
-_QUOTED_PIECE = re.compile(r""""([^"]*)"|'([^']*)'""")
-_STRAY = frozenset("\"'\\")
 
 # An np line in format_corpus's own layout: the fields in NP_FIELDS order,
 # one space apart, the last four optional, each value one non-empty
@@ -167,22 +156,6 @@ def _parse_agreement(value: str, line: int) -> Agreement:
         return Agreement(*(None if p == "-" else p for p in parts))
     except ValueError as exc:
         raise SchemaError(str(exc), line, "agr") from None
-
-
-def split_np_fields(rest: str) -> list[str]:
-    """`shlex.split(rest)`, without shlex unless a backslash outside single
-    quotes or an unbalanced quote needs it; raises shlex's ValueError."""
-    fields = _NP_FIELD.findall(rest)
-    if '"' in rest or "'" in rest or "\\" in rest:
-        for i, field in enumerate(fields):
-            if field in _STRAY:
-                return shlex.split(rest)
-            if '"' in field and "'" in field:
-                fields[i] = _QUOTED_PIECE.sub(r"\1\2", field)
-            else:
-                # With one quote kind, every quote in the field delimits a piece.
-                fields[i] = field.replace('"', "").replace("'", "")
-    return fields
 
 
 def _np_fields(tokens: list[str], line: int) -> dict[str, str]:
@@ -326,7 +299,7 @@ def parse_corpus(text: str) -> CorpusDocument:
                 fields = _canonical_fields(match)
             else:
                 try:
-                    tokens = split_np_fields(rest)
+                    tokens = shlex.split(rest)
                 except ValueError as exc:
                     raise SchemaError(f"bad quoting: {exc}", lineno) from None
                 fields = _np_fields(tokens, lineno)
@@ -372,8 +345,12 @@ def parse_corpus(text: str) -> CorpusDocument:
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
-def _format_np(np: ReferenceMarker) -> str:
-    parts = [f"np id={shlex.quote(np.mid)}", f"surface={shlex.quote(np.surface)}"]
+def _format_np(np: ReferenceMarker, where: str) -> str:
+    at = f"{where} np {np.mid!r}"
+    parts = [
+        f"np id={shlex.quote(_np_value(np.mid, f'{at} id', _ID_BREAKS))}",
+        f"surface={shlex.quote(_np_value(np.surface, f'{at} surface'))}",
+    ]
     parts.append(f"kind={np.kind.value}")
     parts.append(f"gf={GF_NAMES[np.gf]}")
     if (np.agr.gender, np.agr.number, np.agr.person) != (None, None, None):
@@ -385,11 +362,12 @@ def _format_np(np: ReferenceMarker) -> str:
         except ValueError:
             implied = None
         if np.entity.id != implied:
-            parts.append(f"entity={shlex.quote(np.entity.id)}")
+            parts.append(f"entity={shlex.quote(_np_value(np.entity.id, f'{at} entity'))}")
     if np.index is not None and np.kind in INDEX_SERIES:
         parts.append(f"index={np.index}")
     if np.contra:
-        parts.append("contra=" + shlex.quote(",".join(sorted(np.contra))))
+        ids = ",".join(_np_value(ref, f"{at} contra id", _ID_BREAKS) for ref in sorted(np.contra))
+        parts.append("contra=" + shlex.quote(ids))
     return " ".join(parts)
 
 
@@ -398,13 +376,15 @@ def format_corpus(doc: CorpusDocument) -> str:
 
     Raises ValueError when the discourse id or an utterance's text would
     not read back equal: when it is empty, has whitespace at either end
-    or holds a line break.
+    or holds a line break. Raises ValueError, too, on an np id, surface,
+    entity id or contra id that is empty or holds a line break, and on an
+    np id or contra id that holds a `,`.
     """
     lines = [f"discourse {_rest_of_line(doc.id, 'discourse id')}", f"mode {doc.mode.value}"]
     for position, cu in enumerate(doc.utterances, start=1):
         lines.append("")
         lines.append(f"utterance {_rest_of_line(cu.text, f'utterance {position} text')}")
-        lines.extend(_format_np(np) for np in cu.nps)
+        lines.extend(_format_np(np, f"utterance {position}") for np in cu.nps)
     return "\n".join(lines) + "\n"
 
 
@@ -414,6 +394,21 @@ def _rest_of_line(value: str, what: str) -> str:
         raise ValueError(
             f"{what} {value!r} would not read back: it must be non-empty, "
             "without whitespace at either end or a line break"
+        )
+    return value
+
+
+# An np id is also an item of a comma-separated contra= list.
+_ID_BREAKS = "\r\n,"
+
+
+def _np_value(value: str, what: str, breaks: str = "\r\n") -> str:
+    """`value`, if parse_corpus reads it back equal once it is quoted:
+    non-empty and holding none of `breaks`, the characters that would end
+    its line or its contra list item."""
+    if not value or any(c in value for c in breaks):
+        raise ValueError(
+            f"{what} {value!r} would not read back: it must be non-empty, without any of {breaks!r}"
         )
     return value
 

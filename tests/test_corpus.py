@@ -1,3 +1,4 @@
+import random
 import re
 import shlex
 
@@ -12,6 +13,7 @@ from centering import (
     CorpusUtterance,
     DanglingContraRef,
     DuplicateNpId,
+    Entity,
     GrammaticalFunction,
     MarkerKind,
     Mode,
@@ -25,7 +27,7 @@ from centering import (
     parse_corpus,
 )
 from centering import corpus
-from centering.corpus import GF_TOKENS, KIND_TOKENS, derive_entity_id, split_np_fields
+from centering.corpus import GF_TOKENS, KIND_TOKENS, derive_entity_id
 from centering.model import MarkerError
 from support import SUBJ, indefinite, name, pronoun, utt
 
@@ -253,8 +255,8 @@ class TestErrors:
                 assert (err.value.line, err.value.fieldname) == (5, "agr")
 
     def test_long_np_line_with_a_stray_quote_is_a_quoting_error(self):
-        # About 10,000 characters: a splitter that backtracks exponentially
-        # on an unbalanced quote would never finish this test.
+        # About 10,000 characters, read by shlex: a tokenizer that backtracks
+        # exponentially on an unbalanced quote would never finish this test.
         text = (
             "discourse d\n"
             "utterance x.\n"
@@ -448,18 +450,41 @@ class TestRoundTrip:
         ok = CorpusDocument("d", Mode.EXTENDED, (fine, CorpusUtterance("Ann waved.", ())))
         assert parse_corpus(format_corpus(ok)) == ok
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", "a\nb"),
+            ("id", "a\rb"),
+            ("id", "a,b"),
+            ("id", ""),
+            ("surface", "Ann\nLee"),
+            ("surface", "Ann\r"),
+            ("surface", ""),
+            ("entity", "ANN\nLEE"),
+            ("entity", "\rANN"),
+            ("entity", ""),
+            ("contra id", "b\nc"),
+            ("contra id", "b\r"),
+            ("contra id", "b,c"),
+            ("contra id", ""),
+        ],
+    )
+    def test_format_corpus_refuses_an_np_value_that_would_not_read_back(self, field, value):
+        # Each would come back as a quoting error, a missing value, another
+        # id or contra list, or a line of its own.
+        def doc(id="a", surface="Ann", entity="ANN", contra_id="b"):
+            nps = (
+                name(surface, entity, contra={contra_id}, mid=id),
+                name("Bo", "BO", GrammaticalFunction.OBJECT, contra={"a"}, mid="b"),
+            )
+            utterances = (CorpusUtterance("Hi.", ()), CorpusUtterance("Ann met Bo.", nps))
+            return CorpusDocument("d", Mode.EXTENDED, utterances)
 
-def _split_outcome(split, text):
-    try:
-        return split(text)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
-@settings(max_examples=500)
-@given(st.text(alphabet=" \t\r\n\"'\\=,ab\xa0", max_size=24))
-def test_np_field_split_matches_shlex(text):
-    assert _split_outcome(split_np_fields, text) == _split_outcome(shlex.split, text)
+        bad = doc(**{field.replace(" ", "_"): value})
+        named = f"utterance 2 np {bad.utterances[1].nps[0].mid!r} {field} {value!r} would not read back"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            format_corpus(bad)
+        assert parse_corpus(format_corpus(doc())) == doc()
 
 
 # Values for each np field, valid and not: quotes, blanks, `=`, `,`,
@@ -596,6 +621,70 @@ def test_format_corpus_np_lines_take_the_canonical_path():
         for line in format_corpus(parse_corpus(text)).splitlines():
             if line.startswith("np "):
                 assert re.fullmatch(corpus._CANONICAL_NP, line[3:]), line
+
+
+# Values that need quoting, a backslash, a tab or a `=`.
+_SURFACES = ("Ann", "Alfa Romeo", "it's", 'the "old" house', "a\\b", "Zoë", "x=1", "one\ttab")
+
+
+def _generated_document(rng):
+    """A seeded document of every marker kind, with agreement, indices,
+    symmetric contra lists, and ids and entity ids that need quoting."""
+    utterances = []
+    for position in range(1, rng.randint(2, 5)):
+        mids = [rng.choice([f"n{j}", f"n {j}", f"n'{j}"]) for j in range(rng.randint(1, 4))]
+        contra = {mid: set() for mid in mids}
+        for i, a in enumerate(mids):
+            for b in mids[i + 1 :]:
+                if rng.random() < 0.3:
+                    contra[a].add(b)
+                    contra[b].add(a)
+        nps = []
+        for j, mid in enumerate(mids):
+            kind = rng.choice(list(MarkerKind))
+            surface = rng.choice(_SURFACES)
+            entity = index = None
+            if kind is MarkerKind.PRONOUN:
+                index = rng.choice([None, f"A{position}{j}"])
+            elif kind is MarkerKind.INDEFINITE:
+                index, entity = rng.choice(
+                    [(None, None), (f"X{position}{j}", None), (None, rng.choice(_SURFACES))]
+                )
+            else:
+                entity = rng.choice([derive_entity_id(surface), rng.choice(_SURFACES)])
+            agr = rng.choice([Agreement(), Agreement("fem", "sg", "3"), Agreement(None, "pl", None)])
+            gf = rng.choice(list(GrammaticalFunction))
+            entity = entity and Entity(entity)
+            nps.append(ReferenceMarker(surface, kind, gf, agr, contra[mid], entity, index, mid))
+        utterances.append(CorpusUtterance(f"Utterance {position}.", tuple(nps)))
+    return CorpusDocument("generated", rng.choice(list(Mode)), tuple(utterances))
+
+
+def _relaid(text, rng):
+    """`text` with each np line's fields in shuffled order, a tab or two
+    spaces between each two, so that shlex reads every np line."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("np "):
+            tokens = (token.partition("=") for token in shlex.split(line[3:]))
+            fields = [f"{key}={shlex.quote(value)}" for key, _, value in tokens]
+            rng.shuffle(fields)
+            line = "np " + fields[0] + "".join(rng.choice(["\t", "  "]) + field for field in fields[1:])
+            assert not re.fullmatch(corpus._CANONICAL_NP, line[3:]), line
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_layout_does_not_change_what_an_np_line_means():
+    # Every bundled corpus and seeded generated documents, written by
+    # format_corpus and then relaid: the same document, the same entity names.
+    rng = random.Random(14)
+    texts = [format_corpus(parse_corpus(text)) for text in bundled_corpora().values()]
+    texts += [format_corpus(_generated_document(rng)) for _ in range(200)]
+    for text in texts:
+        outcome = _parse_outcome(text)
+        assert isinstance(outcome[0], CorpusDocument), outcome
+        assert _parse_outcome(_relaid(text, rng)) == outcome
 
 
 class TestBuildUtterances:
