@@ -345,72 +345,62 @@ def parse_corpus(text: str) -> CorpusDocument:
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
-def _format_np(np: ReferenceMarker, where: str) -> str:
-    at = f"{where} np {np.mid!r}"
+def _format_np(np: ReferenceMarker) -> str:
     parts = [
-        f"np id={shlex.quote(_np_value(np.mid, f'{at} id', _ID_BREAKS))}",
-        f"surface={shlex.quote(_np_value(np.surface, f'{at} surface'))}",
+        f"np id={shlex.quote(np.mid)}",
+        f"surface={shlex.quote(np.surface)}",
+        f"kind={np.kind.value}",
+        f"gf={GF_NAMES[np.gf]}",
     ]
-    parts.append(f"kind={np.kind.value}")
-    parts.append(f"gf={GF_NAMES[np.gf]}")
-    if (np.agr.gender, np.agr.number, np.agr.person) != (None, None, None):
-        feats = ",".join(v if v is not None else "-" for v in (np.agr.gender, np.agr.number, np.agr.person))
-        parts.append(f"agr={feats}")
+    feats = (np.agr.gender, np.agr.number, np.agr.person)
+    if feats != (None, None, None):
+        parts.append("agr=" + ",".join(v or "-" for v in feats))
     if np.entity is not None:
         try:  # the id parse_corpus gives the line without an entity=
             implied = None if np.kind in INDEX_SERIES else derive_entity_id(np.surface)
         except ValueError:
             implied = None
         if np.entity.id != implied:
-            parts.append(f"entity={shlex.quote(_np_value(np.entity.id, f'{at} entity'))}")
+            parts.append(f"entity={shlex.quote(np.entity.id)}")
     if np.index is not None and np.kind in INDEX_SERIES:
-        parts.append(f"index={np.index}")
+        parts.append(f"index={shlex.quote(np.index)}")
     if np.contra:
-        ids = ",".join(_np_value(ref, f"{at} contra id", _ID_BREAKS) for ref in sorted(np.contra))
-        parts.append("contra=" + shlex.quote(ids))
+        parts.append("contra=" + shlex.quote(",".join(sorted(np.contra))))
     return " ".join(parts)
+
+
+def _lines(doc: CorpusDocument) -> list[tuple[str, str]]:
+    """The lines format_corpus writes for `doc`, each after what it holds."""
+    lines = [(f"discourse id {doc.id!r}", f"discourse {doc.id}"), ("mode", f"mode {doc.mode.value}")]
+    for position, cu in enumerate(doc.utterances, start=1):
+        lines.append(("", ""))
+        lines.append((f"utterance {position} text {cu.text!r}", f"utterance {cu.text}"))
+        lines.extend((f"utterance {position} np {np.mid!r}", _format_np(np)) for np in cu.nps)
+    return lines
 
 
 def format_corpus(doc: CorpusDocument) -> str:
     """Write a document back out; parse(format_corpus(doc)) == doc.
 
-    Raises ValueError when the discourse id or an utterance's text would
-    not read back equal: when it is empty, has whitespace at either end
-    or holds a line break. Raises ValueError, too, on an np id, surface,
-    entity id or contra id that is empty or holds a line break, and on an
-    np id or contra id that holds a `,`.
+    The text is read back with parse_corpus. Raises ValueError naming the
+    discourse id, the utterance text or the np that would not read back
+    equal, and why: a line break, the reader's error, or the line it
+    reads back as.
     """
-    lines = [f"discourse {_rest_of_line(doc.id, 'discourse id')}", f"mode {doc.mode.value}"]
-    for position, cu in enumerate(doc.utterances, start=1):
-        lines.append("")
-        lines.append(f"utterance {_rest_of_line(cu.text, f'utterance {position} text')}")
-        lines.extend(_format_np(np, f"utterance {position}") for np in cu.nps)
-    return "\n".join(lines) + "\n"
-
-
-def _rest_of_line(value: str, what: str) -> str:
-    """`value`, unquoted to the end of its line, if parse_corpus reads it back equal."""
-    if not value or value != value.strip() or "\r" in value or "\n" in value:
-        raise ValueError(
-            f"{what} {value!r} would not read back: it must be non-empty, "
-            "without whitespace at either end or a line break"
-        )
-    return value
-
-
-# An np id is also an item of a comma-separated contra= list.
-_ID_BREAKS = "\r\n,"
-
-
-def _np_value(value: str, what: str, breaks: str = "\r\n") -> str:
-    """`value`, if parse_corpus reads it back equal once it is quoted:
-    non-empty and holding none of `breaks`, the characters that would end
-    its line or its contra list item."""
-    if not value or any(c in value for c in breaks):
-        raise ValueError(
-            f"{what} {value!r} would not read back: it must be non-empty, without any of {breaks!r}"
-        )
-    return value
+    lines = _lines(doc)
+    for what, line in lines:  # one item a line, so a reading error is placed on its item
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"{what} would not read back: it holds a line break")
+    text = "\n".join(line for _, line in lines) + "\n"
+    try:
+        back = parse_corpus(text)
+    except CorpusError as exc:
+        raise ValueError(f"{lines[exc.line - 1][0]} would not read back: {exc}") from None
+    if back != doc:
+        # The lines hold every field equality compares (a name's index is its surface).
+        what, read = next((what, read) for (what, line), (_, read) in zip(lines, _lines(back)) if line != read)
+        raise ValueError(f"{what} would not read back: it reads back as {read!r}")
+    return text
 
 
 def derive_entity_id(surface: str) -> str:

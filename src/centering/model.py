@@ -196,8 +196,8 @@ class ReferenceMarker(Value):
     CfList entries, never on the marker itself.
 
     Construction raises MarkerError unless a pronoun carries no entity, a
-    name or definite carries one, an A-/X-index is of its kind's series
-    and `mid` is not in `contra`.
+    name or definite carries one and no index but its surface, an
+    A-/X-index is of its kind's series and `mid` is not in `contra`.
     """
 
     __slots__ = ("surface", "kind", "gf", "agr", "contra", "entity", "index", "mid")
@@ -222,6 +222,8 @@ class ReferenceMarker(Value):
                 raise MarkerError(f"{kind.value} {surface!r} needs an entity", "entity")
             if index is None:
                 index = surface
+            elif index != surface:
+                raise MarkerError(f"{kind.value} {surface!r} takes its surface as index, got {index!r}", "index")
         elif index is not None and not pattern.match(index):
             series = INDEX_SERIES[kind]
             raise MarkerError(f"{kind.value} index must be {series}-series, got {index!r}", "index")

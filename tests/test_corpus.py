@@ -29,7 +29,7 @@ from centering import (
 from centering import corpus
 from centering.corpus import GF_TOKENS, KIND_TOKENS, derive_entity_id
 from centering.model import MarkerError
-from support import SUBJ, indefinite, name, pronoun, utt
+from support import OBJ, SUBJ, indefinite, name, pronoun, utt
 
 MINIMAL = """\
 discourse demo
@@ -450,26 +450,31 @@ class TestRoundTrip:
         ok = CorpusDocument("d", Mode.EXTENDED, (fine, CorpusUtterance("Ann waved.", ())))
         assert parse_corpus(format_corpus(ok)) == ok
 
+    # The reader's reason, or the writer's own line-break rule, for each
+    # value; test ids stay `field-value`.
+    _NP_VALUE_REFUSALS = [
+        ("id", "a\nb", "it holds a line break"),
+        ("id", "a\rb", "it holds a line break"),
+        ("id", "a,b", "line 7: id: np id 'a,b' cannot hold a ','"),
+        ("id", "", "line 7: id: np field 'id' needs a non-empty value"),
+        ("surface", "Ann\nLee", "it holds a line break"),
+        ("surface", "Ann\r", "it holds a line break"),
+        ("surface", "", "line 7: surface: np field 'surface' needs a non-empty value"),
+        ("entity", "ANN\nLEE", "it holds a line break"),
+        ("entity", "\rANN", "it holds a line break"),
+        ("entity", "", "line 7: entity: np field 'entity' needs a non-empty value"),
+        ("contra id", "b\nc", "it holds a line break"),
+        ("contra id", "b\r", "it holds a line break"),
+        ("contra id", "b,c", "line 7: contra: contra reference 'c' names no np here"),
+        ("contra id", "", "it reads back as 'np id=a surface=Ann kind=name gf=SUBJ contra=b'"),
+    ]
+
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("id", "a\nb"),
-            ("id", "a\rb"),
-            ("id", "a,b"),
-            ("id", ""),
-            ("surface", "Ann\nLee"),
-            ("surface", "Ann\r"),
-            ("surface", ""),
-            ("entity", "ANN\nLEE"),
-            ("entity", "\rANN"),
-            ("entity", ""),
-            ("contra id", "b\nc"),
-            ("contra id", "b\r"),
-            ("contra id", "b,c"),
-            ("contra id", ""),
-        ],
+        "field, value, reason",
+        _NP_VALUE_REFUSALS,
+        ids=[f"{field}-{value}" for field, value, _ in _NP_VALUE_REFUSALS],
     )
-    def test_format_corpus_refuses_an_np_value_that_would_not_read_back(self, field, value):
+    def test_format_corpus_refuses_an_np_value_that_would_not_read_back(self, field, value, reason):
         # Each would come back as a quoting error, a missing value, another
         # id or contra list, or a line of its own.
         def doc(id="a", surface="Ann", entity="ANN", contra_id="b"):
@@ -481,10 +486,128 @@ class TestRoundTrip:
             return CorpusDocument("d", Mode.EXTENDED, utterances)
 
         bad = doc(**{field.replace(" ", "_"): value})
-        named = f"utterance 2 np {bad.utterances[1].nps[0].mid!r} {field} {value!r} would not read back"
-        with pytest.raises(ValueError, match=re.escape(named)):
+        named = f"utterance 2 np {bad.utterances[1].nps[0].mid!r} would not read back: {reason}"
+        with pytest.raises(ValueError, match=re.escape(named) + r"\Z"):
             format_corpus(bad)
         assert parse_corpus(format_corpus(doc())) == doc()
+
+    @pytest.mark.parametrize(
+        "utterances, named",
+        [
+            # The reader makes contra symmetric.
+            (
+                [[name("Ann", "ANN", contra={"b"}, mid="a"), name("Bo", "BO", OBJ, mid="b")]],
+                "utterance 1 np 'b' would not read back: "
+                "it reads back as 'np id=b surface=Bo kind=name gf=OBJ contra=a'",
+            ),
+            (
+                [[name("Ann", "ANN", contra={"z"}, mid="a"), name("Bo", "BO", OBJ, mid="b")]],
+                "utterance 1 np 'a' would not read back: "
+                "line 5: contra: contra reference 'z' names no np here",
+            ),
+            (
+                [[name("Ann", "ANN", mid="a"), name("Bo", "BO", OBJ, mid="a")]],
+                "utterance 1 np 'a' would not read back: "
+                "line 6: id: np id 'a' already used in this utterance",
+            ),
+            (
+                [[pronoun("she", "A1", mid="s")], [pronoun("her", "A1", mid="h")]],
+                "utterance 2 np 'h' would not read back: "
+                "line 8: index: index A1 already used in this discourse",
+            ),
+            (
+                [[name("Ann", "X1", mid="a")], [indefinite("a car", index="X1", mid="c")]],
+                "utterance 2 np 'c' would not read back: "
+                "line 8: index: index X1 is also an entity id",
+            ),
+        ],
+        ids=["one-sided-contra", "contra-names-no-np", "np-id-twice", "index-twice", "index-is-an-entity-id"],
+    )
+    def test_format_corpus_refuses_markers_the_reader_would_reject_or_change(self, utterances, named):
+        doc = CorpusDocument(
+            "d", Mode.EXTENDED, tuple(CorpusUtterance("Hi.", tuple(nps)) for nps in utterances)
+        )
+        with pytest.raises(ValueError, match=re.escape(named)):
+            format_corpus(doc)
+
+
+# Values that read back, and values that do not: blanks at either end
+# read back, a `,`, an empty value or a line break may not.
+_CLEAN = ("a", "b", "Ann", "Bo Lee", "X1")
+_AWKWARD = (" a", "b ", "a,b", "", "a\nb", "a\rb")
+
+
+def _code_built_document(rng):
+    """A seeded document built in code, consistent or not: contra lists
+    that are one-sided or name no sibling, np ids used twice, explicit
+    indices used twice or that are entity ids, awkward values anywhere."""
+
+    def value():
+        return rng.choice(_AWKWARD) if rng.random() < 0.04 else rng.choice(_CLEAN)
+
+    utterances = []
+    for _ in range(rng.randint(1, 3)):
+        mids = [value() for _ in range(rng.randint(0, 3))]
+        nps = []
+        for j, mid in enumerate(mids):
+            # Often listed on one side only.
+            contra = {m for m in mids[:j] if rng.random() < 0.5}
+            contra |= {m for m in mids[j + 1 :] if rng.random() < 0.2}
+            if rng.random() < 0.05:
+                contra.add(value())
+            contra.discard(mid)
+            gf = rng.choice(list(GrammaticalFunction))
+            kind = rng.randrange(3)
+            if kind == 0:
+                np = name(value(), value(), gf, contra=contra, mid=mid)
+            elif kind == 1:
+                np = pronoun(value(), rng.choice([None, "A1", "A2", "A3"]), gf, contra=contra, mid=mid)
+            else:
+                entity = rng.choice([None, None, value()])
+                np = indefinite(value(), entity, rng.choice([None, "X1", "X2"]), gf, contra=contra, mid=mid)
+            nps.append(np)
+        text = value() if rng.random() < 0.1 else rng.choice(["Hi.", "Hi there."])
+        utterances.append(CorpusUtterance(text, tuple(nps)))
+    return CorpusDocument(value(), rng.choice(list(Mode)), tuple(utterances))
+
+
+def _names_its_place(message, doc):
+    """Whether `message` names the discourse id, an utterance's text or
+    one of its np ids, by an utterance number in range."""
+    if message.startswith(f"discourse id {doc.id!r} would not read back: "):
+        return True
+    match = re.match(r"utterance (\d+) ", message)
+    if match is None or not 1 <= int(match[1]) <= len(doc.utterances):
+        return False
+    cu = doc.utterances[int(match[1]) - 1]
+    places = [f"text {cu.text!r}", *(f"np {np.mid!r}" for np in cu.nps)]
+    return any(message.startswith(f"{match[0]}{place} would not read back: ") for place in places)
+
+
+def test_format_corpus_reads_back_equal_or_names_what_would_not():
+    rng = random.Random(15)
+    written, reasons = 0, []
+    for _ in range(300):
+        doc = _code_built_document(rng)
+        try:
+            text = format_corpus(doc)
+        except ValueError as exc:
+            assert _names_its_place(str(exc), doc), exc
+            reasons.append(str(exc).partition(" would not read back: ")[2])
+            continue
+        assert parse_corpus(text) == doc
+        written += 1
+    # Both outcomes, and each way a document fails to read back, occur.
+    assert written >= 50 and len(reasons) >= 50
+    for reason in (
+        "holds a line break",
+        "names no np here",
+        "already used in this utterance",
+        "already used in this discourse",
+        "is also an entity id",
+        "reads back as",
+    ):
+        assert any(reason in r for r in reasons), reason
 
 
 # Values for each np field, valid and not: quotes, blanks, `=`, `,`,

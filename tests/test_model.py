@@ -115,6 +115,13 @@ class TestMarkers:
         m = name("Carl", "POLLARD")
         assert m.index == "Carl"
         assert m.mid == "Carl"
+        assert ReferenceMarker("Carl", MarkerKind.NAME, SUBJ, entity=Entity("POLLARD"), index="Carl") == m
+        # Another index would display the marker as [POLLARD:Carlo], and
+        # format_corpus, which writes no index for a name, could not keep it.
+        for kind in (MarkerKind.NAME, MarkerKind.DEFINITE):
+            with pytest.raises(MarkerError) as err:
+                ReferenceMarker("Carl", kind, SUBJ, entity=Entity("POLLARD"), index="Carlo")
+            assert err.value.fieldname == "index"
 
     def test_pronoun_index_series_checked(self):
         with pytest.raises(ValueError):

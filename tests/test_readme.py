@@ -35,3 +35,10 @@ def test_try_commands_exit_as_stated(capsys):
         assert program == "centering"
         assert cli_main(argv) == (int(stated.group(1)) if stated else 0), line
         assert capsys.readouterr().out
+
+
+def test_corpus_format_example_runs(tmp_path, capsys):
+    path = tmp_path / "demo.corpus"
+    path.write_text(_block("## Corpus format", ""), encoding="utf-8")
+    assert cli_main(["run", str(path)]) == 0
+    assert "She drives too fast." in capsys.readouterr().out
