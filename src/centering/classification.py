@@ -52,27 +52,17 @@ class ClassifiedAnchor(Value):
         set_transition(self, transition)
 
 
-def preference_rank(transition: Transition) -> int:
-    """Position in the preference order (lower is better, both modes)."""
-    return _PREFERENCE[transition]
-
-
 def classify(
-    anchor: Anchor, prev_cb: Entity | None | _NoPrior, mode: Mode = Mode.EXTENDED
+    cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior, mode: Mode = Mode.EXTENDED
 ) -> Transition:
-    """Type the transition the anchor would make.
+    """Type the transition an anchor with center `cb` and Cf list `cf` makes.
 
     `prev_cb` is the previous utterance's committed center, None when that
     center was null; pass NO_PRIOR when there is no previous utterance,
     which counts as keeping the center. A discourse opener centers its
     own preferred center, so under NO_PRIOR a null center reads as the
-    preferred center: a continuation.
+    preferred center: a continuation. Raises EmptyCf on an empty `cf`.
     """
-    return _classify(anchor.cb, anchor.cf, prev_cb, mode)
-
-
-def _classify(cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior, mode: Mode) -> Transition:
-    """`classify` on an anchor's center and Cf list, so no Anchor need exist."""
     if not cf.entries:
         raise EmptyCf("utterance has no centers to classify")
     cp = cf.entries[0].entity
@@ -165,7 +155,7 @@ def rank_and_select(
         key = (row, cf.entries[0].entity.id if cf.entries else None)
         bucket = bucket_of.get(key)
         if bucket is None:
-            transition = _classify(cbs[row], cf, prev_cb, mode)
+            transition = classify(cbs[row], cf, prev_cb, mode)
             bucket = bucket_of[key] = buckets[_PREFERENCE[transition]]
         bucket.append(position)
     positions: list[int] = []

@@ -1,9 +1,12 @@
 """Anchor filters: contraindexing, center realization, and the pronoun rule.
 
-Each filter is a pure pass/fail predicate over a single anchor, so they
-can run in any order (or in parallel) without changing the outcome; the
-`filter_*` functions state them one anchor at a time. `run_filters`
-reaches the same verdicts over a whole `AnchorGrid` without building its
+An anchor fails contraindexing when two contraindexed markers bind one
+entity; it fails constraint 3 unless its backward center is the most
+prominent prior entity its Cf list realizes, or null when it realizes
+none; and it fails rule 1 when a pronoun binds a prior entity but none
+binds the center. Each filter is a pure pass/fail test of one anchor, so
+they can run in any order without changing the outcome. `run_filters`
+decides all three over a whole `AnchorGrid` without building its
 anchors: everything the filters ask of a Cf list (whether contra holds,
 the top prior entity it realizes, the ids its pronouns bind) is
 independent of the backward center, so it is worked out once per Cf
@@ -39,45 +42,6 @@ class FilterVerdict(Value):
     @property
     def passed(self) -> bool:
         return not self.eliminated_by
-
-
-def filter_contraindex(anchor: Anchor, u: Utterance) -> bool:
-    """False iff two contraindexed markers are bound to the same entity."""
-    assignment = anchor.cf.assignment()
-    for m in u.markers:
-        bound = assignment.get(m.mid)
-        if bound is None:
-            continue
-        for other in m.contra:
-            if assignment.get(other) == bound:
-                return False
-    return True
-
-
-def filter_constraint3(anchor: Anchor, prior_cf: CfList) -> bool:
-    """The backward center must be the most prominent prior entity realized here.
-
-    When nothing from the prior centers is realized, only the null center
-    passes; that case keeps the predicate total for utterances sharing
-    nothing with their context.
-    """
-    realized = {entry.entity.id for entry in anchor.cf.entries}
-    top = next((pe for pe in prior_cf.entries if pe.entity.id in realized), None)
-    if top is None:
-        return anchor.cb is None
-    return anchor.cb is not None and anchor.cb.entity == top.entity
-
-
-def filter_rule1(anchor: Anchor, prior_cf: CfList, u: Utterance) -> bool:
-    """If some prior entity is realized as a pronoun, the center must be too.
-
-    Vacuously true when no pronoun picks up a prior entity.
-    """
-    prior_ids = {pe.entity.id for pe in prior_cf.entries}
-    pronoun_ids = {e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun}
-    if pronoun_ids & prior_ids:
-        return anchor.cb is not None and anchor.cb.entity.id in pronoun_ids
-    return True
 
 
 # Elimination sets by bit mask: bit i stands for FILTER_NAMES[i].

@@ -302,10 +302,6 @@ class CfList(Value):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def assignment(self) -> dict[str, Entity]:
-        """Map marker mid -> bound entity."""
-        return {e.marker.mid: e.entity for e in self.entries}
-
 
 class Anchor(Value):
     """A candidate pairing of backward center (None = null center) and Cf.

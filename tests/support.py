@@ -21,8 +21,11 @@ from centering import (
     Entity,
     GrammaticalFunction,
     MarkerKind,
+    Mode,
     ReferenceMarker,
+    Transition,
     Utterance,
+    classify,
 )
 from centering.engine import FAILURE_DIAGNOSTICS, UtteranceResult
 
@@ -186,30 +189,61 @@ def oracle_enumerate_anchors(u: Utterance, prior_cf: CfList):
     return [(cb, tuple(done)) for cb in cbs for done in assignments]
 
 
-def oracle_passes_filters(anchor: Anchor, prior_cf: CfList, u: Utterance) -> bool:
-    """Re-derivation of all three filters from their statements."""
-    bound = {e.marker.mid: e.entity.id for e in anchor.cf.entries}
+def _bound_ids(anchor: Anchor) -> dict[str, str]:
+    return {e.marker.mid: e.entity.id for e in anchor.cf.entries}
+
+
+def oracle_contra(anchor: Anchor, u: Utterance) -> bool:
+    """Contraindexing: no two contraindexed markers bound to one entity."""
+    bound = _bound_ids(anchor)
     for a, b in combinations(u.markers, 2):
         if (b.mid in a.contra or a.mid in b.contra) and bound.get(a.mid) == bound.get(b.mid):
             if bound.get(a.mid) is not None:
                 return False
-    realized = set(bound.values())
+    return True
+
+
+def oracle_constraint3(anchor: Anchor, prior_cf: CfList) -> bool:
+    """Constraint 3: the center is the most prominent prior entity
+    realized, and null when none is."""
+    realized = set(_bound_ids(anchor).values())
     top = None
     for entry in prior_cf.entries:
         if entry.entity.id in realized:
             top = entry.entity.id
             break
     cb_id = anchor.cb.entity.id if anchor.cb is not None else None
-    if top is None:
-        if cb_id is not None:
-            return False
-    elif cb_id != top:
-        return False
+    return cb_id == top
+
+
+def oracle_rule1(anchor: Anchor, prior_cf: CfList) -> bool:
+    """Rule 1: if a pronoun realizes a prior entity, one realizes the center."""
     prior_ids = {entry.entity.id for entry in prior_cf.entries}
     pronoun_ids = {e.entity.id for e in anchor.cf.entries if e.marker.kind is MarkerKind.PRONOUN}
-    if pronoun_ids & prior_ids and cb_id not in pronoun_ids:
-        return False
-    return True
+    cb_id = anchor.cb.entity.id if anchor.cb is not None else None
+    return not pronoun_ids & prior_ids or cb_id in pronoun_ids
+
+
+def oracle_passes_filters(anchor: Anchor, prior_cf: CfList, u: Utterance) -> bool:
+    """Re-derivation of all three filters from their statements."""
+    return oracle_contra(anchor, u) and oracle_constraint3(anchor, prior_cf) and oracle_rule1(anchor, prior_cf)
+
+
+def preference_rank(transition: Transition) -> int:
+    """Position in the preference order (lower is better, both modes)."""
+    return list(Transition).index(transition)
+
+
+def oracle_rank_then_filter(anchors, prior_cf: CfList, u: Utterance, prev_cb, mode: Mode) -> int | None:
+    """The alternative control structure: classify and rank every anchor,
+    then take the ordinal of the first that passes all the filters (None
+    when none does). Only the filtering is re-derived; the transition
+    rule is the library's own `classify`."""
+    keyed = sorted(anchors, key=lambda a: (preference_rank(classify(a.cb, a.cf, prev_cb, mode)), a.ordinal))
+    for anchor in keyed:
+        if oracle_passes_filters(anchor, prior_cf, u):
+            return anchor.ordinal
+    return None
 
 
 # --- randomized inputs -----------------------------------------------------

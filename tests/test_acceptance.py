@@ -14,9 +14,6 @@ from centering import (
     Mode,
     Transition,
     UnresolvablePronoun,
-    filter_constraint3,
-    filter_contraindex,
-    filter_rule1,
     load_bundled,
     process_discourse,
     process_document,
@@ -28,8 +25,12 @@ from centering import (
 )
 from centering.cli import cli_main
 from support import (
+    oracle_constraint3,
+    oracle_contra,
     oracle_enumerate_anchors,
     oracle_passes_filters,
+    oracle_rank_then_filter,
+    oracle_rule1,
     random_discourse,
     random_scene,
     validate_committed,
@@ -170,9 +171,9 @@ def test_criterion_7b_filter_order_invariance():
             continue
         survivors, verdicts = run_filters(anchors, prior_cf, u)
         predicates = (
-            lambda a: filter_contraindex(a, u),
-            lambda a: filter_constraint3(a, prior_cf),
-            lambda a: filter_rule1(a, prior_cf, u),
+            lambda a: oracle_contra(a, u),
+            lambda a: oracle_constraint3(a, prior_cf),
+            lambda a: oracle_rule1(a, prior_cf),
         )
         for order in permutations(predicates):
             remaining = list(anchors)
@@ -188,20 +189,6 @@ def test_criterion_7b_filter_order_invariance():
 
 
 def test_criterion_7c_rank_filter_commutation():
-    from centering import classify, preference_rank
-
-    def rank_then_filter(anchors, prior_cf, u, prev_cb, mode):
-        for anchor in sorted(
-            anchors, key=lambda a: (preference_rank(classify(a, prev_cb, mode)), a.ordinal)
-        ):
-            if (
-                filter_contraindex(anchor, u)
-                and filter_constraint3(anchor, prior_cf)
-                and filter_rule1(anchor, prior_cf, u)
-            ):
-                return anchor.ordinal
-        return None
-
     # All bundled corpora, replaying the engine's per-utterance inputs.
     for corpus in CORPORA:
         results = process_document(load_bundled(corpus))
@@ -211,7 +198,7 @@ def test_criterion_7c_rank_filter_commutation():
             if prev_cf is not None and r.anchors:
                 survivors, _ = run_filters(r.anchors, prev_cf, r.utterance)
                 winner, _, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
-                alt = rank_then_filter(r.anchors, prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
+                alt = oracle_rank_then_filter(r.anchors, prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
                 assert winner.anchor.ordinal == alt
             prev_cf = r.cf
             prev_cb = r.cb.entity if r.cb is not None else None
@@ -228,7 +215,7 @@ def test_criterion_7c_rank_filter_commutation():
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
         survivors, _ = run_filters(anchors, prior_cf, u)
-        alt = rank_then_filter(anchors, prior_cf, u, prev_cb, Mode.EXTENDED)
+        alt = oracle_rank_then_filter(anchors, prior_cf, u, prev_cb, Mode.EXTENDED)
         if not survivors:
             assert alt is None
         else:

@@ -16,9 +16,6 @@ from centering import (
     Ranking,
     Survivors,
     Transition,
-    filter_constraint3,
-    filter_contraindex,
-    filter_rule1,
     UnresolvablePronoun,
     propose_anchors,
     rank_and_select,
@@ -34,6 +31,9 @@ from support import (
     bind,
     cf_of,
     name,
+    oracle_constraint3,
+    oracle_contra,
+    oracle_rule1,
     pronoun,
     race_scene,
     random_scene,
@@ -54,12 +54,12 @@ def by_ordinal(anchors, n):
 class TestContraindex:
     def test_eliminates_co_bound_contraindexed_pairs(self, scene):
         prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors if not filter_contraindex(a, u)}
+        eliminated = {a.ordinal for a in anchors if not oracle_contra(a, u)}
         assert eliminated == {1, 4, 5, 8, 9, 12, 13, 16}
 
     def test_distinct_binding_passes(self, scene):
         prior_cf, u, anchors = scene
-        assert filter_contraindex(by_ordinal(anchors, 2), u)
+        assert oracle_contra(by_ordinal(anchors, 2), u)
 
     def test_vacuous_without_contra_sets(self):
         prior = cf_of(name("Ann", "ANN", agr=FEM), name("Eve", "EVE", gf=OBJ, agr=FEM))
@@ -69,13 +69,13 @@ class TestContraindex:
             pronoun("her", index="A2", gf=OBJ, agr=FEM),
         )
         for anchor in propose_anchors(u, prior):
-            assert filter_contraindex(anchor, u)
+            assert oracle_contra(anchor, u)
 
 
 class TestConstraint3:
     def test_center_must_top_the_realized_prior_entities(self, scene):
         prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors if not filter_constraint3(a, prior_cf)}
+        eliminated = {a.ordinal for a in anchors if not oracle_constraint3(a, prior_cf)}
         # The stated constraint also removes anchor vi (its Cf realizes the
         # higher-ranked FRIEDMAN while centering BRENNAN), and iv/v/vii;
         # the survivor set is unaffected.
@@ -87,19 +87,19 @@ class TestConstraint3:
         cam = name("Cam", "CAM", agr=MASC)
         u = utt("Cam arrived.", cam)
         nil = Anchor(None, cf_of(cam), 2)
-        assert filter_constraint3(nil, prior)
+        assert oracle_constraint3(nil, prior)
         non_nil = Anchor(bind(prior.entries[0].marker, prior.entries[0].entity), cf_of(cam), 1)
-        assert not filter_constraint3(non_nil, prior)
+        assert not oracle_constraint3(non_nil, prior)
 
     def test_empty_prior_with_null_center_passes(self):
         cam = name("Cam", "CAM", agr=MASC)
-        assert filter_constraint3(Anchor(None, cf_of(cam), 1), CfList())
+        assert oracle_constraint3(Anchor(None, cf_of(cam), 1), CfList())
 
 
 class TestRule1:
     def test_eliminates_noncenter_pronoun_realizations(self, scene):
         prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors if not filter_rule1(a, prior_cf, u)}
+        eliminated = {a.ordinal for a in anchors if not oracle_rule1(a, prior_cf)}
         assert eliminated >= set(range(9, 17))
         assert eliminated == {4, 5} | set(range(9, 17))
 
@@ -116,13 +116,12 @@ class TestRule1:
         )
         anchors = propose_anchors(u, prior)
         keep_carl = [a for a in anchors if a.cb and a.cb.entity.id == "POLLARD"]
-        assert keep_carl and all(filter_rule1(a, prior, u) for a in keep_carl)
+        assert keep_carl and all(oracle_rule1(a, prior) for a in keep_carl)
 
     def test_vacuous_without_pronouns(self):
         prior = cf_of(name("Ann", "ANN", agr=FEM))
         cam = name("Cam", "CAM", agr=MASC)
-        u = utt("Cam arrived.", cam)
-        assert filter_rule1(Anchor(None, cf_of(cam), 2), prior, u)
+        assert oracle_rule1(Anchor(None, cf_of(cam), 2), prior)
 
 
 class TestRunFilters:
@@ -179,9 +178,9 @@ class TestRunFilters:
         prior_cf, u, anchors = scene
         survivors, _ = run_filters(anchors, prior_cf, u)
         predicates = {
-            CONTRA: lambda a: filter_contraindex(a, u),
-            CONSTRAINT3: lambda a: filter_constraint3(a, prior_cf),
-            RULE1: lambda a: filter_rule1(a, prior_cf, u),
+            CONTRA: lambda a: oracle_contra(a, u),
+            CONSTRAINT3: lambda a: oracle_constraint3(a, prior_cf),
+            RULE1: lambda a: oracle_rule1(a, prior_cf),
         }
         for order in permutations(predicates):
             remaining = list(anchors)
@@ -242,15 +241,15 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
 
 
 def _per_anchor_verdicts(anchors, prior_cf, u):
-    """run_filters' contract, stated with the per-anchor predicates."""
+    """run_filters' contract, stated with the per-anchor oracles."""
     verdicts, survivors = [], []
     for anchor in anchors:
         failed = set()
-        if not filter_contraindex(anchor, u):
+        if not oracle_contra(anchor, u):
             failed.add(CONTRA)
-        if not filter_constraint3(anchor, prior_cf):
+        if not oracle_constraint3(anchor, prior_cf):
             failed.add(CONSTRAINT3)
-        if not filter_rule1(anchor, prior_cf, u):
+        if not oracle_rule1(anchor, prior_cf):
             failed.add(RULE1)
         verdicts.append((anchor.ordinal, not failed, frozenset(failed)))
         if not failed:

@@ -25,13 +25,8 @@ from centering import (
     Transition,
     UnresolvablePronoun,
     allocate_indices,
-    classify,
-    filter_constraint3,
-    filter_contraindex,
-    filter_rule1,
     format_corpus,
     parse_corpus,
-    preference_rank,
     process_discourse,
     process_document,
     process_utterance,
@@ -45,6 +40,10 @@ from centering import (
 from centering.cli import cli_main
 from centering.corpus import derive_entity_id
 from support import (
+    oracle_constraint3,
+    oracle_contra,
+    oracle_rank_then_filter,
+    oracle_rule1,
     pronoun,
     random_discourse,
     random_scene,
@@ -78,23 +77,6 @@ def test_rank_markers_is_an_idempotent_permutation(gfs):
     assert all(x.gf <= y.gf for x, y in zip(ranked, ranked[1:]))
 
 
-def _winner_ordinal_rank_then_filter(anchors, prior_cf, u, prev_cb, mode):
-    """The alternative control structure: classify and rank everything,
-    then take the first proposal that passes all the filters."""
-    keyed = sorted(
-        anchors,
-        key=lambda a: (preference_rank(classify(a, prev_cb, mode)), a.ordinal),
-    )
-    for anchor in keyed:
-        if (
-            filter_contraindex(anchor, u)
-            and filter_constraint3(anchor, prior_cf)
-            and filter_rule1(anchor, prior_cf, u)
-        ):
-            return anchor.ordinal
-    return None
-
-
 def test_filter_order_invariance_randomized():
     rng = random.Random(99)
     checked = 0
@@ -106,9 +88,9 @@ def test_filter_order_invariance_randomized():
             continue
         survivors, _ = run_filters(anchors, prior_cf, u)
         predicates = (
-            lambda a: filter_contraindex(a, u),
-            lambda a: filter_constraint3(a, prior_cf),
-            lambda a: filter_rule1(a, prior_cf, u),
+            lambda a: oracle_contra(a, u),
+            lambda a: oracle_constraint3(a, prior_cf),
+            lambda a: oracle_rule1(a, prior_cf),
         )
         for order in permutations(predicates):
             remaining = list(anchors)
@@ -133,7 +115,7 @@ def test_rank_before_filter_matches_filter_before_rank(mode):
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
         survivors, _ = run_filters(anchors, prior_cf, u)
-        alternative = _winner_ordinal_rank_then_filter(anchors, prior_cf, u, prev_cb, mode)
+        alternative = oracle_rank_then_filter(anchors, prior_cf, u, prev_cb, mode)
         if not survivors:
             assert alternative is None
             continue
