@@ -135,10 +135,12 @@ def rank_and_select(
     their increasing grid order, which puts them in (preference,
     construction ordinal) order without a sort. Under NO_PRIOR, `ranked`
     reads a null center as the opener's preferred center, as `classify`
-    does. `tie` reports whether the top preference class holds more than
-    one anchor; the winner is then the construction-order first, leaving
-    the ambiguity visible to callers. Raises TypeError on anything but a
-    Survivors, and NoViableAnchor on an empty one.
+    does. `tie` reports whether the top preference class holds two
+    readings: a reading is a center entity and a Cf list, so two center
+    rows of one prior entity give one. The winner is then the
+    construction-order first, leaving the ambiguity visible to callers.
+    Raises TypeError on anything but a Survivors, and NoViableAnchor on
+    an empty one.
     """
     if not isinstance(survivors, Survivors):
         raise TypeError(f"rank_and_select needs Survivors, got {type(survivors).__name__}")
@@ -166,4 +168,15 @@ def rank_and_select(
             transitions += [transition] * len(bucket)
     ranked = Ranking(grid, tuple(positions), tuple(transitions), opener=prev_cb is NO_PRIOR)
     tie = len(positions) > 1 and transitions[0] is transitions[1]
+    if tie:  # two anchors, which may be one reading
+        top = buckets[_PREFERENCE[transitions[0]]]
+        first = _reading(ranked, top[0])
+        tie = any(_reading(ranked, position) != first for position in top)
     return ranked[0], ranked, tie
+
+
+def _reading(ranked: Ranking, position: int) -> tuple[Entity | None, int]:
+    """The center entity, as `Ranking.cell` reads it, and the Cf list
+    column of the anchor at a grid position."""
+    cb, _ = ranked.cell(position)
+    return cb.entity if cb is not None else None, position % len(ranked.grid.cf_lists)

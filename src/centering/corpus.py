@@ -10,6 +10,8 @@ starting with `#` are ignored. Directives:
     utterance <text>          opens a new utterance; text runs to end of line
     np key=value ...          one noun phrase of the current utterance
 
+A directive's keyword ends at the first space or tab.
+
 `np` fields use POSIX-shell quoting, exactly as `shlex.split` reads it
 (surface="Alfa Romeo", surface='the "old" house', surface='it'"'"'s').
 A line is read in one of two ways, with identical results. A line in
@@ -289,7 +291,10 @@ def parse_corpus(text: str) -> CorpusDocument:
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     canonical_np = re.compile(_CANONICAL_NP).fullmatch
     for lineno, raw in enumerate(lines, start=1):
-        directive, _, rest = raw.strip().partition(" ")
+        line = raw.strip()
+        directive, _, rest = line.partition(" ")
+        if "\t" in directive:  # the keyword ends at a tab before any space
+            directive, _, rest = line.partition("\t")
         rest = rest.strip()
         if directive == "np":  # most lines: tested first
             if current is None:

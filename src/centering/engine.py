@@ -1,11 +1,12 @@
-"""Per-utterance pipeline and discourse-state evolution.
+"""Per-utterance pipeline, one pure step per utterance.
 
 A discourse's indices are allocated once, for the whole of it. Then, for
-each utterance: construct the candidate anchors, filter them, classify
-and rank the survivors, commit the winner into the rolling state, and
-record a full trace of what happened. Resolution failures never abort a
-run: the state advances with a null center and the fixed (non-pronoun)
-entities, and the result carries the diagnostic.
+each utterance: construct the candidate anchors against the previous
+utterance's result, filter them, classify and rank the survivors, commit
+the winner, and record a full trace of what happened. That result is all
+the next utterance reads. Resolution failures never abort a run: the
+result commits a null center and the fixed (non-pronoun) entities, and
+carries the diagnostic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import (
     AnchorGrid,
     CfEntry,
     CfList,
-    DiscourseState,
     Entity,
     Mode,
     Transition,
@@ -110,20 +110,25 @@ _NO_VERDICTS = FilterVerdicts(b"")
 _NOTHING_RANKED = Ranking(_NO_ANCHORS, (), (), opener=False)
 
 
-def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
-    """Run the full pipeline on one utterance, advancing `state` in place.
+def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
+    """Run the full pipeline on one utterance and return its result.
 
-    Every marker of `u` must carry its index, as `allocate_indices` leaves
-    it; a missing one raises ValueError.
+    `prev` is the previous utterance's result, None for a discourse
+    opener; the step reads its committed center, Cf list and transition,
+    and changes no argument. Every marker of `u` must carry its index, as
+    `allocate_indices` leaves it; a missing one raises ValueError.
     """
-    after_retention = state.last_transition is Transition.RETAINING
-    prev_cb, prior_cf = state.prev or (NO_PRIOR, CfList())
+    if prev is None:
+        prev_cb, prior_cf, after_retention = NO_PRIOR, CfList(), False
+    else:
+        prev_cb = prev.cb.entity if prev.cb is not None else None
+        prior_cf, after_retention = prev.cf, prev.transition is Transition.RETAINING
     anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
     kind = message = None
     try:
         anchors = propose_anchors(u, prior_cf)
         survivors, verdicts = run_filters(anchors, prior_cf, u)
-        winner, ranked, tie = rank_and_select(survivors, prev_cb, state.mode)
+        winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
     except (UnresolvablePronoun, NoViableAnchor, EmptyCf) as exc:
         # Commit a null center and the fixed (non-pronoun) entities.
         transition, cb = None, None
@@ -137,16 +142,16 @@ def process_utterance(state: DiscourseState, u: Utterance) -> UtteranceResult:
                 f"{ranked.transitions.count(transition)} anchors share transition {transition.value}; "
                 "kept the construction-order first"
             )
-    state.prev = (cb.entity if cb is not None else None, cf)
-    state.last_transition = transition
     return UtteranceResult(u, transition, cb, cf, anchors, verdicts, ranked, after_retention, kind, message)
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:
-    """Allocate the discourse's indices, then fold process_utterance over
-    it from a fresh state."""
-    state = DiscourseState(mode=mode)
-    return [process_utterance(state, u) for u in allocate_indices(utterances)]
+    """Allocate the discourse's indices, then step process_utterance
+    through it, each step after the last one's result."""
+    results: list[UtteranceResult] = []
+    for u in allocate_indices(utterances):
+        results.append(process_utterance(results[-1] if results else None, u, mode))
+    return results
 
 
 def process_document(doc, mode: Mode | None = None) -> list[UtteranceResult]:

@@ -3,13 +3,12 @@
 Everything the pipeline shares lives here: grammatical functions and
 their prominence order, agreement features, discourse entities,
 per-utterance reference markers, forward-center lists, candidate
-anchors, transition types, and the rolling per-discourse state.
+anchors, transition types, and the allocation of a discourse's indices.
 
-Every type but DiscourseState is a `Value`: a slot class whose `__init__`
-checks its fields and sets each once through the class's slot setters.
-After that its fields are read-only, and it compares, hashes, prints
-and pickles by them. DiscourseState is mutable, and only the engine
-advances it.
+Every type is a `Value`: a slot class whose `__init__` checks its fields
+and sets each once through the class's slot setters. After that its
+fields are read-only, and it compares, hashes, prints and pickles by
+them.
 """
 
 from __future__ import annotations
@@ -361,27 +360,6 @@ class AnchorGrid(View):
     def _at(self, i: int) -> Anchor:
         row, column = divmod(i, len(self.cf_lists))
         return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
-
-
-class DiscourseState:
-    """Rolling per-discourse bookkeeping; owned and advanced by the engine.
-
-    `prev` is what the next utterance reads of the last committed one: its
-    center (None for a null center) and its Cf list; None before the
-    first utterance.
-    """
-
-    __slots__ = ("mode", "prev", "last_transition")
-
-    def __init__(
-        self,
-        mode: Mode = Mode.EXTENDED,
-        prev: tuple[Entity | None, CfList] | None = None,
-        last_transition: Transition | None = None,
-    ) -> None:
-        self.mode = mode
-        self.prev = prev
-        self.last_transition = last_transition
 
 
 def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:

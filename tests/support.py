@@ -234,6 +234,16 @@ def preference_rank(transition: Transition) -> int:
     return list(Transition).index(transition)
 
 
+def oracle_tie(ranked) -> bool:
+    """Whether the top preference class of `ranked`, (transition, center,
+    Cf list) triples in rank order, holds two distinct readings: a
+    reading is the center's entity id (None for a null center) and the
+    Cf list."""
+    ranked = list(ranked)
+    top = {(cb.entity.id if cb is not None else None, cf) for t, cb, cf in ranked if t is ranked[0][0]}
+    return len(top) > 1
+
+
 def oracle_rank_then_filter(anchors, prior_cf: CfList, u: Utterance, prev_cb, mode: Mode) -> int | None:
     """The alternative control structure: classify and rank every anchor,
     then take the ordinal of the first that passes all the filters (None

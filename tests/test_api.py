@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 REMOVED = (
     "CandidateSet",
     "CorpusNp",
+    "DiscourseState",
     "EntityKind",
     "build_candidates",
     "collect_pronouns",

@@ -31,6 +31,7 @@ from support import (
     cf_of,
     name,
     oracle_passes_filters,
+    oracle_tie,
     preference_rank,
     pronoun,
     race_scene,
@@ -254,9 +255,39 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                     assert got == expected
                     assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
                     assert (winner.anchor.ordinal, winner.transition) == expected[0][:2]
-                    assert tie == (len(expected) > 1 and expected[0][1] is expected[1][1])
+                    assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected)
                     seen["tie"] += tie
                     seen["promoted"] += prev_cb is NO_PRIOR and any(a.cb is None for a in passing)
                     seen["twice"] += len(set(ids)) < len(ids)
                     seen["contra"] += any(m.contra for m in u.markers)
+    assert min(seen.values()) > 20, seen
+
+
+def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
+    # Two center rows of one prior entity give one reading: a top class
+    # of one Cf list under both rows is no tie, and a tie is reported
+    # exactly when the top class holds two distinct readings.
+    rng = random.Random(1717)
+    seen = {"tie": 0, "one reading": 0}
+    for _ in range(400):
+        scene_prior, u = random_scene(rng)
+        *_, prior_cf = _priors(rng, scene_prior)
+        ids = [e.entity.id for e in prior_cf.entries]
+        if len(set(ids)) == len(ids):
+            continue
+        try:
+            grid = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        survivors, _ = run_filters(grid, prior_cf, u)
+        if not survivors or not u.markers:
+            continue
+        for prev_cb in (None, prior_cf.entries[0].entity, Entity("FRESH")):
+            for mode in Mode:
+                _, ranked, tie = rank_and_select(survivors, prev_cb, mode)
+                cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]
+                assert tie == oracle_tie(cells)
+                seen["tie"] += tie
+                top_class = ranked.transitions.count(ranked.transitions[0])
+                seen["one reading"] += top_class > 1 and not tie
     assert min(seen.values()) > 20, seen

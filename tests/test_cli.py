@@ -1,5 +1,9 @@
+import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,24 @@ def test_every_corpus_check_accepts_also_runs(tmp_path, capsys):
         assert cli_main(["run", str(target)]) in (0, 1), target.read_text()
         capsys.readouterr()
     assert accepted > 100
+
+
+OPTION_DIGESTS = json.loads((Path(__file__).parent / "goldens" / "options.sha256.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("options", sorted(OPTION_DIGESTS))
+def test_other_output_modes_match_their_digests(options):
+    # The goldens pin the default figure trace and the extended structured
+    # one; these digests pin stdout, stderr and the exit code of the rest.
+    digests = OPTION_DIGESTS[options]
+    assert set(digests) == set(bundled_corpora())
+    for corpus, expected in digests.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli_main(["run", corpus, *options.split()])
+        got = {
+            "stdout": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest(),
+            "stderr": hashlib.sha256(stderr.getvalue().encode("utf-8")).hexdigest(),
+            "exit": code,
+        }
+        assert got == expected, (corpus, options)

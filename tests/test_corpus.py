@@ -355,6 +355,31 @@ def test_one_leading_byte_order_mark_is_ignored():
     assert err.value.line == 1 and "unknown directive" in str(err.value)
 
 
+SPACED = """\
+discourse demo
+mode classic
+utterance Ann waved\tat Bo.
+np id=a surface=Ann kind=name gf=SUBJ agr=fem,sg,3
+np id=b surface=Bo kind=name gf=OBJ
+"""
+
+
+@pytest.mark.parametrize("keyword", ["discourse", "mode", "utterance", "np"])
+@pytest.mark.parametrize("gap", ["\t", "\t\t", "\t ", " \t"])
+def test_a_tab_ends_a_directive_keyword(keyword, gap):
+    lines = SPACED.splitlines(keepends=True)
+    tabbed = "".join(
+        keyword + gap + line[len(keyword) + 1 :] if line.startswith(keyword + " ") else line for line in lines
+    )
+    assert tabbed != SPACED
+    doc = parse_corpus(tabbed)
+    assert doc == parse_corpus(SPACED)
+    assert doc.utterances[0].text == "Ann waved\tat Bo."
+    with pytest.raises(SchemaError, match="unknown directive 'nq'") as err:
+        parse_corpus(SPACED + "nq\tid=c surface=Cy kind=name gf=OBJ\n")
+    assert err.value.line == 6
+
+
 @pytest.mark.parametrize(
     "surface, derived",
     [

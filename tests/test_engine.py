@@ -2,7 +2,6 @@ import pytest
 
 from centering import (
     AnchorGrid,
-    DiscourseState,
     Mode,
     Transition,
     allocate_indices,
@@ -73,7 +72,7 @@ class TestStateEvolution:
         assert process_discourse([]) == []
 
     def test_opener_promotes_its_preferred_center(self):
-        result = process_utterance(DiscourseState(), utt("Carl works.", name("Carl", "POLLARD", agr=MASC)))
+        result = process_utterance(None, utt("Carl works.", name("Carl", "POLLARD", agr=MASC)))
         assert result.transition is Transition.CONTINUING
         assert result.cb is not None and result.cb.entity.id == "POLLARD"
         assert result.cb.marker.index == "Carl"
@@ -140,14 +139,17 @@ class TestStateEvolution:
 
     def test_exactly_one_anchor_committed_per_utterance(self):
         utterances = allocate_indices(build_utterances(load_bundled("fig4")))
-        state = DiscourseState()
-        for u in utterances:
-            result = process_utterance(state, u)
-            assert result.position == u.position
-            # The state keeps exactly the committed center and Cf list.
-            center, cf = state.prev
-            assert cf is result.cf
-            assert center == (result.cb.entity if result.cb else None)
+        for mode in Mode:
+            prev = None
+            for u, expected in zip(utterances, process_discourse(utterances, mode)):
+                result = process_utterance(prev, u, mode)
+                assert result.position == u.position
+                assert result == expected
+                # The step reads exactly the committed center and Cf list.
+                if prev is not None:
+                    assert result.anchors.cbs == (*prev.cf.entries, None)
+                    assert result.after_retention == (prev.transition is Transition.RETAINING)
+                prev = result
 
     def test_allocated_utterances_are_not_rebuilt(self):
         # Once fig4's anonymous indefinite is bound, nothing is missing.
@@ -158,11 +160,11 @@ class TestStateEvolution:
     def test_process_utterance_needs_allocated_indices(self):
         for u in (utt("She left.", pronoun("She", agr=FEM)), utt("A car came.", indefinite("a car", gf=SUBJ))):
             with pytest.raises(ValueError, match="allocate indices first"):
-                process_utterance(DiscourseState(), u)
+                process_utterance(None, u)
         # Also when a pronoun fails first and the fallback commits the rest.
         u = utt("She saw a car.", pronoun("She", index="A1"), indefinite("a car", gf=OBJ, mid="car"))
         with pytest.raises(ValueError, match="'car' has no entity"):
-            process_utterance(DiscourseState(), u)
+            process_utterance(None, u)
 
     def test_prefix_replay_equivalence(self):
         utterances = build_utterances(load_bundled("fig4"))
@@ -179,6 +181,20 @@ class TestStateEvolution:
 
 
 class TestModes:
+    def test_one_entity_realized_twice_is_one_reading(self):
+        # Ann and the girl are one entity: two center rows, one reading.
+        u1 = utt(
+            "Ann met the girl.",
+            name("Ann", "ANN", agr=FEM),
+            name("the girl", "ANN", gf=OBJ, agr=FEM),
+            position=1,
+        )
+        u2 = utt("She left.", pronoun("She", agr=FEM), position=2)
+        second = process_discourse([u1, u2])[1]
+        assert second.transition is Transition.CONTINUING
+        assert second.ranked.transitions == (Transition.CONTINUING,) * 2
+        assert not second.tie and second.diagnostic_kind is None
+
     def test_classic_mode_reports_the_tie(self):
         doc = load_bundled("fig4")
         results = process_document(doc, Mode.CLASSIC)
