@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .filters import Survivors
-from .model import Anchor, AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value, View
+from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value
 
 
 class _NoPrior:
@@ -41,17 +41,6 @@ _BY_PREFERENCE = tuple(Transition)
 _PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
 
 
-class ClassifiedAnchor(Value):
-    """An anchor with the transition it makes."""
-
-    __slots__ = ("anchor", "transition")
-
-    def __init__(self, anchor: Anchor, transition: Transition) -> None:
-        set_anchor, set_transition = self._setters
-        set_anchor(self, anchor)
-        set_transition(self, transition)
-
-
 def classify(
     cb: CfEntry | None, cf: CfList, prev_cb: Entity | None | _NoPrior, mode: Mode = Mode.EXTENDED
 ) -> Transition:
@@ -78,13 +67,14 @@ def classify(
     return Transition.SHIFTING
 
 
-class Ranking(View):
+class Ranking(Value):
     """Survivors in rank order, kept as grid positions with a transition each.
 
     `positions[k]` is the grid position of the k-th ranked anchor of
-    `grid` and `transitions[k]` its transition. In an `opener`'s ranking,
-    an anchor with the null center and a non-empty Cf list centers its
-    own preferred center, as `classify` reads it under NO_PRIOR.
+    `grid` and `transitions[k]` its transition; `cells()` reads them
+    with their centers and Cf lists. In an `opener`'s ranking, an anchor
+    with the null center and a non-empty Cf list centers its own
+    preferred center, as `classify` reads it under NO_PRIOR.
     """
 
     __slots__ = ("grid", "positions", "transitions", "opener")
@@ -109,7 +99,7 @@ class Ranking(View):
 
     def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
         """(position, transition, center, Cf list) of each ranked anchor, in
-        rank order, without building anchors."""
+        rank order."""
         cell = self.cell
         for position, transition in zip(self.positions, self.transitions):
             yield (position, transition, *cell(position))
@@ -117,17 +107,14 @@ class Ranking(View):
     def __len__(self) -> int:
         return len(self.positions)
 
-    def _at(self, k: int) -> ClassifiedAnchor:
-        position = self.positions[k]
-        return ClassifiedAnchor(Anchor(*self.cell(position), position + 1), self.transitions[k])
-
 
 def rank_and_select(
     survivors: Survivors,
     prev_cb: Entity | None | _NoPrior,
     mode: Mode = Mode.EXTENDED,
-) -> tuple[ClassifiedAnchor, Ranking, bool]:
-    """Order surviving anchors by transition preference and pick the winner.
+) -> tuple[tuple[int, Transition, CfEntry | None, CfList], Ranking, bool]:
+    """Order surviving anchors by transition preference and pick the winner,
+    the first of `ranked.cells()`.
 
     An anchor's transition depends only on its center and its preferred
     center, so `classify`'s rule runs once per distinct (center row,
@@ -172,7 +159,7 @@ def rank_and_select(
         top = buckets[_PREFERENCE[transitions[0]]]
         first = _reading(ranked, top[0])
         tie = any(_reading(ranked, position) != first for position in top)
-    return ranked[0], ranked, tie
+    return next(ranked.cells()), ranked, tie
 
 
 def _reading(ranked: Ranking, position: int) -> tuple[Entity | None, int]:

@@ -7,7 +7,7 @@
 
 <corpus> is a file path, or the id of a bundled sample (see
 `centering corpus list`). Exit codes: 0 clean run; 1 run completed with
-diagnostics (unresolved pronouns, ambiguous ties); 2 corpus errors.
+diagnostics (unresolved pronoun, tie, anchor budget); 2 corpus errors.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ entries in order and end with the null center; within each, binding
 assignments iterate the Cartesian product of per-pronoun candidate
 lists, later pronouns varying fastest, candidates in prior-Cf order.
 The anchor count is therefore always
-(len(prior_cf) + 1) * product(len(candidates(p)) for each pronoun p).
-The anchors are returned as an `AnchorGrid`, the centers and the Cf
-lists whose product they are, so no `Anchor` exists until one is read.
+(len(prior_cf) + 1) * product(len(candidates(p)) for each pronoun p),
+and an utterance whose count is over MAX_ANCHORS is refused before any
+Cf list is built. The anchors are returned as an `AnchorGrid`, the
+centers and the Cf lists whose product they are; an anchor is its
+position in that grid.
 
 Pronoun candidates come only from the previous utterance's committed
 forward centers; an antecedent elsewhere in the same utterance is not
@@ -18,6 +20,7 @@ considered unless it also appears there.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .model import (
     AnchorGrid,
@@ -28,6 +31,15 @@ from .model import (
     Utterance,
     unify_agreement,
 )
+
+
+# The most anchors one utterance may construct; the count grows
+# exponentially with its pronouns.
+MAX_ANCHORS = 1_000_000
+
+
+class AnchorBudgetExceeded(Exception):
+    """The utterance would construct more than MAX_ANCHORS anchors."""
 
 
 class UnresolvablePronoun(Exception):
@@ -59,9 +71,11 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
     """All full binding assignments for the utterance's markers.
 
     Raises UnresolvablePronoun if any pronoun has an empty candidate list,
-    and ValueError if a marker lacks its index or a non-pronoun its
-    entity, which `allocate_indices` fills in. An utterance without
-    pronouns yields exactly one list: the fixed entities in marker order.
+    AnchorBudgetExceeded if the lists would make more than MAX_ANCHORS
+    anchors with the prior centers and the null center, and ValueError
+    if a marker lacks its index or a non-pronoun its entity, which
+    `allocate_indices` fills in. An utterance without pronouns yields
+    exactly one list: the fixed entities in marker order.
     """
     # One entry per (pronoun, candidate), shared by every list that binds
     # the pronoun to that candidate; a fixed marker has a single slot.
@@ -76,6 +90,9 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
             slots.append([CfEntry(e, m) for e in options])
         else:
             slots.append((CfEntry(m.entity, m),))
+    anchors = (len(prior_cf.entries) + 1) * prod(map(len, slots))
+    if anchors > MAX_ANCHORS:
+        raise AnchorBudgetExceeded(f"{anchors:,} anchors would exceed the limit of {MAX_ANCHORS:,}")
     return [CfList(entries) for entries in product(*slots)]
 
 

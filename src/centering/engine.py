@@ -18,7 +18,7 @@ from .classification import (
     Ranking,
     rank_and_select,
 )
-from .construction import UnresolvablePronoun, propose_anchors
+from .construction import AnchorBudgetExceeded, UnresolvablePronoun, propose_anchors
 from .filters import FilterVerdicts, run_filters
 from .model import (
     AnchorGrid,
@@ -35,9 +35,11 @@ from .model import (
 DIAG_UNRESOLVABLE = "unresolvable-pronoun"
 DIAG_NO_VIABLE = "no-viable-anchor"
 DIAG_EMPTY = "empty-utterance"
+DIAG_BUDGET = "anchor-budget"
 DIAG_TIE = "tie"
 # The diagnostic of each resolution failure.
-_FAILURES = {UnresolvablePronoun: DIAG_UNRESOLVABLE, NoViableAnchor: DIAG_NO_VIABLE, EmptyCf: DIAG_EMPTY}
+_FAILURES = {UnresolvablePronoun: DIAG_UNRESOLVABLE, AnchorBudgetExceeded: DIAG_BUDGET,
+             NoViableAnchor: DIAG_NO_VIABLE, EmptyCf: DIAG_EMPTY}
 FAILURE_DIAGNOSTICS = frozenset(_FAILURES.values())
 
 
@@ -93,7 +95,8 @@ class UtteranceResult(Value):
 
     @property
     def tie(self) -> bool:
-        """Whether the top preference class held more than one anchor."""
+        """Whether the top preference class held two readings: anchors
+        that differ in center entity or Cf list."""
         return self.diagnostic_kind == DIAG_TIE
 
     @property
@@ -129,13 +132,13 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
         anchors = propose_anchors(u, prior_cf)
         survivors, verdicts = run_filters(anchors, prior_cf, u)
         winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
-    except (UnresolvablePronoun, NoViableAnchor, EmptyCf) as exc:
+    except tuple(_FAILURES) as exc:  # evaluated only when something is raised
         # Commit a null center and the fixed (non-pronoun) entities.
         transition, cb = None, None
         cf = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun))
         kind, message = _FAILURES[type(exc)], str(exc)
     else:
-        transition, cb, cf = winner.transition, winner.anchor.cb, winner.anchor.cf
+        _, transition, cb, cf = winner
         if tie:
             kind = DIAG_TIE
             message = (

@@ -2,8 +2,9 @@
 
 Everything the pipeline shares lives here: grammatical functions and
 their prominence order, agreement features, discourse entities,
-per-utterance reference markers, forward-center lists, candidate
-anchors, transition types, and the allocation of a discourse's indices.
+per-utterance reference markers, forward-center lists, the grid of an
+utterance's candidate anchors, transition types, and the allocation of a
+discourse's indices.
 
 Every type is a `Value`: a slot class whose `__init__` checks its fields
 and sets each once through the class's slot setters. After that its
@@ -14,7 +15,7 @@ them.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum, IntEnum
 
 GENDERS = frozenset({"fem", "masc", "neut"})
@@ -302,49 +303,13 @@ class CfList(Value):
         return len(self.entries)
 
 
-class Anchor(Value):
-    """A candidate pairing of backward center (None = null center) and Cf.
-
-    `ordinal` is the 1-based construction-order position; it labels the
-    anchor in traces and provides the deterministic tie-break.
-    """
-
-    __slots__ = ("cb", "cf", "ordinal")
-
-    def __init__(self, cb: CfEntry | None, cf: CfList, ordinal: int) -> None:
-        set_cb, set_cf, set_ordinal = self._setters
-        set_cb(self, cb)
-        set_cf(self, cf)
-        set_ordinal(self, ordinal)
-
-
-class View(Value, Sequence):
-    """Base of the pipeline's lazy sequences: values whose items are built
-    when they are read.
-
-    A view defines `__len__` and `_at(i)`, which builds item i; indices
-    and slices work as on a list. A view equals only a view of its own
-    type, whatever its items.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        positions = range(len(self))[index]
-        if isinstance(positions, range):
-            return [self._at(i) for i in positions]
-        return self._at(positions)
-
-    def __iter__(self) -> Iterator:
-        return map(self._at, range(len(self)))
-
-
-class AnchorGrid(View):
+class AnchorGrid(Value):
     """Every candidate anchor of one utterance, kept as positions.
 
-    The anchors are the pairs of `cbs` × `cf_lists`, center-major: index
-    i pairs cbs[i // len(cf_lists)] with cf_lists[i % len(cf_lists)] and
-    has ordinal i + 1.
+    The anchors are the pairs of `cbs` × `cf_lists`, center-major: the
+    anchor at position i pairs cbs[i // len(cf_lists)] with
+    cf_lists[i % len(cf_lists)] and has ordinal i + 1, which labels it
+    in traces and breaks ties.
     """
 
     __slots__ = ("cbs", "cf_lists")
@@ -356,10 +321,6 @@ class AnchorGrid(View):
 
     def __len__(self) -> int:
         return len(self.cbs) * len(self.cf_lists)
-
-    def _at(self, i: int) -> Anchor:
-        row, column = divmod(i, len(self.cf_lists))
-        return Anchor(self.cbs[row], self.cf_lists[column], i + 1)
 
 
 def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:

@@ -12,10 +12,11 @@ import inspect
 import pickle
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 from centering import (
     Agreement,
-    Anchor,
+    AnchorGrid,
     CfEntry,
     CfList,
     Entity,
@@ -23,6 +24,7 @@ from centering import (
     MarkerKind,
     Mode,
     ReferenceMarker,
+    Survivors,
     Transition,
     Utterance,
     classify,
@@ -115,24 +117,39 @@ def race_scene():
     return prior_cf, u, brennan
 
 
-def assert_indexes_like(view, expected, rng):
-    """`view` behaves as the list `expected`: its length, iteration, every
-    index, indices out of range, and random slices."""
-    n = len(expected)
-    assert len(view) == n and list(view) == expected
-    for i in range(-n, n):
-        assert view[i] == expected[i]
-    for bad in (n, -n - 1, n + 7):
-        try:
-            view[bad]
-        except IndexError:
-            continue
-        raise AssertionError(f"index {bad} of a {n}-item view did not raise IndexError")
-    assert view[:] == expected and view[::-1] == expected[::-1]
-    for _ in range(20):
-        bounds = [rng.choice((None, rng.randint(-n - 2, n + 2))) for _ in range(2)]
-        s = slice(*bounds, rng.choice((None, 1, 2, 3, -1, -2)))
-        assert view[s] == expected[s], s
+# --- anchor records --------------------------------------------------------
+
+
+class Anchor(NamedTuple):
+    """One candidate anchor as the tests see it: its backward center (None
+    for the null center), its Cf list and its 1-based construction
+    ordinal."""
+
+    cb: CfEntry | None
+    cf: CfList
+    ordinal: int
+
+
+class Ranked(NamedTuple):
+    """A ranked anchor with the transition it makes."""
+
+    anchor: Anchor
+    transition: Transition
+
+
+def anchors_of(anchors: AnchorGrid | Survivors) -> list[Anchor]:
+    """The anchors of a grid, or the surviving ones, in ordinal order."""
+    if isinstance(anchors, Survivors):
+        grid, positions = anchors.grid, anchors.positions
+    else:
+        grid, positions = anchors, range(len(anchors))
+    width = len(grid.cf_lists)
+    return [Anchor(grid.cbs[p // width], grid.cf_lists[p % width], p + 1) for p in positions]
+
+
+def ranked_of(ranking) -> list[Ranked]:
+    """A Ranking's anchors in rank order, each with its transition."""
+    return [Ranked(Anchor(cb, cf, position + 1), transition) for position, transition, cb, cf in ranking.cells()]
 
 
 def assert_value_by_fields(value, *others):

@@ -25,6 +25,7 @@ from centering import (
 )
 from centering.cli import cli_main
 from support import (
+    anchors_of,
     oracle_constraint3,
     oracle_contra,
     oracle_enumerate_anchors,
@@ -33,6 +34,7 @@ from support import (
     oracle_rule1,
     random_discourse,
     random_scene,
+    ranked_of,
     validate_committed,
 )
 
@@ -92,10 +94,11 @@ def test_criterion_3_appendix_replay_on_fig4_u4():
     assert eliminated["constraint3"] == {4, 5, 6, 7} | set(range(9, 17))
     survivors = [v.anchor_id for v in last.verdicts if v.passed]
     assert survivors == [2, 3]
-    assert last.ranked[0].anchor.ordinal == 2
-    assert last.ranked[0].transition is Transition.SHIFTING_1
-    assert last.ranked[1].anchor.ordinal == 3
-    assert last.ranked[1].transition is Transition.SHIFTING
+    ranked = ranked_of(last.ranked)
+    assert ranked[0].anchor.ordinal == 2
+    assert ranked[0].transition is Transition.SHIFTING_1
+    assert ranked[1].anchor.ordinal == 3
+    assert ranked[1].transition is Transition.SHIFTING
     report(3, "16 anchors; contra {i,iv,v,viii,ix,xii,xiii,xvi}; survivors {ii,iii}; ii=S1 over iii=S")
 
 
@@ -105,7 +108,7 @@ def test_criterion_4_classic_mode_cannot_disambiguate(capsys):
     last = classic[3]
     assert last.transition is Transition.SHIFTING
     assert last.tie and last.diagnostic_kind == "tie"
-    tied = [c for c in last.ranked if c.transition is Transition.SHIFTING]
+    tied = [c for c in ranked_of(last.ranked) if c.transition is Transition.SHIFTING]
     assert [c.anchor.ordinal for c in tied] == [2, 3]
     extended = process_document(doc)
     assert not extended[3].tie
@@ -122,7 +125,7 @@ def test_criterion_5_continuing_reading_preferred():
         last = results[2]
         assert last.transition is Transition.CONTINUING
         assert binding_pairs(last) == [("He", "Max"), ("him", "Fred")]
-        alternatives = last.ranked[1:]
+        alternatives = ranked_of(last.ranked)[1:]
         retaining = [c for c in alternatives if c.transition is Transition.RETAINING]
         assert retaining, "the retaining reading must appear below the winner"
         alt = retaining[0].anchor
@@ -176,13 +179,13 @@ def test_criterion_7b_filter_order_invariance():
             lambda a: oracle_rule1(a, prior_cf),
         )
         for order in permutations(predicates):
-            remaining = list(anchors)
+            remaining = anchors_of(anchors)
             for predicate in order:
                 remaining = [a for a in remaining if predicate(a)]
-            assert remaining == list(survivors)
+            assert remaining == anchors_of(survivors)
         # And agreement with the independent filter re-derivation.
-        assert [a.ordinal for a in survivors] == [
-            a.ordinal for a in anchors if oracle_passes_filters(a, prior_cf, u)
+        assert [a.ordinal for a in anchors_of(survivors)] == [
+            a.ordinal for a in anchors_of(anchors) if oracle_passes_filters(a, prior_cf, u)
         ]
         checked += 1
     report("7b", f"filter outcome invariant over all 3! orders on {checked} randomized cases")
@@ -197,9 +200,9 @@ def test_criterion_7c_rank_filter_commutation():
         for r in results:
             if prev_cf is not None and r.anchors:
                 survivors, _ = run_filters(r.anchors, prev_cf, r.utterance)
-                winner, _, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
-                alt = oracle_rank_then_filter(r.anchors, prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
-                assert winner.anchor.ordinal == alt
+                _, ranked, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+                alt = oracle_rank_then_filter(anchors_of(r.anchors), prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
+                assert ranked_of(ranked)[0].anchor.ordinal == alt
             prev_cf = r.cf
             prev_cb = r.cb.entity if r.cb is not None else None
     # Randomized cases.
@@ -215,12 +218,12 @@ def test_criterion_7c_rank_filter_commutation():
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
         survivors, _ = run_filters(anchors, prior_cf, u)
-        alt = oracle_rank_then_filter(anchors, prior_cf, u, prev_cb, Mode.EXTENDED)
+        alt = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, Mode.EXTENDED)
         if not survivors:
             assert alt is None
         else:
-            winner, _, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
-            assert winner.anchor.ordinal == alt
+            _, ranked, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+            assert ranked_of(ranked)[0].anchor.ordinal == alt
         checked += 1
     report("7c", "rank-then-filter equals filter-then-rank on bundled corpora and randomized cases")
 

@@ -8,7 +8,9 @@ import centering.model
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 REMOVED = (
+    "Anchor",
     "CandidateSet",
+    "ClassifiedAnchor",
     "CorpusNp",
     "DiscourseState",
     "EntityKind",

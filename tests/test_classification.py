@@ -4,7 +4,6 @@ import pytest
 
 from centering import (
     NO_PRIOR,
-    Anchor,
     AnchorGrid,
     EmptyCf,
     Entity,
@@ -27,6 +26,8 @@ from support import (
     OBJ,
     OTHER,
     SUBJ,
+    Anchor,
+    anchors_of,
     bind,
     cf_of,
     name,
@@ -36,6 +37,7 @@ from support import (
     pronoun,
     race_scene,
     random_scene,
+    ranked_of,
     utt,
 )
 
@@ -45,16 +47,25 @@ def surviving(prior_cf, u):
     return survivors
 
 
+def select(survivors, prev_cb, mode=Mode.EXTENDED):
+    """rank_and_select with the winner and the ranking as Ranked records;
+    checks that the winner is the first ranked cell."""
+    winner, ranking, tie = rank_and_select(survivors, prev_cb, mode)
+    assert winner == next(ranking.cells())
+    ranked = ranked_of(ranking)
+    return ranked[0], ranked, tie
+
+
 class TestClassify:
     def test_shift_cells_in_extended_mode(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = surviving(prior_cf, u)
+        ii, iii = anchors_of(surviving(prior_cf, u))
         assert classify(ii.cb, ii.cf, prev_cb) is Transition.SHIFTING_1
         assert classify(iii.cb, iii.cf, prev_cb) is Transition.SHIFTING
 
     def test_classic_mode_collapses_the_shift_cells(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = surviving(prior_cf, u)
+        ii, iii = anchors_of(surviving(prior_cf, u))
         assert classify(ii.cb, ii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
         assert classify(iii.cb, iii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
 
@@ -111,7 +122,7 @@ class TestClassify:
 class TestRankAndSelect:
     def test_shifting_1_beats_shifting(self):
         prior_cf, u, prev_cb = race_scene()
-        winner, ranked, tie = rank_and_select(surviving(prior_cf, u), prev_cb)
+        winner, ranked, tie = select(surviving(prior_cf, u), prev_cb)
         assert winner.transition is Transition.SHIFTING_1
         assert winner.anchor.ordinal == 2
         assert not tie
@@ -121,7 +132,7 @@ class TestRankAndSelect:
 
     def test_classic_mode_cannot_choose(self):
         prior_cf, u, prev_cb = race_scene()
-        winner, ranked, tie = rank_and_select(surviving(prior_cf, u), prev_cb, Mode.CLASSIC)
+        winner, ranked, tie = select(surviving(prior_cf, u), prev_cb, Mode.CLASSIC)
         assert tie
         assert {c.transition for c in ranked} == {Transition.SHIFTING}
         assert winner.anchor.ordinal == 2  # deterministic construction-order break
@@ -137,7 +148,7 @@ class TestRankAndSelect:
             pronoun("He", index="A2", gf=SUBJ, agr=MASC, contra={"A3"}),
             pronoun("him", index="A3", gf=OBJ, agr=MASC, contra={"A2"}),
         )
-        winner, ranked, tie = rank_and_select(surviving(prior, u), planck)
+        winner, ranked, tie = select(surviving(prior, u), planck)
         assert winner.transition is Transition.CONTINUING
         assert not tie
         assert [e.entity.name for e in winner.anchor.cf.entries] == ["Max", "Fred"]
@@ -150,7 +161,7 @@ class TestRankAndSelect:
     def test_survivors_required(self):
         prior_cf, u, prev_cb = race_scene()
         survivors = surviving(prior_cf, u)
-        for wrong in ([], list(survivors)):
+        for wrong in ([], anchors_of(survivors)):
             with pytest.raises(TypeError, match="Survivors"):
                 rank_and_select(wrong, prev_cb)
 
@@ -161,7 +172,7 @@ class TestRankAndSelect:
         for _ in range(10):
             shuffled = list(survivors.positions)
             rng.shuffle(shuffled)
-            winner, ranked, _ = rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)
+            winner, ranked, _ = select(Survivors(survivors.grid, shuffled), prev_cb)
             assert winner.anchor.ordinal == 2
             assert [c.anchor.ordinal for c in ranked] == [2, 3]
 
@@ -183,7 +194,7 @@ def test_modes_agree_outside_the_shift_cells():
         except UnresolvablePronoun:
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
-        for anchor in anchors:
+        for anchor in anchors_of(anchors):
             ext = classify(anchor.cb, anchor.cf, prev_cb, Mode.EXTENDED)
             cls = classify(anchor.cb, anchor.cf, prev_cb, Mode.CLASSIC)
             if ext in (Transition.CONTINUING, Transition.RETAINING):
@@ -197,7 +208,7 @@ def test_corpus_exercises_every_transition_cell():
     seen = set()
     for corpus in ("fig2", "fig4", "fig5", "fig6", "fig7"):
         for result in process_document(load_bundled(corpus)):
-            seen.update(c.transition for c in result.ranked)
+            seen.update(c.transition for c in ranked_of(result.ranked))
     assert seen == set(Transition)
 
 
@@ -236,7 +247,7 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
             except UnresolvablePronoun:
                 continue
             survivors, _ = run_filters(grid, prior_cf, u)
-            passing = [a for a in grid if oracle_passes_filters(a, prior_cf, u)]
+            passing = [a for a in anchors_of(grid) if oracle_passes_filters(a, prior_cf, u)]
             ids = [e.entity.id for e in prior_cf.entries]
             for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf.entries[:1]), Entity("FRESH")):
                 for mode in Mode:
@@ -251,10 +262,11 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                         continue
                     expected = _reference_ranking(passing, prev_cb, mode)
                     winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
-                    got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked]
+                    got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked)]
                     assert got == expected
                     assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
-                    assert (winner.anchor.ordinal, winner.transition) == expected[0][:2]
+                    position, *cell = winner
+                    assert (position + 1, *cell) == expected[0]
                     assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected)
                     seen["tie"] += tie
                     seen["promoted"] += prev_cb is NO_PRIOR and any(a.cb is None for a in passing)

@@ -100,6 +100,26 @@ def test_run_unresolved_pronoun_exits_one(tmp_path, capsys):
     assert "unresolvable-pronoun" in captured.err
 
 
+def test_run_over_budget_utterance_exits_one(tmp_path, capsys):
+    # 7 * 6**8 anchors: check accepts the corpus, and run reports the
+    # utterance instead of building them.
+    names = ("Ann", "Ben", "Cal", "Dee", "Eve", "Fay")
+    target = tmp_path / "big.corpus"
+    target.write_text(
+        "discourse big\nutterance Six met.\n"
+        + "".join(f"np id=n{i} surface={n} kind=name gf=OBJ\n" for i, n in enumerate(names))
+        + "utterance They saw them.\n"
+        + "".join(f"np id=p{i} surface=they kind=pronoun gf=OBJ\n" for i in range(8)),
+        encoding="utf-8",
+    )
+    assert cli_main(["check", str(target)]) == 0
+    assert capsys.readouterr().out == "ok: big: 2 utterances\n"
+    assert cli_main(["run", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        "diagnostic: U2: anchor-budget: 11,757,312 anchors would exceed the limit of 1,000,000\n"
+    )
+
+
 def test_check_valid_corpus(capsys):
     assert cli_main(["check", "fig2"]) == 0
     assert "ok: fig2: 4 utterances" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 
 from centering import (
     Agreement,
-    Anchor,
+    AnchorBudgetExceeded,
     AnchorGrid,
     CfList,
     UnresolvablePronoun,
@@ -12,6 +12,7 @@ from centering import (
     propose_cf_lists,
     pronoun_candidates,
 )
+from centering import construction
 from support import (
     FEM,
     MASC,
@@ -19,7 +20,8 @@ from support import (
     OBJ2,
     OTHER,
     SUBJ,
-    assert_indexes_like,
+    Anchor,
+    anchors_of,
     cf_of,
     name,
     oracle_enumerate_anchors,
@@ -132,7 +134,7 @@ class TestProposeCfLists:
 class TestProposeAnchors:
     def test_sixteen_for_the_race_scene(self):
         prior_cf, u, _ = race_scene()
-        anchors = propose_anchors(u, prior_cf)
+        anchors = anchors_of(propose_anchors(u, prior_cf))
         assert len(anchors) == 16
         assert [a.ordinal for a in anchors] == list(range(1, 17))
         # cb-major layout: the first four share the top prior center.
@@ -159,13 +161,13 @@ class TestProposeAnchors:
 
     def test_discourse_initial_single_nil_anchor(self):
         u = utt("Carl works.", name("Carl", "POLLARD", agr=MASC))
-        anchors = propose_anchors(u, CfList())
+        anchors = anchors_of(propose_anchors(u, CfList()))
         assert len(anchors) == 1
         assert anchors[0].cb is None
 
     def test_every_marker_realized_exactly_once(self):
         prior_cf, u, _ = race_scene()
-        for anchor in propose_anchors(u, prior_cf):
+        for anchor in anchors_of(propose_anchors(u, prior_cf)):
             assert [e.marker.mid for e in anchor.cf.entries] == [m.mid for m in u.markers]
 
     def test_deterministic(self):
@@ -190,7 +192,7 @@ def test_anchor_count_law_randomized():
             expected *= len(pronoun_candidates(p, prior_cf))
         assert len(anchors) == expected
         # No anchor binds a pronoun against agreement.
-        for anchor in anchors:
+        for anchor in anchors_of(anchors):
             assert (
                 anchor.cb.entity.id if anchor.cb else None,
                 tuple(e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun),
@@ -222,15 +224,24 @@ def test_anchor_grid_against_the_oracle_randomized():
             )
         ]
         assert [_oracle_key(a) for a in expected] == oracle
-        assert_indexes_like(grid, expected, rng)
+        assert len(grid) == len(expected) and anchors_of(grid) == expected
         checked += 1
+
+
+def test_anchor_budget_is_checked_against_the_count(monkeypatch):
+    # The race scene makes 16 anchors: at a limit of 16 they are built,
+    # at 15 the utterance is refused.
+    prior_cf, u, _ = race_scene()
+    monkeypatch.setattr(construction, "MAX_ANCHORS", 16)
+    assert len(propose_anchors(u, prior_cf)) == 16
+    monkeypatch.setattr(construction, "MAX_ANCHORS", 15)
+    with pytest.raises(AnchorBudgetExceeded, match="^16 anchors would exceed the limit of 15$"):
+        propose_anchors(u, prior_cf)
 
 
 def test_empty_anchor_grid():
     # The engine's fallback results carry the first one.
-    rng = random.Random(3)
     prior_cf, _, _ = race_scene()
     for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf.entries, None), ())):
-        assert not grid
-        assert_indexes_like(grid, [], rng)
+        assert not grid and anchors_of(grid) == []
     assert AnchorGrid((), ()) == AnchorGrid((), ())

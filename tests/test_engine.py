@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from centering import (
     AnchorGrid,
+    CfList,
     Mode,
     Transition,
     allocate_indices,
@@ -12,7 +15,7 @@ from centering import (
     process_utterance,
     render_trace,
 )
-from support import FEM, MASC, NEUT, OBJ, SUBJ, indefinite, name, pronoun, utt, validate_committed
+from support import FEM, MASC, NEUT, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt, validate_committed
 
 
 def bindings_by_surface(result):
@@ -52,7 +55,7 @@ class TestBundledDiscourses:
         last = results[3]
         assert last.anchors_constructed == 16
         assert [v.anchor_id for v in last.verdicts if v.passed] == [2, 3]
-        assert last.ranked[0].anchor.ordinal == 2
+        assert ranked_of(last.ranked)[0].anchor.ordinal == 2
 
     def test_laguna_seca_continuation(self):
         results = process_document(load_bundled("fig7"))
@@ -111,9 +114,29 @@ class TestStateEvolution:
         # Every anchor and verdict is kept for the trace to explain.
         assert len(second.anchors) == len(second.verdicts) == 2
         assert not any(v.passed for v in second.verdicts)
-        assert list(second.ranked) == [] and not second.tie
+        assert ranked_of(second.ranked) == [] and not second.tie
         assert second.cb is None
         assert [e.entity.id for e in second.cf.entries] == ["ANN"]
+
+    def test_over_budget_utterance_commits_the_fallback_in_bounded_memory(self):
+        # Six names, then eight pronouns of unspecified agreement: 7 * 6**8
+        # = 11,757,312 anchors. The count is refused before one is built.
+        names = [name(n, n.upper(), gf=OBJ) for n in ("Ann", "Ben", "Cal", "Dee", "Eve", "Fay")]
+        pronouns = [pronoun("they", gf=OBJ, mid=f"p{i}") for i in range(8)]
+        utterances = [utt("Six met.", *names, position=1), utt("They saw them.", *pronouns, position=2)]
+        tracemalloc.start()
+        try:
+            first, second = process_discourse(utterances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.transition is Transition.CONTINUING
+        assert second.diagnostic_kind == "anchor-budget"
+        assert second.diagnostic == "11,757,312 anchors would exceed the limit of 1,000,000"
+        assert second.transition is None and second.cb is None and second.cf == CfList()
+        assert second.anchors_constructed == 0 and len(second.verdicts) == 0
+        assert validate_committed([first, second]) == []
+        assert peak < 4 * 2**20, peak
 
     def test_fresh_x_index_skips_an_entity_id_in_use(self):
         # An anonymous indefinite's entity is named after its X-index: X1,
@@ -134,7 +157,7 @@ class TestStateEvolution:
         assert second.transition is None
         # Ann's center and the null center, each with the one empty Cf list.
         assert len(second.anchors) == len(second.verdicts) == 2
-        assert list(second.ranked) == []
+        assert ranked_of(second.ranked) == []
         assert second.bindings is None and not second.tie
 
     def test_exactly_one_anchor_committed_per_utterance(self):

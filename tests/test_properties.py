@@ -39,6 +39,7 @@ from centering import (
 from centering.cli import cli_main
 from centering.corpus import derive_entity_id
 from support import (
+    anchors_of,
     oracle_constraint3,
     oracle_contra,
     oracle_rank_then_filter,
@@ -47,6 +48,7 @@ from support import (
     pronoun,
     random_discourse,
     random_scene,
+    ranked_of,
     validate_committed,
 )
 
@@ -93,10 +95,10 @@ def test_filter_order_invariance_randomized():
             lambda a: oracle_rule1(a, prior_cf),
         )
         for order in permutations(predicates):
-            remaining = list(anchors)
+            remaining = anchors_of(anchors)
             for predicate in order:
                 remaining = [a for a in remaining if predicate(a)]
-            assert remaining == list(survivors)
+            assert remaining == anchors_of(survivors)
         checked += 1
     assert checked > 100
 
@@ -115,12 +117,12 @@ def test_rank_before_filter_matches_filter_before_rank(mode):
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
         survivors, _ = run_filters(anchors, prior_cf, u)
-        alternative = oracle_rank_then_filter(anchors, prior_cf, u, prev_cb, mode)
+        alternative = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, mode)
         if not survivors:
             assert alternative is None
             continue
-        winner, _, _ = rank_and_select(survivors, prev_cb, mode)
-        assert winner.anchor.ordinal == alternative
+        _, ranked, _ = rank_and_select(survivors, prev_cb, mode)
+        assert ranked_of(ranked)[0].anchor.ordinal == alternative
         checked += 1
     assert checked > 100
 
@@ -184,10 +186,10 @@ def test_winner_permutation_invariance_randomized():
         if not survivors or not u.markers:
             continue
         prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
-        winner, _, _ = rank_and_select(survivors, prev_cb)
+        winner = ranked_of(rank_and_select(survivors, prev_cb)[1])[0]
         shuffled = list(survivors.positions)
         rng.shuffle(shuffled)
-        again, _, _ = rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)
+        again = ranked_of(rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)[1])[0]
         assert winner.anchor.ordinal == again.anchor.ordinal
 
 

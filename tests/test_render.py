@@ -3,7 +3,7 @@ import json
 import pytest
 
 from centering import Mode, load_bundled, parse_corpus, process_discourse, process_document, render_trace, roman
-from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, utt
+from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt
 
 
 def _subtractive_roman(n):
@@ -148,7 +148,7 @@ def test_structured_lines_are_canonical_json_of_the_results(mode):
                 "cb": c.anchor.cb.display if c.anchor.cb is not None else "NIL",
                 "cf": [e.display for e in c.anchor.cf.entries],
             }
-            for c in r.ranked
+            for c in ranked_of(r.ranked)
         ]
     assert json.loads(lines[1])["ranked"], "the pronouns give more than one reading to rank"
     assert json.loads(lines[2])["diagnostic"]["kind"] == "empty-utterance"
