@@ -50,11 +50,15 @@ def classify(
     center was null; pass NO_PRIOR when there is no previous utterance,
     which counts as keeping the center. A discourse opener centers its
     own preferred center, so under NO_PRIOR a null center reads as the
-    preferred center: a continuation. Raises EmptyCf on an empty `cf`.
+    preferred center: a continuation. `mode` may also be a Mode's value
+    ("classic", "extended"). Raises ValueError on any other mode, and
+    EmptyCf on an empty `cf`.
     """
-    if not cf.entries:
+    if mode is not Mode.EXTENDED and mode is not Mode.CLASSIC:
+        mode = Mode(mode)
+    if not cf:
         raise EmptyCf("utterance has no centers to classify")
-    cp = cf.entries[0].entity
+    cp = cf[0].entity
     if prev_cb is NO_PRIOR:
         # An opener keeps the center, and a null one is its preferred center.
         return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
@@ -93,8 +97,8 @@ class Ranking(Value):
         cf_lists = self.grid.cf_lists
         cb = self.grid.cbs[position // len(cf_lists)]
         cf = cf_lists[position % len(cf_lists)]
-        if cb is None and self.opener and cf.entries:
-            cb = cf.entries[0]
+        if cb is None and self.opener and cf:
+            cb = cf[0]
         return cb, cf
 
     def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
@@ -141,7 +145,7 @@ def rank_and_select(
     for position in survivors.positions:
         row = position // width
         cf = cf_lists[position % width]
-        key = (row, cf.entries[0].entity.id if cf.entries else None)
+        key = (row, cf[0].entity.id if cf else None)
         bucket = bucket_of.get(key)
         if bucket is None:
             transition = classify(cbs[row], cf, prev_cb, mode)

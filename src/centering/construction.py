@@ -9,8 +9,8 @@ The anchor count is therefore always
 (len(prior_cf) + 1) * product(len(candidates(p)) for each pronoun p),
 and an utterance whose count is over MAX_ANCHORS is refused before any
 Cf list is built. The anchors are returned as an `AnchorGrid`, the
-centers and the Cf lists whose product they are; an anchor is its
-position in that grid.
+centers and the Cf lists (tuples of CfEntry) whose product they are; an
+anchor is its position in that grid.
 
 Pronoun candidates come only from the previous utterance's committed
 forward centers; an antecedent elsewhere in the same utterance is not
@@ -58,7 +58,7 @@ def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
     """
     out: list[Entity] = []
     seen: set[str] = set()
-    for entry in prior_cf.entries:
+    for entry in prior_cf:
         if entry.entity.id in seen:
             continue
         if unify_agreement(p.agr, entry.marker.agr):
@@ -67,15 +67,16 @@ def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
     return out
 
 
-def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
-    """All full binding assignments for the utterance's markers.
+def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
+    """Every candidate anchor, in canonical order with 1-based ordinals.
 
-    Raises UnresolvablePronoun if any pronoun has an empty candidate list,
-    AnchorBudgetExceeded if the lists would make more than MAX_ANCHORS
-    anchors with the prior centers and the null center, and ValueError
-    if a marker lacks its index or a non-pronoun its entity, which
-    `allocate_indices` fills in. An utterance without pronouns yields
-    exactly one list: the fixed entities in marker order.
+    The grid's Cf lists are the full binding assignments of the
+    utterance's markers; an utterance without pronouns has exactly one,
+    the fixed entities in marker order. Raises ValueError if a marker
+    lacks its index or a non-pronoun its entity, which `allocate_indices`
+    fills in, UnresolvablePronoun if any pronoun has an empty candidate
+    list, and AnchorBudgetExceeded if the grid would hold more than
+    MAX_ANCHORS anchors.
     """
     # One entry per (pronoun, candidate), shared by every list that binds
     # the pronoun to that candidate; a fixed marker has a single slot.
@@ -90,12 +91,7 @@ def propose_cf_lists(u: Utterance, prior_cf: CfList) -> list[CfList]:
             slots.append([CfEntry(e, m) for e in options])
         else:
             slots.append((CfEntry(m.entity, m),))
-    anchors = (len(prior_cf.entries) + 1) * prod(map(len, slots))
+    anchors = (len(prior_cf) + 1) * prod(map(len, slots))
     if anchors > MAX_ANCHORS:
         raise AnchorBudgetExceeded(f"{anchors:,} anchors would exceed the limit of {MAX_ANCHORS:,}")
-    return [CfList(entries) for entries in product(*slots)]
-
-
-def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
-    """Every candidate anchor, in canonical order with 1-based ordinals."""
-    return AnchorGrid((*prior_cf.entries, None), tuple(propose_cf_lists(u, prior_cf)))
+    return AnchorGrid((*prior_cf, None), tuple(product(*slots)))

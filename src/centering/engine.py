@@ -105,7 +105,7 @@ class UtteranceResult(Value):
         pronouns; None when resolution failed."""
         if self.transition is None:
             return None
-        return {e.marker.index: e.entity for e in self.cf.entries if e.marker.is_pronoun}
+        return {e.marker.index: e.entity for e in self.cf if e.marker.is_pronoun}
 
 
 _NO_ANCHORS = AnchorGrid((), ())
@@ -122,7 +122,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     `allocate_indices` leaves it; a missing one raises ValueError.
     """
     if prev is None:
-        prev_cb, prior_cf, after_retention = NO_PRIOR, CfList(), False
+        prev_cb, prior_cf, after_retention = NO_PRIOR, (), False
     else:
         prev_cb = prev.cb.entity if prev.cb is not None else None
         prior_cf, after_retention = prev.cf, prev.transition is Transition.RETAINING
@@ -135,7 +135,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     except tuple(_FAILURES) as exc:  # evaluated only when something is raised
         # Commit a null center and the fixed (non-pronoun) entities.
         transition, cb = None, None
-        cf = CfList(tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun))
+        cf = tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun)
         kind, message = _FAILURES[type(exc)], str(exc)
     else:
         _, transition, cb, cf = winner

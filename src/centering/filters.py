@@ -102,7 +102,7 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survi
     cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
     every_cb = frozenset(cb_ids)
     # Distinct prior entities, most prominent first.
-    prior_order = tuple(dict.fromkeys(pe.entity.id for pe in prior_cf.entries))
+    prior_order = tuple(dict.fromkeys(pe.entity.id for pe in prior_cf))
     position = {m.mid: i for i, m in enumerate(u.markers)}
     contra_pairs = [
         (i, position[other]) for i, m in enumerate(u.markers) for other in m.contra if other in position
@@ -113,7 +113,7 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survi
     # pronouns bind when one of them picks up a prior entity, else all.
     facts = []
     for cf in grid.cf_lists:
-        ids = [e.entity.id for e in cf.entries]
+        ids = [e.entity.id for e in cf]
         contra = 0
         for i, j in contra_pairs:
             if ids[i] == ids[j]:

@@ -193,11 +193,12 @@ class ReferenceMarker(Value):
     sets refer to. `index` is the display index: A-series for pronouns,
     X-series for indefinites, the surface string for names and definites.
     Pronouns stay unbound (`entity` None); proposed bindings live in
-    CfList entries, never on the marker itself.
+    Cf list entries, never on the marker itself.
 
     Construction raises MarkerError unless a pronoun carries no entity, a
     name or definite carries one and no index but its surface, an
-    A-/X-index is of its kind's series and `mid` is not in `contra`.
+    A-/X-index is of its kind's series, `contra` is a collection of mids
+    rather than one string, and `mid` is not in `contra`.
     """
 
     __slots__ = ("surface", "kind", "gf", "agr", "contra", "entity", "index", "mid")
@@ -213,6 +214,8 @@ class ReferenceMarker(Value):
         index: str | None = None,
         mid: str | None = None,
     ) -> None:
+        if isinstance(contra, str):
+            raise MarkerError(f"contra must be a collection of marker ids, got the string {contra!r}", "contra")
         contra = frozenset(contra)
         if kind is MarkerKind.PRONOUN and entity is not None:
             raise MarkerError("pronouns cannot carry an entity id", "entity")
@@ -290,17 +293,9 @@ class CfEntry(Value):
         set_display(self, f"[{entity.id}:{tag}]")
 
 
-class CfList(Value):
-    """Forward-looking centers in obliqueness order; head is the preferred center."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[CfEntry] = ()) -> None:
-        (set_entries,) = self._setters
-        set_entries(self, tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# A forward-center list: its entries in obliqueness order; the head is
+# the preferred center.
+CfList = tuple[CfEntry, ...]
 
 
 class AnchorGrid(Value):

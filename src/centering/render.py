@@ -57,14 +57,14 @@ def display_cb(entry: CfEntry | None) -> str:
 
 
 def display_cf(cf: CfList) -> str:
-    return "(" + " ".join(e.display for e in cf.entries) + ")"
+    return "(" + " ".join(e.display for e in cf) + ")"
 
 
 def _binding_line(result: UtteranceResult) -> str:
     """How a committed utterance bound its pronouns; empty when it has none."""
     if result.transition is None:
         return ""
-    return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf.entries if e.marker.is_pronoun)
+    return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf if e.marker.is_pronoun)
 
 
 def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], list[str]]:
@@ -173,7 +173,7 @@ class _JsonPieces:
     def cf(self, cf: CfList) -> str:
         text = self.cf_lists.get(id(cf))
         if text is None:
-            text = "[" + ", ".join([encode_basestring(e.display) for e in cf.entries]) + "]"
+            text = "[" + ", ".join([encode_basestring(e.display) for e in cf]) + "]"
             self.cf_lists[id(cf)] = text
         return text
 

@@ -85,8 +85,8 @@ def utt(text, *markers, position=1):
 
 
 def cf_of(*markers):
-    """CfList over already-bound markers (names/indefinites)."""
-    return CfList(tuple(CfEntry(m.entity, m) for m in markers))
+    """A Cf list over already-bound markers (names/indefinites)."""
+    return tuple(CfEntry(m.entity, m) for m in markers)
 
 
 def bind(marker, entity):
@@ -103,11 +103,11 @@ def race_scene():
     weekends = indefinite("weekends", entity_id="WEEKEND", index="X3", gf=ADJ,
                           agr=Agreement("neut", "pl", "3"))
     brennan = Entity("BRENNAN", "Brennan")
-    prior_cf = CfList((
+    prior_cf = (
         CfEntry(friedman_m.entity, friedman_m),
         CfEntry(brennan, her_prior),
         CfEntry(weekends.entity, weekends),
-    ))
+    )
     u = utt(
         "She often beats her.",
         pronoun("She", index="A9", gf=SUBJ, agr=FEM, contra={"A10"}),
@@ -188,7 +188,7 @@ def _agree(a: Agreement, b: Agreement) -> bool:
 
 def oracle_candidate_ids(p: ReferenceMarker, prior_cf: CfList) -> list[str]:
     ids: list[str] = []
-    for entry in prior_cf.entries:
+    for entry in prior_cf:
         if entry.entity.id not in ids and _agree(p.agr, entry.marker.agr):
             ids.append(entry.entity.id)
     return ids
@@ -202,12 +202,12 @@ def oracle_enumerate_anchors(u: Utterance, prior_cf: CfList):
     for p in pronouns:
         ids = oracle_candidate_ids(p, prior_cf)
         assignments = [done + [eid] for done in assignments for eid in ids]
-    cbs = [entry.entity.id for entry in prior_cf.entries] + [None]
+    cbs = [entry.entity.id for entry in prior_cf] + [None]
     return [(cb, tuple(done)) for cb in cbs for done in assignments]
 
 
 def _bound_ids(anchor: Anchor) -> dict[str, str]:
-    return {e.marker.mid: e.entity.id for e in anchor.cf.entries}
+    return {e.marker.mid: e.entity.id for e in anchor.cf}
 
 
 def oracle_contra(anchor: Anchor, u: Utterance) -> bool:
@@ -225,7 +225,7 @@ def oracle_constraint3(anchor: Anchor, prior_cf: CfList) -> bool:
     realized, and null when none is."""
     realized = set(_bound_ids(anchor).values())
     top = None
-    for entry in prior_cf.entries:
+    for entry in prior_cf:
         if entry.entity.id in realized:
             top = entry.entity.id
             break
@@ -235,8 +235,8 @@ def oracle_constraint3(anchor: Anchor, prior_cf: CfList) -> bool:
 
 def oracle_rule1(anchor: Anchor, prior_cf: CfList) -> bool:
     """Rule 1: if a pronoun realizes a prior entity, one realizes the center."""
-    prior_ids = {entry.entity.id for entry in prior_cf.entries}
-    pronoun_ids = {e.entity.id for e in anchor.cf.entries if e.marker.kind is MarkerKind.PRONOUN}
+    prior_ids = {entry.entity.id for entry in prior_cf}
+    pronoun_ids = {e.entity.id for e in anchor.cf if e.marker.kind is MarkerKind.PRONOUN}
     cb_id = anchor.cb.entity.id if anchor.cb is not None else None
     return not pronoun_ids & prior_ids or cb_id in pronoun_ids
 
@@ -297,7 +297,7 @@ def random_scene(rng: random.Random):
                 mid=f"p{j}",
             )
         )
-    prior_cf = CfList(tuple(CfEntry(m.entity, m) for m in prior_markers))
+    prior_cf = tuple(CfEntry(m.entity, m) for m in prior_markers)
 
     markers = []
     for j in range(rng.randint(0, 3)):
@@ -404,37 +404,37 @@ def validate_committed(results: list[UtteranceResult]) -> list[str]:
             if r.cb is not None:
                 problems.append(f"{where}: fallback commit must have a null center")
             fixed = [m.mid for m in u.markers if m.kind is not MarkerKind.PRONOUN]
-            if [e.marker.mid for e in r.cf.entries] != fixed:
+            if [e.marker.mid for e in r.cf] != fixed:
                 problems.append(f"{where}: fallback Cf must hold the fixed entities")
             prev_cf = r.cf
             continue
         # Constraint 2: every marker realized exactly once, in order.
-        if [e.marker.mid for e in r.cf.entries] != [m.mid for m in u.markers]:
+        if [e.marker.mid for e in r.cf] != [m.mid for m in u.markers]:
             problems.append(f"{where}: committed Cf does not realize the markers 1:1")
-        bound = {e.marker.mid: e.entity.id for e in r.cf.entries}
+        bound = {e.marker.mid: e.entity.id for e in r.cf}
         if prev_cf is None:
             # Constraint 1 for an opener: the center is its own Cp.
-            if r.cf.entries:
-                if r.cb is None or r.cb.entity.id != r.cf.entries[0].entity.id:
+            if r.cf:
+                if r.cb is None or r.cb.entity.id != r.cf[0].entity.id:
                     problems.append(f"{where}: opener must center its preferred center")
             elif r.cb is not None:
                 problems.append(f"{where}: empty opener must have a null center")
         else:
             realized = set(bound.values())
-            top = next((e.entity.id for e in prev_cf.entries if e.entity.id in realized), None)
+            top = next((e.entity.id for e in prev_cf if e.entity.id in realized), None)
             cb_id = r.cb.entity.id if r.cb is not None else None
             if top is None:
                 if cb_id is not None:
                     problems.append(f"{where}: nothing prior realized, center must be null")
             elif cb_id != top:
                 problems.append(f"{where}: center {cb_id} is not the top realized prior entity {top}")
-            prior_ids = {e.entity.id for e in prev_cf.entries}
-            pronoun_entries = [e for e in r.cf.entries if e.marker.kind is MarkerKind.PRONOUN]
+            prior_ids = {e.entity.id for e in prev_cf}
+            pronoun_entries = [e for e in r.cf if e.marker.kind is MarkerKind.PRONOUN]
             pronoun_ids = {e.entity.id for e in pronoun_entries}
             if pronoun_ids & prior_ids and (cb_id is None or cb_id not in pronoun_ids):
                 problems.append(f"{where}: a prior entity is pronominalized but the center is not")
             for e in pronoun_entries:
-                sources = [p for p in prev_cf.entries if p.entity.id == e.entity.id]
+                sources = [p for p in prev_cf if p.entity.id == e.entity.id]
                 if not sources:
                     problems.append(f"{where}: pronoun {e.marker.mid} bound outside the prior centers")
                 elif not any(_agree(e.marker.agr, s.marker.agr) for s in sources):

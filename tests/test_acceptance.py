@@ -47,7 +47,7 @@ def report(criterion, description):
 
 
 def binding_pairs(result):
-    return [(e.marker.surface, e.entity.name) for e in result.cf.entries if e.marker.is_pronoun]
+    return [(e.marker.surface, e.entity.name) for e in result.cf if e.marker.is_pronoun]
 
 
 def test_criterion_1_carl_lyn_transitions_and_bindings():
@@ -129,7 +129,7 @@ def test_criterion_5_continuing_reading_preferred():
         retaining = [c for c in alternatives if c.transition is Transition.RETAINING]
         assert retaining, "the retaining reading must appear below the winner"
         alt = retaining[0].anchor
-        assert [e.entity.name for e in alt.cf.entries] == ["Fred", "Max"]
+        assert [e.entity.name for e in alt.cf] == ["Fred", "Max"]
     report(5, "fig5/fig6 U3 winner He=Max, him=Fred (CONTINUING); retaining reading ranked below")
 
 
@@ -216,7 +216,7 @@ def test_criterion_7c_rank_filter_commutation():
             continue
         if not u.markers:
             continue
-        prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
+        prev_cb = prior_cf[0].entity if prior_cf else None
         survivors, _ = run_filters(anchors, prior_cf, u)
         alt = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, Mode.EXTENDED)
         if not survivors:

@@ -20,6 +20,7 @@ REMOVED = (
     "filter_contraindex",
     "filter_rule1",
     "preference_rank",
+    "propose_cf_lists",
 )
 
 

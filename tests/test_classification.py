@@ -7,7 +7,6 @@ from centering import (
     AnchorGrid,
     EmptyCf,
     Entity,
-    CfList,
     Mode,
     NoViableAnchor,
     Survivors,
@@ -78,7 +77,7 @@ class TestClassify:
         )
         she = pronoun("She", index="A4", gf=SUBJ, agr=FEM)
         him = pronoun("him", index="A5", gf=OBJ, agr=MASC)
-        anchor = Anchor(prior.entries[0], CfList((bind(she, prior.entries[1].entity), bind(him, pollard))), 1)
+        anchor = Anchor(prior[0], (bind(she, prior[1].entity), bind(him, pollard)), 1)
         assert classify(anchor.cb, anchor.cf, pollard) is Transition.RETAINING
 
     def test_retaining_with_named_subject(self):
@@ -87,7 +86,7 @@ class TestClassify:
         friedman_m = name("Friedman", "FRIEDMAN", gf=SUBJ, agr=FEM)
         her = pronoun("her", index="A8", gf=OBJ, agr=FEM)
         prior_entry = bind(pronoun("She", index="A7", gf=SUBJ, agr=FEM), brennan)
-        anchor = Anchor(prior_entry, CfList((bind(friedman_m, friedman_m.entity), bind(her, brennan))), 1)
+        anchor = Anchor(prior_entry, (bind(friedman_m, friedman_m.entity), bind(her, brennan)), 1)
         assert classify(anchor.cb, anchor.cf, brennan) is Transition.RETAINING
 
     def test_continuing_when_center_kept_and_preferred(self):
@@ -95,7 +94,7 @@ class TestClassify:
         he = pronoun("He", index="A1", gf=SUBJ, agr=MASC)
         lyn = name("Lyn", "FRIEDMAN", gf=OBJ, agr=FEM)
         carl = name("Carl", "POLLARD", gf=SUBJ, agr=MASC)
-        anchor = Anchor(bind(carl, pollard), CfList((bind(he, pollard), bind(lyn, lyn.entity))), 1)
+        anchor = Anchor(bind(carl, pollard), (bind(he, pollard), bind(lyn, lyn.entity)), 1)
         assert classify(anchor.cb, anchor.cf, pollard) is Transition.CONTINUING
 
     def test_no_prior_utterance_counts_as_keeping_the_center(self):
@@ -116,7 +115,7 @@ class TestClassify:
 
     def test_empty_cf_raises(self):
         with pytest.raises(EmptyCf):
-            classify(None, CfList(), NO_PRIOR)
+            classify(None, (), NO_PRIOR)
 
 
 class TestRankAndSelect:
@@ -127,7 +126,7 @@ class TestRankAndSelect:
         assert winner.anchor.ordinal == 2
         assert not tie
         assert [c.anchor.ordinal for c in ranked] == [2, 3]
-        bound = {e.marker.index: e.entity.name for e in winner.anchor.cf.entries}
+        bound = {e.marker.index: e.entity.name for e in winner.anchor.cf}
         assert bound == {"A9": "Friedman", "A10": "Brennan"}
 
     def test_classic_mode_cannot_choose(self):
@@ -151,7 +150,7 @@ class TestRankAndSelect:
         winner, ranked, tie = select(surviving(prior, u), planck)
         assert winner.transition is Transition.CONTINUING
         assert not tie
-        assert [e.entity.name for e in winner.anchor.cf.entries] == ["Max", "Fred"]
+        assert [e.entity.name for e in winner.anchor.cf] == ["Max", "Fred"]
         assert ranked[1].transition is Transition.RETAINING
 
     def test_empty_survivors_raise(self):
@@ -193,7 +192,7 @@ def test_modes_agree_outside_the_shift_cells():
             anchors = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
+        prev_cb = prior_cf[0].entity if prior_cf else None
         for anchor in anchors_of(anchors):
             ext = classify(anchor.cb, anchor.cf, prev_cb, Mode.EXTENDED)
             cls = classify(anchor.cb, anchor.cf, prev_cb, Mode.CLASSIC)
@@ -217,7 +216,7 @@ def _reference_ranking(anchors, prev_cb, mode):
     null centers, classify every anchor, sort by (preference, ordinal)."""
     if prev_cb is NO_PRIOR:
         anchors = [
-            Anchor(a.cf.entries[0], a.cf, a.ordinal) if a.cb is None and a.cf.entries else a for a in anchors
+            Anchor(a.cf[0], a.cf, a.ordinal) if a.cb is None and a.cf else a for a in anchors
         ]
     classified = [(classify(a.cb, a.cf, prev_cb, mode), a) for a in anchors]
     classified.sort(key=lambda c: (preference_rank(c[0]), c[1].ordinal))
@@ -228,12 +227,12 @@ def _priors(rng, prior_cf):
     """The scene's prior Cf list, and one that realizes an entity twice
     (two center rows for one entity), via a pronoun bound to it."""
     yield prior_cf
-    if prior_cf.entries:
-        twice = rng.choice(prior_cf.entries)
+    if prior_cf:
+        twice = rng.choice(prior_cf)
         again = bind(pronoun("pro", index="A99", gf=OTHER, agr=twice.marker.agr), twice.entity)
-        entries = list(prior_cf.entries)
+        entries = list(prior_cf)
         entries.insert(rng.randint(0, len(entries)), again)
-        yield CfList(tuple(entries))
+        yield tuple(entries)
 
 
 def test_grid_ranking_matches_the_per_anchor_reference_randomized():
@@ -248,8 +247,8 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                 continue
             survivors, _ = run_filters(grid, prior_cf, u)
             passing = [a for a in anchors_of(grid) if oracle_passes_filters(a, prior_cf, u)]
-            ids = [e.entity.id for e in prior_cf.entries]
-            for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf.entries[:1]), Entity("FRESH")):
+            ids = [e.entity.id for e in prior_cf]
+            for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf[:1]), Entity("FRESH")):
                 for mode in Mode:
                     if not passing:
                         with pytest.raises(NoViableAnchor):
@@ -284,7 +283,7 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
     for _ in range(400):
         scene_prior, u = random_scene(rng)
         *_, prior_cf = _priors(rng, scene_prior)
-        ids = [e.entity.id for e in prior_cf.entries]
+        ids = [e.entity.id for e in prior_cf]
         if len(set(ids)) == len(ids):
             continue
         try:
@@ -294,7 +293,7 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
         survivors, _ = run_filters(grid, prior_cf, u)
         if not survivors or not u.markers:
             continue
-        for prev_cb in (None, prior_cf.entries[0].entity, Entity("FRESH")):
+        for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
             for mode in Mode:
                 _, ranked, tie = rank_and_select(survivors, prev_cb, mode)
                 cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]

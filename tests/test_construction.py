@@ -6,10 +6,8 @@ from centering import (
     Agreement,
     AnchorBudgetExceeded,
     AnchorGrid,
-    CfList,
     UnresolvablePronoun,
     propose_anchors,
-    propose_cf_lists,
     pronoun_candidates,
 )
 from centering import construction
@@ -35,8 +33,8 @@ from support import (
 def bound_pronouns(u, prior_cf):
     """Indices of the pronouns each proposed Cf list binds, in slot order."""
     return {
-        tuple(e.marker.index for e in cf.entries if e.marker.is_pronoun)
-        for cf in propose_cf_lists(u, prior_cf)
+        tuple(e.marker.index for e in cf if e.marker.is_pronoun)
+        for cf in propose_anchors(u, prior_cf).cf_lists
     }
 
 
@@ -47,7 +45,7 @@ class TestCollectPronouns:
 
     def test_no_pronouns(self):
         u = utt("Carl works at HP.", name("Carl", "POLLARD", agr=MASC))
-        assert bound_pronouns(u, CfList()) == {()}
+        assert bound_pronouns(u, ()) == {()}
 
     def test_subject_pronoun_first(self):
         prior = cf_of(name("Carl", "POLLARD", agr=MASC), name("Lyn", "FRIEDMAN", gf=OBJ, agr=FEM))
@@ -75,7 +73,7 @@ class TestPronounCandidates:
 
     def test_empty_prior_cf(self):
         she = pronoun("she", index="A1", agr=FEM)
-        assert pronoun_candidates(she, CfList()) == []
+        assert pronoun_candidates(she, ()) == []
 
     def test_duplicate_prior_entity_listed_once(self):
         prior = cf_of(
@@ -86,11 +84,11 @@ class TestPronounCandidates:
         assert [e.id for e in pronoun_candidates(he, prior)] == ["PLANCK"]
 
 
-class TestProposeCfLists:
+class TestGridCfLists:
     def test_canonical_order_of_four(self):
         prior_cf, u, _ = race_scene()
-        lists = propose_cf_lists(u, prior_cf)
-        got = [tuple(e.entity.id for e in cf.entries) for cf in lists]
+        lists = propose_anchors(u, prior_cf).cf_lists
+        got = [tuple(e.entity.id for e in cf) for cf in lists]
         assert got == [
             ("FRIEDMAN", "FRIEDMAN"),
             ("FRIEDMAN", "BRENNAN"),
@@ -100,9 +98,9 @@ class TestProposeCfLists:
 
     def test_no_pronouns_single_fixed_list(self):
         u = utt("Carl works.", name("Carl", "POLLARD", agr=MASC))
-        lists = propose_cf_lists(u, CfList())
+        lists = propose_anchors(u, ()).cf_lists
         assert len(lists) == 1
-        assert [e.entity.id for e in lists[0].entries] == ["POLLARD"]
+        assert [e.entity.id for e in lists[0]] == ["POLLARD"]
 
     def test_mixed_candidate_sizes(self):
         # Three pronouns with 2, 1 and 2 candidates -> 4 assignments,
@@ -118,7 +116,7 @@ class TestProposeCfLists:
             pronoun("he", index="A2", gf=OBJ, agr=MASC),
             pronoun("her", index="A3", gf=OBJ2, agr=FEM),
         )
-        lists = propose_cf_lists(u, prior)
+        lists = propose_anchors(u, prior).cf_lists
         assert len(lists) == 4
         oracle = oracle_enumerate_anchors(u, prior)
         assert len(lists) == len(oracle) // (len(prior) + 1)
@@ -127,7 +125,7 @@ class TestProposeCfLists:
         prior = cf_of(name("HP", "HP", gf=SUBJ, agr=Agreement("neut", "sg", "3")))
         u = utt("She left.", pronoun("She", index="A1", agr=FEM))
         with pytest.raises(UnresolvablePronoun) as err:
-            propose_cf_lists(u, prior)
+            propose_anchors(u, prior)
         assert "A1" in str(err.value)
 
 
@@ -143,7 +141,7 @@ class TestProposeAnchors:
         assert [a.cb.entity.id for a in anchors[8:12]] == ["WEEKEND"] * 4
         assert [a.cb for a in anchors[12:]] == [None] * 4
         # Within one cb block, assignments iterate the later pronoun fastest.
-        assert [tuple(e.entity.id for e in a.cf.entries) for a in anchors[:4]] == [
+        assert [tuple(e.entity.id for e in a.cf) for a in anchors[:4]] == [
             ("FRIEDMAN", "FRIEDMAN"),
             ("FRIEDMAN", "BRENNAN"),
             ("BRENNAN", "FRIEDMAN"),
@@ -161,14 +159,14 @@ class TestProposeAnchors:
 
     def test_discourse_initial_single_nil_anchor(self):
         u = utt("Carl works.", name("Carl", "POLLARD", agr=MASC))
-        anchors = anchors_of(propose_anchors(u, CfList()))
+        anchors = anchors_of(propose_anchors(u, ()))
         assert len(anchors) == 1
         assert anchors[0].cb is None
 
     def test_every_marker_realized_exactly_once(self):
         prior_cf, u, _ = race_scene()
         for anchor in anchors_of(propose_anchors(u, prior_cf)):
-            assert [e.marker.mid for e in anchor.cf.entries] == [m.mid for m in u.markers]
+            assert [e.marker.mid for e in anchor.cf] == [m.mid for m in u.markers]
 
     def test_deterministic(self):
         prior_cf, u, _ = race_scene()
@@ -195,14 +193,14 @@ def test_anchor_count_law_randomized():
         for anchor in anchors_of(anchors):
             assert (
                 anchor.cb.entity.id if anchor.cb else None,
-                tuple(e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun),
+                tuple(e.entity.id for e in anchor.cf if e.marker.is_pronoun),
             ) in oracle
 
 
 def _oracle_key(anchor):
     return (
         anchor.cb.entity.id if anchor.cb else None,
-        tuple(e.entity.id for e in anchor.cf.entries if e.marker.is_pronoun),
+        tuple(e.entity.id for e in anchor.cf if e.marker.is_pronoun),
     )
 
 
@@ -242,6 +240,6 @@ def test_anchor_budget_is_checked_against_the_count(monkeypatch):
 def test_empty_anchor_grid():
     # The engine's fallback results carry the first one.
     prior_cf, _, _ = race_scene()
-    for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf.entries, None), ())):
+    for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf, None), ())):
         assert not grid and anchors_of(grid) == []
     assert AnchorGrid((), ()) == AnchorGrid((), ())

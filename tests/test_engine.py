@@ -4,7 +4,6 @@ import pytest
 
 from centering import (
     AnchorGrid,
-    CfList,
     Mode,
     Transition,
     allocate_indices,
@@ -19,7 +18,7 @@ from support import FEM, MASC, NEUT, OBJ, SUBJ, indefinite, name, pronoun, ranke
 
 
 def bindings_by_surface(result):
-    return [(e.marker.surface, e.entity.name) for e in result.cf.entries if e.marker.is_pronoun]
+    return [(e.marker.surface, e.entity.name) for e in result.cf if e.marker.is_pronoun]
 
 
 class TestBundledDiscourses:
@@ -85,7 +84,7 @@ class TestStateEvolution:
         u2 = utt("He naps.", pronoun("He", agr=MASC), position=2)
         results = process_discourse([u1, u2])
         assert results[1].cb.marker.index == "Carl"
-        assert results[1].cf.entries[0].marker.index == "A1"
+        assert results[1].cf[0].marker.index == "A1"
 
     def test_unresolvable_pronoun_degrades_gracefully(self):
         u1 = utt("She left.", pronoun("She", agr=FEM), position=1)
@@ -94,7 +93,7 @@ class TestStateEvolution:
         first, second = results
         assert first.diagnostic_kind == "unresolvable-pronoun"
         assert first.bindings is None and first.cb is None
-        assert len(first.cf.entries) == 0
+        assert len(first.cf) == 0
         assert first.anchors == AnchorGrid((), ()) and len(first.verdicts) == 0
         # The discourse continues; the next utterance opens fresh via a shift.
         assert second.transition is Transition.SHIFTING
@@ -116,7 +115,7 @@ class TestStateEvolution:
         assert not any(v.passed for v in second.verdicts)
         assert ranked_of(second.ranked) == [] and not second.tie
         assert second.cb is None
-        assert [e.entity.id for e in second.cf.entries] == ["ANN"]
+        assert [e.entity.id for e in second.cf] == ["ANN"]
 
     def test_over_budget_utterance_commits_the_fallback_in_bounded_memory(self):
         # Six names, then eight pronouns of unspecified agreement: 7 * 6**8
@@ -133,7 +132,7 @@ class TestStateEvolution:
         assert first.transition is Transition.CONTINUING
         assert second.diagnostic_kind == "anchor-budget"
         assert second.diagnostic == "11,757,312 anchors would exceed the limit of 1,000,000"
-        assert second.transition is None and second.cb is None and second.cf == CfList()
+        assert second.transition is None and second.cb is None and second.cf == ()
         assert second.anchors_constructed == 0 and len(second.verdicts) == 0
         assert validate_committed([first, second]) == []
         assert peak < 4 * 2**20, peak
@@ -144,8 +143,8 @@ class TestStateEvolution:
         u1 = utt("Ann saw a car.", name("Ann", "X1", agr=FEM), indefinite("a car", gf=OBJ), position=1)
         u2 = utt("It was red.", pronoun("It", agr=NEUT), position=2)
         first, second = process_discourse([u1, u2])
-        assert [e.display for e in first.cf.entries] == ["[X1:Ann]", "[X2:a car]"]
-        assert second.bindings == {"A1": first.cf.entries[1].entity}
+        assert [e.display for e in first.cf] == ["[X1:Ann]", "[X2:a car]"]
+        assert second.bindings == {"A1": first.cf[1].entity}
         assert second.diagnostic_kind is None
 
     def test_utterance_without_markers(self):
@@ -170,7 +169,7 @@ class TestStateEvolution:
                 assert result == expected
                 # The step reads exactly the committed center and Cf list.
                 if prev is not None:
-                    assert result.anchors.cbs == (*prev.cf.entries, None)
+                    assert result.anchors.cbs == (*prev.cf, None)
                     assert result.after_retention == (prev.transition is Transition.RETAINING)
                 prev = result
 
@@ -227,6 +226,14 @@ class TestModes:
         # Extended mode disambiguates the same utterance.
         extended = process_document(doc)
         assert not extended[3].tie and extended[3].diagnostic_kind is None
+
+    def test_a_mode_may_be_given_by_its_value(self):
+        doc = load_bundled("fig4")
+        for mode in Mode:
+            assert process_document(doc, mode.value) == process_document(doc, mode)
+        assert process_document(doc, "extended") != process_document(doc, Mode.CLASSIC)
+        with pytest.raises(ValueError, match="'Extended' is not a valid Mode"):
+            process_document(doc, "Extended")
 
     def test_modes_agree_until_the_shift(self):
         doc = load_bundled("fig4")

@@ -8,7 +8,6 @@ from centering import (
     CONTRA,
     RULE1,
     AnchorGrid,
-    CfList,
     NO_PRIOR,
     FilterVerdicts,
     Ranking,
@@ -86,12 +85,12 @@ class TestConstraint3:
         u = utt("Cam arrived.", cam)
         nil = Anchor(None, cf_of(cam), 2)
         assert oracle_constraint3(nil, prior)
-        non_nil = Anchor(bind(prior.entries[0].marker, prior.entries[0].entity), cf_of(cam), 1)
+        non_nil = Anchor(bind(prior[0].marker, prior[0].entity), cf_of(cam), 1)
         assert not oracle_constraint3(non_nil, prior)
 
     def test_empty_prior_with_null_center_passes(self):
         cam = name("Cam", "CAM", agr=MASC)
-        assert oracle_constraint3(Anchor(None, cf_of(cam), 1), CfList())
+        assert oracle_constraint3(Anchor(None, cf_of(cam), 1), ())
 
 
 class TestRule1:
@@ -137,7 +136,7 @@ class TestRunFilters:
         # The empty grid the engine's fallback results carry, and a grid
         # with centers but no Cf list.
         prior, u, _ = race_scene()
-        for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior.entries), ())):
+        for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior), ())):
             survivors, verdicts = run_filters(grid, prior, u)
             assert survivors == Survivors(grid, ()) and anchors_of(survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
@@ -210,13 +209,13 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
     keys = [
         (
             a.cb.entity.id if a.cb else None,
-            frozenset((e.marker.mid, e.entity.id) for e in a.cf.entries),
+            frozenset((e.marker.mid, e.entity.id) for e in a.cf),
         )
         for a in anchors_of(survivors)
     ]
     assert len(keys) == len(set(keys))
     for anchor in anchors_of(survivors):
-        bound = [e.entity.id for e in anchor.cf.entries]
+        bound = [e.entity.id for e in anchor.cf]
         assert len(bound) == len(set(bound))
 
 
@@ -242,12 +241,12 @@ def _grids(rng, grid, prior_cf):
     yield grid
     # Centers from anywhere, the Cf lists' own entries included, not just
     # the prior centers; the same center may come back.
-    own = [e for cf in grid.cf_lists for e in cf.entries]
-    cbs = tuple(rng.choice((None, *prior_cf.entries, *own)) for _ in range(rng.randint(1, 6)))
+    own = [e for cf in grid.cf_lists for e in cf]
+    cbs = tuple(rng.choice((None, *prior_cf, *own)) for _ in range(rng.randint(1, 6)))
     yield AnchorGrid(cbs, grid.cf_lists)
     # One Cf list object repeated, and equal but distinct Cf list objects.
     cf_lists = tuple(
-        CfList(cf.entries) if rng.random() < 0.5 else cf
+        tuple([*cf]) if rng.random() < 0.5 else cf
         for cf in rng.choices(grid.cf_lists, k=2 * len(grid.cf_lists))
     )
     yield AnchorGrid(cbs, cf_lists)
@@ -263,7 +262,7 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
         except UnresolvablePronoun:
             continue
         # A shorter prior list leaves some pronouns bound outside it.
-        priors = (prior_cf, CfList(prior_cf.entries[1:]))
+        priors = (prior_cf, prior_cf[1:])
         for variant in _grids(rng, grid, prior_cf):
             for prior in priors:
                 survivors, verdicts = run_filters(variant, prior, u)

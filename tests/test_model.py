@@ -4,7 +4,6 @@ from centering import (
     Agreement,
     AnchorGrid,
     CfEntry,
-    CfList,
     CorpusDocument,
     CorpusUtterance,
     Entity,
@@ -145,6 +144,13 @@ class TestMarkers:
         with pytest.raises(ValueError):
             pronoun("she", index="A1", contra={"A1"})
 
+    def test_contra_given_as_one_string_rejected(self):
+        # frozenset("her1") would be the letters, which name no marker.
+        with pytest.raises(MarkerError) as err:
+            ReferenceMarker("she", MarkerKind.PRONOUN, SUBJ, contra="her1")
+        assert err.value.fieldname == "contra"
+        assert ReferenceMarker("she", MarkerKind.PRONOUN, SUBJ, contra=["her1"]).contra == frozenset({"her1"})
+
     def test_utterance_sorts_and_rejects_duplicate_mids(self):
         u = utt("x", pronoun("her", index="A2", gf=OBJ), pronoun("She", index="A1", gf=SUBJ))
         assert [m.index for m in u.markers] == ["A1", "A2"]
@@ -258,8 +264,7 @@ def test_every_value_type_is_a_value_of_its_fields():
         Entity: (brennan, Entity("FRIEDMAN", "Brennan")),
         ReferenceMarker: (markers[0], markers[1]),
         Utterance: (last.utterance, first.utterance),
-        CfEntry: (last.cf.entries[0], last.cf.entries[1]),
-        CfList: (last.cf, first.cf),
+        CfEntry: (last.cf[0], last.cf[1]),
         FilterVerdict: tuple(verdicts)[:2],
         UtteranceResult: (last, first),
         CorpusUtterance: (doc.utterances[-1], doc.utterances[0]),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from centering import (
     NO_PRIOR,
     Agreement,
-    CfList,
     CorpusError,
     EmptyCf,
     GrammaticalFunction,
@@ -115,7 +114,7 @@ def test_rank_before_filter_matches_filter_before_rank(mode):
             continue
         if not u.markers:
             continue
-        prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
+        prev_cb = prior_cf[0].entity if prior_cf else None
         survivors, _ = run_filters(anchors, prior_cf, u)
         alternative = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, mode)
         if not survivors:
@@ -185,7 +184,7 @@ def test_winner_permutation_invariance_randomized():
         survivors, _ = run_filters(anchors, prior_cf, u)
         if not survivors or not u.markers:
             continue
-        prev_cb = prior_cf.entries[0].entity if prior_cf.entries else None
+        prev_cb = prior_cf[0].entity if prior_cf else None
         winner = ranked_of(rank_and_select(survivors, prev_cb)[1])[0]
         shuffled = list(survivors.positions)
         rng.shuffle(shuffled)
@@ -201,7 +200,7 @@ def _split_shifting(classic: Ranking) -> Ranking:
     for position, transition, cb, cf in classic.cells():
         if transition is not Transition.SHIFTING:
             kept.append((position, transition))
-        elif cb is not None and cb.entity == cf.entries[0].entity:
+        elif cb is not None and cb.entity == cf[0].entity:
             centered.append((position, Transition.SHIFTING_1))
         else:
             shifting.append((position, transition))
@@ -222,7 +221,7 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
             prev = None
             for u in utterances:
                 if prev is None:
-                    prev_cb, prior_cf = NO_PRIOR, CfList()
+                    prev_cb, prior_cf = NO_PRIOR, ()
                 else:
                     prev_cb, prior_cf = prev.cb.entity if prev.cb is not None else None, prev.cf
                 try:
@@ -301,7 +300,7 @@ def test_extension_breaks_the_classic_tie_on_a_fig4_shaped_family():
         assert classic[-1].transition is Transition.SHIFTING and classic[-1].tie, text
         last = extended[-1]
         assert last.transition is Transition.SHIFTING_1 and not last.tie, text
-        bound = {e.marker.mid: e.entity.id for e in last.cf.entries if e.marker.is_pronoun}
+        bound = {e.marker.mid: e.entity.id for e in last.cf if e.marker.is_pronoun}
         assert bound == {"s": new, "o": old}, text
 
 

@@ -146,7 +146,7 @@ def test_structured_lines_are_canonical_json_of_the_results(mode):
                 "anchor": roman(c.anchor.ordinal),
                 "transition": c.transition.value,
                 "cb": c.anchor.cb.display if c.anchor.cb is not None else "NIL",
-                "cf": [e.display for e in c.anchor.cf.entries],
+                "cf": [e.display for e in c.anchor.cf],
             }
             for c in ranked_of(r.ranked)
         ]
