@@ -47,7 +47,6 @@ from .filters import (
     RULE1,
     FilterVerdict,
     FilterVerdicts,
-    Survivors,
     run_filters,
 )
 from .model import (
@@ -99,7 +98,6 @@ __all__ = [
     "ReferenceMarker",
     "RULE1",
     "SchemaError",
-    "Survivors",
     "Transition",
     "UnresolvablePronoun",
     "Utterance",

@@ -10,8 +10,8 @@ shift) and plain shifting; classic mode lumps both under shifting.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import takewhile
 
-from .filters import Survivors
 from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value
 
 
@@ -72,77 +72,65 @@ def classify(
 
 
 class Ranking(Value):
-    """Survivors in rank order, kept as grid positions with a transition each.
+    """The surviving anchors in rank order: grid positions, a transition each.
 
     `positions[k]` is the grid position of the k-th ranked anchor of
     `grid` and `transitions[k]` its transition; `cells()` reads them
-    with their centers and Cf lists. In an `opener`'s ranking, an anchor
-    with the null center and a non-empty Cf list centers its own
-    preferred center, as `classify` reads it under NO_PRIOR.
+    with their centers and Cf lists.
     """
 
-    __slots__ = ("grid", "positions", "transitions", "opener")
+    __slots__ = ("grid", "positions", "transitions")
 
-    def __init__(
-        self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...], opener: bool
-    ) -> None:
-        set_grid, set_positions, set_transitions, set_opener = self._setters
+    def __init__(self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...]) -> None:
+        set_grid, set_positions, set_transitions = self._setters
         set_grid(self, grid)
         set_positions(self, positions)
         set_transitions(self, transitions)
-        set_opener(self, opener)
-
-    def cell(self, position: int) -> tuple[CfEntry | None, CfList]:
-        """The center and Cf list of the anchor at a grid position."""
-        cf_lists = self.grid.cf_lists
-        cb = self.grid.cbs[position // len(cf_lists)]
-        cf = cf_lists[position % len(cf_lists)]
-        if cb is None and self.opener and cf:
-            cb = cf[0]
-        return cb, cf
 
     def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
         """(position, transition, center, Cf list) of each ranked anchor, in
-        rank order."""
-        cell = self.cell
+        rank order. A null center that continues is a discourse opener's,
+        which centers its own preferred center (see `classify`), so it
+        shows as that center, the Cf list's first entry."""
+        cbs, cf_lists = self.grid.cbs, self.grid.cf_lists
+        width = len(cf_lists)
         for position, transition in zip(self.positions, self.transitions):
-            yield (position, transition, *cell(position))
+            cb, cf = cbs[position // width], cf_lists[position % width]
+            if cb is None and transition is Transition.CONTINUING:
+                cb = cf[0]
+            yield position, transition, cb, cf
 
     def __len__(self) -> int:
         return len(self.positions)
 
 
 def rank_and_select(
-    survivors: Survivors,
+    survivors: tuple[int, ...],
+    grid: AnchorGrid,
     prev_cb: Entity | None | _NoPrior,
     mode: Mode = Mode.EXTENDED,
 ) -> tuple[tuple[int, Transition, CfEntry | None, CfList], Ranking, bool]:
-    """Order surviving anchors by transition preference and pick the winner,
-    the first of `ranked.cells()`.
+    """Order the surviving anchors of `grid` by transition preference and
+    pick the winner, the first of `ranked.cells()`.
 
-    An anchor's transition depends only on its center and its preferred
-    center, so `classify`'s rule runs once per distinct (center row,
-    preferred center entity). The survivors are bucketed by preference in
-    their increasing grid order, which puts them in (preference,
-    construction ordinal) order without a sort. Under NO_PRIOR, `ranked`
-    reads a null center as the opener's preferred center, as `classify`
-    does. `tie` reports whether the top preference class holds two
-    readings: a reading is a center entity and a Cf list, so two center
-    rows of one prior entity give one. The winner is then the
-    construction-order first, leaving the ambiguity visible to callers.
-    Raises TypeError on anything but a Survivors, and NoViableAnchor on
-    an empty one.
+    `survivors` are grid positions, in any order. An anchor's transition
+    depends only on its center and its preferred center, so `classify`'s
+    rule runs once per distinct (center row, preferred center entity).
+    The survivors are bucketed by preference in increasing grid order,
+    which puts them in (preference, construction ordinal) order. `tie`
+    reports whether the top preference class holds two readings: a
+    reading is a center entity and a Cf list, so two center rows of one
+    prior entity give one. The winner is then the construction-order
+    first, leaving the ambiguity visible to callers. Raises
+    NoViableAnchor when nothing survived.
     """
-    if not isinstance(survivors, Survivors):
-        raise TypeError(f"rank_and_select needs Survivors, got {type(survivors).__name__}")
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
-    grid = survivors.grid
     cbs, cf_lists = grid.cbs, grid.cf_lists
     width = len(cf_lists)
     buckets: list[list[int]] = [[] for _ in _BY_PREFERENCE]
     bucket_of: dict[tuple[int, str | None], list[int]] = {}
-    for position in survivors.positions:
+    for position in sorted(survivors):
         row = position // width
         cf = cf_lists[position % width]
         key = (row, cf[0].entity.id if cf else None)
@@ -157,17 +145,17 @@ def rank_and_select(
         if bucket:
             positions += bucket
             transitions += [transition] * len(bucket)
-    ranked = Ranking(grid, tuple(positions), tuple(transitions), opener=prev_cb is NO_PRIOR)
-    tie = len(positions) > 1 and transitions[0] is transitions[1]
-    if tie:  # two anchors, which may be one reading
-        top = buckets[_PREFERENCE[transitions[0]]]
-        first = _reading(ranked, top[0])
-        tie = any(_reading(ranked, position) != first for position in top)
-    return next(ranked.cells()), ranked, tie
+    ranked = Ranking(grid, tuple(positions), tuple(transitions))
+    cells = ranked.cells()
+    winner = next(cells)
+    # The top preference class leads the cells; its anchors may be one reading.
+    top, first = winner[1], _reading(winner, width)
+    tie = any(_reading(cell, width) != first for cell in takewhile(lambda cell: cell[1] is top, cells))
+    return winner, ranked, tie
 
 
-def _reading(ranked: Ranking, position: int) -> tuple[Entity | None, int]:
-    """The center entity, as `Ranking.cell` reads it, and the Cf list
-    column of the anchor at a grid position."""
-    cb, _ = ranked.cell(position)
-    return cb.entity if cb is not None else None, position % len(ranked.grid.cf_lists)
+def _reading(cell: tuple[int, Transition, CfEntry | None, CfList], width: int) -> tuple[Entity | None, int]:
+    """The reading of a ranked cell of a grid `width` Cf lists wide: its
+    center entity, as `Ranking.cells` shows it, and its Cf list column."""
+    position, _, cb, _ = cell
+    return cb.entity if cb is not None else None, position % width

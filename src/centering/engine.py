@@ -110,7 +110,7 @@ class UtteranceResult(Value):
 
 _NO_ANCHORS = AnchorGrid((), ())
 _NO_VERDICTS = FilterVerdicts(b"")
-_NOTHING_RANKED = Ranking(_NO_ANCHORS, (), (), opener=False)
+_NOTHING_RANKED = Ranking(_NO_ANCHORS, (), ())
 
 
 def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
@@ -119,8 +119,10 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     `prev` is the previous utterance's result, None for a discourse
     opener; the step reads its committed center, Cf list and transition,
     and changes no argument. Every marker of `u` must carry its index, as
-    `allocate_indices` leaves it; a missing one raises ValueError.
+    `allocate_indices` leaves it; a missing one raises ValueError, and so
+    does a `mode` that is neither a Mode nor a Mode's value.
     """
+    mode = Mode(mode)
     if prev is None:
         prev_cb, prior_cf, after_retention = NO_PRIOR, (), False
     else:
@@ -131,7 +133,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     try:
         anchors = propose_anchors(u, prior_cf)
         survivors, verdicts = run_filters(anchors, prior_cf, u)
-        winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
+        winner, ranked, tie = rank_and_select(survivors, anchors, prev_cb, mode)
     except tuple(_FAILURES) as exc:  # evaluated only when something is raised
         # Commit a null center and the fixed (non-pronoun) entities.
         transition, cb = None, None

@@ -13,12 +13,12 @@ independent of the backward center, so it is worked out once per Cf
 list, and each center's row of verdicts is then decided from those facts
 and the center alone. A verdict records every violated filter, not just
 the first; the verdicts are kept as one byte of filter bits per anchor,
-and the survivors as their positions in the grid.
+and the survivors as a plain tuple of their increasing grid positions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import compress, count
 
 from .model import AnchorGrid, CfList, Utterance, Value
@@ -76,28 +76,14 @@ class FilterVerdicts(Value):
             yield FilterVerdict(i + 1, _ELIMINATED[mask])
 
 
-class Survivors(Value):
-    """The grid positions (ordinal - 1) of the anchors that passed every
-    filter, increasing whatever order they were given in."""
-
-    __slots__ = ("grid", "positions")
-
-    def __init__(self, grid: AnchorGrid, positions: Iterable[int]) -> None:
-        set_grid, set_positions = self._setters
-        set_grid(self, grid)
-        set_positions(self, tuple(sorted(positions)))
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survivors, FilterVerdicts]:
+def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple[int, ...], FilterVerdicts]:
     """Evaluate all three filters on every anchor of `grid`.
 
     The grid's Cf lists are bindings of `u`'s markers, entry i realizing
     marker i, as `propose_anchors(u, ...)` builds them. Returns the
-    survivors' positions in `grid`, and the verdicts, which record the
-    full elimination set of every anchor.
+    survivors, as their increasing positions (ordinal - 1) in `grid`,
+    and the verdicts, which record the full elimination set of every
+    anchor.
     """
     cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
     every_cb = frozenset(cb_ids)
@@ -132,4 +118,4 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[Survi
         for cb_id in cb_ids
         for contra, top, rule1_passes in facts
     ])
-    return Survivors(grid, compress(count(), masks.translate(SURVIVED))), FilterVerdicts(masks)
+    return tuple(compress(count(), masks.translate(SURVIVED))), FilterVerdicts(masks)

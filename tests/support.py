@@ -11,6 +11,7 @@ import copy
 import inspect
 import pickle
 import random
+from collections.abc import Iterable
 from itertools import combinations
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ from centering import (
     MarkerKind,
     Mode,
     ReferenceMarker,
-    Survivors,
     Transition,
     Utterance,
     classify,
@@ -137,12 +137,11 @@ class Ranked(NamedTuple):
     transition: Transition
 
 
-def anchors_of(anchors: AnchorGrid | Survivors) -> list[Anchor]:
-    """The anchors of a grid, or the surviving ones, in ordinal order."""
-    if isinstance(anchors, Survivors):
-        grid, positions = anchors.grid, anchors.positions
-    else:
-        grid, positions = anchors, range(len(anchors))
+def anchors_of(grid: AnchorGrid, positions: Iterable[int] | None = None) -> list[Anchor]:
+    """The anchors of a grid, or those at the given positions, in the
+    positions' order."""
+    if positions is None:
+        positions = range(len(grid))
     width = len(grid.cf_lists)
     return [Anchor(grid.cbs[p // width], grid.cf_lists[p % width], p + 1) for p in positions]
 

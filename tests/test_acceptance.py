@@ -182,9 +182,9 @@ def test_criterion_7b_filter_order_invariance():
             remaining = anchors_of(anchors)
             for predicate in order:
                 remaining = [a for a in remaining if predicate(a)]
-            assert remaining == anchors_of(survivors)
+            assert remaining == anchors_of(anchors, survivors)
         # And agreement with the independent filter re-derivation.
-        assert [a.ordinal for a in anchors_of(survivors)] == [
+        assert [a.ordinal for a in anchors_of(anchors, survivors)] == [
             a.ordinal for a in anchors_of(anchors) if oracle_passes_filters(a, prior_cf, u)
         ]
         checked += 1
@@ -200,7 +200,7 @@ def test_criterion_7c_rank_filter_commutation():
         for r in results:
             if prev_cf is not None and r.anchors:
                 survivors, _ = run_filters(r.anchors, prev_cf, r.utterance)
-                _, ranked, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+                _, ranked, _ = rank_and_select(survivors, r.anchors, prev_cb, Mode.EXTENDED)
                 alt = oracle_rank_then_filter(anchors_of(r.anchors), prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
                 assert ranked_of(ranked)[0].anchor.ordinal == alt
             prev_cf = r.cf
@@ -222,7 +222,7 @@ def test_criterion_7c_rank_filter_commutation():
         if not survivors:
             assert alt is None
         else:
-            _, ranked, _ = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+            _, ranked, _ = rank_and_select(survivors, anchors, prev_cb, Mode.EXTENDED)
             assert ranked_of(ranked)[0].anchor.ordinal == alt
         checked += 1
     report("7c", "rank-then-filter equals filter-then-rank on bundled corpora and randomized cases")

@@ -14,6 +14,7 @@ REMOVED = (
     "CorpusNp",
     "DiscourseState",
     "EntityKind",
+    "Survivors",
     "build_candidates",
     "collect_pronouns",
     "filter_constraint3",

@@ -9,7 +9,6 @@ from centering import (
     Entity,
     Mode,
     NoViableAnchor,
-    Survivors,
     Transition,
     UnresolvablePronoun,
     classify,
@@ -42,14 +41,18 @@ from support import (
 
 
 def surviving(prior_cf, u):
-    survivors, _ = run_filters(propose_anchors(u, prior_cf), prior_cf, u)
-    return survivors
+    """The grid and its survivors' positions."""
+    grid = propose_anchors(u, prior_cf)
+    survivors, _ = run_filters(grid, prior_cf, u)
+    return grid, survivors
 
 
-def select(survivors, prev_cb, mode=Mode.EXTENDED):
-    """rank_and_select with the winner and the ranking as Ranked records;
-    checks that the winner is the first ranked cell."""
-    winner, ranking, tie = rank_and_select(survivors, prev_cb, mode)
+def select(grid_and_survivors, prev_cb, mode=Mode.EXTENDED):
+    """rank_and_select on a (grid, survivors) pair, with the winner and
+    the ranking as Ranked records; checks that the winner is the first
+    ranked cell."""
+    grid, survivors = grid_and_survivors
+    winner, ranking, tie = rank_and_select(survivors, grid, prev_cb, mode)
     assert winner == next(ranking.cells())
     ranked = ranked_of(ranking)
     return ranked[0], ranked, tie
@@ -58,13 +61,13 @@ def select(survivors, prev_cb, mode=Mode.EXTENDED):
 class TestClassify:
     def test_shift_cells_in_extended_mode(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = anchors_of(surviving(prior_cf, u))
+        ii, iii = anchors_of(*surviving(prior_cf, u))
         assert classify(ii.cb, ii.cf, prev_cb) is Transition.SHIFTING_1
         assert classify(iii.cb, iii.cf, prev_cb) is Transition.SHIFTING
 
     def test_classic_mode_collapses_the_shift_cells(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = anchors_of(surviving(prior_cf, u))
+        ii, iii = anchors_of(*surviving(prior_cf, u))
         assert classify(ii.cb, ii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
         assert classify(iii.cb, iii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
 
@@ -155,23 +158,16 @@ class TestRankAndSelect:
 
     def test_empty_survivors_raise(self):
         with pytest.raises(NoViableAnchor):
-            rank_and_select(Survivors(AnchorGrid((), ()), ()), NO_PRIOR)
-
-    def test_survivors_required(self):
-        prior_cf, u, prev_cb = race_scene()
-        survivors = surviving(prior_cf, u)
-        for wrong in ([], anchors_of(survivors)):
-            with pytest.raises(TypeError, match="Survivors"):
-                rank_and_select(wrong, prev_cb)
+            rank_and_select((), AnchorGrid((), ()), NO_PRIOR)
 
     def test_winner_invariant_under_permutation(self):
         prior_cf, u, prev_cb = race_scene()
-        survivors = surviving(prior_cf, u)
+        grid, survivors = surviving(prior_cf, u)
         rng = random.Random(7)
         for _ in range(10):
-            shuffled = list(survivors.positions)
+            shuffled = list(survivors)
             rng.shuffle(shuffled)
-            winner, ranked, _ = select(Survivors(survivors.grid, shuffled), prev_cb)
+            winner, ranked, _ = select((grid, shuffled), prev_cb)
             assert winner.anchor.ordinal == 2
             assert [c.anchor.ordinal for c in ranked] == [2, 3]
 
@@ -252,15 +248,15 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                 for mode in Mode:
                     if not passing:
                         with pytest.raises(NoViableAnchor):
-                            rank_and_select(survivors, prev_cb, mode)
+                            rank_and_select(survivors, grid, prev_cb, mode)
                         continue
                     if not u.markers:
                         seen["empty"] += 1
                         with pytest.raises(EmptyCf):
-                            rank_and_select(survivors, prev_cb, mode)
+                            rank_and_select(survivors, grid, prev_cb, mode)
                         continue
                     expected = _reference_ranking(passing, prev_cb, mode)
-                    winner, ranked, tie = rank_and_select(survivors, prev_cb, mode)
+                    winner, ranked, tie = rank_and_select(survivors, grid, prev_cb, mode)
                     got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked)]
                     assert got == expected
                     assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
@@ -295,7 +291,7 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
             continue
         for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
             for mode in Mode:
-                _, ranked, tie = rank_and_select(survivors, prev_cb, mode)
+                _, ranked, tie = rank_and_select(survivors, grid, prev_cb, mode)
                 cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]
                 assert tie == oracle_tie(cells)
                 seen["tie"] += tie

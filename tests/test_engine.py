@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from centering import construction
 from centering import (
     AnchorGrid,
     Mode,
@@ -234,6 +235,18 @@ class TestModes:
         assert process_document(doc, "extended") != process_document(doc, Mode.CLASSIC)
         with pytest.raises(ValueError, match="'Extended' is not a valid Mode"):
             process_document(doc, "Extended")
+
+    def test_a_bad_mode_is_refused_when_no_utterance_reaches_ranking(self, monkeypatch):
+        # Construction never reads the mode, so an utterance it refuses
+        # must not let a bad one through.
+        unresolvable = [utt("She left.", pronoun("She", gf=SUBJ, agr=FEM), position=1)]
+        over_budget = [utt("Ann waved.", name("Ann", "ANN", gf=SUBJ, agr=FEM), position=1)]
+        monkeypatch.setattr(construction, "MAX_ANCHORS", 0)
+        for utterances, kind in ((unresolvable, "unresolvable-pronoun"), (over_budget, "anchor-budget")):
+            for mode in ("classic", "extended", *Mode):
+                assert [r.diagnostic_kind for r in process_discourse(utterances, mode)] == [kind]
+            with pytest.raises(ValueError, match="'bogus' is not a valid Mode"):
+                process_discourse(utterances, "bogus")
 
     def test_modes_agree_until_the_shift(self):
         doc = load_bundled("fig4")

@@ -11,7 +11,6 @@ from centering import (
     NO_PRIOR,
     FilterVerdicts,
     Ranking,
-    Survivors,
     UnresolvablePronoun,
     propose_anchors,
     rank_and_select,
@@ -125,7 +124,7 @@ class TestRunFilters:
     def test_survivors_are_ii_and_iii(self, scene):
         prior_cf, u, anchors = scene
         survivors, verdicts = run_filters(anchors, prior_cf, u)
-        assert [a.ordinal for a in anchors_of(survivors)] == [2, 3]
+        assert [a.ordinal for a in anchors_of(anchors, survivors)] == [2, 3]
         assert len(verdicts) == 16
         by_id = {v.anchor_id: v.eliminated_by for v in verdicts}
         assert by_id[1] == {CONTRA}
@@ -138,7 +137,7 @@ class TestRunFilters:
         prior, u, _ = race_scene()
         for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior), ())):
             survivors, verdicts = run_filters(grid, prior, u)
-            assert survivors == Survivors(grid, ()) and anchors_of(survivors) == []
+            assert survivors == () and anchors_of(grid, survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks == b""
 
@@ -152,13 +151,12 @@ class TestRunFilters:
     def test_survivors_are_grid_positions(self, scene):
         prior_cf, u, anchors = scene
         survivors, _ = run_filters(anchors, prior_cf, u)
-        assert survivors.grid is anchors and survivors.positions == (1, 2)
-        assert len(survivors) == 2 and anchors_of(survivors) == anchors_of(anchors)[1:3]
-        assert survivors == Survivors(anchors, [2, 1]) and hash(survivors) == hash(Survivors(anchors, (1, 2)))
-        # The opener reading is carried by the ranking, not the survivors.
-        _, as_opener, _ = rank_and_select(survivors, NO_PRIOR)
-        _, as_follower, _ = rank_and_select(survivors, None)
-        assert as_opener.opener and not as_follower.opener and as_opener != as_follower
+        assert survivors == (1, 2)
+        assert len(survivors) == 2 and anchors_of(anchors, survivors) == anchors_of(anchors)[1:3]
+        # The opener reading is carried by the ranking's transitions, not the survivors.
+        _, as_opener, _ = rank_and_select(survivors, anchors, NO_PRIOR)
+        _, as_follower, _ = rank_and_select(survivors, anchors, None)
+        assert as_opener.transitions != as_follower.transitions and as_opener != as_follower
 
     def test_order_invariance_against_sequential_application(self, scene):
         prior_cf, u, anchors = scene
@@ -172,29 +170,26 @@ class TestRunFilters:
             remaining = anchors_of(anchors)
             for key in order:
                 remaining = [a for a in remaining if predicates[key](a)]
-            assert remaining == anchors_of(survivors)
+            assert remaining == anchors_of(anchors, survivors)
 
 
 def test_grid_values_compare_by_fields():
-    # The grid, verdicts, survivors and ranking of the 16-anchor scene
-    # compare, hash and print by their fields.
+    # The grid, verdicts and ranking of the 16-anchor scene compare, hash
+    # and print by their fields.
     prior_cf, u, prev_cb = race_scene()
     grid = propose_anchors(u, prior_cf)
     survivors, verdicts = run_filters(grid, prior_cf, u)
-    _, ranked, _ = rank_and_select(survivors, prev_cb)
+    _, ranked, _ = rank_and_select(survivors, grid, prev_cb)
     eliminated = {1: {CONTRA}, 2: set(), 3: set(), 6: {CONSTRAINT3}, 16: {CONTRA, CONSTRAINT3, RULE1}}
     listed = list(verdicts)
     assert [v.anchor_id for v in listed] == list(range(1, 17))
     assert all(listed[k - 1].eliminated_by == names for k, names in eliminated.items())
     assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
-    assert survivors.grid is grid and survivors.positions == (1, 2)
-    for value in (grid, verdicts, survivors, ranked):
+    assert survivors == (1, 2)
+    for value in (grid, verdicts, ranked):
         assert_value_by_fields(value)
-    assert survivors == Survivors(grid, [2, 1]) and hash(survivors) == hash(Survivors(grid, (1, 2)))
     # Equal anchors do not make equal values: a value equals only its own type.
-    assert anchors_of(Survivors(grid, range(16))) == anchors_of(grid) and Survivors(grid, range(16)) != grid
-    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Survivors(AnchorGrid((), ()), ()),
-             Ranking(AnchorGrid((), ()), (), (), opener=False))
+    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Ranking(AnchorGrid((), ()), (), ()))
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
 
@@ -211,10 +206,10 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
             a.cb.entity.id if a.cb else None,
             frozenset((e.marker.mid, e.entity.id) for e in a.cf),
         )
-        for a in anchors_of(survivors)
+        for a in anchors_of(anchors, survivors)
     ]
     assert len(keys) == len(set(keys))
-    for anchor in anchors_of(survivors):
+    for anchor in anchors_of(anchors, survivors):
         bound = [e.entity.id for e in anchor.cf]
         assert len(bound) == len(set(bound))
 
@@ -269,7 +264,7 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
                 expected_survivors, expected = _per_anchor_verdicts(anchors_of(variant), prior, u)
                 assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
                 # The very center and Cf list objects of each survivor.
-                assert [(a.ordinal, id(a.cb), id(a.cf)) for a in anchors_of(survivors)] == [
+                assert [(a.ordinal, id(a.cb), id(a.cf)) for a in anchors_of(variant, survivors)] == [
                     (a.ordinal, id(a.cb), id(a.cf)) for a in expected_survivors
                 ]
             checked += 1

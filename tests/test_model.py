@@ -14,7 +14,6 @@ from centering import (
     Mode,
     Ranking,
     ReferenceMarker,
-    Survivors,
     Utterance,
     UtteranceResult,
     allocate_indices,
@@ -271,7 +270,6 @@ def test_every_value_type_is_a_value_of_its_fields():
         CorpusDocument: (doc, CorpusDocument(doc.id, Mode.CLASSIC, doc.utterances)),
         AnchorGrid: (grid, first.anchors),
         FilterVerdicts: (verdicts, first.verdicts),
-        Survivors: (Survivors(grid, ranked.positions), Survivors(grid, ranked.positions[:1])),
         Ranking: (ranked, first.ranked),
     }
     assert set(cases) == set(_value_types())

@@ -19,7 +19,6 @@ from centering import (
     Mode,
     NoViableAnchor,
     Ranking,
-    Survivors,
     Transition,
     UnresolvablePronoun,
     allocate_indices,
@@ -97,7 +96,7 @@ def test_filter_order_invariance_randomized():
             remaining = anchors_of(anchors)
             for predicate in order:
                 remaining = [a for a in remaining if predicate(a)]
-            assert remaining == anchors_of(survivors)
+            assert remaining == anchors_of(anchors, survivors)
         checked += 1
     assert checked > 100
 
@@ -120,7 +119,7 @@ def test_rank_before_filter_matches_filter_before_rank(mode):
         if not survivors:
             assert alternative is None
             continue
-        _, ranked, _ = rank_and_select(survivors, prev_cb, mode)
+        _, ranked, _ = rank_and_select(survivors, anchors, prev_cb, mode)
         assert ranked_of(ranked)[0].anchor.ordinal == alternative
         checked += 1
     assert checked > 100
@@ -185,10 +184,10 @@ def test_winner_permutation_invariance_randomized():
         if not survivors or not u.markers:
             continue
         prev_cb = prior_cf[0].entity if prior_cf else None
-        winner = ranked_of(rank_and_select(survivors, prev_cb)[1])[0]
-        shuffled = list(survivors.positions)
+        winner = ranked_of(rank_and_select(survivors, anchors, prev_cb)[1])[0]
+        shuffled = list(survivors)
         rng.shuffle(shuffled)
-        again = ranked_of(rank_and_select(Survivors(survivors.grid, shuffled), prev_cb)[1])[0]
+        again = ranked_of(rank_and_select(shuffled, anchors, prev_cb)[1])[0]
         assert winner.anchor.ordinal == again.anchor.ordinal
 
 
@@ -205,7 +204,7 @@ def _split_shifting(classic: Ranking) -> Ranking:
         else:
             shifting.append((position, transition))
     positions, transitions = zip(*kept, *centered, *shifting)
-    return Ranking(classic.grid, positions, transitions, classic.opener)
+    return Ranking(classic.grid, positions, transitions)
 
 
 def test_extended_ranking_splits_the_classic_shifting_bucket():
@@ -225,9 +224,10 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                 else:
                     prev_cb, prior_cf = prev.cb.entity if prev.cb is not None else None, prev.cf
                 try:
-                    survivors, _ = run_filters(propose_anchors(u, prior_cf), prior_cf, u)
-                    _, classic, _ = rank_and_select(survivors, prev_cb, Mode.CLASSIC)
-                    _, extended, tie = rank_and_select(survivors, prev_cb, Mode.EXTENDED)
+                    grid = propose_anchors(u, prior_cf)
+                    survivors, _ = run_filters(grid, prior_cf, u)
+                    _, classic, _ = rank_and_select(survivors, grid, prev_cb, Mode.CLASSIC)
+                    _, extended, tie = rank_and_select(survivors, grid, prev_cb, Mode.EXTENDED)
                 except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
                     pass
                 else:
