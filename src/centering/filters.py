@@ -94,6 +94,16 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
         (i, position[other]) for i, m in enumerate(u.markers) for other in m.contra if other in position
     ]
     pronoun_positions = tuple(i for i, m in enumerate(u.markers) if m.is_pronoun)
+    # Every Cf list realizes the fixed markers' entities. The most
+    # prominent prior one of them is a Cf list's top unless a pronoun
+    # binds a prior entity ahead of it, so only those are scanned.
+    fixed_top, ahead = None, prior_order
+    if prior_order:
+        fixed_ids = {m.entity.id for m in u.markers if not m.is_pronoun}
+        for k, pid in enumerate(prior_order):
+            if pid in fixed_ids:
+                fixed_top, ahead = pid, prior_order[:k]
+                break
     # Per Cf list: its contra bit, the most prominent prior entity it
     # realizes (None if none), and the centers rule 1 passes: the ids its
     # pronouns bind when one of them picks up a prior entity, else all.
@@ -105,12 +115,12 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
             if ids[i] == ids[j]:
                 contra = 1
                 break
-        top = None
-        for pid in prior_order:
-            if pid in ids:
+        pronoun_ids = {ids[i] for i in pronoun_positions}
+        top = fixed_top
+        for pid in ahead:
+            if pid in pronoun_ids:
                 top = pid
                 break
-        pronoun_ids = {ids[i] for i in pronoun_positions}
         facts.append((contra, top, every_cb if pronoun_ids.isdisjoint(prior_order) else pronoun_ids))
     # Row by row: one center against every Cf list.
     masks = bytes([

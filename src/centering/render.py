@@ -29,16 +29,20 @@ def roman(n: int) -> str:
     return "m" * (n // 1000) + _HUNDREDS[n // 100 % 10] + _TENS[n // 10 % 10] + _ONES[n % 10]
 
 
-# _LABELS[i] is the label of ordinal i + 1. Grown on demand; it never
-# holds more labels than the longest anchor list rendered needs anyway.
+# _LABELS[i] is the label of ordinal i + 1, grown on demand up to
+# _CACHED, the last ordinal whose label stays short; longer labels are
+# built for one call and dropped with its list.
+_CACHED = 3999
 _LABELS: list[str] = []
 
 
 def _labels(n: int) -> list[str]:
-    """The label table, holding at least the labels of ordinals 1..n."""
-    if len(_LABELS) < n:
-        _LABELS.extend(roman(k) for k in range(len(_LABELS) + 1, n + 1))
-    return _LABELS
+    """A label table holding at least the labels of ordinals 1..n."""
+    if len(_LABELS) < min(n, _CACHED):
+        _LABELS.extend(roman(k) for k in range(len(_LABELS) + 1, min(n, _CACHED) + 1))
+    if n <= _CACHED:
+        return _LABELS
+    return _LABELS + [roman(k) for k in range(_CACHED + 1, n + 1)]
 
 
 # Verdict masks (see FilterVerdicts) translated to 1 where a filter's bit
@@ -67,10 +71,10 @@ def _binding_line(result: UtteranceResult) -> str:
     return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf if e.marker.is_pronoun)
 
 
-def _labels_by_filter(result: UtteranceResult) -> tuple[dict[str, list[str]], list[str]]:
-    """Roman labels of the eliminated anchors per filter, and of the survivors."""
+def _labels_by_filter(result: UtteranceResult, labels: list[str]) -> tuple[dict[str, list[str]], list[str]]:
+    """Roman labels of the eliminated anchors per filter, and of the
+    survivors; `labels` holds at least those of the result's anchors."""
     masks = result.verdicts.masks
-    labels = _labels(len(masks))
     eliminated = {name: list(compress(labels, masks.translate(has))) for name, has in _HAS_BIT.items()}
     return eliminated, list(compress(labels, masks.translate(SURVIVED)))
 
@@ -98,7 +102,7 @@ def _anchor_dump(result: UtteranceResult) -> str:
 
 
 def _filter_explain(result: UtteranceResult) -> str:
-    eliminated, survivors = _labels_by_filter(result)
+    eliminated, survivors = _labels_by_filter(result, _labels(len(result.verdicts)))
     lines = ["filters:"]
     for name, labels in eliminated.items():
         lines.append(f"  {name}: " + (" ".join(labels) if labels else "-"))
@@ -198,7 +202,7 @@ def _structured_line(result: UtteranceResult, pieces: _JsonPieces) -> str:
     diagnostic = "null"
     if result.diagnostic_kind is not None:
         diagnostic = f'{{"kind": {_json_str(result.diagnostic_kind)}, "message": {_json_str(result.diagnostic)}}}'
-    eliminated, survivors = _labels_by_filter(result)
+    eliminated, survivors = _labels_by_filter(result, labels)
     by_filter = ", ".join([f"{encode_basestring(name)}: {_json_labels(names)}" for name, names in eliminated.items()])
     transition = result.transition.value if result.transition is not None else None
     return (

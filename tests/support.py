@@ -12,10 +12,11 @@ import inspect
 import pickle
 import random
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from centering import (
+    NO_PRIOR,
     Agreement,
     AnchorGrid,
     CfEntry,
@@ -28,6 +29,9 @@ from centering import (
     Transition,
     Utterance,
     classify,
+    propose_anchors,
+    rank_and_select,
+    run_filters,
 )
 from centering.engine import FAILURE_DIAGNOSTICS, UtteranceResult
 
@@ -151,6 +155,36 @@ def ranked_of(ranking) -> list[Ranked]:
     return [Ranked(Anchor(cb, cf, position + 1), transition) for position, transition, cb, cf in ranking.cells()]
 
 
+class Stages(NamedTuple):
+    """What each stage made of one utterance, in the oracles' shapes."""
+
+    anchors: list[Anchor]  # every candidate, in ordinal order
+    eliminated: dict[int, frozenset[str]]  # ordinal -> the filters that eliminated it
+    survivors: list[Anchor]
+    ranked: list[Ranked]  # in rank order; empty when nothing was ranked
+    tie: bool
+
+
+# The stage calls and the shapes they return, which only support.py and
+# the tests that pin the documented shapes name.
+STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_lists|cbs|masks)\b|\.cells\("
+SHAPE_MODULES = frozenset({"support.py", "test_construction.py", "test_filters.py", "test_classification.py"})
+
+
+def stages(u: Utterance, prior_cf: CfList, prev_cb=NO_PRIOR, mode: Mode = Mode.EXTENDED) -> Stages:
+    """Construct, filter and rank the anchors of `u` after `prior_cf`.
+    Ranking runs only when something survived and `u` has markers; every
+    exception a stage raises propagates."""
+    grid = propose_anchors(u, prior_cf)
+    survivors, verdicts = run_filters(grid, prior_cf, u)
+    ranked, tie = [], False
+    if survivors and u.markers:
+        _, ranking, tie = rank_and_select(survivors, grid, prev_cb, mode)
+        ranked = ranked_of(ranking)
+    eliminated = {v.anchor_id: v.eliminated_by for v in verdicts}
+    return Stages(anchors_of(grid), eliminated, anchors_of(grid, survivors), ranked, tie)
+
+
 def assert_value_by_fields(value, *others):
     """`value` is a value of its fields.
 
@@ -243,6 +277,21 @@ def oracle_rule1(anchor: Anchor, prior_cf: CfList) -> bool:
 def oracle_passes_filters(anchor: Anchor, prior_cf: CfList, u: Utterance) -> bool:
     """Re-derivation of all three filters from their statements."""
     return oracle_contra(anchor, u) and oracle_constraint3(anchor, prior_cf) and oracle_rule1(anchor, prior_cf)
+
+
+def filtered_in_every_order(anchors, prior_cf: CfList, u: Utterance):
+    """`anchors` put through the three filters' oracles in each of the 3!
+    orders, one list of the anchors left per order."""
+    predicates = (
+        lambda a: oracle_contra(a, u),
+        lambda a: oracle_constraint3(a, prior_cf),
+        lambda a: oracle_rule1(a, prior_cf),
+    )
+    for order in permutations(predicates):
+        remaining = list(anchors)
+        for predicate in order:
+            remaining = [a for a in remaining if predicate(a)]
+        yield remaining
 
 
 def preference_rank(transition: Transition) -> int:

@@ -5,7 +5,6 @@ hand-checked traces and independent brute-force oracles in support.py."""
 import hashlib
 import json
 import random
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -18,23 +17,18 @@ from centering import (
     process_discourse,
     process_document,
     pronoun_candidates,
-    propose_anchors,
-    rank_and_select,
     render_trace,
-    run_filters,
 )
 from centering.cli import cli_main
 from support import (
-    anchors_of,
-    oracle_constraint3,
-    oracle_contra,
+    filtered_in_every_order,
     oracle_enumerate_anchors,
     oracle_passes_filters,
     oracle_rank_then_filter,
-    oracle_rule1,
     random_discourse,
     random_scene,
     ranked_of,
+    stages,
     validate_committed,
 )
 
@@ -151,10 +145,10 @@ def test_criterion_7a_anchor_count_law():
         pronouns = [m for m in u.markers if m.is_pronoun]
         if not oracle and pronouns:
             with pytest.raises(UnresolvablePronoun):
-                propose_anchors(u, prior_cf)
+                stages(u, prior_cf)
             checked += 1
             continue
-        anchors = propose_anchors(u, prior_cf)
+        anchors = stages(u, prior_cf).anchors
         expected = len(prior_cf) + 1
         for p in pronouns:
             expected *= len(pronoun_candidates(p, prior_cf))
@@ -169,23 +163,14 @@ def test_criterion_7b_filter_order_invariance():
     while checked < 300:
         prior_cf, u = random_scene(rng)
         try:
-            anchors = propose_anchors(u, prior_cf)
+            s = stages(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        survivors, verdicts = run_filters(anchors, prior_cf, u)
-        predicates = (
-            lambda a: oracle_contra(a, u),
-            lambda a: oracle_constraint3(a, prior_cf),
-            lambda a: oracle_rule1(a, prior_cf),
-        )
-        for order in permutations(predicates):
-            remaining = anchors_of(anchors)
-            for predicate in order:
-                remaining = [a for a in remaining if predicate(a)]
-            assert remaining == anchors_of(anchors, survivors)
+        for remaining in filtered_in_every_order(s.anchors, prior_cf, u):
+            assert remaining == s.survivors
         # And agreement with the independent filter re-derivation.
-        assert [a.ordinal for a in anchors_of(anchors, survivors)] == [
-            a.ordinal for a in anchors_of(anchors) if oracle_passes_filters(a, prior_cf, u)
+        assert [a.ordinal for a in s.survivors] == [
+            a.ordinal for a in s.anchors if oracle_passes_filters(a, prior_cf, u)
         ]
         checked += 1
     report("7b", f"filter outcome invariant over all 3! orders on {checked} randomized cases")
@@ -195,14 +180,12 @@ def test_criterion_7c_rank_filter_commutation():
     # All bundled corpora, replaying the engine's per-utterance inputs.
     for corpus in CORPORA:
         results = process_document(load_bundled(corpus))
-        prev_cf = None
-        prev_cb = None
+        prev_cf = prev_cb = None
         for r in results:
             if prev_cf is not None and r.anchors:
-                survivors, _ = run_filters(r.anchors, prev_cf, r.utterance)
-                _, ranked, _ = rank_and_select(survivors, r.anchors, prev_cb, Mode.EXTENDED)
-                alt = oracle_rank_then_filter(anchors_of(r.anchors), prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
-                assert ranked_of(ranked)[0].anchor.ordinal == alt
+                s = stages(r.utterance, prev_cf, prev_cb, Mode.EXTENDED)
+                alt = oracle_rank_then_filter(s.anchors, prev_cf, r.utterance, prev_cb, Mode.EXTENDED)
+                assert s.ranked[0].anchor.ordinal == alt
             prev_cf = r.cf
             prev_cb = r.cb.entity if r.cb is not None else None
     # Randomized cases.
@@ -210,20 +193,18 @@ def test_criterion_7c_rank_filter_commutation():
     checked = 0
     while checked < 300:
         prior_cf, u = random_scene(rng)
-        try:
-            anchors = propose_anchors(u, prior_cf)
-        except UnresolvablePronoun:
-            continue
         if not u.markers:
             continue
         prev_cb = prior_cf[0].entity if prior_cf else None
-        survivors, _ = run_filters(anchors, prior_cf, u)
-        alt = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, Mode.EXTENDED)
-        if not survivors:
+        try:
+            s = stages(u, prior_cf, prev_cb, Mode.EXTENDED)
+        except UnresolvablePronoun:
+            continue
+        alt = oracle_rank_then_filter(s.anchors, prior_cf, u, prev_cb, Mode.EXTENDED)
+        if not s.survivors:
             assert alt is None
         else:
-            _, ranked, _ = rank_and_select(survivors, anchors, prev_cb, Mode.EXTENDED)
-            assert ranked_of(ranked)[0].anchor.ordinal == alt
+            assert s.ranked[0].anchor.ordinal == alt
         checked += 1
     report("7c", "rank-then-filter equals filter-then-rank on bundled corpora and randomized cases")
 

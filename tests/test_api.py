@@ -1,11 +1,14 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import centering
 import centering.model
+from support import SHAPE_MODULES, STAGE_SHAPES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 REMOVED = (
     "Anchor",
@@ -52,3 +55,16 @@ def test_cli_import_leaves_out_dataclasses():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_behaviour_tests_reach_the_stages_through_support():
+    # A stage call or shape named outside support.py and the tests that
+    # pin the documented shapes would make a change of shape touch it too.
+    named = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(TESTS.glob("*.py"))
+        if path.name not in SHAPE_MODULES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(STAGE_SHAPES, line)
+    ]
+    assert named == []

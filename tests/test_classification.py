@@ -9,11 +9,14 @@ from centering import (
     Entity,
     Mode,
     NoViableAnchor,
+    Ranking,
     Transition,
     UnresolvablePronoun,
+    allocate_indices,
     classify,
     load_bundled,
     process_document,
+    process_utterance,
     propose_anchors,
     rank_and_select,
     run_filters,
@@ -34,8 +37,10 @@ from support import (
     preference_rank,
     pronoun,
     race_scene,
+    random_discourse,
     random_scene,
     ranked_of,
+    stages,
     utt,
 )
 
@@ -61,13 +66,13 @@ def select(grid_and_survivors, prev_cb, mode=Mode.EXTENDED):
 class TestClassify:
     def test_shift_cells_in_extended_mode(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = anchors_of(*surviving(prior_cf, u))
+        ii, iii = stages(u, prior_cf, prev_cb).survivors
         assert classify(ii.cb, ii.cf, prev_cb) is Transition.SHIFTING_1
         assert classify(iii.cb, iii.cf, prev_cb) is Transition.SHIFTING
 
     def test_classic_mode_collapses_the_shift_cells(self):
         prior_cf, u, prev_cb = race_scene()
-        ii, iii = anchors_of(*surviving(prior_cf, u))
+        ii, iii = stages(u, prior_cf, prev_cb).survivors
         assert classify(ii.cb, ii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
         assert classify(iii.cb, iii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
 
@@ -172,6 +177,24 @@ class TestRankAndSelect:
             assert [c.anchor.ordinal for c in ranked] == [2, 3]
 
 
+def test_winner_permutation_invariance_randomized():
+    rng = random.Random(65)
+    for _ in range(200):
+        prior_cf, u = random_scene(rng)
+        try:
+            grid, survivors = surviving(prior_cf, u)
+        except UnresolvablePronoun:
+            continue
+        if not survivors or not u.markers:
+            continue
+        prev_cb = prior_cf[0].entity if prior_cf else None
+        winner, _, _ = select((grid, survivors), prev_cb)
+        shuffled = list(survivors)
+        rng.shuffle(shuffled)
+        again, _, _ = select((grid, shuffled), prev_cb)
+        assert winner.anchor.ordinal == again.anchor.ordinal
+
+
 def test_preference_order():
     # Declaration order is the preference order; ranking relies on it.
     assert list(Transition) == [Transition.CONTINUING, Transition.RETAINING, Transition.SHIFTING_1, Transition.SHIFTING]
@@ -184,12 +207,12 @@ def test_modes_agree_outside_the_shift_cells():
         prior_cf, u = random_scene(rng)
         if not u.markers:
             continue
+        prev_cb = prior_cf[0].entity if prior_cf else None
         try:
-            anchors = propose_anchors(u, prior_cf)
+            anchors = stages(u, prior_cf, prev_cb).anchors
         except UnresolvablePronoun:
             continue
-        prev_cb = prior_cf[0].entity if prior_cf else None
-        for anchor in anchors_of(anchors):
+        for anchor in anchors:
             ext = classify(anchor.cb, anchor.cf, prev_cb, Mode.EXTENDED)
             cls = classify(anchor.cb, anchor.cf, prev_cb, Mode.CLASSIC)
             if ext in (Transition.CONTINUING, Transition.RETAINING):
@@ -298,3 +321,51 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
                 top_class = ranked.transitions.count(ranked.transitions[0])
                 seen["one reading"] += top_class > 1 and not tie
     assert min(seen.values()) > 20, seen
+
+
+def _split_shifting(classic: Ranking) -> Ranking:
+    """`classic` with its SHIFTING bucket split in two: the anchors whose
+    center is their own preferred center, as SHIFTING-1, then the rest,
+    each part in the bucket's order."""
+    kept, centered, shifting = [], [], []
+    for position, transition, cb, cf in classic.cells():
+        if transition is not Transition.SHIFTING:
+            kept.append((position, transition))
+        elif cb is not None and cb.entity == cf[0].entity:
+            centered.append((position, Transition.SHIFTING_1))
+        else:
+            shifting.append((position, transition))
+    positions, transitions = zip(*kept, *centered, *shifting)
+    return Ranking(classic.grid, positions, transitions)
+
+
+def test_extended_ranking_splits_the_classic_shifting_bucket():
+    # The paper's extension refines the classic typology and changes
+    # nothing else: from one state, the extended ranking of the same
+    # survivors, and so its winner and tie flag, is the classic ranking
+    # with the SHIFTING bucket split, SHIFTING-1 first.
+    rng = random.Random(1994)
+    splits = mixed = 0
+    for _ in range(250):
+        utterances = allocate_indices(random_discourse(rng))
+        for mode in Mode:
+            prev = None
+            for u in utterances:
+                if prev is None:
+                    prev_cb, prior_cf = NO_PRIOR, ()
+                else:
+                    prev_cb, prior_cf = prev.cb.entity if prev.cb is not None else None, prev.cf
+                try:
+                    grid, survivors = surviving(prior_cf, u)
+                    _, classic, _ = rank_and_select(survivors, grid, prev_cb, Mode.CLASSIC)
+                    _, extended, tie = rank_and_select(survivors, grid, prev_cb, Mode.EXTENDED)
+                except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
+                    pass
+                else:
+                    expected = _split_shifting(classic)
+                    assert extended == expected
+                    assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected.cells())
+                    splits += Transition.SHIFTING_1 in expected.transitions
+                    mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
+                prev = process_utterance(prev, u, mode)
+    assert splits > 50 and mixed > 0

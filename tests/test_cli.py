@@ -120,6 +120,55 @@ def test_run_over_budget_utterance_exits_one(tmp_path, capsys):
     )
 
 
+def test_check_and_run_report_a_repeated_index_alike(tmp_path, capsys):
+    target = tmp_path / "twice.corpus"
+    target.write_text(
+        "discourse d\nutterance x.\nnp id=a surface=she kind=pronoun gf=SUBJ index=A1\n"
+        "utterance y.\nnp id=b surface=her kind=pronoun gf=SUBJ index=A1\n",
+        encoding="utf-8",
+    )
+    errors = []
+    for command in ("check", "run"):
+        assert cli_main([command, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 5: index: ")
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+def test_run_reads_an_np_line_in_any_layout(tmp_path, capsys):
+    # Fields out of order, a two-piece value, a backslash, a double gap and
+    # tabs after a directive keyword give the canonical layout's trace.
+    canonical = (
+        "discourse layout\n"
+        "utterance Ann read it's manual on a\\b paths.\n"
+        "np id=ann surface=Ann kind=name gf=SUBJ agr=fem,sg,3 contra=log\n"
+        "np id=log surface=\"it's manual\" kind=definite gf=OBJ agr=neut,sg,3 contra=ann\n"
+        "np id=path surface='a\\b' kind=indefinite gf=ADJ agr=neut,pl,3\n"
+        "utterance She liked it.\n"
+        "np id=she surface=She kind=pronoun gf=SUBJ agr=fem,sg,3 contra=it\n"
+        "np id=it surface=it kind=pronoun gf=OBJ agr=neut,sg,3 contra=she\n"
+    )
+    relaid = (
+        "discourse layout\n"
+        "utterance Ann read it's manual on a\\b paths.\n"
+        "np\tkind=name gf=SUBJ id=ann surface=Ann agr=fem,sg,3 contra=log\n"
+        "np surface='it'\"'\"'s manual' id=log gf=OBJ kind=definite agr=neut,sg,3 contra=ann\n"
+        "np id=path  surface=a\\\\b kind=indefinite gf=ADJ agr=neut,pl,3\n"
+        "utterance\tShe liked it.\n"
+        "np id=she surface=She kind=pronoun gf=SUBJ agr=fem,sg,3 contra=it\n"
+        "np gf=OBJ id=it kind=pronoun surface=it agr=neut,sg,3 contra=she\n"
+    )
+    outcomes = []
+    for layout, text in (("canonical", canonical), ("relaid", relaid)):
+        target = tmp_path / f"{layout}.corpus"
+        target.write_text(text, encoding="utf-8")
+        code = cli_main(["run", str(target)])
+        outcomes.append((code, capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] < 2
+    assert "Cf: ([ANN:Ann] [IT-S-MANUAL:it's manual] [X1:a\\b])" in outcomes[0][1]
+
+
 def test_check_valid_corpus(capsys):
     assert cli_main(["check", "fig2"]) == 0
     assert "ok: fig2: 4 utterances" in capsys.readouterr().out

@@ -191,10 +191,7 @@ def test_anchor_count_law_randomized():
         assert len(anchors) == expected
         # No anchor binds a pronoun against agreement.
         for anchor in anchors_of(anchors):
-            assert (
-                anchor.cb.entity.id if anchor.cb else None,
-                tuple(e.entity.id for e in anchor.cf if e.marker.is_pronoun),
-            ) in oracle
+            assert _oracle_key(anchor) in oracle
 
 
 def _oracle_key(anchor):

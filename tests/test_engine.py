@@ -15,7 +15,8 @@ from centering import (
     process_utterance,
     render_trace,
 )
-from support import FEM, MASC, NEUT, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt, validate_committed
+from support import FEM, MASC, NEUT, OBJ, SUBJ, anchors_of, indefinite, name, pronoun, ranked_of, stages, utt
+from support import validate_committed
 
 
 def bindings_by_surface(result):
@@ -170,7 +171,8 @@ class TestStateEvolution:
                 assert result == expected
                 # The step reads exactly the committed center and Cf list.
                 if prev is not None:
-                    assert result.anchors.cbs == (*prev.cf, None)
+                    s = stages(u, prev.cf, prev.cb.entity if prev.cb is not None else None, mode)
+                    assert anchors_of(result.anchors) == s.anchors and ranked_of(result.ranked) == s.ranked
                     assert result.after_retention == (prev.transition is Transition.RETAINING)
                 prev = result
 

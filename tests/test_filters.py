@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +26,7 @@ from support import (
     assert_value_by_fields,
     bind,
     cf_of,
+    filtered_in_every_order,
     name,
     oracle_constraint3,
     oracle_contra,
@@ -33,6 +34,7 @@ from support import (
     pronoun,
     race_scene,
     random_scene,
+    stages,
     utt,
 )
 
@@ -40,22 +42,24 @@ from support import (
 @pytest.fixture()
 def scene():
     prior_cf, u, prev_cb = race_scene()
+    return prior_cf, u, stages(u, prior_cf, prev_cb)
+
+
+@pytest.fixture()
+def grid_scene():
+    prior_cf, u, _ = race_scene()
     return prior_cf, u, propose_anchors(u, prior_cf)
-
-
-def by_ordinal(anchors, n):
-    return anchors_of(anchors)[n - 1]
 
 
 class TestContraindex:
     def test_eliminates_co_bound_contraindexed_pairs(self, scene):
-        prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors_of(anchors) if not oracle_contra(a, u)}
-        assert eliminated == {1, 4, 5, 8, 9, 12, 13, 16}
+        prior_cf, u, s = scene
+        eliminated = {a.ordinal for a in s.anchors if not oracle_contra(a, u)}
+        assert eliminated == {1, 4, 5, 8, 9, 12, 13, 16} == {k for k, by in s.eliminated.items() if CONTRA in by}
 
     def test_distinct_binding_passes(self, scene):
-        prior_cf, u, anchors = scene
-        assert oracle_contra(by_ordinal(anchors, 2), u)
+        prior_cf, u, s = scene
+        assert oracle_contra(s.anchors[1], u)  # anchor ii
 
     def test_vacuous_without_contra_sets(self):
         prior = cf_of(name("Ann", "ANN", agr=FEM), name("Eve", "EVE", gf=OBJ, agr=FEM))
@@ -64,19 +68,20 @@ class TestContraindex:
             pronoun("she", index="A1", gf=SUBJ, agr=FEM),
             pronoun("her", index="A2", gf=OBJ, agr=FEM),
         )
-        for anchor in anchors_of(propose_anchors(u, prior)):
+        for anchor in stages(u, prior).anchors:
             assert oracle_contra(anchor, u)
 
 
 class TestConstraint3:
     def test_center_must_top_the_realized_prior_entities(self, scene):
-        prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors_of(anchors) if not oracle_constraint3(a, prior_cf)}
+        prior_cf, u, s = scene
+        eliminated = {a.ordinal for a in s.anchors if not oracle_constraint3(a, prior_cf)}
         # The stated constraint also removes anchor vi (its Cf realizes the
         # higher-ranked FRIEDMAN while centering BRENNAN), and iv/v/vii;
         # the survivor set is unaffected.
         assert 6 in eliminated
         assert eliminated == {4, 5, 6, 7} | set(range(9, 17))
+        assert eliminated == {k for k, by in s.eliminated.items() if CONSTRAINT3 in by}
 
     def test_nothing_realized_requires_null_center(self):
         prior = cf_of(name("Ann", "ANN", agr=FEM))
@@ -94,10 +99,10 @@ class TestConstraint3:
 
 class TestRule1:
     def test_eliminates_noncenter_pronoun_realizations(self, scene):
-        prior_cf, u, anchors = scene
-        eliminated = {a.ordinal for a in anchors_of(anchors) if not oracle_rule1(a, prior_cf)}
+        prior_cf, u, s = scene
+        eliminated = {a.ordinal for a in s.anchors if not oracle_rule1(a, prior_cf)}
         assert eliminated >= set(range(9, 17))
-        assert eliminated == {4, 5} | set(range(9, 17))
+        assert eliminated == {4, 5} | set(range(9, 17)) == {k for k, by in s.eliminated.items() if RULE1 in by}
 
     def test_center_realized_as_pronoun_passes(self):
         # "She doesn't believe him" keeping the previous center via "him".
@@ -110,7 +115,7 @@ class TestRule1:
             pronoun("She", index="A4", gf=SUBJ, agr=FEM, contra={"A5"}),
             pronoun("him", index="A5", gf=OBJ, agr=MASC, contra={"A4"}),
         )
-        anchors = anchors_of(propose_anchors(u, prior))
+        anchors = stages(u, prior).anchors
         keep_carl = [a for a in anchors if a.cb and a.cb.entity.id == "POLLARD"]
         assert keep_carl and all(oracle_rule1(a, prior) for a in keep_carl)
 
@@ -121,8 +126,8 @@ class TestRule1:
 
 
 class TestRunFilters:
-    def test_survivors_are_ii_and_iii(self, scene):
-        prior_cf, u, anchors = scene
+    def test_survivors_are_ii_and_iii(self, grid_scene):
+        prior_cf, u, anchors = grid_scene
         survivors, verdicts = run_filters(anchors, prior_cf, u)
         assert [a.ordinal for a in anchors_of(anchors, survivors)] == [2, 3]
         assert len(verdicts) == 16
@@ -141,15 +146,15 @@ class TestRunFilters:
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks == b""
 
-    def test_verdicts_iterate_in_ordinal_order(self, scene):
-        prior_cf, u, anchors = scene
+    def test_verdicts_iterate_in_ordinal_order(self, grid_scene):
+        prior_cf, u, anchors = grid_scene
         _, verdicts = run_filters(anchors, prior_cf, u)
         listed = list(verdicts)
         assert [v.anchor_id for v in listed] == list(range(1, 17))
         assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
 
-    def test_survivors_are_grid_positions(self, scene):
-        prior_cf, u, anchors = scene
+    def test_survivors_are_grid_positions(self, grid_scene):
+        prior_cf, u, anchors = grid_scene
         survivors, _ = run_filters(anchors, prior_cf, u)
         assert survivors == (1, 2)
         assert len(survivors) == 2 and anchors_of(anchors, survivors) == anchors_of(anchors)[1:3]
@@ -158,18 +163,10 @@ class TestRunFilters:
         _, as_follower, _ = rank_and_select(survivors, anchors, None)
         assert as_opener.transitions != as_follower.transitions and as_opener != as_follower
 
-    def test_order_invariance_against_sequential_application(self, scene):
-        prior_cf, u, anchors = scene
+    def test_order_invariance_against_sequential_application(self, grid_scene):
+        prior_cf, u, anchors = grid_scene
         survivors, _ = run_filters(anchors, prior_cf, u)
-        predicates = {
-            CONTRA: lambda a: oracle_contra(a, u),
-            CONSTRAINT3: lambda a: oracle_constraint3(a, prior_cf),
-            RULE1: lambda a: oracle_rule1(a, prior_cf),
-        }
-        for order in permutations(predicates):
-            remaining = anchors_of(anchors)
-            for key in order:
-                remaining = [a for a in remaining if predicates[key](a)]
+        for remaining in filtered_in_every_order(anchors_of(anchors), prior_cf, u):
             assert remaining == anchors_of(anchors, survivors)
 
 
@@ -199,17 +196,16 @@ def test_pairwise_contraindexing_keeps_survivor_assignments_distinct(scene):
     # can share both the center and the full marker-to-entity assignment;
     # they may still share the same unordered pool of entities (the two
     # surviving readings of the race scene do).
-    prior_cf, u, anchors = scene
-    survivors, _ = run_filters(anchors, prior_cf, u)
+    prior_cf, u, s = scene
     keys = [
         (
             a.cb.entity.id if a.cb else None,
             frozenset((e.marker.mid, e.entity.id) for e in a.cf),
         )
-        for a in anchors_of(anchors, survivors)
+        for a in s.survivors
     ]
     assert len(keys) == len(set(keys))
-    for anchor in anchors_of(anchors, survivors):
+    for anchor in s.survivors:
         bound = [e.entity.id for e in anchor.cf]
         assert len(bound) == len(set(bound))
 

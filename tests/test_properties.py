@@ -4,7 +4,6 @@ import io
 import random
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +13,8 @@ from centering import (
     NO_PRIOR,
     Agreement,
     CorpusError,
-    EmptyCf,
     GrammaticalFunction,
     Mode,
-    NoViableAnchor,
-    Ranking,
     Transition,
     UnresolvablePronoun,
     allocate_indices,
@@ -26,27 +22,19 @@ from centering import (
     parse_corpus,
     process_discourse,
     process_document,
-    process_utterance,
-    propose_anchors,
-    rank_and_select,
     rank_markers,
     render_trace,
-    run_filters,
     unify_agreement,
 )
 from centering.cli import cli_main
 from centering.corpus import derive_entity_id
 from support import (
-    anchors_of,
-    oracle_constraint3,
-    oracle_contra,
+    filtered_in_every_order,
     oracle_rank_then_filter,
-    oracle_rule1,
-    oracle_tie,
     pronoun,
     random_discourse,
     random_scene,
-    ranked_of,
+    stages,
     validate_committed,
 )
 
@@ -83,20 +71,11 @@ def test_filter_order_invariance_randomized():
     for _ in range(300):
         prior_cf, u = random_scene(rng)
         try:
-            anchors = propose_anchors(u, prior_cf)
+            s = stages(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        survivors, _ = run_filters(anchors, prior_cf, u)
-        predicates = (
-            lambda a: oracle_contra(a, u),
-            lambda a: oracle_constraint3(a, prior_cf),
-            lambda a: oracle_rule1(a, prior_cf),
-        )
-        for order in permutations(predicates):
-            remaining = anchors_of(anchors)
-            for predicate in order:
-                remaining = [a for a in remaining if predicate(a)]
-            assert remaining == anchors_of(anchors, survivors)
+        for remaining in filtered_in_every_order(s.anchors, prior_cf, u):
+            assert remaining == s.survivors
         checked += 1
     assert checked > 100
 
@@ -107,20 +86,18 @@ def test_rank_before_filter_matches_filter_before_rank(mode):
     checked = 0
     for _ in range(400):
         prior_cf, u = random_scene(rng)
-        try:
-            anchors = propose_anchors(u, prior_cf)
-        except UnresolvablePronoun:
-            continue
         if not u.markers:
             continue
         prev_cb = prior_cf[0].entity if prior_cf else None
-        survivors, _ = run_filters(anchors, prior_cf, u)
-        alternative = oracle_rank_then_filter(anchors_of(anchors), prior_cf, u, prev_cb, mode)
-        if not survivors:
+        try:
+            s = stages(u, prior_cf, prev_cb, mode)
+        except UnresolvablePronoun:
+            continue
+        alternative = oracle_rank_then_filter(s.anchors, prior_cf, u, prev_cb, mode)
+        if not s.survivors:
             assert alternative is None
             continue
-        _, ranked, _ = rank_and_select(survivors, anchors, prev_cb, mode)
-        assert ranked_of(ranked)[0].anchor.ordinal == alternative
+        assert s.ranked[0].anchor.ordinal == alternative
         checked += 1
     assert checked > 100
 
@@ -170,74 +147,6 @@ def test_results_of_a_prefix_are_a_prefix_of_the_results(mode):
             assert process_discourse(us[:k], mode) == whole[:k]
             prefixes += 1
     assert prefixes > 1000
-
-
-def test_winner_permutation_invariance_randomized():
-    rng = random.Random(65)
-    for _ in range(200):
-        prior_cf, u = random_scene(rng)
-        try:
-            anchors = propose_anchors(u, prior_cf)
-        except UnresolvablePronoun:
-            continue
-        survivors, _ = run_filters(anchors, prior_cf, u)
-        if not survivors or not u.markers:
-            continue
-        prev_cb = prior_cf[0].entity if prior_cf else None
-        winner = ranked_of(rank_and_select(survivors, anchors, prev_cb)[1])[0]
-        shuffled = list(survivors)
-        rng.shuffle(shuffled)
-        again = ranked_of(rank_and_select(shuffled, anchors, prev_cb)[1])[0]
-        assert winner.anchor.ordinal == again.anchor.ordinal
-
-
-def _split_shifting(classic: Ranking) -> Ranking:
-    """`classic` with its SHIFTING bucket split in two: the anchors whose
-    center is their own preferred center, as SHIFTING-1, then the rest,
-    each part in the bucket's order."""
-    kept, centered, shifting = [], [], []
-    for position, transition, cb, cf in classic.cells():
-        if transition is not Transition.SHIFTING:
-            kept.append((position, transition))
-        elif cb is not None and cb.entity == cf[0].entity:
-            centered.append((position, Transition.SHIFTING_1))
-        else:
-            shifting.append((position, transition))
-    positions, transitions = zip(*kept, *centered, *shifting)
-    return Ranking(classic.grid, positions, transitions)
-
-
-def test_extended_ranking_splits_the_classic_shifting_bucket():
-    # The paper's extension refines the classic typology and changes
-    # nothing else: from one state, the extended ranking of the same
-    # survivors, and so its winner and tie flag, is the classic ranking
-    # with the SHIFTING bucket split, SHIFTING-1 first.
-    rng = random.Random(1994)
-    splits = mixed = 0
-    for _ in range(250):
-        utterances = allocate_indices(random_discourse(rng))
-        for mode in Mode:
-            prev = None
-            for u in utterances:
-                if prev is None:
-                    prev_cb, prior_cf = NO_PRIOR, ()
-                else:
-                    prev_cb, prior_cf = prev.cb.entity if prev.cb is not None else None, prev.cf
-                try:
-                    grid = propose_anchors(u, prior_cf)
-                    survivors, _ = run_filters(grid, prior_cf, u)
-                    _, classic, _ = rank_and_select(survivors, grid, prev_cb, Mode.CLASSIC)
-                    _, extended, tie = rank_and_select(survivors, grid, prev_cb, Mode.EXTENDED)
-                except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
-                    pass
-                else:
-                    expected = _split_shifting(classic)
-                    assert extended == expected
-                    assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected.cells())
-                    splits += Transition.SHIFTING_1 in expected.transitions
-                    mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
-                prev = process_utterance(prev, u, mode)
-    assert splits > 50 and mixed > 0
 
 
 _CAST = {"fem": ("Brennan", "Friedman", "Lyn", "Susan", "Rosa"), "masc": ("Carl", "Max", "Fred", "Tom", "Ivo")}

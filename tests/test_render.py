@@ -1,9 +1,31 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
 from centering import Mode, load_bundled, parse_corpus, process_discourse, process_document, render_trace, roman
 from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt
+
+
+def test_a_render_keeps_no_long_labels():
+    # Labels of ordinals from 4,000 on grow with the ordinal, so a render
+    # builds them for itself and drops them: what it leaves allocated does
+    # not grow with the anchor count. Six names, then five pronouns of
+    # unspecified agreement: 7 * 6**5 = 54,432 anchors.
+    names = [name(n, n.upper(), gf=OBJ) for n in ("Ann", "Ben", "Cal", "Dee", "Eve", "Fay")]
+    pronouns = [pronoun("they", gf=OBJ, mid=f"p{i}") for i in range(5)]
+    utterances = [utt("Six met.", *names), utt("They saw them.", *pronouns, position=2)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert render_trace(process_discourse(utterances), "structured").count("mmm") > 50_000
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # At most the labels of ordinals 1-3,999, about 0.25 MB.
+    assert after - before < 2**20, after - before
 
 
 def _subtractive_roman(n):
