@@ -13,6 +13,7 @@ diagnostics (unresolved pronoun, tie, anchor budget); 2 corpus errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -69,7 +70,11 @@ def _cmd_corpus_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by
+    every later call in the process, `cli_main`'s included. Parsing does
+    not change it; a caller must not mutate it either."""
     parser = argparse.ArgumentParser(
         prog="centering",
         description="Track local discourse attention and bind pronouns.",

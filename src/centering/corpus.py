@@ -30,10 +30,13 @@ fields:
                     unspecified (agr=fem,sg,3 or agr=-,pl,-)
     entity=<ID>     optional non-empty semantic identity; forbidden for pronouns.
                     Names/definites default to an id derived from the
-                    surface; indefinites default to their X index, which
-                    must then be no entity id of the discourse (an
-                    allocated one skips every index and entity id used
-                    elsewhere).
+                    surface, which they share only with surfaces equal
+                    to theirs after NFC normalization and case-folding
+                    (`Ann Lee` and `Ann-Lee` both derive ANN-LEE, so the
+                    later of them needs entity=); indefinites default to
+                    their X index, which must then be no entity id of
+                    the discourse (an allocated one skips every index
+                    and entity id used elsewhere).
     index=<A_/X_>   optional pre-assigned index: A-series for pronouns,
                     X-series for indefinites, each used at most once in
                     the discourse. Names and definites always use their
@@ -193,15 +196,26 @@ def _canonical_fields(match: re.Match[str]) -> dict[str, str]:
     return fields
 
 
+def _same_name(a: str, b: str) -> bool:
+    """Whether two surfaces that derive one entity id may share it without
+    an entity=: equal after NFC normalization and case-folding."""
+    return a == b or unicodedata.normalize("NFC", a).casefold() == unicodedata.normalize("NFC", b).casefold()
+
+
 def _np_marker(
-    fields: dict[str, str], line: int, agreements: dict[str, Agreement], entities: dict[str, Entity]
+    fields: dict[str, str],
+    line: int,
+    agreements: dict[str, Agreement],
+    entities: dict[str, Entity],
+    derived: dict[str, tuple[str, int]],
 ) -> ReferenceMarker:
     """One np line's fields as a marker. Both ways of reading a line end
     here, so each rule on the values, and its error, is stated once.
     `agreements` maps each `agr=` value parsed so far to its Agreement (a
     bad value is never stored, so it raises on each line that holds it);
     `entities` interns the document's entities by id, so every marker of
-    one entity shares one Entity."""
+    one entity shares one Entity; `derived` maps each entity id derived
+    so far to the surface and line that first derived it."""
     kind = KIND_TOKENS.get(fields["kind"])
     if kind is None:
         raise SchemaError(f"bad kind {fields['kind']!r}", line, "kind")
@@ -229,6 +243,14 @@ def _np_marker(
             eid = derive_entity_id(surface)
         except ValueError as exc:
             raise SchemaError(str(exc), line, "surface") from None
+        first, first_line = derived.setdefault(eid, (surface, line))
+        if not _same_name(first, surface):
+            raise SchemaError(
+                f"{surface!r} derives entity id {eid!r}, as {first!r} on line {first_line} does; "
+                "give entity= to say whether they are one entity",
+                line,
+                "surface",
+            )
     entity = None
     if eid is not None:
         entity = entities.get(eid)
@@ -279,6 +301,7 @@ def parse_corpus(text: str) -> CorpusDocument:
     opened = 0  # where the open utterance's np lines start in `nps`
     agreements: dict[str, Agreement] = {}
     entities: dict[str, Entity] = {}
+    derived: dict[str, tuple[str, int]] = {}
 
     def flush() -> None:
         nonlocal current, opened
@@ -308,7 +331,7 @@ def parse_corpus(text: str) -> CorpusDocument:
                 except ValueError as exc:
                     raise SchemaError(f"bad quoting: {exc}", lineno) from None
                 fields = _np_fields(tokens, lineno)
-            nps.append((_np_marker(fields, lineno, agreements, entities), lineno))
+            nps.append((_np_marker(fields, lineno, agreements, entities, derived), lineno))
         elif not directive or directive.startswith("#"):
             continue
         elif directive == "discourse":
@@ -350,7 +373,9 @@ def parse_corpus(text: str) -> CorpusDocument:
     return CorpusDocument(doc_id, mode if mode is not None else Mode.EXTENDED, tuple(utterances))
 
 
-def _format_np(np: ReferenceMarker) -> str:
+def _format_np(np: ReferenceMarker, derived: dict[str, str]) -> str:
+    """`np`'s line. `derived` maps each entity id that an earlier line
+    left to the reader to derive to that line's surface."""
     parts = [
         f"np id={shlex.quote(np.mid)}",
         f"surface={shlex.quote(np.surface)}",
@@ -365,7 +390,8 @@ def _format_np(np: ReferenceMarker) -> str:
             implied = None if np.kind in INDEX_SERIES else derive_entity_id(np.surface)
         except ValueError:
             implied = None
-        if np.entity.id != implied:
+        # Left out only where the reader derives it without refusing.
+        if np.entity.id != implied or not _same_name(derived.setdefault(implied, np.surface), np.surface):
             parts.append(f"entity={shlex.quote(np.entity.id)}")
     if np.index is not None and np.kind in INDEX_SERIES:
         parts.append(f"index={shlex.quote(np.index)}")
@@ -377,10 +403,11 @@ def _format_np(np: ReferenceMarker) -> str:
 def _lines(doc: CorpusDocument) -> list[tuple[str, str]]:
     """The lines format_corpus writes for `doc`, each after what it holds."""
     lines = [(f"discourse id {doc.id!r}", f"discourse {doc.id}"), ("mode", f"mode {doc.mode.value}")]
+    derived: dict[str, str] = {}
     for position, cu in enumerate(doc.utterances, start=1):
         lines.append(("", ""))
         lines.append((f"utterance {position} text {cu.text!r}", f"utterance {cu.text}"))
-        lines.extend((f"utterance {position} np {np.mid!r}", _format_np(np)) for np in cu.nps)
+        lines.extend((f"utterance {position} np {np.mid!r}", _format_np(np, derived)) for np in cu.nps)
     return lines
 
 

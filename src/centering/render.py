@@ -23,15 +23,18 @@ _HUNDREDS = ("", "c", "cc", "ccc", "cd", "d", "dc", "dcc", "dccc", "cm")
 
 
 def roman(n: int) -> str:
-    """Lowercase roman numeral for a positive anchor ordinal."""
+    """Label of a positive anchor ordinal: its lowercase roman numeral up
+    to 3,999, its decimal digits above, so a label's length grows as log n."""
     if n <= 0:
         raise ValueError(f"need a positive ordinal, got {n}")
+    if n > 3999:
+        return str(n)
     return "m" * (n // 1000) + _HUNDREDS[n // 100 % 10] + _TENS[n // 10 % 10] + _ONES[n % 10]
 
 
 # _LABELS[i] is the label of ordinal i + 1, grown on demand up to
-# _CACHED, the last ordinal whose label stays short; longer labels are
-# built for one call and dropped with its list.
+# _CACHED, the last roman one; labels above it are built for one call and
+# dropped with its list, so a render keeps no table of a huge utterance.
 _CACHED = 3999
 _LABELS: list[str] = []
 
@@ -151,7 +154,7 @@ def _json_bool(flag: bool) -> str:
 
 
 def _json_labels(labels: list[str]) -> str:
-    # Roman labels hold nothing to escape.
+    # Labels, roman or decimal, hold nothing to escape.
     return '["' + '", "'.join(labels) + '"]' if labels else "[]"
 
 

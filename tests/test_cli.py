@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -136,6 +137,23 @@ def test_check_and_run_report_a_repeated_index_alike(tmp_path, capsys):
     assert errors[0] == errors[1]
 
 
+def test_check_and_run_refuse_two_surfaces_that_derive_one_entity(tmp_path, capsys):
+    # Without entity=, `Ann Lee` and `Ann-Lee` both derive ANN-LEE: a
+    # trace would merge the two without saying so.
+    target = tmp_path / "merge.corpus"
+    target.write_text(
+        "discourse d\nutterance Ann Lee met Ann-Lee.\n"
+        'np id=a surface="Ann Lee" kind=name gf=SUBJ agr=fem,sg,3\n'
+        "np id=b surface=Ann-Lee kind=name gf=OBJ agr=fem,sg,3\n",
+        encoding="utf-8",
+    )
+    for command in ("check", "run"):
+        assert cli_main([command, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 4: surface: 'Ann-Lee' derives entity id 'ANN-LEE'")
+        assert "'Ann Lee' on line 3" in err
+
+
 def test_run_reads_an_np_line_in_any_layout(tmp_path, capsys):
     # Fields out of order, a two-piece value, a backslash, a double gap and
     # tabs after a directive keyword give the canonical layout's trace.
@@ -251,6 +269,50 @@ def test_bad_flag_raises_usage_error():
     with pytest.raises(SystemExit) as err:
         cli_main(["run", "fig2", "--bogus"])
     assert err.value.code == 2
+
+
+def _run_captured(argv):
+    """cli_main's exit code, or SystemExit's code, with stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_repeated_calls_build_no_parser(monkeypatch):
+    # One parser serves every call in the process: after a warm-up call,
+    # requests build none, whichever subcommand they run.
+    cli_main(["check", "fig2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["run", "fig2"], ["run", "fig4", "--classic", "--explain"], ["check", "fig5"], ["corpus", "list"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli_main(argv)
+    assert built == []
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged():
+    first = _run_captured(["run", "fig2"])
+    code, out, err = _run_captured(["run"])
+    assert code == 2 and out == "" and "the following arguments are required: corpus" in err
+    assert _run_captured(["run", "fig2"]) == first
+    assert first[0] == 0 and "She = Lyn, him = Carl" in first[1]
+
+
+def test_help_is_the_same_on_every_call():
+    for argv in (["--help"], ["run", "--help"]):
+        first, second = _run_captured(argv), _run_captured(argv)
+        assert first == second
+        assert first[0] == 0 and first[1].startswith("usage: centering")
 
 
 def test_non_utf8_file_is_a_corpus_error_for_run_and_check(tmp_path, capsys):

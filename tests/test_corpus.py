@@ -208,6 +208,37 @@ class TestErrors:
         fixed = text.replace('"!!"', '"!!" entity=BANG').replace('"??"', '"??" entity=HUH')
         assert [np.entity.id for np in parse_corpus(fixed).utterances[0].nps] == ["BANG", "HUH"]
 
+    @pytest.mark.parametrize("kinds", [("name", "name"), ("name", "definite"), ("definite", "name")])
+    def test_surfaces_that_derive_one_id_differently_need_an_entity(self, kinds):
+        # Ann Lee and Ann-Lee both derive ANN-LEE: without entity= they
+        # would be one entity without saying so.
+        text = (
+            "discourse d\n"
+            "utterance Ann Lee waved.\n"
+            f'np id=a surface="Ann Lee" kind={kinds[0]} gf=SUBJ agr=fem,sg,3\n'
+            "utterance Ann-Lee smiled.\n"
+            f"np id=b surface=Ann-Lee kind={kinds[1]} gf=SUBJ agr=fem,sg,3\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(text)
+        assert (err.value.line, err.value.fieldname) == (5, "surface")
+        assert "'Ann Lee' on line 3" in str(err.value) and "'ANN-LEE'" in str(err.value)
+        # entity= on either line says what is meant.
+        for old, new, ids in (
+            ("Ann-Lee kind", "Ann-Lee entity=ANN-LEE kind", ["ANN-LEE", "ANN-LEE"]),
+            ('Lee" kind', 'Lee" entity=AL kind', ["AL", "ANN-LEE"]),
+        ):
+            doc = parse_corpus(text.replace(old, new))
+            assert [cu.nps[0].entity.id for cu in doc.utterances] == ids
+
+    @pytest.mark.parametrize("surfaces", [("Ann", "ANN"), ("Zo\u00eb", "zoe\u0308"), ("Straße", "STRASSE")])
+    def test_surfaces_equal_after_nfc_and_case_folding_share_their_derived_id(self, surfaces):
+        text = "discourse d\n" + "".join(
+            f"utterance {surface} waved.\nnp id=a surface={surface} kind=name gf=SUBJ\n" for surface in surfaces
+        )
+        first, second = (cu.nps[0].entity for cu in parse_corpus(text).utterances)
+        assert first is second and first.name == surfaces[0]
+
     @pytest.mark.parametrize("empty", ["id=", "surface=''", 'entity=""'])
     def test_empty_id_surface_or_entity_rejected(self, empty):
         # Two names with entity= would both get entity id "" and merge.
@@ -412,6 +443,20 @@ class TestRoundTrip:
         for name, text in bundled_corpora().items():
             doc = parse_corpus(text)
             assert parse_corpus(format_corpus(doc)) == doc
+
+    def test_entity_written_where_the_reader_would_refuse_its_derived_id(self):
+        # Each surface derives ANN-LEE, but only the first and the equal
+        # one after case-folding may leave it to the reader.
+        surfaces = ("Ann Lee", "Ann-Lee", "ANN LEE", "Ann-Lee")
+        doc = CorpusDocument(
+            "d",
+            Mode.EXTENDED,
+            tuple(CorpusUtterance(f"{s} waved.", (name(s, "ANN-LEE", mid="a"),)) for s in surfaces),
+        )
+        text = format_corpus(doc)
+        written = [line.endswith("entity=ANN-LEE") for line in text.splitlines() if line.startswith("np ")]
+        assert written == [False, True, False, True]
+        assert parse_corpus(text) == doc
 
     def test_quoting_survives(self):
         # format_corpus quotes with shlex.quote: the second surface comes out

@@ -8,18 +8,25 @@ from centering import Mode, load_bundled, parse_corpus, process_discourse, proce
 from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt
 
 
+def _crowd(names, pronouns):
+    """Names, then pronouns of unspecified agreement: (names + 1) *
+    names**pronouns anchors in the second utterance."""
+    cast = [name(n, n.upper(), gf=OBJ) for n in ("Ann", "Ben", "Cal", "Dee", "Eve", "Fay", "Gus", "Hal", "Ivy")]
+    they = [pronoun("they", gf=OBJ, mid=f"p{i}") for i in range(pronouns)]
+    return [utt("They met.", *cast[:names]), utt("They saw them.", *they, position=2)]
+
+
 def test_a_render_keeps_no_long_labels():
-    # Labels of ordinals from 4,000 on grow with the ordinal, so a render
-    # builds them for itself and drops them: what it leaves allocated does
-    # not grow with the anchor count. Six names, then five pronouns of
-    # unspecified agreement: 7 * 6**5 = 54,432 anchors.
-    names = [name(n, n.upper(), gf=OBJ) for n in ("Ann", "Ben", "Cal", "Dee", "Eve", "Fay")]
-    pronouns = [pronoun("they", gf=OBJ, mid=f"p{i}") for i in range(5)]
-    utterances = [utt("Six met.", *names), utt("They saw them.", *pronouns, position=2)]
+    # A render builds the labels of ordinals from 4,000 on for itself and
+    # drops them: what it leaves allocated does not grow with the anchor
+    # count. Six names, then five pronouns: 7 * 6**5 = 54,432 anchors.
+    utterances = _crowd(6, 5)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        assert render_trace(process_discourse(utterances), "structured").count("mmm") > 50_000
+        text = render_trace(process_discourse(utterances), "structured")
+        assert '"4000"' in text and '"54432"' in text
+        del text
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:
@@ -46,11 +53,27 @@ def test_roman_numerals():
         "i", "ii", "iii", "iv", "v", "vi", "vii", "viii",
         "ix", "x", "xi", "xii", "xiii", "xiv", "xv", "xvi",
     ]
-    for n in range(1, 5001):
+    for n in range(1, 4000):
         assert roman(n) == _subtractive_roman(n), n
+    # Above 3,999 a roman numeral would repeat "m" n // 1000 times; the
+    # label is the decimal ordinal instead.
+    for n in (*range(4000, 5001), 10**6, 10**12):
+        assert roman(n) == str(n), n
     for bad in (0, -1):
         with pytest.raises(ValueError):
             roman(bad)
+
+
+@pytest.mark.parametrize("names, pronouns", [(6, 4), (6, 5), (9, 4)])
+def test_structured_bytes_per_anchor_stay_bounded(names, pronouns):
+    # Each anchor's label is listed once or twice in its utterance's
+    # record, so labels must not grow with the ordinal: n // 1000 "m"s
+    # would make these 40, 77 and 85 bytes an anchor.
+    results = process_discourse(_crowd(names, pronouns))
+    anchors = results[-1].anchors_constructed
+    assert anchors == (names + 1) * names**pronouns
+    record = render_trace(results[-1:], "structured")
+    assert len(record.encode("utf-8")) < 48 * anchors, len(record) / anchors
 
 
 def test_empty_results_render_empty():
