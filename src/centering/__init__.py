@@ -18,15 +18,12 @@ from .classification import (
 from .construction import (
     AnchorBudgetExceeded,
     UnresolvablePronoun,
-    pronoun_candidates,
     propose_anchors,
 )
 from .corpus import (
     CorpusDocument,
     CorpusError,
     CorpusUtterance,
-    DanglingContraRef,
-    DuplicateNpId,
     SchemaError,
     build_utterances,
     bundled_corpora,
@@ -41,10 +38,6 @@ from .engine import (
     process_utterance,
 )
 from .filters import (
-    CONSTRAINT3,
-    CONTRA,
-    FILTER_NAMES,
-    RULE1,
     FilterVerdict,
     FilterVerdicts,
     run_filters,
@@ -63,8 +56,6 @@ from .model import (
     Transition,
     Utterance,
     allocate_indices,
-    rank_markers,
-    unify_agreement,
 )
 from .render import render_trace, roman
 
@@ -79,13 +70,8 @@ __all__ = [
     "CorpusDocument",
     "CorpusError",
     "CorpusUtterance",
-    "CONSTRAINT3",
-    "CONTRA",
-    "DanglingContraRef",
-    "DuplicateNpId",
     "EmptyCf",
     "Entity",
-    "FILTER_NAMES",
     "FilterVerdict",
     "FilterVerdicts",
     "GrammaticalFunction",
@@ -96,7 +82,6 @@ __all__ = [
     "NoViableAnchor",
     "Ranking",
     "ReferenceMarker",
-    "RULE1",
     "SchemaError",
     "Transition",
     "UnresolvablePronoun",
@@ -112,12 +97,9 @@ __all__ = [
     "process_discourse",
     "process_document",
     "process_utterance",
-    "pronoun_candidates",
     "propose_anchors",
     "rank_and_select",
-    "rank_markers",
     "render_trace",
     "roman",
     "run_filters",
-    "unify_agreement",
 ]

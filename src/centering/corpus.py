@@ -117,15 +117,7 @@ class CorpusError(Exception):
 
 
 class SchemaError(CorpusError):
-    """Missing field, bad enum value, or malformed structure."""
-
-
-class DanglingContraRef(CorpusError):
-    """A contra reference names an NP id not present in the utterance."""
-
-
-class DuplicateNpId(CorpusError):
-    """Two NPs in one utterance share an id."""
+    """Every corpus error, from a missing field to a dangling contra reference."""
 
 
 class CorpusUtterance(Value):
@@ -267,7 +259,7 @@ def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> Corpu
     by_id: dict[str, ReferenceMarker] = {}
     for np, np_line in nps:
         if np.mid in by_id:
-            raise DuplicateNpId(f"np id {np.mid!r} already used in this utterance", np_line, "id")
+            raise SchemaError(f"np id {np.mid!r} already used in this utterance", np_line, "id")
         by_id[np.mid] = np
     # Normalize contra symmetry: if a lists b, b lists a. Only an NP that
     # lacks a back-reference is rebuilt.
@@ -276,7 +268,7 @@ def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> Corpu
         for ref in np.contra:
             other = by_id.get(ref)
             if other is None:
-                raise DanglingContraRef(f"contra reference {ref!r} names no np here", np_line, "contra")
+                raise SchemaError(f"contra reference {ref!r} names no np here", np_line, "contra")
             if np.mid not in other.contra:
                 missing.setdefault(ref, set()).add(np.mid)
     closed = tuple(

@@ -23,10 +23,7 @@ from itertools import compress, count
 
 from .model import AnchorGrid, CfList, Utterance, Value
 
-CONTRA = "contra"
-CONSTRAINT3 = "constraint3"
-RULE1 = "rule1"
-FILTER_NAMES = (CONTRA, CONSTRAINT3, RULE1)
+FILTER_NAMES = ("contra", "constraint3", "rule1")
 
 
 class FilterVerdict(Value):

@@ -195,10 +195,12 @@ class ReferenceMarker(Value):
     Pronouns stay unbound (`entity` None); proposed bindings live in
     Cf list entries, never on the marker itself.
 
-    Construction raises MarkerError unless a pronoun carries no entity, a
-    name or definite carries one and no index but its surface, an
-    A-/X-index is of its kind's series, `contra` is a collection of mids
-    rather than one string, and `mid` is not in `contra`.
+    Construction raises MarkerError unless `kind` is a MarkerKind, `gf` a
+    GrammaticalFunction, `agr` an Agreement and `entity` an Entity or
+    None, a pronoun carries no entity, a name or definite carries one and
+    no index but its surface, an A-/X-index is of its kind's series,
+    `contra` is a collection of mids rather than one string, and `mid` is
+    not in `contra`.
     """
 
     __slots__ = ("surface", "kind", "gf", "agr", "contra", "entity", "index", "mid")
@@ -214,6 +216,15 @@ class ReferenceMarker(Value):
         index: str | None = None,
         mid: str | None = None,
     ) -> None:
+        # Exact types: a marker is built for every np line.
+        if type(kind) is not MarkerKind:
+            raise MarkerError(f"kind must be a MarkerKind, got {kind!r}", "kind")
+        if type(gf) is not GrammaticalFunction:
+            raise MarkerError(f"gf must be a GrammaticalFunction, got {gf!r}", "gf")
+        if type(agr) is not Agreement:
+            raise MarkerError(f"agr must be an Agreement, got {agr!r}", "agr")
+        if entity is not None and type(entity) is not Entity:
+            raise MarkerError(f"entity must be an Entity or None, got {entity!r}", "entity")
         if isinstance(contra, str):
             raise MarkerError(f"contra must be a collection of marker ids, got the string {contra!r}", "contra")
         contra = frozenset(contra)
@@ -249,18 +260,13 @@ class ReferenceMarker(Value):
         return self.kind is MarkerKind.PRONOUN
 
 
-def rank_markers(markers: list[ReferenceMarker]) -> list[ReferenceMarker]:
-    """Stable sort by grammatical-function rank; input order breaks ties."""
-    return sorted(markers, key=lambda m: m.gf)
-
-
 class Utterance(Value):
-    """One utterance; markers are (re)ordered by obliqueness on construction."""
+    """One utterance; construction sorts its markers stably by obliqueness."""
 
     __slots__ = ("text", "markers", "position")
 
     def __init__(self, text: str, markers: Iterable[ReferenceMarker], position: int = 1) -> None:
-        ordered = tuple(rank_markers(list(markers)))
+        ordered = tuple(sorted(markers, key=lambda m: m.gf))
         mids = [m.mid for m in ordered]
         if len(set(mids)) != len(mids):
             raise ValueError(f"duplicate marker ids in utterance {position}")

@@ -16,10 +16,10 @@ from centering import (
     load_bundled,
     process_discourse,
     process_document,
-    pronoun_candidates,
     render_trace,
 )
 from centering.cli import cli_main
+from centering.construction import pronoun_candidates
 from support import (
     filtered_in_every_order,
     oracle_enumerate_anchors,

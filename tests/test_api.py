@@ -12,11 +12,17 @@ SRC = TESTS.parent / "src"
 
 REMOVED = (
     "Anchor",
+    "CONSTRAINT3",
+    "CONTRA",
     "CandidateSet",
     "ClassifiedAnchor",
     "CorpusNp",
+    "DanglingContraRef",
     "DiscourseState",
+    "DuplicateNpId",
     "EntityKind",
+    "FILTER_NAMES",
+    "RULE1",
     "Survivors",
     "build_candidates",
     "collect_pronouns",
@@ -24,7 +30,10 @@ REMOVED = (
     "filter_contraindex",
     "filter_rule1",
     "preference_rank",
+    "pronoun_candidates",
     "propose_cf_lists",
+    "rank_markers",
+    "unify_agreement",
 )
 
 
@@ -38,6 +47,13 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in centering.__all__
         assert not hasattr(centering, name), name
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"```.*?```|`[^`]+`", readme, re.S)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    assert [name for name in centering.__all__ if name not in named] == []
 
 
 def test_marker_error_is_exported():

@@ -8,9 +8,9 @@ from centering import (
     AnchorGrid,
     UnresolvablePronoun,
     propose_anchors,
-    pronoun_candidates,
 )
 from centering import construction
+from centering.construction import pronoun_candidates
 from support import (
     FEM,
     MASC,

@@ -11,8 +11,6 @@ from centering import (
     CorpusDocument,
     CorpusError,
     CorpusUtterance,
-    DanglingContraRef,
-    DuplicateNpId,
     Entity,
     GrammaticalFunction,
     MarkerKind,
@@ -92,9 +90,11 @@ class TestErrors:
             "utterance x.\n"
             "np id=a surface=x kind=name gf=SUBJ contra=ghost\n"
         )
-        with pytest.raises(DanglingContraRef) as err:
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
         assert err.value.line == 3
+        assert err.value.fieldname == "contra"
+        assert str(err.value) == "line 3: contra: contra reference 'ghost' names no np here"
 
     def test_duplicate_np_id(self):
         text = (
@@ -103,9 +103,11 @@ class TestErrors:
             "np id=a surface=x kind=name gf=SUBJ\n"
             "np id=a surface=y kind=name gf=OBJ\n"
         )
-        with pytest.raises(DuplicateNpId) as err:
+        with pytest.raises(SchemaError) as err:
             parse_corpus(text)
         assert err.value.line == 4
+        assert err.value.fieldname == "id"
+        assert str(err.value) == "line 4: id: np id 'a' already used in this utterance"
 
     def test_unknown_field_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=x kind=name gf=SUBJ color=red\n"

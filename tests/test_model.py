@@ -19,10 +19,8 @@ from centering import (
     allocate_indices,
     load_bundled,
     process_document,
-    rank_markers,
-    unify_agreement,
 )
-from centering.model import MarkerError, Value
+from centering.model import MarkerError, Value, unify_agreement
 from support import (
     ADJ,
     FEM,
@@ -60,6 +58,11 @@ class TestAgreement:
     def test_bad_feature_rejected(self):
         with pytest.raises(ValueError):
             Agreement("female", "sg", "3")
+
+
+def rank_markers(markers):
+    # An Utterance ranks its markers on construction.
+    return list(Utterance("", markers).markers)
 
 
 class TestRankMarkers:
@@ -149,6 +152,18 @@ class TestMarkers:
             ReferenceMarker("she", MarkerKind.PRONOUN, SUBJ, contra="her1")
         assert err.value.fieldname == "contra"
         assert ReferenceMarker("she", MarkerKind.PRONOUN, SUBJ, contra=["her1"]).contra == frozenset({"her1"})
+
+    @pytest.mark.parametrize(
+        ("fieldname", "value"),
+        [("kind", "name"), ("gf", "SUBJ"), ("gf", 0), ("agr", None), ("agr", ("fem", "sg", "3")), ("entity", "ANN")],
+    )
+    def test_fields_of_the_wrong_type_rejected(self, fieldname, value):
+        # Unchecked, each would pass construction and fail deep in the
+        # pipeline, with an AttributeError or a TypeError from the sort.
+        fields = {"kind": MarkerKind.NAME, "gf": SUBJ, "agr": FEM, "entity": Entity("ANN"), fieldname: value}
+        with pytest.raises(MarkerError) as err:
+            ReferenceMarker("Ann", **fields)
+        assert err.value.fieldname == fieldname
 
     def test_utterance_sorts_and_rejects_duplicate_mids(self):
         u = utt("x", pronoun("her", index="A2", gf=OBJ), pronoun("She", index="A1", gf=SUBJ))

@@ -17,17 +17,17 @@ from centering import (
     Mode,
     Transition,
     UnresolvablePronoun,
+    Utterance,
     allocate_indices,
     format_corpus,
     parse_corpus,
     process_discourse,
     process_document,
-    rank_markers,
     render_trace,
-    unify_agreement,
 )
 from centering.cli import cli_main
 from centering.corpus import derive_entity_id
+from centering.model import unify_agreement
 from support import (
     filtered_in_every_order,
     oracle_rank_then_filter,
@@ -59,9 +59,9 @@ def test_unspecified_agreement_is_universal(a):
 @given(st.lists(st.sampled_from(list(GrammaticalFunction)), max_size=8))
 def test_rank_markers_is_an_idempotent_permutation(gfs):
     markers = [pronoun(f"p{i}", index=f"A{i + 1}", gf=gf) for i, gf in enumerate(gfs)]
-    ranked = rank_markers(markers)
+    ranked = list(Utterance("", markers).markers)
     assert sorted(m.mid for m in ranked) == sorted(m.mid for m in markers)
-    assert rank_markers(ranked) == ranked
+    assert list(Utterance("", ranked).markers) == ranked
     assert all(x.gf <= y.gf for x, y in zip(ranked, ranked[1:]))
 
 
