@@ -151,13 +151,10 @@ class Agreement(Value):
 
 def unify_agreement(a: Agreement, b: Agreement) -> bool:
     """True iff no specified feature clashes; unspecified matches anything."""
-    return all(
-        x is None or y is None or x == y
-        for x, y in (
-            (a.gender, b.gender),
-            (a.number, b.number),
-            (a.person, b.person),
-        )
+    return (
+        (a.gender is None or b.gender is None or a.gender == b.gender)
+        and (a.number is None or b.number is None or a.number == b.number)
+        and (a.person is None or b.person is None or a.person == b.person)
     )
 
 
@@ -195,12 +192,13 @@ class ReferenceMarker(Value):
     Pronouns stay unbound (`entity` None); proposed bindings live in
     Cf list entries, never on the marker itself.
 
-    Construction raises MarkerError unless `kind` is a MarkerKind, `gf` a
-    GrammaticalFunction, `agr` an Agreement and `entity` an Entity or
-    None, a pronoun carries no entity, a name or definite carries one and
-    no index but its surface, an A-/X-index is of its kind's series,
-    `contra` is a collection of mids rather than one string, and `mid` is
-    not in `contra`.
+    Construction raises MarkerError unless `surface` is a str, `kind` a
+    MarkerKind, `gf` a GrammaticalFunction, `agr` an Agreement, `entity`
+    an Entity or None, `index` and `mid` each a str or None, a pronoun
+    carries no entity, a name or definite carries one and no index but
+    its surface, an A-/X-index is of its kind's series, `contra` is a
+    collection of mids rather than one string, and `mid` is not in
+    `contra`.
     """
 
     __slots__ = ("surface", "kind", "gf", "agr", "contra", "entity", "index", "mid")
@@ -217,6 +215,8 @@ class ReferenceMarker(Value):
         mid: str | None = None,
     ) -> None:
         # Exact types: a marker is built for every np line.
+        if type(surface) is not str:
+            raise MarkerError(f"surface must be a str, got {surface!r}", "surface")
         if type(kind) is not MarkerKind:
             raise MarkerError(f"kind must be a MarkerKind, got {kind!r}", "kind")
         if type(gf) is not GrammaticalFunction:
@@ -225,6 +225,10 @@ class ReferenceMarker(Value):
             raise MarkerError(f"agr must be an Agreement, got {agr!r}", "agr")
         if entity is not None and type(entity) is not Entity:
             raise MarkerError(f"entity must be an Entity or None, got {entity!r}", "entity")
+        if index is not None and type(index) is not str:
+            raise MarkerError(f"index must be a str or None, got {index!r}", "index")
+        if mid is not None and type(mid) is not str:
+            raise MarkerError(f"mid must be a str or None, got {mid!r}", "mid")
         if isinstance(contra, str):
             raise MarkerError(f"contra must be a collection of marker ids, got the string {contra!r}", "contra")
         contra = frozenset(contra)

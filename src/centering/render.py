@@ -9,8 +9,9 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
+from operator import attrgetter
 
 from .engine import UtteranceResult
 from .filters import FILTER_NAMES, SURVIVED
@@ -53,10 +54,15 @@ def _labels(n: int) -> list[str]:
 _HAS_BIT = {
     name: bytes(mask >> bit & 1 for mask in range(256)) for bit, name in enumerate(FILTER_NAMES)
 }
-_ELIMINATION_NOTES = tuple(
-    "eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
-    for mask in range(1 << len(FILTER_NAMES))
+# What `--dump-anchors` writes after an anchor with each verdict mask: the
+# filters that eliminated it, and nothing for a survivor, whose transition
+# comes from the ranking instead.
+_MASK_NOTES = ("",) + tuple(
+    "  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+    for mask in range(1, 1 << len(FILTER_NAMES))
 )
+_TRANSITION_NOTES = {t: "  " + t.value for t in Transition}
+_display = attrgetter("display")
 
 
 def display_cb(entry: CfEntry | None) -> str:
@@ -64,7 +70,7 @@ def display_cb(entry: CfEntry | None) -> str:
 
 
 def display_cf(cf: CfList) -> str:
-    return "(" + " ".join(e.display for e in cf) + ")"
+    return "(" + " ".join(map(_display, cf)) + ")"
 
 
 def _binding_line(result: UtteranceResult) -> str:
@@ -83,25 +89,23 @@ def _labels_by_filter(result: UtteranceResult, labels: list[str]) -> tuple[dict[
 
 
 def _anchor_dump(result: UtteranceResult) -> str:
+    """One line per anchor, in grid order: its label, `<center, Cf list>`,
+    and either the filters that eliminated it or, for a ranked survivor,
+    its transition, with `<- selected` on the winner."""
     grid = result.anchors
     ranked = result.ranked
-    transition_at = dict(zip(ranked.positions, ranked.transitions))
-    winner = ranked.positions[0] if ranked else None
-    # Each center and each Cf list is formatted once, then paired in grid order.
-    cb_texts = [display_cb(cb) for cb in grid.cbs]
-    cf_texts = [display_cf(cf) for cf in grid.cf_lists]
-    bodies = (f"<{cb_text}, {cf_text}>" for cb_text in cb_texts for cf_text in cf_texts)
-    lines = [f"anchors ({len(grid)}):"]
-    for position, label, mask, body in zip(count(), _labels(len(grid)), result.verdicts.masks, bodies):
-        if mask:
-            note = _ELIMINATION_NOTES[mask]
-        else:
-            transition = transition_at.get(position)
-            note = transition.value if transition is not None else ""
-            if position == winner:
-                note = (note + "  <- selected").strip()
-        lines.append(f"  {label:>5}. {body}  {note}".rstrip())
-    return "\n".join(lines)
+    notes = [_MASK_NOTES[mask] for mask in result.verdicts.masks]
+    for position, transition in zip(ranked.positions, ranked.transitions):
+        notes[position] = _TRANSITION_NOTES[transition]
+    if ranked:
+        notes[ranked.positions[0]] += "  <- selected"
+    # Each center and each Cf list is formatted once; the columns are
+    # zipped in grid order, center-major.
+    width = len(grid.cf_lists)
+    centers = chain.from_iterable(repeat(f". <{display_cb(cb)}, ", width) for cb in grid.cbs)
+    cf_lists = [display_cf(cf) + ">" for cf in grid.cf_lists] * len(grid.cbs)
+    labels = map(str.rjust, _labels(len(notes)), repeat(5))
+    return f"anchors ({len(notes)}):\n  " + "\n  ".join(map("".join, zip(labels, centers, cf_lists, notes)))
 
 
 def _filter_explain(result: UtteranceResult) -> str:

@@ -31,9 +31,12 @@ from centering import (
     classify,
     propose_anchors,
     rank_and_select,
+    render_trace,
+    roman,
     run_filters,
 )
 from centering.engine import FAILURE_DIAGNOSTICS, UtteranceResult
+from centering.filters import FILTER_NAMES
 
 FEM = Agreement("fem", "sg", "3")
 MASC = Agreement("masc", "sg", "3")
@@ -319,6 +322,43 @@ def oracle_rank_then_filter(anchors, prior_cf: CfList, u: Utterance, prev_cb, mo
         if oracle_passes_filters(anchor, prior_cf, u):
             return anchor.ordinal
     return None
+
+
+def oracle_anchor_dump(result: UtteranceResult) -> str:
+    """The `--dump-anchors` block of one result, written one anchor at a
+    time: its label, `<center, Cf list>`, and the filters that eliminated
+    it, or a ranked survivor's transition with `<- selected` on the
+    winner; an unranked survivor gets no note."""
+    ranked = result.ranked
+    transition_at = dict(zip(ranked.positions, ranked.transitions))
+    winner = ranked.positions[0] if ranked else None
+    lines = [f"anchors ({len(result.anchors)}):"]
+    for anchor, mask in zip(anchors_of(result.anchors), result.verdicts.masks):
+        position = anchor.ordinal - 1
+        if mask:
+            note = "eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+        else:
+            transition = transition_at.get(position)
+            note = transition.value if transition is not None else ""
+            if position == winner:
+                note = (note + "  <- selected").strip()
+        cb = anchor.cb.display if anchor.cb is not None else "NIL"
+        cf = "(" + " ".join(e.display for e in anchor.cf) + ")"
+        lines.append(f"  {roman(anchor.ordinal):>5}. <{cb}, {cf}>  {note}".rstrip())
+    return "\n".join(lines)
+
+
+def oracle_dump_trace(results: list[UtteranceResult]) -> str:
+    """`render_trace(results, dump_anchors=True)` rebuilt from each
+    result's plain `figure` stanzas, with `oracle_anchor_dump` put in
+    before its tie line."""
+    paragraphs: list[str] = []
+    for r in results:
+        own = render_trace([r]).removesuffix("\n").split("\n\n")
+        if r.anchors:
+            own.insert(len(own) - r.tie, oracle_anchor_dump(r))
+        paragraphs += own
+    return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
 
 
 # --- randomized inputs -----------------------------------------------------

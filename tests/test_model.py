@@ -20,7 +20,7 @@ from centering import (
     load_bundled,
     process_document,
 )
-from centering.model import MarkerError, Value, unify_agreement
+from centering.model import GENDERS, NUMBERS, PERSONS, MarkerError, Value, unify_agreement
 from support import (
     ADJ,
     FEM,
@@ -29,6 +29,7 @@ from support import (
     OBJ,
     OTHER,
     SUBJ,
+    _agree,
     assert_value_by_fields,
     indefinite,
     name,
@@ -54,6 +55,18 @@ class TestAgreement:
         for a in values:
             for b in values:
                 assert unify_agreement(a, b) == unify_agreement(b, a)
+
+    def test_matches_the_oracle_on_every_pair(self):
+        values = [
+            Agreement(g, n, p)
+            for g in (*sorted(GENDERS), None)
+            for n in (*sorted(NUMBERS), None)
+            for p in (*sorted(PERSONS), None)
+        ]
+        assert len(values) == 48
+        for a in values:
+            for b in values:
+                assert unify_agreement(a, b) is _agree(a, b), (a, b)
 
     def test_bad_feature_rejected(self):
         with pytest.raises(ValueError):
@@ -155,14 +168,22 @@ class TestMarkers:
 
     @pytest.mark.parametrize(
         ("fieldname", "value"),
-        [("kind", "name"), ("gf", "SUBJ"), ("gf", 0), ("agr", None), ("agr", ("fem", "sg", "3")), ("entity", "ANN")],
+        [
+            ("kind", "name"), ("gf", "SUBJ"), ("gf", 0), ("agr", None), ("agr", ("fem", "sg", "3")), ("entity", "ANN"),
+            ("surface", None), ("surface", 3), ("index", 7), ("mid", 5),
+        ],
     )
     def test_fields_of_the_wrong_type_rejected(self, fieldname, value):
         # Unchecked, each would pass construction and fail deep in the
-        # pipeline, with an AttributeError or a TypeError from the sort.
-        fields = {"kind": MarkerKind.NAME, "gf": SUBJ, "agr": FEM, "entity": Entity("ANN"), fieldname: value}
+        # pipeline, with an AttributeError or a TypeError from the sort or
+        # the index pattern, or render as a binding like `None = Ann`.
+        # A name's index is only compared with its surface; a pronoun's
+        # is matched against the A-series pattern.
+        kind = MarkerKind.PRONOUN if fieldname == "index" else MarkerKind.NAME
+        entity = Entity("ANN") if kind is MarkerKind.NAME else None
+        fields = {"surface": "Ann", "kind": kind, "gf": SUBJ, "agr": FEM, "entity": entity, fieldname: value}
         with pytest.raises(MarkerError) as err:
-            ReferenceMarker("Ann", **fields)
+            ReferenceMarker(**fields)
         assert err.value.fieldname == fieldname
 
     def test_utterance_sorts_and_rejects_duplicate_mids(self):

@@ -1,11 +1,23 @@
 import gc
 import json
+import random
 import tracemalloc
 
 import pytest
 
 from centering import Mode, load_bundled, parse_corpus, process_discourse, process_document, render_trace, roman
-from support import MASC, OBJ, SUBJ, indefinite, name, pronoun, ranked_of, utt
+from support import (
+    MASC,
+    OBJ,
+    SUBJ,
+    indefinite,
+    name,
+    oracle_dump_trace,
+    pronoun,
+    random_discourse,
+    ranked_of,
+    utt,
+)
 
 
 def _crowd(names, pronouns):
@@ -103,6 +115,65 @@ def test_anchor_dump_lists_all_sixteen():
     assert "<- selected" in text
     assert "contra: i iv v viii ix xii xiii xvi" in text
     assert "survivors: ii iii" in text
+
+
+def _dump(results):
+    """`render_trace(results, dump_anchors=True)`, checked against the
+    per-anchor oracle line by line, so that a failure names the first
+    line that differs instead of diffing thousands of them."""
+    text = render_trace(results, dump_anchors=True)
+    lines, expected = text.split("\n"), oracle_dump_trace(results).split("\n")
+    for number, (line, want) in enumerate(zip(lines, expected), 1):
+        assert line == want, f"line {number}"
+    assert len(lines) == len(expected)
+    return text
+
+
+@pytest.mark.parametrize("mode", [Mode.EXTENDED, Mode.CLASSIC])
+def test_anchor_dump_matches_the_per_anchor_oracle(mode):
+    rng = random.Random(2424)
+    for _ in range(300):
+        _dump(process_discourse(random_discourse(rng), mode))
+
+
+def _dump_lines(text):
+    """The anchor lines of the dumps in a `figure` trace."""
+    return [line for line in text.splitlines() if line.startswith("  ") and ". <" in line]
+
+
+def test_anchor_dump_of_an_empty_utterance_gives_its_survivor_no_note():
+    # Nothing is ranked when the utterance has no centers, so its one
+    # survivor, the null center, has no transition to show.
+    results = process_discourse([utt("Ann left.", name("Ann", "ANN")), utt("Silence.", position=2)])
+    text = _dump(results)
+    assert results[1].diagnostic_kind == "empty-utterance"
+    assert _dump_lines(text)[-2:] == ["      i. <[ANN:Ann], ()>  eliminated: constraint3", "     ii. <NIL, ()>"]
+
+
+def test_anchor_dump_of_an_opener():
+    results = process_discourse([utt("Ann met Ben.", name("Ann", "ANN"), name("Ben", "BEN", gf=OBJ))])
+    text = _dump(results)
+    assert _dump_lines(text) == ["      i. <NIL, ([ANN:Ann] [BEN:Ben])>  CONTINUING  <- selected"]
+
+
+def test_anchor_dump_of_a_classic_tie():
+    results = process_document(load_bundled("fig4"), Mode.CLASSIC)
+    assert results[3].tie
+    text = _dump(results)
+    assert text.endswith(f"\n\n** tie: {results[3].diagnostic}\n")
+    assert text.count("<- selected") == len(results)
+
+
+def test_anchor_dump_past_the_roman_labels():
+    # 7 * 6**4 = 9,072 anchors: labels above 3,999 are decimal, and some
+    # roman ones are wider than the 5 columns labels are padded to.
+    results = process_discourse(_crowd(6, 4))
+    assert results[1].anchors_constructed == 9072
+    text = _dump(results)
+    lines = _dump_lines(text)[1:]  # after the opener's one anchor
+    assert len(lines) == 9072
+    assert lines[3998].startswith("  mmmcmxcix. <") and lines[3999].startswith("   4000. <")
+    assert lines[-1].startswith("   9072. <")
 
 
 def test_structured_is_one_json_record_per_utterance():
