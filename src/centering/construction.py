@@ -8,9 +8,11 @@ lists, later pronouns varying fastest, candidates in prior-Cf order.
 The anchor count is therefore always
 (len(prior_cf) + 1) * product(len(candidates(p)) for each pronoun p),
 and an utterance whose count is over MAX_ANCHORS is refused before any
-Cf list is built. The anchors are returned as an `AnchorGrid`, the
-centers and the Cf lists (tuples of CfEntry) whose product they are; an
-anchor is its position in that grid.
+Cf list is built. The anchors are returned as an `AnchorGrid` of the
+centers and one slot per marker: the entries that can realize it, one
+per candidate for a pronoun and its own entity's for any other marker.
+The grid's Cf lists (tuples of CfEntry) are the product of those slots,
+and an anchor is its position in the grid.
 
 Pronoun candidates come only from the previous utterance's committed
 forward centers; an antecedent elsewhere in the same utterance is not
@@ -19,7 +21,6 @@ considered unless it also appears there.
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 
 from .model import (
@@ -70,7 +71,8 @@ def pronoun_candidates(p: ReferenceMarker, prior_cf: CfList) -> list[Entity]:
 def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
     """Every candidate anchor, in canonical order with 1-based ordinals.
 
-    The grid's Cf lists are the full binding assignments of the
+    The grid's slots hold the entries that can realize each marker, and
+    its Cf lists, their product, are the full binding assignments of the
     utterance's markers; an utterance without pronouns has exactly one,
     the fixed entities in marker order. Raises ValueError if a marker
     lacks its index or a non-pronoun its entity, which `allocate_indices`
@@ -79,7 +81,7 @@ def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
     MAX_ANCHORS anchors.
     """
     # One entry per (pronoun, candidate), shared by every list that binds
-    # the pronoun to that candidate; a fixed marker has a single slot.
+    # the pronoun to that candidate; a fixed marker's slot is one entry.
     slots = []
     for m in u.markers:
         if m.index is None or (m.entity is None and not m.is_pronoun):
@@ -94,4 +96,4 @@ def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
     anchors = (len(prior_cf) + 1) * prod(map(len, slots))
     if anchors > MAX_ANCHORS:
         raise AnchorBudgetExceeded(f"{anchors:,} anchors would exceed the limit of {MAX_ANCHORS:,}")
-    return AnchorGrid((*prior_cf, None), tuple(product(*slots)))
+    return AnchorGrid((*prior_cf, None), slots)

@@ -61,6 +61,7 @@ from __future__ import annotations
 import re
 import shlex
 import unicodedata
+from collections.abc import Iterable
 
 from .model import (
     INDEX_SERIES,
@@ -121,28 +122,41 @@ class SchemaError(CorpusError):
 
 
 class CorpusUtterance(Value):
-    """An utterance's text and its np lines as markers, in file order."""
+    """An utterance's text and its np lines as markers, in file order.
+
+    `nps` is kept as a tuple; a str or a single marker in its place raises
+    ValueError.
+    """
 
     __slots__ = ("text", "nps")
 
-    def __init__(self, text: str, nps: tuple[ReferenceMarker, ...] = ()) -> None:
+    def __init__(self, text: str, nps: Iterable[ReferenceMarker] = ()) -> None:
+        if isinstance(nps, (str, ReferenceMarker)):
+            raise ValueError(f"nps must be a collection of ReferenceMarkers, got {nps!r}")
         set_text, set_nps = self._setters
         set_text(self, text)
-        set_nps(self, nps)
+        set_nps(self, tuple(nps))
 
 
 class CorpusDocument(Value):
-    """A parsed corpus: its discourse id, mode and utterances."""
+    """A parsed corpus: its discourse id, mode and utterances.
+
+    `mode` is kept as a Mode and may be given as a Mode's value; any other
+    raises ValueError. `utterances` is kept as a tuple; a str or a single
+    CorpusUtterance in its place raises ValueError.
+    """
 
     __slots__ = ("id", "mode", "utterances")
 
     def __init__(
-        self, id: str, mode: Mode = Mode.EXTENDED, utterances: tuple[CorpusUtterance, ...] = ()
+        self, id: str, mode: Mode | str = Mode.EXTENDED, utterances: Iterable[CorpusUtterance] = ()
     ) -> None:
+        if isinstance(utterances, (str, CorpusUtterance)):
+            raise ValueError(f"utterances must be a collection of CorpusUtterances, got {utterances!r}")
         set_id, set_mode, set_utterances = self._setters
         set_id(self, id)
-        set_mode(self, mode)
-        set_utterances(self, utterances)
+        set_mode(self, Mode(mode))
+        set_utterances(self, tuple(utterances))
 
 
 def _parse_agreement(value: str, line: int) -> Agreement:

@@ -108,7 +108,9 @@ class UtteranceResult(Value):
         return {e.marker.index: e.entity for e in self.cf if e.marker.is_pronoun}
 
 
-_NO_ANCHORS = AnchorGrid((), ())
+# No center, and one slot without entries: a pronoun with no candidate
+# leaves no Cf list, so a failed utterance's grid holds no anchor.
+_NO_ANCHORS = AnchorGrid((), ((),))
 _NO_VERDICTS = FilterVerdicts(b"")
 _NOTHING_RANKED = Ranking(_NO_ANCHORS, (), ())
 

@@ -11,7 +11,10 @@ anchors: everything the filters ask of a Cf list (whether contra holds,
 the top prior entity it realizes, the ids its pronouns bind) is
 independent of the backward center, so it is worked out once per Cf
 list, and each center's row of verdicts is then decided from those facts
-and the center alone. A verdict records every violated filter, not just
+and the center alone. What the fixed (non-pronoun) markers contribute is
+the same for every Cf list and is worked out once; the Cf lists are then
+read as the product of the pronoun slots' entity ids, so no CfEntry is
+read per Cf list. A verdict records every violated filter, not just
 the first; the verdicts are kept as one byte of filter bits per anchor,
 and the survivors as a plain tuple of their increasing grid positions.
 """
@@ -19,7 +22,7 @@ and the survivors as a plain tuple of their increasing grid positions.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress, count
+from itertools import compress, count, product
 
 from .model import AnchorGrid, CfList, Utterance, Value
 
@@ -76,43 +79,71 @@ class FilterVerdicts(Value):
 def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple[int, ...], FilterVerdicts]:
     """Evaluate all three filters on every anchor of `grid`.
 
-    The grid's Cf lists are bindings of `u`'s markers, entry i realizing
-    marker i, as `propose_anchors(u, ...)` builds them. Returns the
-    survivors, as their increasing positions (ordinal - 1) in `grid`,
-    and the verdicts, which record the full elimination set of every
-    anchor.
+    The grid's slots are those of `u`'s markers, slot i holding the
+    entries that can realize marker i, as `propose_anchors(u, ...)`
+    builds them: a non-pronoun marker's slot is its one entry. Returns
+    the survivors, as their increasing positions (ordinal - 1) in
+    `grid`, and the verdicts, which record the full elimination set of
+    every anchor.
     """
     cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
     every_cb = frozenset(cb_ids)
     # Distinct prior entities, most prominent first.
     prior_order = tuple(dict.fromkeys(pe.entity.id for pe in prior_cf))
-    position = {m.mid: i for i, m in enumerate(u.markers)}
-    contra_pairs = [
-        (i, position[other]) for i, m in enumerate(u.markers) for other in m.contra if other in position
-    ]
-    pronoun_positions = tuple(i for i, m in enumerate(u.markers) if m.is_pronoun)
+    # A pronoun's place in the tuples of bound ids that the product of the
+    # pronoun slots yields, one tuple per Cf list in grid order; the one
+    # id of each other marker.
+    place: dict[str, int] = {}
+    fixed: dict[str, str] = {}
+    id_slots = []
+    for m, slot in zip(u.markers, grid.slots):
+        if m.is_pronoun:
+            place[m.mid] = len(id_slots)
+            id_slots.append([e.entity.id for e in slot])
+        else:
+            (entry,) = slot
+            fixed[m.mid] = entry.entity.id
+    # Contraindexed fixed markers bound to one entity eliminate every
+    # anchor; the other contraindexed pairs compare two pronouns' ids or
+    # a pronoun's id with a fixed one.
+    fixed_contra, pairs, against = 0, set(), set()
+    for m in u.markers:
+        k = place.get(m.mid)
+        for other in m.contra:
+            if other in place:
+                if k is None:
+                    against.add((place[other], fixed[m.mid]))
+                else:
+                    pairs.add((min(k, place[other]), max(k, place[other])))
+            elif other in fixed:
+                if k is None:
+                    fixed_contra |= fixed[m.mid] == fixed[other]
+                else:
+                    against.add((k, fixed[other]))
     # Every Cf list realizes the fixed markers' entities. The most
     # prominent prior one of them is a Cf list's top unless a pronoun
     # binds a prior entity ahead of it, so only those are scanned.
     fixed_top, ahead = None, prior_order
-    if prior_order:
-        fixed_ids = {m.entity.id for m in u.markers if not m.is_pronoun}
-        for k, pid in enumerate(prior_order):
-            if pid in fixed_ids:
-                fixed_top, ahead = pid, prior_order[:k]
-                break
+    fixed_ids = set(fixed.values())
+    for k, pid in enumerate(prior_order):
+        if pid in fixed_ids:
+            fixed_top, ahead = pid, prior_order[:k]
+            break
     # Per Cf list: its contra bit, the most prominent prior entity it
     # realizes (None if none), and the centers rule 1 passes: the ids its
     # pronouns bind when one of them picks up a prior entity, else all.
     facts = []
-    for cf in grid.cf_lists:
-        ids = [e.entity.id for e in cf]
-        contra = 0
-        for i, j in contra_pairs:
-            if ids[i] == ids[j]:
+    for ids in product(*id_slots):
+        contra = fixed_contra
+        for k, j in pairs:
+            if ids[k] == ids[j]:
                 contra = 1
                 break
-        pronoun_ids = {ids[i] for i in pronoun_positions}
+        for k, fid in against:
+            if ids[k] == fid:
+                contra = 1
+                break
+        pronoun_ids = set(ids)
         top = fixed_top
         for pid in ahead:
             if pid in pronoun_ids:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from enum import Enum, IntEnum
+from itertools import product
 
 GENDERS = frozenset({"fem", "masc", "neut"})
 NUMBERS = frozenset({"sg", "pl"})
@@ -311,18 +312,25 @@ CfList = tuple[CfEntry, ...]
 class AnchorGrid(Value):
     """Every candidate anchor of one utterance, kept as positions.
 
-    The anchors are the pairs of `cbs` × `cf_lists`, center-major: the
-    anchor at position i pairs cbs[i // len(cf_lists)] with
-    cf_lists[i % len(cf_lists)] and has ordinal i + 1, which labels it
-    in traces and breaks ties.
+    `slots[i]` holds the CfEntrys that can realize the utterance's i-th
+    marker. The grid's Cf lists, `cf_lists`, are worked out once as the
+    slots' Cartesian product, `tuple(itertools.product(*slots))`, later
+    markers varying fastest. So an utterance without markers has one Cf list, the
+    empty one, and a slot without entries leaves none. The anchors are
+    the pairs of `cbs` × `cf_lists`, center-major: the anchor at
+    position i pairs cbs[i // len(cf_lists)] with cf_lists[i %
+    len(cf_lists)] and has ordinal i + 1, which labels it in traces and
+    breaks ties.
     """
 
-    __slots__ = ("cbs", "cf_lists")
+    __slots__ = ("cbs", "slots", "cf_lists")
 
-    def __init__(self, cbs: tuple[CfEntry | None, ...], cf_lists: tuple[CfList, ...]) -> None:
-        set_cbs, set_cf_lists = self._setters
-        set_cbs(self, cbs)
-        set_cf_lists(self, cf_lists)
+    def __init__(self, cbs: Iterable[CfEntry | None], slots: Iterable[Iterable[CfEntry]]) -> None:
+        slots = tuple(map(tuple, slots))
+        set_cbs, set_slots, set_cf_lists = self._setters
+        set_cbs(self, tuple(cbs))
+        set_slots(self, slots)
+        set_cf_lists(self, tuple(product(*slots)))
 
     def __len__(self) -> int:
         return len(self.cbs) * len(self.cf_lists)

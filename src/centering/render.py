@@ -9,7 +9,7 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
@@ -54,14 +54,15 @@ def _labels(n: int) -> list[str]:
 _HAS_BIT = {
     name: bytes(mask >> bit & 1 for mask in range(256)) for bit, name in enumerate(FILTER_NAMES)
 }
-# What `--dump-anchors` writes after an anchor with each verdict mask: the
-# filters that eliminated it, and nothing for a survivor, whose transition
-# comes from the ranking instead.
-_MASK_NOTES = ("",) + tuple(
-    "  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+# What `--dump-anchors` writes after the entries of an anchor's Cf list,
+# by verdict mask: the close of the anchor, then the filters that
+# eliminated it, and nothing for a survivor, whose transition comes from
+# the ranking instead.
+_MASK_NOTES = (")>",) + tuple(
+    ")>  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
     for mask in range(1, 1 << len(FILTER_NAMES))
 )
-_TRANSITION_NOTES = {t: "  " + t.value for t in Transition}
+_TRANSITION_NOTES = {t: ")>  " + t.value for t in Transition}
 _display = attrgetter("display")
 
 
@@ -99,13 +100,15 @@ def _anchor_dump(result: UtteranceResult) -> str:
         notes[position] = _TRANSITION_NOTES[transition]
     if ranked:
         notes[ranked.positions[0]] += "  <- selected"
-    # Each center and each Cf list is formatted once; the columns are
-    # zipped in grid order, center-major.
-    width = len(grid.cf_lists)
-    centers = chain.from_iterable(repeat(f". <{display_cb(cb)}, ", width) for cb in grid.cbs)
-    cf_lists = [display_cf(cf) + ">" for cf in grid.cf_lists] * len(grid.cbs)
+    # Each center and each slot entry is formatted once, and a Cf list's
+    # entries are joined as the product of the slots yields them; the
+    # columns are zipped in grid order, center-major.
+    cf_lists = list(map(" ".join, product(*[map(_display, slot) for slot in grid.slots])))
+    centers = chain.from_iterable(repeat(f". <{display_cb(cb)}, (", len(cf_lists)) for cb in grid.cbs)
     labels = map(str.rjust, _labels(len(notes)), repeat(5))
-    return f"anchors ({len(notes)}):\n  " + "\n  ".join(map("".join, zip(labels, centers, cf_lists, notes)))
+    return f"anchors ({len(notes)}):\n  " + "\n  ".join(
+        map("".join, zip(labels, centers, cf_lists * len(grid.cbs), notes))
+    )
 
 
 def _filter_explain(result: UtteranceResult) -> str:
@@ -162,43 +165,33 @@ def _json_labels(labels: list[str]) -> str:
     return '["' + '", "'.join(labels) + '"]' if labels else "[]"
 
 
-class _JsonPieces:
-    """The JSON of each center and Cf list of one render, encoded once.
-
-    Keyed by id(): the results being rendered keep every center and Cf
-    list alive while the pieces are used, so no id is reused meanwhile.
-    """
-
-    __slots__ = ("cbs", "cf_lists")
-
-    def __init__(self) -> None:
-        self.cbs: dict[int, str] = {}
-        self.cf_lists: dict[int, str] = {}
-
-    def cb(self, entry: CfEntry | None) -> str:
-        text = self.cbs.get(id(entry))
-        if text is None:
-            text = self.cbs[id(entry)] = encode_basestring(display_cb(entry))
-        return text
-
-    def cf(self, cf: CfList) -> str:
-        text = self.cf_lists.get(id(cf))
-        if text is None:
-            text = "[" + ", ".join([encode_basestring(e.display) for e in cf]) + "]"
-            self.cf_lists[id(cf)] = text
-        return text
+def _json_cf(cf: CfList) -> str:
+    return "[" + ", ".join(map(encode_basestring, map(_display, cf))) + "]"
 
 
-def _structured_line(result: UtteranceResult, pieces: _JsonPieces) -> str:
+def _structured_line(result: UtteranceResult) -> str:
     """One `structured` record: the utterance, its anchor counts, the
     labels each filter eliminated, and the ranked survivors."""
-    cb, cf = pieces.cb, pieces.cf
-    labels = _labels(result.anchors_constructed)
-    ranked = ", ".join([
-        f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
-        f'"cb": {cb(center)}, "cf": {cf(cf_list)}}}'
-        for position, transition, center, cf_list in result.ranked.cells()
-    ])
+    grid, labels = result.anchors, _labels(result.anchors_constructed)
+    # Each center's and each slot entry's JSON is encoded once, and a Cf
+    # list's entries are joined as the product of the slots yields them.
+    centers = [encode_basestring(display_cb(cb)) for cb in grid.cbs]
+    entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
+    cf_lists = list(map(", ".join, product(*entries)))
+    width = len(cf_lists)
+    cells = []
+    for position, transition in zip(result.ranked.positions, result.ranked.transitions):
+        row, column = divmod(position, width)
+        center = centers[row]
+        if grid.cbs[row] is None and transition is Transition.CONTINUING:
+            # An opener's null center, shown as its preferred center (see
+            # Ranking.cells): the head of its Cf list.
+            center = encode_basestring(grid.cf_lists[column][0].display)
+        cells.append(
+            f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
+            f'"cb": {center}, "cf": [{cf_lists[column]}]}}'
+        )
+    ranked = ", ".join(cells)
     bindings = "null"
     bound = result.bindings
     if bound is not None:
@@ -214,7 +207,8 @@ def _structured_line(result: UtteranceResult, pieces: _JsonPieces) -> str:
     transition = result.transition.value if result.transition is not None else None
     return (
         f'{{"u": {result.position}, "text": {_json_str(result.utterance.text)}, '
-        f'"transition": {_json_str(transition)}, "cb": {cb(result.cb)}, "cf": {cf(result.cf)}, '
+        f'"transition": {_json_str(transition)}, "cb": {encode_basestring(display_cb(result.cb))}, '
+        f'"cf": {_json_cf(result.cf)}, '
         f'"bindings": {bindings}, "anchors_constructed": {result.anchors_constructed}, '
         f'"eliminated": {{{by_filter}}}, "survivors": {_json_labels(survivors)}, '
         f'"ranked": [{ranked}], "tie": {_json_bool(result.tie)}, '
@@ -231,8 +225,7 @@ def render_trace(
 ) -> str:
     """Render processed results as `figure` stanzas or `structured` JSONL."""
     if format == "structured":
-        pieces = _JsonPieces()
-        return "".join([_structured_line(r, pieces) for r in results])
+        return "".join([_structured_line(r) for r in results])
     if format == "figure":
         return _figure(results, dump_anchors, explain)
     raise ValueError(f"unknown trace format {format!r}")

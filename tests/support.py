@@ -170,7 +170,7 @@ class Stages(NamedTuple):
 
 # The stage calls and the shapes they return, which only support.py and
 # the tests that pin the documented shapes name.
-STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_lists|cbs|masks)\b|\.cells\("
+STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_lists|cbs|slots|masks)\b|\.cells\("
 SHAPE_MODULES = frozenset({"support.py", "test_construction.py", "test_filters.py", "test_classification.py"})
 
 
@@ -346,6 +346,20 @@ def oracle_anchor_dump(result: UtteranceResult) -> str:
         cf = "(" + " ".join(e.display for e in anchor.cf) + ")"
         lines.append(f"  {roman(anchor.ordinal):>5}. <{cb}, {cf}>  {note}".rstrip())
     return "\n".join(lines)
+
+
+def oracle_ranked_records(result: UtteranceResult) -> list[dict]:
+    """The `ranked` list of a result's `structured` record, rebuilt one
+    ranked anchor at a time from `ranked_of`."""
+    return [
+        {
+            "anchor": roman(r.anchor.ordinal),
+            "transition": r.transition.value,
+            "cb": r.anchor.cb.display if r.anchor.cb is not None else "NIL",
+            "cf": [e.display for e in r.anchor.cf],
+        }
+        for r in ranked_of(result.ranked)
+    ]
 
 
 def oracle_dump_trace(results: list[UtteranceResult]) -> str:

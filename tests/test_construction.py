@@ -1,4 +1,6 @@
+import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -201,15 +203,21 @@ def _oracle_key(anchor):
     )
 
 
-def test_anchor_grid_against_the_oracle_randomized():
-    rng = random.Random(9090)
-    checked = 0
-    while checked < 200:
+def _scene_grids(rng, count):
+    """`count` random scenes that construct: each one's prior Cf list,
+    utterance and anchor grid."""
+    out = []
+    while len(out) < count:
         prior_cf, u = random_scene(rng)
         try:
-            grid = propose_anchors(u, prior_cf)
+            out.append((prior_cf, u, propose_anchors(u, prior_cf)))
         except UnresolvablePronoun:
             continue
+    return out
+
+
+def test_anchor_grid_against_the_oracle_randomized():
+    for prior_cf, u, grid in _scene_grids(random.Random(9090), 200):
         oracle = oracle_enumerate_anchors(u, prior_cf)
         # Center-major, the Cf lists varying fastest.
         expected = [
@@ -220,7 +228,6 @@ def test_anchor_grid_against_the_oracle_randomized():
         ]
         assert [_oracle_key(a) for a in expected] == oracle
         assert len(grid) == len(expected) and anchors_of(grid) == expected
-        checked += 1
 
 
 def test_anchor_budget_is_checked_against_the_count(monkeypatch):
@@ -235,8 +242,33 @@ def test_anchor_budget_is_checked_against_the_count(monkeypatch):
 
 
 def test_empty_anchor_grid():
-    # The engine's fallback results carry the first one.
+    # No center, or a slot without entries, which leaves no Cf list: the
+    # engine's fallback results carry a grid with neither. No slot at all
+    # leaves one Cf list, the empty one.
     prior_cf, _, _ = race_scene()
-    for grid in (AnchorGrid((), ()), AnchorGrid((*prior_cf, None), ())):
+    for grid in (AnchorGrid((), ((),)), AnchorGrid((*prior_cf, None), (prior_cf, ())), AnchorGrid((), ())):
         assert not grid and anchors_of(grid) == []
-    assert AnchorGrid((), ()) == AnchorGrid((), ())
+    assert AnchorGrid((), ((),)).cf_lists == () and AnchorGrid((), ()).cf_lists == ((),)
+    unmarked = AnchorGrid((*prior_cf, None), ())
+    assert len(unmarked) == 4 and [a.cf for a in anchors_of(unmarked)] == [()] * 4
+    assert AnchorGrid((), ((),)) == AnchorGrid([], [[]]) != AnchorGrid((), ())
+
+
+def test_cf_lists_are_the_product_of_the_slots():
+    # One slot per marker, in marker order: a pronoun's holds an entry per
+    # candidate, any other marker's its one entry.
+    for _, u, grid in _scene_grids(random.Random(4242), 200):
+        assert grid.cf_lists == tuple(product(*grid.slots))
+        assert len(grid.slots) == len(u.markers)
+        for m, slot in zip(u.markers, grid.slots):
+            assert type(slot) is tuple and all(e.marker is m for e in slot)
+            assert m.is_pronoun or len(slot) == 1
+        # The Cf lists share their slots' very entries.
+        assert all(any(e is x for x in slot) for cf in grid.cf_lists for e, slot in zip(cf, grid.slots))
+
+
+def test_anchor_grid_survives_pickling():
+    for _, _, grid in _scene_grids(random.Random(4343), 50):
+        back = pickle.loads(pickle.dumps(grid))
+        assert back == grid and back.slots == grid.slots and back.cf_lists == grid.cf_lists
+        assert anchors_of(back) == anchors_of(grid)

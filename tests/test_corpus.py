@@ -446,6 +446,34 @@ class TestRoundTrip:
             doc = parse_corpus(text)
             assert parse_corpus(format_corpus(doc)) == doc
 
+    def test_documents_built_from_lists_and_mode_values_round_trip(self):
+        # Lists are kept as tuples and a mode's value as its Mode, so the
+        # document equals, and hashes as, what the reader makes of it.
+        ann = name("Ann", "ANN", mid="a")
+        for mode in (Mode.EXTENDED, "extended", Mode.CLASSIC, "classic"):
+            doc = CorpusDocument("d", mode, [CorpusUtterance("Ann left.", [ann])])
+            assert doc.mode is Mode(mode) and type(doc.utterances) is tuple
+            assert type(doc.utterances[0].nps) is tuple
+            back = parse_corpus(format_corpus(doc))
+            assert back == doc and hash(back) == hash(doc)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda m: CorpusDocument("d", "bogus"), "'bogus' is not a valid Mode"),
+            (lambda m: CorpusDocument("d", None), "None is not a valid Mode"),
+            (lambda m: CorpusDocument("d", Mode.EXTENDED, "Ann left."), "utterances must be a collection"),
+            (lambda m: CorpusDocument("d", Mode.EXTENDED, CorpusUtterance("Ann left.", (m,))),
+             "utterances must be a collection"),
+            (lambda m: CorpusUtterance("Ann left.", m), "nps must be a collection"),
+            (lambda m: CorpusUtterance("Ann left.", "Ann"), "nps must be a collection"),
+        ],
+        ids=["mode-bogus", "mode-None", "utterances-str", "utterances-one", "nps-one", "nps-str"],
+    )
+    def test_corpus_values_refuse_a_bad_mode_or_a_lone_item(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(name("Ann", "ANN", mid="a"))
+
     def test_entity_written_where_the_reader_would_refuse_its_derived_id(self):
         # Each surface derives ANN-LEE, but only the first and the equal
         # one after case-folding may leave it to the reader.

@@ -96,7 +96,8 @@ class TestStateEvolution:
         assert first.diagnostic_kind == "unresolvable-pronoun"
         assert first.bindings is None and first.cb is None
         assert len(first.cf) == 0
-        assert first.anchors == AnchorGrid((), ()) and len(first.verdicts) == 0
+        # No center and a slot without entries: no Cf list, so no anchor.
+        assert first.anchors == AnchorGrid((), ((),)) and len(first.verdicts) == 0
         # The discourse continues; the next utterance opens fresh via a shift.
         assert second.transition is Transition.SHIFTING
         assert second.cb is None

@@ -8,6 +8,7 @@ from centering import (
     NO_PRIOR,
     FilterVerdicts,
     Ranking,
+    ReferenceMarker,
     UnresolvablePronoun,
     propose_anchors,
     rank_and_select,
@@ -134,10 +135,12 @@ class TestRunFilters:
         assert by_id[16] == {"contra", "constraint3", "rule1"}
 
     def test_empty_input(self):
-        # The empty grid the engine's fallback results carry, and a grid
-        # with centers but no Cf list.
+        # The scene's slots without a center, and its centers with a
+        # pronoun's slot emptied: a pronoun without candidates leaves no
+        # Cf list.
         prior, u, _ = race_scene()
-        for grid in (AnchorGrid((), ()), AnchorGrid((None, *prior), ())):
+        scene = propose_anchors(u, prior)
+        for grid in (AnchorGrid((), scene.slots), AnchorGrid(scene.cbs, (scene.slots[0], ()))):
             survivors, verdicts = run_filters(grid, prior, u)
             assert survivors == () and anchors_of(grid, survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
@@ -225,24 +228,28 @@ def _per_anchor_verdicts(anchors, prior_cf, u):
 
 
 def _grids(rng, grid, prior_cf):
-    """The canonical grid plus re-pairings of its centers and Cf lists."""
+    """The canonical grid, its slots under re-paired centers, and those
+    centers over pronoun slots that repeat an entry or hold an equal but
+    distinct copy of one."""
     yield grid
-    # Centers from anywhere, the Cf lists' own entries included, not just
+    # Centers from anywhere, the slots' own entries included, not just
     # the prior centers; the same center may come back.
-    own = [e for cf in grid.cf_lists for e in cf]
+    own = [e for slot in grid.slots for e in slot]
     cbs = tuple(rng.choice((None, *prior_cf, *own)) for _ in range(rng.randint(1, 6)))
-    yield AnchorGrid(cbs, grid.cf_lists)
-    # One Cf list object repeated, and equal but distinct Cf list objects.
-    cf_lists = tuple(
-        tuple([*cf]) if rng.random() < 0.5 else cf
-        for cf in rng.choices(grid.cf_lists, k=2 * len(grid.cf_lists))
-    )
-    yield AnchorGrid(cbs, cf_lists)
+    yield AnchorGrid(cbs, grid.slots)
+    # Repeated Cf lists, and equal but distinct ones.
+    slots = [
+        [e if rng.random() < 0.5 else bind(e.marker, e.entity) for e in rng.choices(slot, k=2 * len(slot))]
+        if slot[0].marker.is_pronoun
+        else slot
+        for slot in grid.slots
+    ]
+    yield AnchorGrid(cbs, slots)
 
 
 def test_run_filters_matches_the_per_anchor_predicates_randomized():
     rng = random.Random(5150)
-    checked = 0
+    checked = repeated = 0
     for _ in range(400):
         prior_cf, u = random_scene(rng)
         try:
@@ -261,4 +268,37 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
                     (a.ordinal, id(a.cb), id(a.cf)) for a in expected_survivors
                 ]
             checked += 1
-    assert checked > 400
+            repeated += len(set(variant.cf_lists)) < len(variant.cf_lists)
+    assert checked > 400 and repeated > 50
+
+
+def _one_sided(rng, u):
+    """`u` with each contraindexed pair named by one of its two markers,
+    picked at random, instead of by both."""
+    contra = {m.mid: set(m.contra) for m in u.markers}
+    for a, b in combinations(u.markers, 2):
+        if b.mid in contra[a.mid]:
+            dropped, kept = rng.sample((a, b), 2)
+            contra[dropped.mid].discard(kept.mid)
+    return utt(u.text, *(
+        ReferenceMarker(m.surface, m.kind, m.gf, m.agr, contra[m.mid], m.entity, m.index, m.mid) for m in u.markers
+    ), position=u.position)
+
+
+def test_contra_named_by_one_marker_of_a_pair_binds_both():
+    # Contraindexing is symmetric: a pair counts when either marker names
+    # the other, between two pronouns, two fixed markers or one of each.
+    rng = random.Random(6262)
+    checked = 0
+    for _ in range(400):
+        prior_cf, u = random_scene(rng)
+        u = _one_sided(rng, u)
+        try:
+            grid = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        _, verdicts = run_filters(grid, prior_cf, u)
+        _, expected = _per_anchor_verdicts(anchors_of(grid), prior_cf, u)
+        assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
+        checked += any(m.contra for m in u.markers)
+    assert checked > 50

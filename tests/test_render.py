@@ -12,10 +12,11 @@ from support import (
     SUBJ,
     indefinite,
     name,
+    FEM,
     oracle_dump_trace,
+    oracle_ranked_records,
     pronoun,
     random_discourse,
-    ranked_of,
     utt,
 )
 
@@ -129,11 +130,24 @@ def _dump(results):
     return text
 
 
+def _structured(results):
+    """The `structured` records of `results`, each one's ranked anchors
+    checked against those rebuilt one anchor at a time."""
+    lines = render_trace(results, "structured").split("\n")
+    assert lines.pop() == "" and len(lines) == len(results)
+    records = [json.loads(line) for line in lines]
+    for record, r in zip(records, results):
+        assert record["ranked"] == oracle_ranked_records(r), f"U{r.position}"
+    return records
+
+
 @pytest.mark.parametrize("mode", [Mode.EXTENDED, Mode.CLASSIC])
-def test_anchor_dump_matches_the_per_anchor_oracle(mode):
+def test_renderers_match_the_per_anchor_oracles(mode):
     rng = random.Random(2424)
     for _ in range(300):
-        _dump(process_discourse(random_discourse(rng), mode))
+        results = process_discourse(random_discourse(rng), mode)
+        _dump(results)
+        _structured(results)
 
 
 def _dump_lines(text):
@@ -141,19 +155,44 @@ def _dump_lines(text):
     return [line for line in text.splitlines() if line.startswith("  ") and ". <" in line]
 
 
-def test_anchor_dump_of_an_empty_utterance_gives_its_survivor_no_note():
+def test_renderers_on_an_empty_utterance():
     # Nothing is ranked when the utterance has no centers, so its one
     # survivor, the null center, has no transition to show.
     results = process_discourse([utt("Ann left.", name("Ann", "ANN")), utt("Silence.", position=2)])
     text = _dump(results)
     assert results[1].diagnostic_kind == "empty-utterance"
     assert _dump_lines(text)[-2:] == ["      i. <[ANN:Ann], ()>  eliminated: constraint3", "     ii. <NIL, ()>"]
+    record = _structured(results)[1]
+    assert record["ranked"] == [] and record["cf"] == [] and record["survivors"] == ["ii"]
 
 
-def test_anchor_dump_of_an_opener():
+def test_renderers_on_an_opener():
+    # The opener's null center continues, as its preferred center.
     results = process_discourse([utt("Ann met Ben.", name("Ann", "ANN"), name("Ben", "BEN", gf=OBJ))])
     text = _dump(results)
     assert _dump_lines(text) == ["      i. <NIL, ([ANN:Ann] [BEN:Ben])>  CONTINUING  <- selected"]
+    (record,) = _structured(results)
+    assert record["ranked"] == [
+        {"anchor": "i", "transition": "CONTINUING", "cb": "[ANN:Ann]", "cf": ["[ANN:Ann]", "[BEN:Ben]"]}
+    ]
+
+
+def test_renderers_on_a_one_candidate_pronoun():
+    # The pronoun's slot holds one entry, so the utterance has one Cf list.
+    results = process_discourse([
+        utt("Ann met Ben.", name("Ann", "ANN", agr=FEM), name("Ben", "BEN", gf=OBJ, agr=MASC)),
+        utt("She left Cal.", pronoun("She", agr=FEM), name("Cal", "CAL", gf=OBJ, agr=MASC), position=2),
+    ])
+    text = _dump(results)
+    assert results[1].anchors_constructed == 3
+    assert _dump_lines(text)[1:] == [
+        "      i. <[ANN:Ann], ([ANN:A1] [CAL:Cal])>  CONTINUING  <- selected",
+        "     ii. <[BEN:Ben], ([ANN:A1] [CAL:Cal])>  eliminated: constraint3, rule1",
+        "    iii. <NIL, ([ANN:A1] [CAL:Cal])>  eliminated: constraint3, rule1",
+    ]
+    assert _structured(results)[1]["ranked"] == [
+        {"anchor": "i", "transition": "CONTINUING", "cb": "[ANN:Ann]", "cf": ["[ANN:A1]", "[CAL:Cal]"]}
+    ]
 
 
 def test_anchor_dump_of_a_classic_tie():
@@ -174,6 +213,8 @@ def test_anchor_dump_past_the_roman_labels():
     assert len(lines) == 9072
     assert lines[3998].startswith("  mmmcmxcix. <") and lines[3999].startswith("   4000. <")
     assert lines[-1].startswith("   9072. <")
+    ranked = _structured(results)[1]["ranked"]
+    assert any(cell["anchor"].isdigit() for cell in ranked), "a ranked anchor has a decimal label"
 
 
 def test_structured_is_one_json_record_per_utterance():
@@ -257,14 +298,6 @@ def test_structured_lines_are_canonical_json_of_the_results(mode):
         record = json.loads(line)
         assert line == json.dumps(record, ensure_ascii=False)
         assert record["text"] == r.utterance.text
-        assert record["ranked"] == [
-            {
-                "anchor": roman(c.anchor.ordinal),
-                "transition": c.transition.value,
-                "cb": c.anchor.cb.display if c.anchor.cb is not None else "NIL",
-                "cf": [e.display for e in c.anchor.cf],
-            }
-            for c in ranked_of(r.ranked)
-        ]
+        assert record["ranked"] == oracle_ranked_records(r)
     assert json.loads(lines[1])["ranked"], "the pronouns give more than one reading to rank"
     assert json.loads(lines[2])["diagnostic"]["kind"] == "empty-utterance"
