@@ -97,7 +97,10 @@ class Value:
     through them, which skips the guard: assigning or deleting a field
     still raises AttributeError. Values are equal when they are of one
     type with equal fields, and hash and print by their fields. pickle
-    and copy restore the fields through the same setters.
+    and copy restore the fields through the same setters. A class may
+    keep a slot derived from its fields after them in `__slots__`, leave
+    it out of `_fields` and derive it again in `__setstate__`, as
+    `AnchorGrid` does.
     """
 
     __slots__ = ()
@@ -116,7 +119,7 @@ class Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -320,7 +323,9 @@ class AnchorGrid(Value):
     the pairs of `cbs` × `cf_lists`, center-major: the anchor at
     position i pairs cbs[i // len(cf_lists)] with cf_lists[i %
     len(cf_lists)] and has ordinal i + 1, which labels it in traces and
-    breaks ties.
+    breaks ties. A grid's fields are `cbs` and `slots`: it compares,
+    hashes, prints and pickles by them, and `cf_lists` is derived again
+    when it is unpickled or copied.
     """
 
     __slots__ = ("cbs", "slots", "cf_lists")
@@ -331,6 +336,12 @@ class AnchorGrid(Value):
         set_cbs(self, tuple(cbs))
         set_slots(self, slots)
         set_cf_lists(self, tuple(product(*slots)))
+
+    def _fields(self) -> tuple:
+        return self.cbs, self.slots
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
     def __len__(self) -> int:
         return len(self.cbs) * len(self.cf_lists)

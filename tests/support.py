@@ -11,6 +11,7 @@ import copy
 import inspect
 import pickle
 import random
+import sys
 from collections.abc import Iterable
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -212,6 +213,31 @@ def assert_value_by_fields(value, *others):
             assert getattr(value, name) is field
             continue
         raise AssertionError(f"{cls.__name__}.{name} could be assigned")
+
+
+def line_events(fn, *args) -> int:
+    """The number of "line" events `sys.settrace` reports while
+    `fn(*args)` runs, in `fn` and every Python function it calls: a count
+    of the lines executed that reads no clock, so it does not depend on
+    the machine's speed. Comprehensions may be inlined on some Python
+    versions, so compare counts between input sizes, not with constants.
+    The trace function installed before, if any, is installed again.
+    """
+    events = 0
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 # --- independent oracles ---------------------------------------------------

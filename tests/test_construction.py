@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from itertools import product
@@ -272,3 +273,17 @@ def test_anchor_grid_survives_pickling():
         back = pickle.loads(pickle.dumps(grid))
         assert back == grid and back.slots == grid.slots and back.cf_lists == grid.cf_lists
         assert anchors_of(back) == anchors_of(grid)
+
+
+def test_anchor_grid_pickles_and_copies_without_its_cf_lists():
+    # Six names, then four pronouns: 9,072 anchors. The Cf lists follow
+    # from the slots, so they are derived again rather than stored.
+    prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(6)))
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 5)))
+    grid = propose_anchors(u, prior)
+    pickled = pickle.dumps(grid)
+    assert len(grid) == 9072 and len(pickled) < 2000
+    assert "cf_lists" not in repr(grid)
+    for back in (pickle.loads(pickled), copy.copy(grid), copy.deepcopy(grid)):
+        assert back == grid and hash(back) == hash(grid)
+        assert back.cf_lists == grid.cf_lists == tuple(product(*back.slots))

@@ -1,12 +1,16 @@
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from centering import (
+    Agreement,
     AnchorGrid,
     NO_PRIOR,
     FilterVerdicts,
+    GrammaticalFunction,
     Ranking,
     ReferenceMarker,
     UnresolvablePronoun,
@@ -25,6 +29,7 @@ from support import (
     bind,
     cf_of,
     filtered_in_every_order,
+    line_events,
     name,
     oracle_constraint3,
     oracle_contra,
@@ -146,6 +151,19 @@ class TestRunFilters:
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks == b""
 
+    def test_refuses_a_grid_that_does_not_match_the_utterance(self):
+        # After "Ann met Bea.": a grid without slots for a two-pronoun
+        # utterance, and grids whose slot for a name holds no entry or two.
+        prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+        two = utt("She met her.", pronoun("She", index="A1", agr=FEM), pronoun("her", index="A2", gf=OBJ, agr=FEM))
+        with pytest.raises(ValueError, match="^the grid has 0 slots for 2 markers$"):
+            run_filters(AnchorGrid((*prior, None), ()), prior, two)
+        named = utt("Ann met her.", name("Ann", "ANN", agr=FEM), pronoun("her", index="A3", gf=OBJ, agr=FEM))
+        grid = propose_anchors(named, prior)
+        for slot in ((), prior):
+            with pytest.raises(ValueError, match=f"^marker 'Ann' is not a pronoun, but its slot holds {len(slot)} entries$"):
+                run_filters(AnchorGrid(grid.cbs, (slot, grid.slots[1])), prior, named)
+
     def test_verdicts_iterate_in_ordinal_order(self, grid_scene):
         prior_cf, u, anchors = grid_scene
         _, verdicts = run_filters(anchors, prior_cf, u)
@@ -247,11 +265,56 @@ def _grids(rng, grid, prior_cf):
     yield AnchorGrid(cbs, slots)
 
 
+def _crowded(rng, u):
+    """`u`'s non-pronoun markers and three pronouns of unspecified gender,
+    which share every candidate, with each pair of markers contraindexed
+    at random."""
+    fixed = [m for m in u.markers if not m.is_pronoun]
+    markers = fixed + [
+        pronoun("pro", index=f"A{j}", gf=rng.choice(list(GrammaticalFunction)), agr=Agreement(None, "sg", "3"), mid=f"c{j}")
+        for j in (1, 2, 3)
+    ]
+    contra = {m.mid: set() for m in markers}
+    for a, b in combinations(markers, 2):
+        if rng.random() < 0.4:
+            contra[a.mid].add(b.mid)
+            contra[b.mid].add(a.mid)
+    return utt(u.text, *(
+        ReferenceMarker(m.surface, m.kind, m.gf, m.agr, contra[m.mid], m.entity, m.index, m.mid) for m in markers
+    ), position=u.position)
+
+
+def _risks(grid, prior_cf, u):
+    """The cases a grid holds where a filter decision that looks at the
+    Cf lists as a whole could go wrong, worked out one Cf list at a time."""
+    risks = set()
+    prior_ids = [e.entity.id for e in prior_cf]
+    fixed_ids = {m.entity.id for m in u.markers if not m.is_pronoun}
+    pairs = [(a, b) for a, b in combinations(u.markers, 2) if b.mid in a.contra or a.mid in b.contra]
+    for cf in grid.cf_lists:
+        bound = {e.marker.mid: e.entity.id for e in cf}
+        top = next((pid for pid in prior_ids if pid in bound.values()), None)
+        if top is not None and top not in fixed_ids:
+            risks.add("pronoun top ahead of every fixed entity")
+        for a, b in pairs:
+            if bound[a.mid] == bound[b.mid] and (a.is_pronoun or b.is_pronoun):
+                risks.add("pronoun-pronoun contra" if a.is_pronoun and b.is_pronoun else "pronoun-fixed contra")
+        if any(e.marker.is_pronoun and e.entity.id not in prior_ids for e in cf):
+            risks.add("pronoun bound outside the prior")
+    cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
+    if len(set(cb_ids)) < len(cb_ids):
+        risks.add("rows sharing a center entity")
+    return risks
+
+
 def test_run_filters_matches_the_per_anchor_predicates_randomized():
     rng = random.Random(5150)
     checked = repeated = 0
-    for _ in range(400):
+    risks = Counter()
+    for k in range(500):
         prior_cf, u = random_scene(rng)
+        if k >= 400:
+            u = _crowded(rng, u)
         try:
             grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
@@ -267,9 +330,62 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
                 assert [(a.ordinal, id(a.cb), id(a.cf)) for a in anchors_of(variant, survivors)] == [
                     (a.ordinal, id(a.cb), id(a.cf)) for a in expected_survivors
                 ]
+                risks.update(_risks(variant, prior, u))
             checked += 1
             repeated += len(set(variant.cf_lists)) < len(variant.cf_lists)
-    assert checked > 400 and repeated > 50
+    assert checked > 900 and repeated > 120
+    floors = {
+        "pronoun top ahead of every fixed entity": 400,
+        "pronoun-pronoun contra": 300,
+        "pronoun-fixed contra": 200,
+        "pronoun bound outside the prior": 300,
+        "rows sharing a center entity": 700,
+    }
+    assert risks.keys() == floors.keys() and all(risks[case] >= floors[case] for case in floors), risks
+
+
+def test_run_filters_work_grows_with_the_slots_not_the_anchors():
+    # Three contraindexed pronouns after 4 and after 8 agreeing names: the
+    # anchors grow by 14.4 (9 * 8**3 against 5 * 4**3), and the entries
+    # that the pronoun slots compare with each other by 4 (3 * 8**2
+    # against 3 * 4**2). The lines run_filters executes grow by less.
+    def work(names):
+        prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names)))
+        mids = ("A1", "A2", "A3")
+        u = utt("x", *(pronoun("she", index=mid, agr=FEM, contra=set(mids) - {mid}) for mid in mids))
+        grid = propose_anchors(u, prior)
+        return len(grid), line_events(run_filters, grid, prior, u)
+
+    # A trace function installed before the count is installed again after it.
+    def installed(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(installed)
+    try:
+        few, small = work(4)
+        assert sys.gettrace() is installed
+    finally:
+        sys.settrace(previous)
+    many, large = work(8)
+    assert many / few == 14.4
+    assert large < 4 * small, (small, large)
+
+
+def test_eighteen_pronouns_over_two_names():
+    # Every one of the 2**18 Cf lists binds Ann, Bea or both, and its most
+    # prominent prior entity is its one surviving center: Ann's row
+    # survives but for the last Cf list, which binds Bea alone, and
+    # only that Cf list survives in Bea's row. Rule 1 eliminates the null
+    # center everywhere, and each name's row where no pronoun binds it.
+    prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+    u = utt("x", *(pronoun("one", index=f"A{j}", agr=Agreement(None, "sg", "3")) for j in range(1, 19)))
+    grid = propose_anchors(u, prior)
+    width = 2**18
+    survivors, verdicts = run_filters(grid, prior, u)
+    eliminated = [verdicts.masks.translate(bytes(m >> bit & 1 for m in range(256))).count(1) for bit in range(3)]
+    assert len(grid) == 3 * width and eliminated == [0, 2**19, 2**18 + 2]
+    assert survivors == (*range(width - 1), 2 * width - 1)
 
 
 def _one_sided(rng, u):
