@@ -10,7 +10,6 @@ shift) and plain shifting; classic mode lumps both under shifting.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import takewhile
 
 from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value
 
@@ -46,10 +45,11 @@ def classify(
 ) -> Transition:
     """Type the transition an anchor with center `cb` and Cf list `cf` makes.
 
-    `prev_cb` is the previous utterance's committed center, None when that
-    center was null; pass NO_PRIOR when there is no previous utterance,
-    which counts as keeping the center. A discourse opener centers its
-    own preferred center, so under NO_PRIOR a null center reads as the
+    Only `cf[0]`, the preferred center, is read. `prev_cb` is the
+    previous utterance's committed center, None when that center was
+    null; pass NO_PRIOR when there is no previous utterance, which
+    counts as keeping the center. A discourse opener centers its own
+    preferred center, so under NO_PRIOR a null center reads as the
     preferred center: a continuation. `mode` may also be a Mode's value
     ("classic", "extended"). Raises ValueError on any other mode, and
     EmptyCf on an empty `cf`.
@@ -92,10 +92,9 @@ class Ranking(Value):
         rank order. A null center that continues is a discourse opener's,
         which centers its own preferred center (see `classify`), so it
         shows as that center, the Cf list's first entry."""
-        cbs, cf_lists = self.grid.cbs, self.grid.cf_lists
-        width = len(cf_lists)
+        cbs, width, cf_list = self.grid.cbs, self.grid.width, self.grid.cf_list
         for position, transition in zip(self.positions, self.transitions):
-            cb, cf = cbs[position // width], cf_lists[position % width]
+            cb, cf = cbs[position // width], cf_list(position % width)
             if cb is None and transition is Transition.CONTINUING:
                 cb = cf[0]
             yield position, transition, cb, cf
@@ -114,30 +113,33 @@ def rank_and_select(
     pick the winner, the first of `ranked.cells()`.
 
     `survivors` are grid positions, in any order. An anchor's transition
-    depends only on its center and its preferred center, so `classify`'s
-    rule runs once per distinct (center row, preferred center entity).
+    depends only on its center and the head of its Cf list, which are
+    fixed over each block of `width // len(slots[0])` consecutive
+    positions, so `classify` runs once per block, on its head entry.
     The survivors are bucketed by preference in increasing grid order,
     which puts them in (preference, construction ordinal) order. `tie`
     reports whether the top preference class holds two readings: a
     reading is a center entity and a Cf list, so two center rows of one
     prior entity give one. The winner is then the construction-order
-    first, leaving the ambiguity visible to callers. Raises
-    NoViableAnchor when nothing survived.
+    first, leaving the ambiguity visible to callers; its Cf list is the
+    only one decoded. Raises NoViableAnchor when nothing survived.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
-    cbs, cf_lists = grid.cbs, grid.cf_lists
-    width = len(cf_lists)
+    cbs, width = grid.cbs, grid.width
+    # Without markers, one block of the empty Cf list.
+    head_slot = grid.slots[0] if grid.slots else ()
+    heads = len(head_slot) or 1
+    tail = width // heads
     buckets: list[list[int]] = [[] for _ in _BY_PREFERENCE]
-    bucket_of: dict[tuple[int, str | None], list[int]] = {}
+    bucket_of: dict[int, list[int]] = {}
     for position in sorted(survivors):
-        row = position // width
-        cf = cf_lists[position % width]
-        key = (row, cf[0].entity.id if cf else None)
-        bucket = bucket_of.get(key)
+        block = position // tail
+        bucket = bucket_of.get(block)
         if bucket is None:
-            transition = classify(cbs[row], cf, prev_cb, mode)
-            bucket = bucket_of[key] = buckets[_PREFERENCE[transition]]
+            row, head = divmod(block, heads)
+            transition = classify(cbs[row], head_slot[head : head + 1], prev_cb, mode)
+            bucket = bucket_of[block] = buckets[_PREFERENCE[transition]]
         bucket.append(position)
     positions: list[int] = []
     transitions: list[Transition] = []
@@ -146,16 +148,12 @@ def rank_and_select(
             positions += bucket
             transitions += [transition] * len(bucket)
     ranked = Ranking(grid, tuple(positions), tuple(transitions))
-    cells = ranked.cells()
-    winner = next(cells)
-    # The top preference class leads the cells; its anchors may be one reading.
-    top, first = winner[1], _reading(winner, width)
-    tie = any(_reading(cell, width) != first for cell in takewhile(lambda cell: cell[1] is top, cells))
-    return winner, ranked, tie
-
-
-def _reading(cell: tuple[int, Transition, CfEntry | None, CfList], width: int) -> tuple[Entity | None, int]:
-    """The reading of a ranked cell of a grid `width` Cf lists wide: its
-    center entity, as `Ranking.cells` shows it, and its Cf list column."""
-    position, _, cb, _ = cell
-    return cb.entity if cb is not None else None, position % width
+    top = next(filter(None, buckets))
+    tie = False
+    if len(top) > 1:
+        # A reading is (center entity, column); only an opener's null center
+        # shows as its head, and an opener's grid has one row.
+        ids = [cb.entity.id if cb is not None else None for cb in cbs]
+        reading = (ids[top[0] // width], top[0] % width)
+        tie = any((ids[position // width], position % width) != reading for position in top)
+    return next(ranked.cells()), ranked, tie

@@ -12,7 +12,7 @@ Cf list is built. The anchors are returned as an `AnchorGrid` of the
 centers and one slot per marker: the entries that can realize it, one
 per candidate for a pronoun and its own entity's for any other marker.
 The grid's Cf lists (tuples of CfEntry) are the product of those slots,
-and an anchor is its position in the grid.
+read by column, and an anchor is its position in the grid.
 
 Pronoun candidates come only from the previous utterance's committed
 forward centers; an antecedent elsewhere in the same utterance is not
@@ -20,8 +20,6 @@ considered unless it also appears there.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from .model import (
     AnchorGrid,
@@ -93,7 +91,8 @@ def propose_anchors(u: Utterance, prior_cf: CfList) -> AnchorGrid:
             slots.append([CfEntry(e, m) for e in options])
         else:
             slots.append((CfEntry(m.entity, m),))
-    anchors = (len(prior_cf) + 1) * prod(map(len, slots))
+    grid = AnchorGrid((*prior_cf, None), slots)
+    anchors = len(grid.cbs) * grid.width  # len(grid) overflows past sys.maxsize
     if anchors > MAX_ANCHORS:
         raise AnchorBudgetExceeded(f"{anchors:,} anchors would exceed the limit of {MAX_ANCHORS:,}")
-    return AnchorGrid((*prior_cf, None), slots)
+    return grid

@@ -103,7 +103,7 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     """
     if len(grid.slots) != len(u.markers):
         raise ValueError(f"the grid has {len(grid.slots)} slots for {len(u.markers)} markers")
-    width = len(grid.cf_lists)
+    width = grid.width
     # The selector of every Cf list: width bytes of 1, (256**width - 1) / 255.
     ones = (1 << 8 * width) // 255
     # Each fixed marker's entity id; each pronoun's selector per entity it

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from enum import Enum, IntEnum
-from itertools import product
+from math import prod
 
 GENDERS = frozenset({"fem", "masc", "neut"})
 NUMBERS = frozenset({"sg", "pl"})
@@ -97,10 +97,8 @@ class Value:
     through them, which skips the guard: assigning or deleting a field
     still raises AttributeError. Values are equal when they are of one
     type with equal fields, and hash and print by their fields. pickle
-    and copy restore the fields through the same setters. A class may
-    keep a slot derived from its fields after them in `__slots__`, leave
-    it out of `_fields` and derive it again in `__setstate__`, as
-    `AnchorGrid` does.
+    and copy restore the fields through the same setters. Every slot is
+    a field, a derived one such as `CfEntry.display` too.
     """
 
     __slots__ = ()
@@ -316,35 +314,39 @@ class AnchorGrid(Value):
     """Every candidate anchor of one utterance, kept as positions.
 
     `slots[i]` holds the CfEntrys that can realize the utterance's i-th
-    marker. The grid's Cf lists, `cf_lists`, are worked out once as the
-    slots' Cartesian product, `tuple(itertools.product(*slots))`, later
-    markers varying fastest. So an utterance without markers has one Cf list, the
-    empty one, and a slot without entries leaves none. The anchors are
-    the pairs of `cbs` × `cf_lists`, center-major: the anchor at
-    position i pairs cbs[i // len(cf_lists)] with cf_lists[i %
-    len(cf_lists)] and has ordinal i + 1, which labels it in traces and
-    breaks ties. A grid's fields are `cbs` and `slots`: it compares,
-    hashes, prints and pickles by them, and `cf_lists` is derived again
-    when it is unpickled or copied.
+    marker. The grid's Cf lists are the slots' Cartesian product, in
+    `itertools.product(*slots)` order, later markers varying fastest,
+    and none of them is kept: `cf_list(column)` picks one out of the
+    slots. `width`, the product of the slots' lengths, counts them, so
+    an utterance without markers has one Cf list, the empty one, and a
+    slot without entries leaves none. The anchors are the pairs of
+    `cbs` × the Cf lists, center-major: the anchor at position i pairs
+    cbs[i // width] with cf_list(i % width) and has ordinal i + 1,
+    which labels it in traces and breaks ties.
     """
 
-    __slots__ = ("cbs", "slots", "cf_lists")
+    __slots__ = ("cbs", "slots", "width")
 
     def __init__(self, cbs: Iterable[CfEntry | None], slots: Iterable[Iterable[CfEntry]]) -> None:
         slots = tuple(map(tuple, slots))
-        set_cbs, set_slots, set_cf_lists = self._setters
+        set_cbs, set_slots, set_width = self._setters
         set_cbs(self, tuple(cbs))
         set_slots(self, slots)
-        set_cf_lists(self, tuple(product(*slots)))
+        set_width(self, prod(map(len, slots)))
 
-    def _fields(self) -> tuple:
-        return self.cbs, self.slots
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(*state)
+    def cf_list(self, column: int) -> CfList:
+        """The Cf list in `column`, slot i's entry at its i-th mixed-radix
+        digit, the last varying fastest; IndexError outside 0..width - 1."""
+        if not 0 <= column < self.width:
+            raise IndexError(f"column {column} is outside a grid of {self.width} Cf lists")
+        entries = []
+        for slot in reversed(self.slots):
+            column, digit = divmod(column, len(slot))
+            entries.append(slot[digit])
+        return tuple(reversed(entries))
 
     def __len__(self) -> int:
-        return len(self.cbs) * len(self.cf_lists)
+        return len(self.cbs) * self.width
 
 
 def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:

@@ -186,7 +186,7 @@ def _structured_line(result: UtteranceResult) -> str:
         if grid.cbs[row] is None and transition is Transition.CONTINUING:
             # An opener's null center, shown as its preferred center (see
             # Ranking.cells): the head of its Cf list.
-            center = encode_basestring(grid.cf_lists[column][0].display)
+            center = encode_basestring(grid.cf_list(column)[0].display)
         cells.append(
             f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
             f'"cb": {center}, "cf": [{cf_lists[column]}]}}'

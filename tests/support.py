@@ -13,7 +13,7 @@ import pickle
 import random
 import sys
 from collections.abc import Iterable
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from centering import (
@@ -147,11 +147,18 @@ class Ranked(NamedTuple):
 
 def anchors_of(grid: AnchorGrid, positions: Iterable[int] | None = None) -> list[Anchor]:
     """The anchors of a grid, or those at the given positions, in the
-    positions' order."""
+    positions' order. The Cf lists are rebuilt as the product of the
+    slots, not read through the grid."""
+    cf_lists = cf_lists_of(grid)
     if positions is None:
-        positions = range(len(grid))
-    width = len(grid.cf_lists)
-    return [Anchor(grid.cbs[p // width], grid.cf_lists[p % width], p + 1) for p in positions]
+        positions = range(len(grid.cbs) * len(cf_lists))
+    width = len(cf_lists)
+    return [Anchor(grid.cbs[p // width], cf_lists[p % width], p + 1) for p in positions]
+
+
+def cf_lists_of(grid: AnchorGrid) -> list[CfList]:
+    """A grid's Cf lists in column order: the product of its slots."""
+    return list(product(*grid.slots))
 
 
 def ranked_of(ranking) -> list[Ranked]:
@@ -171,7 +178,7 @@ class Stages(NamedTuple):
 
 # The stage calls and the shapes they return, which only support.py and
 # the tests that pin the documented shapes name.
-STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_lists|cbs|slots|masks)\b|\.cells\("
+STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_list|width|cbs|slots|masks)\b|\.cells\("
 SHAPE_MODULES = frozenset({"support.py", "test_construction.py", "test_filters.py", "test_classification.py"})
 
 

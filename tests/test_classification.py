@@ -31,6 +31,7 @@ from support import (
     anchors_of,
     bind,
     cf_of,
+    line_events,
     name,
     oracle_passes_filters,
     oracle_tie,
@@ -296,9 +297,10 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
 def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
     # Two center rows of one prior entity give one reading: a top class
     # of one Cf list under both rows is no tie, and a tie is reported
-    # exactly when the top class holds two distinct readings.
+    # exactly when the top class holds two distinct readings. Ranked
+    # unfiltered, one Cf list may also top the class under two entities.
     rng = random.Random(1717)
-    seen = {"tie": 0, "one reading": 0}
+    seen = {"tie": 0, "one reading": 0, "one Cf list": 0}
     for _ in range(400):
         scene_prior, u = random_scene(rng)
         *_, prior_cf = _priors(rng, scene_prior)
@@ -312,14 +314,16 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
         survivors, _ = run_filters(grid, prior_cf, u)
         if not survivors or not u.markers:
             continue
-        for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
-            for mode in Mode:
-                _, ranked, tie = rank_and_select(survivors, grid, prev_cb, mode)
-                cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]
-                assert tie == oracle_tie(cells)
-                seen["tie"] += tie
-                top_class = ranked.transitions.count(ranked.transitions[0])
-                seen["one reading"] += top_class > 1 and not tie
+        for positions in (survivors, range(len(grid))):
+            for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
+                for mode in Mode:
+                    _, ranked, tie = rank_and_select(positions, grid, prev_cb, mode)
+                    cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]
+                    assert tie == oracle_tie(cells)
+                    seen["tie"] += tie
+                    top_class = ranked.transitions.count(ranked.transitions[0])
+                    seen["one reading"] += top_class > 1 and not tie
+                    seen["one Cf list"] += tie and len({cf for t, _, cf in cells if t is cells[0][0]}) == 1
     assert min(seen.values()) > 20, seen
 
 
@@ -369,3 +373,21 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                     mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
                 prev = process_utterance(prev, u, mode)
     assert splits > 50 and mixed > 0
+
+
+def test_reading_the_ranked_cells_grows_with_the_survivors():
+    # Three pronouns after 4 and after 8 agreeing names: every Cf list
+    # survives in one row, so the survivors grow by 8 (8**3 against 4**3),
+    # and decoding each one's Cf list from the slots keeps the lines that
+    # reading them executes growing as fast, and no faster.
+    def work(names):
+        prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names)))
+        u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
+        grid = propose_anchors(u, prior)
+        survivors, _ = run_filters(grid, prior, u)
+        _, ranked, _ = rank_and_select(survivors, grid, prior[0].entity)
+        return len(ranked), line_events(list, ranked.cells())
+
+    (few, small), (many, large) = work(4), work(8)
+    assert many / few == 8
+    assert large < 1.1 * 8 * small, (small, large)

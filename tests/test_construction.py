@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -33,11 +35,16 @@ from support import (
 )
 
 
+def columns(grid):
+    """A grid's Cf lists, read through `cf_list` one column at a time."""
+    return [grid.cf_list(column) for column in range(grid.width)]
+
+
 def bound_pronouns(u, prior_cf):
     """Indices of the pronouns each proposed Cf list binds, in slot order."""
     return {
         tuple(e.marker.index for e in cf if e.marker.is_pronoun)
-        for cf in propose_anchors(u, prior_cf).cf_lists
+        for cf in columns(propose_anchors(u, prior_cf))
     }
 
 
@@ -90,7 +97,7 @@ class TestPronounCandidates:
 class TestGridCfLists:
     def test_canonical_order_of_four(self):
         prior_cf, u, _ = race_scene()
-        lists = propose_anchors(u, prior_cf).cf_lists
+        lists = columns(propose_anchors(u, prior_cf))
         got = [tuple(e.entity.id for e in cf) for cf in lists]
         assert got == [
             ("FRIEDMAN", "FRIEDMAN"),
@@ -101,7 +108,7 @@ class TestGridCfLists:
 
     def test_no_pronouns_single_fixed_list(self):
         u = utt("Carl works.", name("Carl", "POLLARD", agr=MASC))
-        lists = propose_anchors(u, ()).cf_lists
+        lists = columns(propose_anchors(u, ()))
         assert len(lists) == 1
         assert [e.entity.id for e in lists[0]] == ["POLLARD"]
 
@@ -119,7 +126,7 @@ class TestGridCfLists:
             pronoun("he", index="A2", gf=OBJ, agr=MASC),
             pronoun("her", index="A3", gf=OBJ2, agr=FEM),
         )
-        lists = propose_anchors(u, prior).cf_lists
+        lists = columns(propose_anchors(u, prior))
         assert len(lists) == 4
         oracle = oracle_enumerate_anchors(u, prior)
         assert len(lists) == len(oracle) // (len(prior) + 1)
@@ -224,7 +231,7 @@ def test_anchor_grid_against_the_oracle_randomized():
         expected = [
             Anchor(cb, cf, ordinal)
             for ordinal, (cb, cf) in enumerate(
-                ((cb, cf) for cb in grid.cbs for cf in grid.cf_lists), start=1
+                ((cb, cf) for cb in grid.cbs for cf in columns(grid)), start=1
             )
         ]
         assert [_oracle_key(a) for a in expected] == oracle
@@ -242,6 +249,15 @@ def test_anchor_budget_is_checked_against_the_count(monkeypatch):
         propose_anchors(u, prior_cf)
 
 
+def test_anchor_budget_refuses_a_count_past_the_index_range():
+    # Two names, then 64 pronouns: 3 * 2**64 anchors, more than len() can
+    # return. The utterance is refused like any other over the budget.
+    prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 65)))
+    with pytest.raises(AnchorBudgetExceeded, match=f"^{3 * 2**64:,} anchors would exceed the limit of 1,000,000$"):
+        propose_anchors(u, prior)
+
+
 def test_empty_anchor_grid():
     # No center, or a slot without entries, which leaves no Cf list: the
     # engine's fallback results carry a grid with neither. No slot at all
@@ -249,7 +265,8 @@ def test_empty_anchor_grid():
     prior_cf, _, _ = race_scene()
     for grid in (AnchorGrid((), ((),)), AnchorGrid((*prior_cf, None), (prior_cf, ())), AnchorGrid((), ())):
         assert not grid and anchors_of(grid) == []
-    assert AnchorGrid((), ((),)).cf_lists == () and AnchorGrid((), ()).cf_lists == ((),)
+    assert AnchorGrid((), ((),)).width == 0 and AnchorGrid((), ()).width == 1
+    assert columns(AnchorGrid((), ((),))) == [] and AnchorGrid((), ()).cf_list(0) == ()
     unmarked = AnchorGrid((*prior_cf, None), ())
     assert len(unmarked) == 4 and [a.cf for a in anchors_of(unmarked)] == [()] * 4
     assert AnchorGrid((), ((),)) == AnchorGrid([], [[]]) != AnchorGrid((), ())
@@ -259,31 +276,64 @@ def test_cf_lists_are_the_product_of_the_slots():
     # One slot per marker, in marker order: a pronoun's holds an entry per
     # candidate, any other marker's its one entry.
     for _, u, grid in _scene_grids(random.Random(4242), 200):
-        assert grid.cf_lists == tuple(product(*grid.slots))
+        expected = list(product(*grid.slots))
+        assert columns(grid) == expected and grid.width == len(expected)
         assert len(grid.slots) == len(u.markers)
         for m, slot in zip(u.markers, grid.slots):
             assert type(slot) is tuple and all(e.marker is m for e in slot)
             assert m.is_pronoun or len(slot) == 1
-        # The Cf lists share their slots' very entries.
-        assert all(any(e is x for x in slot) for cf in grid.cf_lists for e, slot in zip(cf, grid.slots))
+        # The Cf lists hold their slots' very entries.
+        assert all(e is x for cf, want in zip(columns(grid), expected) for e, x in zip(cf, want))
+        for column in (-1, grid.width):
+            with pytest.raises(IndexError):
+                grid.cf_list(column)
+
+
+def test_cf_list_decodes_a_column_of_a_grid_too_wide_to_enumerate():
+    # 62 slots of two entries: 2**62 Cf lists. Reading a column by its
+    # digits takes one step per slot; enumerating up to it would not end.
+    prior_cf, _, _ = race_scene()
+    first, second = prior_cf[:2]
+    grid = AnchorGrid((None,), [(first, second)] * 62)
+    assert grid.width == len(grid) == 2**62
+    assert grid.cf_list(2**62 - 1) == (second,) * 62
+    assert grid.cf_list(2**61 + 1) == (second,) + (first,) * 60 + (second,)
 
 
 def test_anchor_grid_survives_pickling():
     for _, _, grid in _scene_grids(random.Random(4343), 50):
         back = pickle.loads(pickle.dumps(grid))
-        assert back == grid and back.slots == grid.slots and back.cf_lists == grid.cf_lists
+        assert back == grid and back.slots == grid.slots and columns(back) == columns(grid)
         assert anchors_of(back) == anchors_of(grid)
 
 
 def test_anchor_grid_pickles_and_copies_without_its_cf_lists():
-    # Six names, then four pronouns: 9,072 anchors. The Cf lists follow
-    # from the slots, so they are derived again rather than stored.
+    # Six names, then four pronouns: 9,072 anchors. The Cf lists are read
+    # from the slots, so the grid holds none to store.
     prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(6)))
     u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 5)))
     grid = propose_anchors(u, prior)
     pickled = pickle.dumps(grid)
     assert len(grid) == 9072 and len(pickled) < 2000
-    assert "cf_lists" not in repr(grid)
+    assert not hasattr(grid, "cf_lists") and "cf_lists" not in repr(grid)
     for back in (pickle.loads(pickled), copy.copy(grid), copy.deepcopy(grid)):
-        assert back == grid and hash(back) == hash(grid)
-        assert back.cf_lists == grid.cf_lists == tuple(product(*back.slots))
+        assert back == grid and hash(back) == hash(grid) and back.width == grid.width
+        assert columns(back) == columns(grid) == list(product(*back.slots))
+
+
+def test_a_grid_keeps_its_slots_and_no_cf_list():
+    # Six names, then six pronouns: 46,656 Cf lists over 36 slot entries.
+    # Building the Cf lists would keep megabytes; the slots keep a few KB.
+    prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(6)))
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 7)))
+    propose_anchors(u, prior)  # warms up what a first build allocates once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        grid = propose_anchors(u, prior)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.width == 6**6 and len(grid) == 7 * 6**6
+    assert after - before < 16 * 2**10, after - before

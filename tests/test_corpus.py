@@ -27,7 +27,7 @@ from centering import (
 from centering import corpus
 from centering.corpus import GF_TOKENS, KIND_TOKENS, derive_entity_id
 from centering.model import MarkerError
-from support import OBJ, SUBJ, indefinite, name, pronoun, utt
+from support import OBJ, SUBJ, indefinite, line_events, name, pronoun, utt
 
 MINIMAL = """\
 discourse demo
@@ -946,3 +946,30 @@ class TestBuildUtterances:
     def test_positions_are_one_based(self):
         doc = load_bundled("fig2")
         assert [u.position for u in build_utterances(doc)] == [1, 2, 3, 4]
+
+
+def _two_layouts(utterances):
+    """A corpus of `utterances` utterances, each with one np line in
+    format_corpus's layout and one that only shlex reads. Every line's
+    length is the same in each utterance, since shlex reads a character
+    at a time."""
+    lines = ["discourse layouts", "mode extended"]
+    for k in range(1001, 1001 + utterances):
+        lines += [
+            "",
+            f"utterance Ann{k} met her.",
+            f"np id=ann{k} surface=Ann{k} kind=name gf=SUBJ agr=fem,sg,3",
+            f"np surface=her\tid=her{k}  kind=pronoun gf=OBJ agr=fem,sg,3 index=A{k}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_work_grows_with_the_np_lines_and_no_faster():
+    # A first parse compiles the canonical np pattern, once. After it, the
+    # lines parse_corpus executes per np line stay the same as the file
+    # grows, so 4 times the np lines take less than 4 times the lines.
+    small, large = _two_layouts(25), _two_layouts(100)
+    assert len(parse_corpus(large).utterances) == 100
+    assert not re.fullmatch(corpus._CANONICAL_NP, large.splitlines()[-1][3:])
+    grown = line_events(parse_corpus, large) / line_events(parse_corpus, small)
+    assert grown < 4, grown

@@ -5,12 +5,22 @@ import tracemalloc
 
 import pytest
 
-from centering import Mode, load_bundled, parse_corpus, process_discourse, process_document, render_trace, roman
+from centering import (
+    Mode,
+    load_bundled,
+    parse_corpus,
+    process_discourse,
+    process_document,
+    process_utterance,
+    render_trace,
+    roman,
+)
 from support import (
     MASC,
     OBJ,
     SUBJ,
     indefinite,
+    line_events,
     name,
     FEM,
     oracle_dump_trace,
@@ -46,6 +56,33 @@ def test_a_render_keeps_no_long_labels():
         tracemalloc.stop()
     # At most the labels of ordinals 1-3,999, about 0.25 MB.
     assert after - before < 2**20, after - before
+
+
+def _render_step(prev, u, format):
+    return render_trace([process_utterance(prev, u)], format)
+
+
+def _step_after(names):
+    """The lines that processing and rendering, in each format, three
+    pronouns after an opener of `names` agreeing names executes, once a
+    first run has grown the label table it needs."""
+    opener = process_utterance(None, utt("They met.", *(name(f"N{i}", f"N{i}", gf=OBJ, agr=FEM) for i in range(names))))
+    u = utt("She saw her with her.", *(pronoun("she", index=f"A{j}", gf=OBJ, agr=FEM) for j in (1, 2, 3)), position=2)
+    events = {}
+    for format in ("figure", "structured"):
+        _render_step(opener, u, format)
+        events[format] = line_events(_render_step, opener, u, format)
+    return events
+
+
+def test_trace_work_grows_slower_than_the_grid():
+    # From 4 to 8 names, the rows times the markers plus the Cf lists grow
+    # by 539 / 79 (9 * 3 + 8**3 against 5 * 3 + 4**3), and the anchors by
+    # 14.4 (9 * 8**3 against 5 * 4**3). `figure` lists one anchor and
+    # `structured` every anchor, so the lines each executes grow by less.
+    small, large = _step_after(4), _step_after(8)
+    assert large["figure"] < (9 * 3 + 8**3) / (5 * 3 + 4**3) * small["figure"], (small, large)
+    assert large["structured"] < 14.4 * small["structured"], (small, large)
 
 
 def _subtractive_roman(n):
