@@ -82,10 +82,7 @@ class Ranking(Value):
     __slots__ = ("grid", "positions", "transitions")
 
     def __init__(self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...]) -> None:
-        set_grid, set_positions, set_transitions = self._setters
-        set_grid(self, grid)
-        set_positions(self, positions)
-        set_transitions(self, transitions)
+        self._set(grid, positions, transitions)
 
     def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
         """(position, transition, center, Cf list) of each ranked anchor, in

@@ -133,9 +133,7 @@ class CorpusUtterance(Value):
     def __init__(self, text: str, nps: Iterable[ReferenceMarker] = ()) -> None:
         if isinstance(nps, (str, ReferenceMarker)):
             raise ValueError(f"nps must be a collection of ReferenceMarkers, got {nps!r}")
-        set_text, set_nps = self._setters
-        set_text(self, text)
-        set_nps(self, tuple(nps))
+        self._set(text, tuple(nps))
 
 
 class CorpusDocument(Value):
@@ -153,10 +151,7 @@ class CorpusDocument(Value):
     ) -> None:
         if isinstance(utterances, (str, CorpusUtterance)):
             raise ValueError(f"utterances must be a collection of CorpusUtterances, got {utterances!r}")
-        set_id, set_mode, set_utterances = self._setters
-        set_id(self, id)
-        set_mode(self, Mode(mode))
-        set_utterances(self, tuple(utterances))
+        self._set(id, Mode(mode), tuple(utterances))
 
 
 def _parse_agreement(value: str, line: int) -> Agreement:

@@ -72,18 +72,8 @@ class UtteranceResult(Value):
         diagnostic_kind: str | None = None,
         diagnostic: str | None = None,
     ) -> None:
-        (set_utterance, set_transition, set_cb, set_cf, set_anchors, set_verdicts, set_ranked,
-         set_after_retention, set_diagnostic_kind, set_diagnostic) = self._setters
-        set_utterance(self, utterance)
-        set_transition(self, transition)
-        set_cb(self, cb)
-        set_cf(self, cf)
-        set_anchors(self, anchors)
-        set_verdicts(self, verdicts)
-        set_ranked(self, ranked)
-        set_after_retention(self, after_retention)
-        set_diagnostic_kind(self, diagnostic_kind)
-        set_diagnostic(self, diagnostic)
+        self._set(utterance, transition, cb, cf, anchors, verdicts, ranked, after_retention, diagnostic_kind,
+                  diagnostic)
 
     @property
     def position(self) -> int:

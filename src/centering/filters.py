@@ -42,9 +42,7 @@ class FilterVerdict(Value):
     __slots__ = ("anchor_id", "eliminated_by")
 
     def __init__(self, anchor_id: int, eliminated_by: frozenset[str]) -> None:
-        set_anchor_id, set_eliminated_by = self._setters
-        set_anchor_id(self, anchor_id)
-        set_eliminated_by(self, eliminated_by)
+        self._set(anchor_id, eliminated_by)
 
     @property
     def passed(self) -> bool:
@@ -71,8 +69,7 @@ class FilterVerdicts(Value):
     __slots__ = ("masks",)
 
     def __init__(self, masks: bytes) -> None:
-        (set_masks,) = self._setters
-        set_masks(self, masks)
+        self._set(masks)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -7,9 +7,9 @@ utterance's candidate anchors, transition types, and the allocation of a
 discourse's indices.
 
 Every type is a `Value`: a slot class whose `__init__` checks its fields
-and sets each once through the class's slot setters. After that its
-fields are read-only, and it compares, hashes, prints and pickles by
-them.
+and sets each once through the class's one `_set`, which unpickling and
+copying call too. After that its fields are read-only, and it compares,
+hashes, prints and pickles by them.
 """
 
 from __future__ import annotations
@@ -93,19 +93,29 @@ class Value:
 
     A value names its fields in `__slots__`. Each value class gets
     `_setters`, the `__set__` of its own slot descriptors in `__slots__`
-    order, and its `__init__` checks the fields and sets each once
-    through them, which skips the guard: assigning or deleting a field
-    still raises AttributeError. Values are equal when they are of one
-    type with equal fields, and hash and print by their fields. pickle
-    and copy restore the fields through the same setters. Every slot is
-    a field, a derived one such as `CfEntry.display` too.
+    order, and `_set(self, <its fields>)`, generated from them, which
+    calls each once in that order. That skips the guard: assigning or
+    deleting a field still raises AttributeError. A class's `__init__`
+    checks the fields, works out any derived one, such as
+    `CfEntry.display`, and ends in one `self._set(...)`; pickle and copy
+    restore a value through `_set` too, so a state of the wrong length
+    raises TypeError. Values are equal when they are of one type with
+    equal fields, and hash and print by their fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        names = cls.__slots__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in names)
+        # Generated as dataclasses generates __init__: one descriptor call a
+        # line, as written by hand; a loop over `_setters` costs more per field.
+        namespace = {f"set_{name}": setter for name, setter in zip(names, cls._setters)}
+        calls = "".join(f"\n    set_{name}(self, {name})" for name in names) or " pass"
+        exec(f"def _set(self, {', '.join(names)}):{calls}", namespace)
+        cls._set = namespace["_set"]
+        cls._set.__qualname__ = f"{cls.__qualname__}._set"
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -130,8 +140,7 @@ class Value:
         return self._fields()
 
     def __setstate__(self, state: tuple) -> None:
-        for set_field, value in zip(self._setters, state):
-            set_field(self, value)
+        self._set(*state)
 
 
 class Agreement(Value):
@@ -145,10 +154,7 @@ class Agreement(Value):
         for value, allowed in ((gender, GENDERS), (number, NUMBERS), (person, PERSONS)):
             if value is not None and value not in allowed:
                 raise ValueError(f"bad agreement feature {value!r}")
-        set_gender, set_number, set_person = self._setters
-        set_gender(self, gender)
-        set_number(self, number)
-        set_person(self, person)
+        self._set(gender, number, person)
 
 
 def unify_agreement(a: Agreement, b: Agreement) -> bool:
@@ -171,9 +177,7 @@ class Entity(Value):
     __slots__ = ("id", "name")
 
     def __init__(self, id: str, name: str = "") -> None:
-        set_id, set_name = self._setters
-        set_id(self, id)
-        set_name(self, name or id)
+        self._set(id, name or id)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Entity) and self.id == other.id
@@ -251,15 +255,7 @@ class ReferenceMarker(Value):
             mid = index or surface
         if mid in contra:
             raise MarkerError(f"marker {mid!r} is contraindexed with itself", "contra")
-        set_surface, set_kind, set_gf, set_agr, set_contra, set_entity, set_index, set_mid = self._setters
-        set_surface(self, surface)
-        set_kind(self, kind)
-        set_gf(self, gf)
-        set_agr(self, agr)
-        set_contra(self, contra)
-        set_entity(self, entity)
-        set_index(self, index)
-        set_mid(self, mid)
+        self._set(surface, kind, gf, agr, contra, entity, index, mid)
 
     @property
     def is_pronoun(self) -> bool:
@@ -276,10 +272,7 @@ class Utterance(Value):
         mids = [m.mid for m in ordered]
         if len(set(mids)) != len(mids):
             raise ValueError(f"duplicate marker ids in utterance {position}")
-        set_text, set_markers, set_position = self._setters
-        set_text(self, text)
-        set_markers(self, ordered)
-        set_position(self, position)
+        self._set(text, ordered, position)
 
 
 class CfEntry(Value):
@@ -299,10 +292,7 @@ class CfEntry(Value):
         # surface there keeps displays like [X2:Alfa Romeo] readable.
         anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == entity.id
         tag = marker.surface if anonymous else marker.index
-        set_entity, set_marker, set_display = self._setters
-        set_entity(self, entity)
-        set_marker(self, marker)
-        set_display(self, f"[{entity.id}:{tag}]")
+        self._set(entity, marker, f"[{entity.id}:{tag}]")
 
 
 # A forward-center list: its entries in obliqueness order; the head is
@@ -329,10 +319,7 @@ class AnchorGrid(Value):
 
     def __init__(self, cbs: Iterable[CfEntry | None], slots: Iterable[Iterable[CfEntry]]) -> None:
         slots = tuple(map(tuple, slots))
-        set_cbs, set_slots, set_width = self._setters
-        set_cbs(self, tuple(cbs))
-        set_slots(self, slots)
-        set_width(self, prod(map(len, slots)))
+        self._set(tuple(cbs), slots, prod(map(len, slots)))
 
     def cf_list(self, column: int) -> CfList:
         """The Cf list in `column`, slot i's entry at its i-th mixed-radix
@@ -346,7 +333,10 @@ class AnchorGrid(Value):
         return tuple(reversed(entries))
 
     def __len__(self) -> int:
-        return len(self.cbs) * self.width
+        return len(self.cbs) * self.width  # OverflowError past sys.maxsize
+
+    def __bool__(self) -> bool:
+        return bool(self.cbs) and self.width > 0
 
 
 def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:

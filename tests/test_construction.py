@@ -268,7 +268,7 @@ def test_empty_anchor_grid():
     assert AnchorGrid((), ((),)).width == 0 and AnchorGrid((), ()).width == 1
     assert columns(AnchorGrid((), ((),))) == [] and AnchorGrid((), ()).cf_list(0) == ()
     unmarked = AnchorGrid((*prior_cf, None), ())
-    assert len(unmarked) == 4 and [a.cf for a in anchors_of(unmarked)] == [()] * 4
+    assert unmarked and len(unmarked) == 4 and [a.cf for a in anchors_of(unmarked)] == [()] * 4
     assert AnchorGrid((), ((),)) == AnchorGrid([], [[]]) != AnchorGrid((), ())
 
 
@@ -295,9 +295,16 @@ def test_cf_list_decodes_a_column_of_a_grid_too_wide_to_enumerate():
     prior_cf, _, _ = race_scene()
     first, second = prior_cf[:2]
     grid = AnchorGrid((None,), [(first, second)] * 62)
-    assert grid.width == len(grid) == 2**62
+    assert grid.width == len(grid) == 2**62 and grid
     assert grid.cf_list(2**62 - 1) == (second,) * 62
     assert grid.cf_list(2**61 + 1) == (second,) + (first,) * 60 + (second,)
+    # Past sys.maxsize len() overflows, a CPython limit; truth and the
+    # counts it is made of still read.
+    wide = AnchorGrid((None,), [(first, second)] * 64)
+    with pytest.raises(OverflowError):
+        len(wide)
+    assert wide and len(wide.cbs) * wide.width == 2**64
+    assert wide.cf_list(2**64 - 1) == (second,) * 64
 
 
 def test_anchor_grid_survives_pickling():

@@ -325,3 +325,19 @@ def test_every_value_type_sets_its_fields_through_its_slot_setters():
         assert [s.__self__ for s in cls._setters] == descriptors, cls
         assert all(s.__name__ == "__set__" for s in cls._setters), cls
         assert "__setattr__" not in cls.__init__.__code__.co_names, cls
+        # Every __init__ sets its fields through the one generated _set,
+        # which takes them in __slots__ order; none unpacks the setters.
+        assert "_set" in cls.__init__.__code__.co_names, cls
+        assert "_setters" not in cls.__init__.__code__.co_names, cls
+        code = cls._set.__code__
+        assert code.co_varnames[: code.co_argcount] == ("self", *cls.__slots__), cls
+
+
+def test_unpickling_refuses_a_state_of_the_wrong_length():
+    # A state one field short would leave a slot unset, and one field
+    # long would drop a field; both raise instead.
+    for cls in _value_types():
+        n = len(cls.__slots__)
+        for state in ((None,) * (n - 1), (None,) * (n + 1)):
+            with pytest.raises(TypeError):
+                cls.__new__(cls).__setstate__(state)
