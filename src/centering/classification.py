@@ -10,6 +10,7 @@ shift) and plain shifting; classic mode lumps both under shifting.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain, repeat
 
 from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value
 
@@ -72,29 +73,23 @@ def classify(
 
 
 class Ranking(Value):
-    """The surviving anchors in rank order: grid positions, a transition each.
+    """The surviving anchors in rank order: positions, a count per transition.
 
-    `positions[k]` is the grid position of the k-th ranked anchor of
-    `grid` and `transitions[k]` its transition; `cells()` reads them
-    with their centers and Cf lists.
+    `positions` are the ranked anchors' grid positions, best class first,
+    and `sizes[k]` counts those that make `Transition`'s k-th member (0
+    for SHIFTING-1 in classic mode). Iterating yields each ranked
+    anchor's (position, transition).
     """
 
-    __slots__ = ("grid", "positions", "transitions")
+    __slots__ = ("positions", "sizes")
 
-    def __init__(self, grid: AnchorGrid, positions: tuple[int, ...], transitions: tuple[Transition, ...]) -> None:
-        self._set(grid, positions, transitions)
+    def __init__(self, positions: tuple[int, ...], sizes: tuple[int, int, int, int]) -> None:
+        if len(sizes) != len(_BY_PREFERENCE) or sum(sizes) != len(positions):
+            raise ValueError(f"need one count per transition, summing to {len(positions)}: got {sizes!r}")
+        self._set(positions, sizes)
 
-    def cells(self) -> Iterator[tuple[int, Transition, CfEntry | None, CfList]]:
-        """(position, transition, center, Cf list) of each ranked anchor, in
-        rank order. A null center that continues is a discourse opener's,
-        which centers its own preferred center (see `classify`), so it
-        shows as that center, the Cf list's first entry."""
-        cbs, width, cf_list = self.grid.cbs, self.grid.width, self.grid.cf_list
-        for position, transition in zip(self.positions, self.transitions):
-            cb, cf = cbs[position // width], cf_list(position % width)
-            if cb is None and transition is Transition.CONTINUING:
-                cb = cf[0]
-            yield position, transition, cb, cf
+    def __iter__(self) -> Iterator[tuple[int, Transition]]:
+        return zip(self.positions, chain.from_iterable(map(repeat, _BY_PREFERENCE, self.sizes)))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -107,7 +102,7 @@ def rank_and_select(
     mode: Mode = Mode.EXTENDED,
 ) -> tuple[tuple[int, Transition, CfEntry | None, CfList], Ranking, bool]:
     """Order the surviving anchors of `grid` by transition preference and
-    pick the winner, the first of `ranked.cells()`.
+    pick the winner, the first ranked anchor.
 
     `survivors` are grid positions, in any order. An anchor's transition
     depends only on its center and the head of its Cf list, which are
@@ -119,7 +114,9 @@ def rank_and_select(
     reading is a center entity and a Cf list, so two center rows of one
     prior entity give one. The winner is then the construction-order
     first, leaving the ambiguity visible to callers; its Cf list is the
-    only one decoded. Raises NoViableAnchor when nothing survived.
+    only one decoded. An opener centers its own preferred center (see
+    `classify`), so its continuing null center shows as its Cf list's
+    head. Raises NoViableAnchor when nothing survived.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
@@ -138,19 +135,17 @@ def rank_and_select(
             transition = classify(cbs[row], head_slot[head : head + 1], prev_cb, mode)
             bucket = bucket_of[block] = buckets[_PREFERENCE[transition]]
         bucket.append(position)
-    positions: list[int] = []
-    transitions: list[Transition] = []
-    for transition, bucket in zip(_BY_PREFERENCE, buckets):
-        if bucket:
-            positions += bucket
-            transitions += [transition] * len(bucket)
-    ranked = Ranking(grid, tuple(positions), tuple(transitions))
+    ranked = Ranking(tuple(chain.from_iterable(buckets)), tuple(map(len, buckets)))
     top = next(filter(None, buckets))
+    position, transition = next(iter(ranked))
+    cb, cf = cbs[position // width], grid.cf_list(position % width)
+    if cb is None and transition is Transition.CONTINUING:
+        cb = cf[0]
     tie = False
     if len(top) > 1:
         # A reading is (center entity, column); only an opener's null center
         # shows as its head, and an opener's grid has one row.
-        ids = [cb.entity.id if cb is not None else None for cb in cbs]
-        reading = (ids[top[0] // width], top[0] % width)
-        tie = any((ids[position // width], position % width) != reading for position in top)
-    return next(ranked.cells()), ranked, tie
+        ids = [center.entity.id if center is not None else None for center in cbs]
+        reading = (ids[position // width], position % width)
+        tie = any((ids[p // width], p % width) != reading for p in top)
+    return (position, transition, cb, cf), ranked, tie

@@ -102,7 +102,7 @@ class UtteranceResult(Value):
 # leaves no Cf list, so a failed utterance's grid holds no anchor.
 _NO_ANCHORS = AnchorGrid((), ((),))
 _NO_VERDICTS = FilterVerdicts(b"")
-_NOTHING_RANKED = Ranking(_NO_ANCHORS, (), ())
+_NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
 
 
 def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
@@ -136,7 +136,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
         if tie:
             kind = DIAG_TIE
             message = (
-                f"{ranked.transitions.count(transition)} anchors share transition {transition.value}; "
+                f"{next(filter(None, ranked.sizes))} anchors share transition {transition.value}; "
                 "kept the construction-order first"
             )
     return UtteranceResult(u, transition, cb, cf, anchors, verdicts, ranked, after_retention, kind, message)

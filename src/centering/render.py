@@ -96,7 +96,7 @@ def _anchor_dump(result: UtteranceResult) -> str:
     grid = result.anchors
     ranked = result.ranked
     notes = [_MASK_NOTES[mask] for mask in result.verdicts.masks]
-    for position, transition in zip(ranked.positions, ranked.transitions):
+    for position, transition in ranked:
         notes[position] = _TRANSITION_NOTES[transition]
     if ranked:
         notes[ranked.positions[0]] += "  <- selected"
@@ -173,24 +173,25 @@ def _structured_line(result: UtteranceResult) -> str:
     """One `structured` record: the utterance, its anchor counts, the
     labels each filter eliminated, and the ranked survivors."""
     grid, labels = result.anchors, _labels(result.anchors_constructed)
-    # Each center's and each slot entry's JSON is encoded once, and a Cf
-    # list's entries are joined as the product of the slots yields them.
-    centers = [encode_basestring(display_cb(cb)) for cb in grid.cbs]
-    entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
-    cf_lists = list(map(", ".join, product(*entries)))
-    width = len(cf_lists)
     cells = []
-    for position, transition in zip(result.ranked.positions, result.ranked.transitions):
-        row, column = divmod(position, width)
-        center = centers[row]
-        if grid.cbs[row] is None and transition is Transition.CONTINUING:
-            # An opener's null center, shown as its preferred center (see
-            # Ranking.cells): the head of its Cf list.
-            center = encode_basestring(grid.cf_list(column)[0].display)
-        cells.append(
-            f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
-            f'"cb": {center}, "cf": [{cf_lists[column]}]}}'
-        )
+    if result.ranked:
+        # Each center's and each slot entry's JSON is encoded once, and a Cf
+        # list's entries are joined as the product of the slots yields them.
+        centers = [encode_basestring(display_cb(cb)) for cb in grid.cbs]
+        entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
+        cf_lists = list(map(", ".join, product(*entries)))
+        width = len(cf_lists)
+        for position, transition in result.ranked:
+            row, column = divmod(position, width)
+            center = centers[row]
+            if grid.cbs[row] is None and transition is Transition.CONTINUING:
+                # An opener's null center, shown as its preferred center (see
+                # rank_and_select): the head of its Cf list.
+                center = encode_basestring(grid.cf_list(column)[0].display)
+            cells.append(
+                f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
+                f'"cb": {center}, "cf": [{cf_lists[column]}]}}'
+            )
     ranked = ", ".join(cells)
     bindings = "null"
     bound = result.bindings

@@ -161,9 +161,19 @@ def cf_lists_of(grid: AnchorGrid) -> list[CfList]:
     return list(product(*grid.slots))
 
 
-def ranked_of(ranking) -> list[Ranked]:
-    """A Ranking's anchors in rank order, each with its transition."""
-    return [Ranked(Anchor(cb, cf, position + 1), transition) for position, transition, cb, cf in ranking.cells()]
+def ranked_of(ranking, grid: AnchorGrid) -> list[Ranked]:
+    """A Ranking of `grid`'s anchors in rank order, each with its
+    transition. The anchors are rebuilt by `anchors_of`, and each
+    position's transition is read off `ranking.sizes`, not by iterating
+    the ranking. An opener centers its own preferred center, so a null
+    center that continues shows as the head of its Cf list."""
+    transitions = [t for t, size in zip(Transition, ranking.sizes) for _ in range(size)]
+    ranked = []
+    for anchor, transition in zip(anchors_of(grid, ranking.positions), transitions, strict=True):
+        if anchor.cb is None and transition is Transition.CONTINUING:
+            anchor = anchor._replace(cb=anchor.cf[0])
+        ranked.append(Ranked(anchor, transition))
+    return ranked
 
 
 class Stages(NamedTuple):
@@ -178,7 +188,7 @@ class Stages(NamedTuple):
 
 # The stage calls and the shapes they return, which only support.py and
 # the tests that pin the documented shapes name.
-STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_list|width|cbs|slots|masks)\b|\.cells\("
+STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_list|width|cbs|slots|masks|positions|sizes)\b"
 SHAPE_MODULES = frozenset({"support.py", "test_construction.py", "test_filters.py", "test_classification.py"})
 
 
@@ -191,7 +201,7 @@ def stages(u: Utterance, prior_cf: CfList, prev_cb=NO_PRIOR, mode: Mode = Mode.E
     ranked, tie = [], False
     if survivors and u.markers:
         _, ranking, tie = rank_and_select(survivors, grid, prev_cb, mode)
-        ranked = ranked_of(ranking)
+        ranked = ranked_of(ranking, grid)
     eliminated = {v.anchor_id: v.eliminated_by for v in verdicts}
     return Stages(anchors_of(grid), eliminated, anchors_of(grid, survivors), ranked, tie)
 
@@ -362,9 +372,9 @@ def oracle_anchor_dump(result: UtteranceResult) -> str:
     time: its label, `<center, Cf list>`, and the filters that eliminated
     it, or a ranked survivor's transition with `<- selected` on the
     winner; an unranked survivor gets no note."""
-    ranked = result.ranked
-    transition_at = dict(zip(ranked.positions, ranked.transitions))
-    winner = ranked.positions[0] if ranked else None
+    ranked = ranked_of(result.ranked, result.anchors)
+    transition_at = {r.anchor.ordinal - 1: r.transition for r in ranked}
+    winner = ranked[0].anchor.ordinal - 1 if ranked else None
     lines = [f"anchors ({len(result.anchors)}):"]
     for anchor, mask in zip(anchors_of(result.anchors), result.verdicts.masks):
         position = anchor.ordinal - 1
@@ -383,7 +393,8 @@ def oracle_anchor_dump(result: UtteranceResult) -> str:
 
 def oracle_ranked_records(result: UtteranceResult) -> list[dict]:
     """The `ranked` list of a result's `structured` record, rebuilt one
-    ranked anchor at a time from `ranked_of`."""
+    ranked anchor at a time from `ranked_of`, which decodes each from the
+    grid by itself."""
     return [
         {
             "anchor": roman(r.anchor.ordinal),
@@ -391,7 +402,7 @@ def oracle_ranked_records(result: UtteranceResult) -> list[dict]:
             "cb": r.anchor.cb.display if r.anchor.cb is not None else "NIL",
             "cf": [e.display for e in r.anchor.cf],
         }
-        for r in ranked_of(result.ranked)
+        for r in ranked_of(result.ranked, result.anchors)
     ]
 
 

@@ -88,7 +88,7 @@ def test_criterion_3_appendix_replay_on_fig4_u4():
     assert eliminated["constraint3"] == {4, 5, 6, 7} | set(range(9, 17))
     survivors = [v.anchor_id for v in last.verdicts if v.passed]
     assert survivors == [2, 3]
-    ranked = ranked_of(last.ranked)
+    ranked = ranked_of(last.ranked, last.anchors)
     assert ranked[0].anchor.ordinal == 2
     assert ranked[0].transition is Transition.SHIFTING_1
     assert ranked[1].anchor.ordinal == 3
@@ -102,7 +102,7 @@ def test_criterion_4_classic_mode_cannot_disambiguate(capsys):
     last = classic[3]
     assert last.transition is Transition.SHIFTING
     assert last.tie and last.diagnostic_kind == "tie"
-    tied = [c for c in ranked_of(last.ranked) if c.transition is Transition.SHIFTING]
+    tied = [c for c in ranked_of(last.ranked, last.anchors) if c.transition is Transition.SHIFTING]
     assert [c.anchor.ordinal for c in tied] == [2, 3]
     extended = process_document(doc)
     assert not extended[3].tie
@@ -119,7 +119,7 @@ def test_criterion_5_continuing_reading_preferred():
         last = results[2]
         assert last.transition is Transition.CONTINUING
         assert binding_pairs(last) == [("He", "Max"), ("him", "Fred")]
-        alternatives = ranked_of(last.ranked)[1:]
+        alternatives = ranked_of(last.ranked, last.anchors)[1:]
         retaining = [c for c in alternatives if c.transition is Transition.RETAINING]
         assert retaining, "the retaining reading must appear below the winner"
         alt = retaining[0].anchor

@@ -1,4 +1,9 @@
+import copy
+import pickle
 import random
+import sys
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -56,12 +61,13 @@ def surviving(prior_cf, u):
 def select(grid_and_survivors, prev_cb, mode=Mode.EXTENDED):
     """rank_and_select on a (grid, survivors) pair, with the winner and
     the ranking as Ranked records; checks that the winner is the first
-    ranked cell."""
+    ranked anchor."""
     grid, survivors = grid_and_survivors
     winner, ranking, tie = rank_and_select(survivors, grid, prev_cb, mode)
-    assert winner == next(ranking.cells())
-    ranked = ranked_of(ranking)
-    return ranked[0], ranked, tie
+    ranked = ranked_of(ranking, grid)
+    first = ranked[0]
+    assert winner == (first.anchor.ordinal - 1, first.transition, first.anchor.cb, first.anchor.cf)
+    return first, ranked, tie
 
 
 class TestClassify:
@@ -227,7 +233,7 @@ def test_corpus_exercises_every_transition_cell():
     seen = set()
     for corpus in ("fig2", "fig4", "fig5", "fig6", "fig7"):
         for result in process_document(load_bundled(corpus)):
-            seen.update(c.transition for c in ranked_of(result.ranked))
+            seen.update(c.transition for c in ranked_of(result.ranked, result.anchors))
     assert seen == set(Transition)
 
 
@@ -281,9 +287,9 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                         continue
                     expected = _reference_ranking(passing, prev_cb, mode)
                     winner, ranked, tie = rank_and_select(survivors, grid, prev_cb, mode)
-                    got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked)]
+                    got = [(c.anchor.ordinal, c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked, grid)]
                     assert got == expected
-                    assert [(p + 1, t, cb, cf) for p, t, cb, cf in ranked.cells()] == expected
+                    assert [(p + 1, t) for p, t in ranked] == [e[:2] for e in expected]
                     position, *cell = winner
                     assert (position + 1, *cell) == expected[0]
                     assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected)
@@ -318,29 +324,30 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
             for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
                 for mode in Mode:
                     _, ranked, tie = rank_and_select(positions, grid, prev_cb, mode)
-                    cells = [(t, cb, cf) for _, t, cb, cf in ranked.cells()]
+                    cells = [(c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked, grid)]
                     assert tie == oracle_tie(cells)
                     seen["tie"] += tie
-                    top_class = ranked.transitions.count(ranked.transitions[0])
+                    top_class = sum(t is cells[0][0] for t, _, _ in cells)
                     seen["one reading"] += top_class > 1 and not tie
                     seen["one Cf list"] += tie and len({cf for t, _, cf in cells if t is cells[0][0]}) == 1
     assert min(seen.values()) > 20, seen
 
 
-def _split_shifting(classic: Ranking) -> Ranking:
-    """`classic` with its SHIFTING bucket split in two: the anchors whose
-    center is their own preferred center, as SHIFTING-1, then the rest,
-    each part in the bucket's order."""
+def _split_shifting(classic: Ranking, grid: AnchorGrid) -> Ranking:
+    """`classic`, a ranking of `grid`, with its SHIFTING bucket split in
+    two: the anchors whose center is their own preferred center, as
+    SHIFTING-1, then the rest, each part in the bucket's order."""
     kept, centered, shifting = [], [], []
-    for position, transition, cb, cf in classic.cells():
-        if transition is not Transition.SHIFTING:
-            kept.append((position, transition))
+    for c in ranked_of(classic, grid):
+        position, cb, cf = c.anchor.ordinal - 1, c.anchor.cb, c.anchor.cf
+        if c.transition is not Transition.SHIFTING:
+            kept.append(position)
         elif cb is not None and cb.entity == cf[0].entity:
-            centered.append((position, Transition.SHIFTING_1))
+            centered.append(position)
         else:
-            shifting.append((position, transition))
-    positions, transitions = zip(*kept, *centered, *shifting)
-    return Ranking(classic.grid, positions, transitions)
+            shifting.append(position)
+    continuing, retaining, _, _ = classic.sizes
+    return Ranking((*kept, *centered, *shifting), (continuing, retaining, len(centered), len(shifting)))
 
 
 def test_extended_ranking_splits_the_classic_shifting_bucket():
@@ -366,28 +373,91 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                 except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
                     pass
                 else:
-                    expected = _split_shifting(classic)
+                    expected = _split_shifting(classic, grid)
                     assert extended == expected
-                    assert tie == oracle_tie((t, cb, cf) for _, t, cb, cf in expected.cells())
-                    splits += Transition.SHIFTING_1 in expected.transitions
-                    mixed += {Transition.SHIFTING_1, Transition.SHIFTING} <= set(expected.transitions)
+                    cells = ranked_of(expected, grid)
+                    assert tie == oracle_tie((c.transition, c.anchor.cb, c.anchor.cf) for c in cells)
+                    splits += expected.sizes[2] > 0
+                    mixed += expected.sizes[2] > 0 and expected.sizes[3] > 0
                 prev = process_utterance(prev, u, mode)
     assert splits > 50 and mixed > 0
 
 
-def test_reading_the_ranked_cells_grows_with_the_survivors():
+def test_ranking_and_reading_it_grow_with_the_survivors():
     # Three pronouns after 4 and after 8 agreeing names: every Cf list
     # survives in one row, so the survivors grow by 8 (8**3 against 4**3),
-    # and decoding each one's Cf list from the slots keeps the lines that
-    # reading them executes growing as fast, and no faster.
+    # and the lines that ranking them and reading the ranking back execute
+    # grow as fast, and no faster. Iterating a ranking runs no Python
+    # line, so the count is rank_and_select's.
     def work(names):
         prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names)))
         u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
         grid = propose_anchors(u, prior)
         survivors, _ = run_filters(grid, prior, u)
-        _, ranked, _ = rank_and_select(survivors, grid, prior[0].entity)
-        return len(ranked), line_events(list, ranked.cells())
+
+        def rank_and_read():
+            _, ranked, _ = rank_and_select(survivors, grid, prior[0].entity)
+            assert len(list(ranked)) == len(survivors)
+
+        return len(survivors), line_events(rank_and_read)
 
     (few, small), (many, large) = work(4), work(8)
     assert many / few == 8
     assert large < 1.1 * 8 * small, (small, large)
+
+
+def test_a_ranking_is_its_positions_and_one_count_per_transition():
+    # In both modes a ranking keeps the ranked positions and one count
+    # per transition, in preference order; iterating it pairs each
+    # position with its class, and it pickles and copies as those fields.
+    assert Ranking.__slots__ == ("positions", "sizes")
+    rng = random.Random(3030)
+    seen = {mode: 0 for mode in Mode}
+    for _ in range(200):
+        prior_cf, u = random_scene(rng)
+        try:
+            grid, survivors = surviving(prior_cf, u)
+        except UnresolvablePronoun:
+            continue
+        if not survivors or not u.markers:
+            continue
+        # Ranked unfiltered too, so that a ranking often spans classes.
+        for positions in (survivors, range(len(grid))):
+            for prev_cb, mode in product((NO_PRIOR, None, *(e.entity for e in prior_cf[:1])), Mode):
+                _, ranked, _ = rank_and_select(positions, grid, prev_cb, mode)
+                assert len(ranked.sizes) == 4 and sum(ranked.sizes) == len(ranked.positions) == len(ranked)
+                assert sorted(ranked.positions) == list(positions)
+                if mode is Mode.CLASSIC:
+                    assert ranked.sizes[2] == 0
+                pairs = list(ranked)
+                assert [p for p, _ in pairs] == list(ranked.positions)
+                ranks = [preference_rank(t) for _, t in pairs]
+                assert ranks == sorted(ranks)
+                assert [ranks.count(k) for k in range(4)] == list(ranked.sizes)
+                assert [(c.anchor.ordinal - 1, c.transition) for c in ranked_of(ranked, grid)] == pairs
+                for same in (pickle.loads(pickle.dumps(ranked)), copy.copy(ranked), copy.deepcopy(ranked)):
+                    assert same == ranked and list(same) == pairs
+                seen[mode] += len(set(ranks)) > 1
+    assert min(seen.values()) > 20, seen
+    for positions, sizes in (((1, 2), (2, 0, 0)), ((1, 2), (1, 0, 0, 0)), ((), (0, 0, 0, 1))):
+        with pytest.raises(ValueError):
+            Ranking(positions, sizes)
+
+
+def test_a_ranking_retains_its_positions_and_a_constant():
+    # 8 agreeing names and 3 pronouns leave 512 survivors in one class. The
+    # ranking keeps their positions, the survivors' own int objects, and a
+    # count per class: nothing else grows with the survivors.
+    prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(8)))
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
+    grid, survivors = surviving(prior, u)
+    rank_and_select(survivors, grid, prior[0].entity)  # warm-up
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _, ranked, _ = rank_and_select(survivors, grid, prior[0].entity)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 8**3
+    assert after - before <= sys.getsizeof(ranked.positions) + 512, (after - before, sys.getsizeof(ranked.positions))

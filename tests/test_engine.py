@@ -56,7 +56,7 @@ class TestBundledDiscourses:
         last = results[3]
         assert last.anchors_constructed == 16
         assert [v.anchor_id for v in last.verdicts if v.passed] == [2, 3]
-        assert ranked_of(last.ranked)[0].anchor.ordinal == 2
+        assert ranked_of(last.ranked, last.anchors)[0].anchor.ordinal == 2
 
     def test_laguna_seca_continuation(self):
         results = process_document(load_bundled("fig7"))
@@ -116,7 +116,7 @@ class TestStateEvolution:
         # Every anchor and verdict is kept for the trace to explain.
         assert len(second.anchors) == len(second.verdicts) == 2
         assert not any(v.passed for v in second.verdicts)
-        assert ranked_of(second.ranked) == [] and not second.tie
+        assert ranked_of(second.ranked, second.anchors) == [] and not second.tie
         assert second.cb is None
         assert [e.entity.id for e in second.cf] == ["ANN"]
 
@@ -159,7 +159,7 @@ class TestStateEvolution:
         assert second.transition is None
         # Ann's center and the null center, each with the one empty Cf list.
         assert len(second.anchors) == len(second.verdicts) == 2
-        assert ranked_of(second.ranked) == []
+        assert ranked_of(second.ranked, second.anchors) == []
         assert second.bindings is None and not second.tie
 
     def test_exactly_one_anchor_committed_per_utterance(self):
@@ -173,7 +173,8 @@ class TestStateEvolution:
                 # The step reads exactly the committed center and Cf list.
                 if prev is not None:
                     s = stages(u, prev.cf, prev.cb.entity if prev.cb is not None else None, mode)
-                    assert anchors_of(result.anchors) == s.anchors and ranked_of(result.ranked) == s.ranked
+                    assert anchors_of(result.anchors) == s.anchors
+                    assert ranked_of(result.ranked, result.anchors) == s.ranked
                     assert result.after_retention == (prev.transition is Transition.RETAINING)
                 prev = result
 
@@ -218,7 +219,7 @@ class TestModes:
         u2 = utt("She left.", pronoun("She", agr=FEM), position=2)
         second = process_discourse([u1, u2])[1]
         assert second.transition is Transition.CONTINUING
-        assert second.ranked.transitions == (Transition.CONTINUING,) * 2
+        assert [r.transition for r in ranked_of(second.ranked, second.anchors)] == [Transition.CONTINUING] * 2
         assert not second.tie and second.diagnostic_kind is None
 
     def test_classic_mode_reports_the_tie(self):

@@ -180,7 +180,7 @@ class TestRunFilters:
         # The opener reading is carried by the ranking's transitions, not the survivors.
         _, as_opener, _ = rank_and_select(survivors, anchors, NO_PRIOR)
         _, as_follower, _ = rank_and_select(survivors, anchors, None)
-        assert as_opener.transitions != as_follower.transitions and as_opener != as_follower
+        assert as_opener.positions == as_follower.positions and as_opener.sizes != as_follower.sizes
 
     def test_order_invariance_against_sequential_application(self, grid_scene):
         prior_cf, u, anchors = grid_scene
@@ -205,7 +205,7 @@ def test_grid_values_compare_by_fields():
     for value in (grid, verdicts, ranked):
         assert_value_by_fields(value)
     # Equal anchors do not make equal values: a value equals only its own type.
-    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Ranking(AnchorGrid((), ()), (), ()))
+    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Ranking((), (0, 0, 0, 0)))
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
 
