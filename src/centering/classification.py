@@ -61,7 +61,6 @@ def classify(
         raise EmptyCf("utterance has no centers to classify")
     cp = cf[0].entity
     if prev_cb is NO_PRIOR:
-        # An opener keeps the center, and a null one is its preferred center.
         return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
     same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
     cb_is_cp = cb is not None and cb.entity == cp
@@ -70,6 +69,15 @@ def classify(
     if cb_is_cp and mode is Mode.EXTENDED:
         return Transition.SHIFTING_1
     return Transition.SHIFTING
+
+
+def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfEntry | None:
+    """The center the anchor at `position` shows, making `transition`: its own, but a null
+    center that continues (only an opener's does; see `classify`) shows as its Cf list's head."""
+    cb = grid.cbs[position // grid.width]
+    if cb is None and transition is Transition.CONTINUING:
+        return grid.cf_list(position % grid.width)[0]
+    return cb
 
 
 class Ranking(Value):
@@ -110,13 +118,12 @@ def rank_and_select(
     positions, so `classify` runs once per block, on its head entry.
     The survivors are bucketed by preference in increasing grid order,
     which puts them in (preference, construction ordinal) order. `tie`
-    reports whether the top preference class holds two readings: a
-    reading is a center entity and a Cf list, so two center rows of one
-    prior entity give one. The winner is then the construction-order
-    first, leaving the ambiguity visible to callers; its Cf list is the
-    only one decoded. An opener centers its own preferred center (see
-    `classify`), so its continuing null center shows as its Cf list's
-    head. Raises NoViableAnchor when nothing survived.
+    reports whether the top preference class holds two readings, each a
+    shown center's entity and a Cf list: two center rows of one prior
+    entity give one. The winner is the construction-order first, leaving
+    the ambiguity visible to callers; it shows its `shown_center`, and
+    its Cf list is the only one decoded. Raises NoViableAnchor when
+    nothing survived.
     """
     if not survivors:
         raise NoViableAnchor("no anchor survived filtering")
@@ -138,14 +145,12 @@ def rank_and_select(
     ranked = Ranking(tuple(chain.from_iterable(buckets)), tuple(map(len, buckets)))
     top = next(filter(None, buckets))
     position, transition = next(iter(ranked))
-    cb, cf = cbs[position // width], grid.cf_list(position % width)
-    if cb is None and transition is Transition.CONTINUING:
-        cb = cf[0]
+    cb, cf = shown_center(grid, position, transition), grid.cf_list(position % width)
     tie = False
     if len(top) > 1:
-        # A reading is (center entity, column); only an opener's null center
-        # shows as its head, and an opener's grid has one row.
-        ids = [center.entity.id if center is not None else None for center in cbs]
-        reading = (ids[position // width], position % width)
-        tie = any((ids[p // width], p % width) != reading for p in top)
+        # A reading is (shown center's entity, column); the top class makes one transition.
+        shown = (shown_center(grid, p, transition) for p in top)
+        readings = ((None if c is None else c.entity.id, p % width) for c, p in zip(shown, top))
+        first = next(readings)
+        tie = any(reading != first for reading in readings)
     return (position, transition, cb, cf), ranked, tie

@@ -338,8 +338,6 @@ def parse_corpus(text: str) -> CorpusDocument:
         elif directive == "discourse":
             if doc_id is not None:
                 raise SchemaError("duplicate discourse directive", lineno)
-            if utterances or current is not None:
-                raise SchemaError("discourse directive must come first", lineno)
             if not rest:
                 raise SchemaError("discourse needs an id", lineno)
             doc_id = rest

@@ -47,11 +47,10 @@ class UtteranceResult(Value):
     """Everything recorded about one processed utterance.
 
     `transition` is None when resolution failed; `diagnostic_kind` then
-    names the failure, and otherwise is "tie" or None. `cb` keeps the
-    realizing marker, so its display shows the prior utterance's index
-    for the center (the current utterance's own preferred-center marker
-    on a discourse opener). `ranked` is empty when no anchor was
-    committed.
+    names the failure, and otherwise is "tie" or None. `cb` is the
+    center the winner shows (`shown_center`), with its realizing marker:
+    the prior utterance's, or an opener's own preferred-center marker.
+    `ranked` is empty when no anchor was committed.
     """
 
     __slots__ = (

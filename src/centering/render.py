@@ -13,6 +13,7 @@ from itertools import chain, compress, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
+from .classification import shown_center
 from .engine import UtteranceResult
 from .filters import FILTER_NAMES, SURVIVED
 from .model import CfEntry, CfList, Transition
@@ -175,19 +176,15 @@ def _structured_line(result: UtteranceResult) -> str:
     grid, labels = result.anchors, _labels(result.anchors_constructed)
     cells = []
     if result.ranked:
-        # Each center's and each slot entry's JSON is encoded once, and a Cf
-        # list's entries are joined as the product of the slots yields them.
-        centers = [encode_basestring(display_cb(cb)) for cb in grid.cbs]
+        # Each slot entry's and each non-null center's JSON is encoded once, and
+        # a Cf list's entries are joined as the product of the slots yields them.
+        centers = [encode_basestring(cb.display) if cb is not None else None for cb in grid.cbs]
         entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
         cf_lists = list(map(", ".join, product(*entries)))
         width = len(cf_lists)
         for position, transition in result.ranked:
             row, column = divmod(position, width)
-            center = centers[row]
-            if grid.cbs[row] is None and transition is Transition.CONTINUING:
-                # An opener's null center, shown as its preferred center (see
-                # rank_and_select): the head of its Cf list.
-                center = encode_basestring(grid.cf_list(column)[0].display)
+            center = centers[row] or encode_basestring(display_cb(shown_center(grid, position, transition)))
             cells.append(
                 f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
                 f'"cb": {center}, "cf": [{cf_lists[column]}]}}'

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import sys
@@ -17,6 +18,7 @@ from centering import (
     Ranking,
     Transition,
     UnresolvablePronoun,
+    UtteranceResult,
     allocate_indices,
     classify,
     load_bundled,
@@ -24,8 +26,10 @@ from centering import (
     process_utterance,
     propose_anchors,
     rank_and_select,
+    render_trace,
     run_filters,
 )
+from centering.render import display_cb
 from support import (
     FEM,
     MASC,
@@ -330,6 +334,38 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
                     top_class = sum(t is cells[0][0] for t, _, _ in cells)
                     seen["one reading"] += top_class > 1 and not tie
                     seen["one Cf list"] += tie and len({cf for t, _, cf in cells if t is cells[0][0]}) == 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
+    # One rule decides the center an anchor shows: each ranked center of a
+    # `structured` record is the one its anchor commits as the only
+    # survivor. A null center continues under NO_PRIOR and shows its Cf
+    # list's head; after a null center it shifts and shows NIL.
+    rng = random.Random(1818)
+    seen = {"opener": 0, "head": 0, "NIL": 0}
+    for _ in range(300):
+        prior_cf, u = random_scene(rng)
+        if rng.random() < 0.3:
+            prior_cf = ()
+        try:
+            grid = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        survivors, verdicts = run_filters(grid, prior_cf, u)
+        if not survivors or not u.markers:
+            continue
+        for prev_cb, mode in product((NO_PRIOR, None), Mode):
+            (_, transition, cb, cf), ranked, _ = rank_and_select(survivors, grid, prev_cb, mode)
+            result = UtteranceResult(u, transition, cb, cf, grid, verdicts, ranked, False)
+            (record,) = map(json.loads, render_trace([result], "structured").splitlines())
+            for (position, _), cell in zip(ranked, record["ranked"], strict=True):
+                (_, _, alone, _), _, _ = rank_and_select((position,), grid, prev_cb, mode)
+                assert cell["cb"] == display_cb(alone), (position, prev_cb, mode)
+                null = grid.cbs[position // grid.width] is None
+                seen["opener"] += not prior_cf
+                seen["head"] += null and alone is not None
+                seen["NIL"] += null and alone is None
     assert min(seen.values()) > 20, seen
 
 

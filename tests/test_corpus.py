@@ -345,15 +345,16 @@ class TestErrors:
             parse_corpus("discourse d\nutterance x.\nmode classic\n")
 
     @pytest.mark.parametrize(
-        "text, line",
+        "text, line, message",
         [
-            ("mode classic\ndiscourse d\nutterance x.\n", 1),
-            ("discourse d\nmode extended\n# again\nmode classic\nutterance x.\n", 4),
+            ("mode classic\ndiscourse d\nutterance x.\n", 1, "discourse directive must come first"),
+            ("discourse d\nmode extended\n# again\nmode classic\nutterance x.\n", 4, "duplicate mode directive"),
+            ("# no discourse directive\n\n# anywhere\n", 1, "missing discourse directive"),
         ],
-        ids=["before-discourse", "repeated"],
+        ids=["before-discourse", "repeated", "no-discourse"],
     )
-    def test_mode_only_once_and_after_discourse(self, text, line):
-        with pytest.raises(SchemaError) as err:
+    def test_mode_only_once_and_after_discourse(self, text, line, message):
+        with pytest.raises(SchemaError, match=message) as err:
             parse_corpus(text)
         assert err.value.line == line
 

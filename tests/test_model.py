@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from centering import (
@@ -18,15 +20,18 @@ from centering import (
     UtteranceResult,
     allocate_indices,
     load_bundled,
+    process_discourse,
     process_document,
+    render_trace,
 )
-from centering.model import GENDERS, NUMBERS, PERSONS, MarkerError, Value, unify_agreement
+from centering.model import GENDERS, NUMBERS, PERSONS, MarkerError, Value, reserved_ids, unify_agreement
 from support import (
     ADJ,
     FEM,
     MASC,
     NEUT,
     OBJ,
+    OBJ2,
     OTHER,
     SUBJ,
     _agree,
@@ -95,6 +100,12 @@ class TestRankMarkers:
 
     def test_empty(self):
         assert rank_markers([]) == []
+
+    def test_ranks_all_five_functions_from_every_file_order(self):
+        # Two functions of one rank would keep their file order instead.
+        ranked = [pronoun(f"p{i}", index=f"A{i + 1}", gf=gf) for i, gf in enumerate((SUBJ, OBJ, OBJ2, OTHER, ADJ))]
+        for order in permutations(ranked):
+            assert rank_markers(order) == ranked, [m.mid for m in order]
 
     def test_idempotent_permutation(self):
         ms = [
@@ -186,6 +197,10 @@ class TestMarkers:
             ReferenceMarker(**fields)
         assert err.value.fieldname == fieldname
 
+    def test_an_utterance_is_the_first_unless_placed(self):
+        assert Utterance("x", ()).position == 1
+        assert Utterance("x", (), 3).position == 3
+
     def test_utterance_sorts_and_rejects_duplicate_mids(self):
         u = utt("x", pronoun("her", index="A2", gf=OBJ), pronoun("She", index="A1", gf=SUBJ))
         assert [m.index for m in u.markers] == ["A1", "A2"]
@@ -194,6 +209,20 @@ class TestMarkers:
 
 
 class TestAllocateIndices:
+    def test_an_id_both_indexed_and_an_entity_stays_reserved(self):
+        # X1 is the van's explicit index and its entity id. Were it freed by
+        # being both, the anonymous car would get X1 and merge with the van.
+        discourse = [
+            utt("Ann bought a car.", name("Ann", "ANN", agr=FEM), indefinite("a car", gf=OBJ)),
+            utt("A van hit it.", indefinite("a van", "X1", index="X1", gf=SUBJ), pronoun("it", gf=OBJ, agr=NEUT),
+                position=2),
+        ]
+        assert "X1" in reserved_ids(m for u in discourse for m in u.markers)
+        car = allocate_indices(discourse)[0].markers[1]
+        assert (car.index, car.entity.id) == ("X2", "X2")
+        second = render_trace(process_discourse(discourse)).split("\n\n")[1]
+        assert second == "SHIFTING...\nU2: A van hit it.\nCb: [X2:a car]\nCf: ([X1:a van] [X2:A1])"
+
     def test_first_pronoun_gets_a1(self):
         u1, u2 = allocate_indices([
             utt("She left.", pronoun("She", agr=FEM)),
