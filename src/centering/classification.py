@@ -36,9 +36,13 @@ class NoViableAnchor(Exception):
 
 
 # Transition's declaration order is the preference order. Iterating an
-# Enum class runs Python code, so the hot paths read this tuple instead.
+# Enum class runs Python code, and reading a member off one costs about
+# five plain attribute reads, so the hot paths read these instead.
 _BY_PREFERENCE = tuple(Transition)
 _PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
+_CONTINUING, _RETAINING = Transition.CONTINUING, Transition.RETAINING
+_SHIFTING_1, _SHIFTING = Transition.SHIFTING_1, Transition.SHIFTING
+_CLASSIC, _EXTENDED = Mode.CLASSIC, Mode.EXTENDED
 
 
 def classify(
@@ -55,27 +59,27 @@ def classify(
     ("classic", "extended"). Raises ValueError on any other mode, and
     EmptyCf on an empty `cf`.
     """
-    if mode is not Mode.EXTENDED and mode is not Mode.CLASSIC:
+    if mode is not _EXTENDED and mode is not _CLASSIC:
         mode = Mode(mode)
     if not cf:
         raise EmptyCf("utterance has no centers to classify")
     cp = cf[0].entity
     if prev_cb is NO_PRIOR:
-        return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
+        return _CONTINUING if cb is None or cb.entity == cp else _RETAINING
     same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
     cb_is_cp = cb is not None and cb.entity == cp
     if same_cb:
-        return Transition.CONTINUING if cb_is_cp else Transition.RETAINING
-    if cb_is_cp and mode is Mode.EXTENDED:
-        return Transition.SHIFTING_1
-    return Transition.SHIFTING
+        return _CONTINUING if cb_is_cp else _RETAINING
+    if cb_is_cp and mode is _EXTENDED:
+        return _SHIFTING_1
+    return _SHIFTING
 
 
 def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfEntry | None:
     """The center the anchor at `position` shows, making `transition`: its own, but a null
     center that continues (only an opener's does; see `classify`) shows as its Cf list's head."""
     cb = grid.cbs[position // grid.width]
-    if cb is None and transition is Transition.CONTINUING:
+    if cb is None and transition is _CONTINUING:
         return grid.cf_list(position % grid.width)[0]
     return cb
 
@@ -132,19 +136,23 @@ def rank_and_select(
     head_slot = grid.slots[0] if grid.slots else ()
     heads = len(head_slot) or 1
     tail = width // heads
-    buckets: list[list[int]] = [[] for _ in _BY_PREFERENCE]
-    bucket_of: dict[int, list[int]] = {}
+    # One bucket per transition, in preference order; sorted, a block's
+    # survivors are consecutive, so `classify` runs when the block changes.
+    buckets: list[list[int]] = [[], [], [], []]
+    best = len(buckets)
+    block = None
     for position in sorted(survivors):
-        block = position // tail
-        bucket = bucket_of.get(block)
-        if bucket is None:
+        if position // tail != block:
+            block = position // tail
             row, head = divmod(block, heads)
-            transition = classify(cbs[row], head_slot[head : head + 1], prev_cb, mode)
-            bucket = bucket_of[block] = buckets[_PREFERENCE[transition]]
+            rank = _PREFERENCE[classify(cbs[row], head_slot[head : head + 1], prev_cb, mode)]
+            bucket = buckets[rank]
+            if rank < best:
+                best = rank
         bucket.append(position)
     ranked = Ranking(tuple(chain.from_iterable(buckets)), tuple(map(len, buckets)))
-    top = next(filter(None, buckets))
-    position, transition = next(iter(ranked))
+    top, transition = buckets[best], _BY_PREFERENCE[best]
+    position = top[0]
     cb, cf = shown_center(grid, position, transition), grid.cf_list(position % width)
     tie = False
     if len(top) > 1:

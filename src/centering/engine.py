@@ -100,8 +100,11 @@ class UtteranceResult(Value):
 # No center, and one slot without entries: a pronoun with no candidate
 # leaves no Cf list, so a failed utterance's grid holds no anchor.
 _NO_ANCHORS = AnchorGrid((), ((),))
-_NO_VERDICTS = FilterVerdicts(b"")
+_NO_VERDICTS = FilterVerdicts(0, 0, (), ())
 _NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
+# Reading an Enum member off its class costs about five plain attribute
+# reads; each utterance reads these instead.
+_CLASSIC, _EXTENDED, _RETAINING = Mode.CLASSIC, Mode.EXTENDED, Transition.RETAINING
 
 
 def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
@@ -113,12 +116,13 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     `allocate_indices` leaves it; a missing one raises ValueError, and so
     does a `mode` that is neither a Mode nor a Mode's value.
     """
-    mode = Mode(mode)
+    if mode is not _EXTENDED and mode is not _CLASSIC:
+        mode = Mode(mode)
     if prev is None:
         prev_cb, prior_cf, after_retention = NO_PRIOR, (), False
     else:
         prev_cb = prev.cb.entity if prev.cb is not None else None
-        prior_cf, after_retention = prev.cf, prev.transition is Transition.RETAINING
+        prior_cf, after_retention = prev.cf, prev.transition is _RETAINING
     anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
     kind = message = None
     try:

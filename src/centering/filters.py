@@ -16,22 +16,26 @@ grid's product, and a fixed (non-pronoun) marker binds its entity in
 every Cf list. Contraindexing, the entity that tops each Cf list under
 constraint 3 and the Cf lists where rule 1 applies are then unions,
 intersections and differences of selectors. Everything but the center
-is shared by a grid's rows, so a center's row of verdicts is one int
-written out with `to_bytes`. A verdict records every violated
-filter, not just the first; the verdicts are kept as one byte of filter
-bits per anchor, and the survivors as a plain tuple of their increasing
-grid positions.
+is shared by a grid's rows: a row's verdicts are `failed`, the filters
+some center fails, less what its center entity passes, one selector per
+entity. The verdicts keep those selectors and each row's entity, and
+write one byte of filter bits per anchor only when `.masks` is read. A
+verdict records every violated filter, not just the first. Under
+constraint 3 only the rows of an entity that tops some Cf list can hold
+survivors, so only those rows are visited for them; the survivors are a
+plain tuple of their increasing grid positions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import compress, count
-from operator import attrgetter
 
-from .model import AnchorGrid, CfList, Utterance, Value
+from .model import AnchorGrid, CfList, MarkerKind, Utterance, Value
 
-_entity_id = attrgetter("entity.id")
+# Read once per marker: cheaper than the `is_pronoun` property, or than
+# reading the member off the Enum class.
+_PRONOUN = MarkerKind.PRONOUN
 
 FILTER_NAMES = ("contra", "constraint3", "rule1")
 
@@ -54,25 +58,37 @@ _ELIMINATED = tuple(
     frozenset(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
     for mask in range(1 << len(FILTER_NAMES))
 )
-# Verdict masks translated to 1 where no filter's bit is set: the survivors.
-SURVIVED = bytes(mask == 0 for mask in range(256))
 
 
 class FilterVerdicts(Value):
-    """The verdicts on an AnchorGrid's anchors, in ordinal order.
+    """The verdicts on an AnchorGrid's anchors, kept as the selectors they
+    come from.
 
-    `masks[i]` holds the verdict on the anchor with ordinal i + 1: bit b
-    is set iff filter FILTER_NAMES[b] eliminated it, so 0 means it
-    survived.
+    `failed` is a selector of `width` bytes, one per Cf list in grid
+    order (see `run_filters`), each setting the bit of every filter that
+    some center fails in that Cf list. `centers` holds each center row's
+    entity id, None for the null center, and `passes` pairs an entity
+    with the selector of the bits among those that it passes; an entity
+    not listed passes none. Row r's verdicts are `failed` less what its
+    entity passes. `masks` writes them out on each read: `masks[i]` holds
+    the verdict on the anchor with ordinal i + 1: bit b is set iff filter
+    FILTER_NAMES[b] eliminated it, so 0 means it survived. `len()` counts
+    the anchors without writing any.
     """
 
-    __slots__ = ("masks",)
+    __slots__ = ("width", "failed", "centers", "passes")
 
-    def __init__(self, masks: bytes) -> None:
-        self._set(masks)
+    def __init__(self, width: int, failed: int, centers: tuple[str | None, ...],
+                 passes: tuple[tuple[str | None, int], ...]) -> None:
+        self._set(width, failed, centers, passes)
+
+    @property
+    def masks(self) -> bytes:
+        width, failed, passed = self.width, self.failed, dict(self.passes).get
+        return b"".join([(failed ^ passed(eid, 0)).to_bytes(width, "big") for eid in self.centers])
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.centers) * self.width
 
     def __iter__(self) -> Iterator[FilterVerdict]:
         # The benchmark's tracer counts eliminations per filter through this.
@@ -96,7 +112,7 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     per Cf list in grid order, are 1 where the fact holds and 0 where it
     does not. Bytes of 0 and 1 carry nothing into each other under |, &,
     ^ and shifts by up to 7, so each operation decides every Cf list at
-    once, and a center's row of verdict bytes is one `to_bytes`.
+    once, and a center row's verdict bytes, when read, are one `to_bytes`.
     """
     if len(grid.slots) != len(u.markers):
         raise ValueError(f"the grid has {len(grid.slots)} slots for {len(u.markers)} markers")
@@ -113,12 +129,12 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # entries once per combination of the earlier slots' entries.
     repeats = 1
     for m, slot in zip(u.markers, grid.slots):
-        if not m.is_pronoun:
+        if m.kind is not _PRONOUN:
             if len(slot) != 1:
                 raise ValueError(f"marker {m.mid!r} is not a pronoun, but its slot holds {len(slot)} entries")
             fixed[m.mid] = slot[0].entity.id
             continue
-        ids = [*map(_entity_id, slot)]
+        ids = [entry.entity.id for entry in slot]
         run = width // (repeats * len(ids)) if width else 0
         runs = (bytes(run), b"\1" * run)
         # An entity's selector: the slot's runs, of 1 where the slot's entry
@@ -152,18 +168,18 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # Constraint 3: the prior entities in prominence order each top the
     # Cf lists that bind them and no entity ahead, up to the first that a
     # fixed marker realizes, which tops the rest; null tops them when no
-    # fixed marker realizes a prior entity.
-    prior_ids = dict.fromkeys(map(_entity_id, prior_cf))
+    # fixed marker realizes a prior entity. Only the prior entities that
+    # some marker realizes are visited.
+    prior_ids = {entry.entity.id: None for entry in prior_cf}
     fixed_ids = set(fixed.values())
     tops: dict[str | None, int] = {}
     covered = 0
-    for pid in prior_ids:
+    for pid in filter(fixed_ids.union(bound).__contains__, prior_ids):
         if pid in fixed_ids:
             tops[pid] = ones ^ covered
             break
-        if pid in bound:
-            tops[pid] = bound[pid] & ~covered
-            covered |= tops[pid]
+        tops[pid] = bound[pid] & ~covered
+        covered |= tops[pid]
     else:
         tops[None] = ones ^ covered
     # Rule 1: where a pronoun binds a prior entity, no pronoun binds the center.
@@ -171,11 +187,24 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     for eid, sel in bound.items():
         if eid in prior_ids:
             bound_prior |= sel
-    # Every filter failed, less what each center passes; one row per center.
+    # Every filter failed, less what each center entity passes: its rule 1
+    # where a pronoun binds it, its constraint 3 where it tops.
     failed = contra | ones << 1 | bound_prior << 2
-    cb_ids = [cb.entity.id if cb is not None else None for cb in grid.cbs]
-    masks = b"".join([
-        (failed ^ tops.get(cb_id, 0) << 1 ^ (bound_prior & bound.get(cb_id, 0)) << 2).to_bytes(width, "big")
-        for cb_id in cb_ids
-    ])
-    return tuple(compress(count(), masks.translate(SURVIVED))), FilterVerdicts(masks)
+    centers = tuple([cb.entity.id if cb is not None else None for cb in grid.cbs])
+    passes: dict[str | None, int] = {}
+    for eid, sel in bound.items():
+        passes[eid] = (bound_prior & sel) << 2
+    # Only the rows of an entity that tops some Cf list hold survivors: in
+    # the Cf lists it tops, where contra and rule 1 pass too.
+    survivors: list[int] = []
+    for eid, top in tops.items():
+        passes[eid] = passes.get(eid, 0) ^ top << 1
+        kept = top & ~(contra | bound_prior & ~bound.get(eid, 0))
+        if kept:
+            columns = kept.to_bytes(width, "big")
+            row = -1
+            for _ in range(centers.count(eid)):
+                row = centers.index(eid, row + 1)
+                survivors += compress(count(row * width), columns)
+    survivors.sort()  # the rows of two entities may interleave
+    return tuple(survivors), FilterVerdicts(width, failed, centers, tuple(passes.items()))

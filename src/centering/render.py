@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from .classification import shown_center
 from .engine import UtteranceResult
-from .filters import FILTER_NAMES, SURVIVED
+from .filters import FILTER_NAMES
 from .model import CfEntry, CfList, Transition
 
 # Roman digits by place value; thousands are repeated "m"s.
@@ -51,10 +51,11 @@ def _labels(n: int) -> list[str]:
 
 
 # Verdict masks (see FilterVerdicts) translated to 1 where a filter's bit
-# is set.
+# is set, and to 1 where none is: the survivors.
 _HAS_BIT = {
     name: bytes(mask >> bit & 1 for mask in range(256)) for bit, name in enumerate(FILTER_NAMES)
 }
+_SURVIVED = bytes(mask == 0 for mask in range(256))
 # What `--dump-anchors` writes after the entries of an anchor's Cf list,
 # by verdict mask: the close of the anchor, then the filters that
 # eliminated it, and nothing for a survivor, whose transition comes from
@@ -82,21 +83,22 @@ def _binding_line(result: UtteranceResult) -> str:
     return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf if e.marker.is_pronoun)
 
 
-def _labels_by_filter(result: UtteranceResult, labels: list[str]) -> tuple[dict[str, list[str]], list[str]]:
+def _labels_by_filter(masks: bytes, labels: list[str]) -> tuple[dict[str, list[str]], list[str]]:
     """Roman labels of the eliminated anchors per filter, and of the
-    survivors; `labels` holds at least those of the result's anchors."""
-    masks = result.verdicts.masks
+    survivors, from a result's verdict `masks`; `labels` holds at least
+    those of its anchors."""
     eliminated = {name: list(compress(labels, masks.translate(has))) for name, has in _HAS_BIT.items()}
-    return eliminated, list(compress(labels, masks.translate(SURVIVED)))
+    return eliminated, list(compress(labels, masks.translate(_SURVIVED)))
 
 
-def _anchor_dump(result: UtteranceResult) -> str:
+def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
     """One line per anchor, in grid order: its label, `<center, Cf list>`,
-    and either the filters that eliminated it or, for a ranked survivor,
-    its transition, with `<- selected` on the winner."""
+    and either the filters that eliminated it, by its verdict in `masks`,
+    or, for a ranked survivor, its transition, with `<- selected` on the
+    winner."""
     grid = result.anchors
     ranked = result.ranked
-    notes = [_MASK_NOTES[mask] for mask in result.verdicts.masks]
+    notes = [_MASK_NOTES[mask] for mask in masks]
     for position, transition in ranked:
         notes[position] = _TRANSITION_NOTES[transition]
     if ranked:
@@ -112,8 +114,8 @@ def _anchor_dump(result: UtteranceResult) -> str:
     )
 
 
-def _filter_explain(result: UtteranceResult) -> str:
-    eliminated, survivors = _labels_by_filter(result, _labels(len(result.verdicts)))
+def _filter_explain(result: UtteranceResult, masks: bytes) -> str:
+    eliminated, survivors = _labels_by_filter(masks, _labels(len(masks)))
     lines = ["filters:"]
     for name, labels in eliminated.items():
         lines.append(f"  {name}: " + (" ".join(labels) if labels else "-"))
@@ -138,10 +140,12 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
         binding = _binding_line(r)
         if binding:
             paragraphs.append(binding)
+        # Verdict masks are written on each read: once a result.
+        masks = r.verdicts.masks if dump_anchors or explain else b""
         if dump_anchors and r.anchors:
-            paragraphs.append(_anchor_dump(r))
+            paragraphs.append(_anchor_dump(r, masks))
         if explain and r.verdicts:
-            paragraphs.append(_filter_explain(r))
+            paragraphs.append(_filter_explain(r, masks))
         if r.tie:
             paragraphs.append(f"** tie: {r.diagnostic}")
     return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
@@ -200,7 +204,7 @@ def _structured_line(result: UtteranceResult) -> str:
     diagnostic = "null"
     if result.diagnostic_kind is not None:
         diagnostic = f'{{"kind": {_json_str(result.diagnostic_kind)}, "message": {_json_str(result.diagnostic)}}}'
-    eliminated, survivors = _labels_by_filter(result, labels)
+    eliminated, survivors = _labels_by_filter(result.verdicts.masks, labels)
     by_filter = ", ".join([f"{encode_basestring(name)}: {_json_labels(names)}" for name, names in eliminated.items()])
     transition = result.transition.value if result.transition is not None else None
     return (

@@ -87,6 +87,15 @@ class TestClassify:
         assert classify(ii.cb, ii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
         assert classify(iii.cb, iii.cf, prev_cb, Mode.CLASSIC) is Transition.SHIFTING
 
+    def test_a_mode_is_a_mode_or_its_value(self):
+        # A Mode's value types as the Mode does; any other mode is refused.
+        prior_cf, u, prev_cb = race_scene()
+        ii, _ = stages(u, prior_cf, prev_cb).survivors
+        assert classify(ii.cb, ii.cf, prev_cb, "extended") is Transition.SHIFTING_1
+        assert classify(ii.cb, ii.cf, prev_cb, "classic") is Transition.SHIFTING
+        with pytest.raises(ValueError):
+            classify(ii.cb, ii.cf, prev_cb, "bogus")
+
     def test_retaining_when_center_kept_but_not_preferred(self):
         # "She doesn't believe him": center stays POLLARD, Cp is FRIEDMAN.
         pollard = Entity("POLLARD", name="Carl")

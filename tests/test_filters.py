@@ -14,8 +14,12 @@ from centering import (
     Ranking,
     ReferenceMarker,
     UnresolvablePronoun,
+    bundled_corpora,
+    load_bundled,
+    process_document,
     propose_anchors,
     rank_and_select,
+    render_trace,
     run_filters,
 )
 from support import (
@@ -189,6 +193,29 @@ class TestRunFilters:
             assert remaining == anchors_of(anchors, survivors)
 
 
+def test_verdicts_write_their_masks_on_each_read_and_a_render_reads_them_once(monkeypatch):
+    # The masks are no field: each read writes them afresh, so a render
+    # reads a result's once, though --dump-anchors and --explain both list
+    # its verdicts.
+    prior_cf, u, _ = race_scene()
+    _, verdicts = run_filters(propose_anchors(u, prior_cf), prior_cf, u)
+    assert "masks" not in FilterVerdicts.__slots__ and verdicts.masks is not verdicts.masks
+    written = FilterVerdicts.masks.fget
+    reads = Counter()
+
+    def counted(verdicts):
+        reads["masks"] += 1
+        return written(verdicts)
+
+    monkeypatch.setattr(FilterVerdicts, "masks", property(counted))
+    for corpus in bundled_corpora():
+        results = process_document(load_bundled(corpus))
+        for format, flags in (("figure", {"dump_anchors": True, "explain": True}), ("structured", {})):
+            reads.clear()
+            render_trace(results, format, **flags)
+            assert reads["masks"] == len(results), (corpus, format)
+
+
 def test_grid_values_compare_by_fields():
     # The grid, verdicts and ranking of the 16-anchor scene compare, hash
     # and print by their fields.
@@ -205,7 +232,7 @@ def test_grid_values_compare_by_fields():
     for value in (grid, verdicts, ranked):
         assert_value_by_fields(value)
     # Equal anchors do not make equal values: a value equals only its own type.
-    empty = (AnchorGrid((), ()), FilterVerdicts(b""), Ranking((), (0, 0, 0, 0)))
+    empty = (AnchorGrid((), ()), FilterVerdicts(0, 0, (), ()), Ranking((), (0, 0, 0, 0)))
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
 
@@ -372,6 +399,31 @@ def test_run_filters_work_grows_with_the_slots_not_the_anchors():
     many, large = work(8)
     assert many / few == 14.4
     assert large < 4 * small, (small, large)
+
+
+def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
+    # Three `she` after two agreeing names and 4 or 12 names they cannot
+    # agree with: the Cf lists are the same 8, the center rows 7 or 15.
+    # Only the rows of an entity that tops a Cf list hold survivors, so
+    # the lines that filtering and ranking execute stay nearly the same.
+    def work(others):
+        prior = cf_of(
+            *(name(f"F{i}", f"F{i}", agr=FEM) for i in range(2)),
+            *(name(f"M{i}", f"M{i}", agr=MASC) for i in range(others)),
+        )
+        u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
+        grid = propose_anchors(u, prior)
+
+        def filter_and_rank():
+            survivors, _ = run_filters(grid, prior, u)
+            rank_and_select(survivors, grid, prior[0].entity)
+            return survivors
+
+        return len(grid.cbs), filter_and_rank(), line_events(filter_and_rank)
+
+    (few, kept, small), (many, same, large) = work(4), work(12)
+    assert (few, many, len(kept)) == (7, 15, 8) and kept == same
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_eighteen_pronouns_over_two_names():
