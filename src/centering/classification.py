@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain, repeat
 
-from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value
+from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value, as_mode
 
 
 class _NoPrior:
@@ -36,13 +36,9 @@ class NoViableAnchor(Exception):
 
 
 # Transition's declaration order is the preference order. Iterating an
-# Enum class runs Python code, and reading a member off one costs about
-# five plain attribute reads, so the hot paths read these instead.
+# Enum class runs Python code, so the hot paths read this tuple instead.
 _BY_PREFERENCE = tuple(Transition)
 _PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
-_CONTINUING, _RETAINING = Transition.CONTINUING, Transition.RETAINING
-_SHIFTING_1, _SHIFTING = Transition.SHIFTING_1, Transition.SHIFTING
-_CLASSIC, _EXTENDED = Mode.CLASSIC, Mode.EXTENDED
 
 
 def classify(
@@ -59,27 +55,26 @@ def classify(
     ("classic", "extended"). Raises ValueError on any other mode, and
     EmptyCf on an empty `cf`.
     """
-    if mode is not _EXTENDED and mode is not _CLASSIC:
-        mode = Mode(mode)
+    mode = as_mode(mode)
     if not cf:
         raise EmptyCf("utterance has no centers to classify")
     cp = cf[0].entity
     if prev_cb is NO_PRIOR:
-        return _CONTINUING if cb is None or cb.entity == cp else _RETAINING
+        return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
     same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
     cb_is_cp = cb is not None and cb.entity == cp
     if same_cb:
-        return _CONTINUING if cb_is_cp else _RETAINING
-    if cb_is_cp and mode is _EXTENDED:
-        return _SHIFTING_1
-    return _SHIFTING
+        return Transition.CONTINUING if cb_is_cp else Transition.RETAINING
+    if cb_is_cp and mode is Mode.EXTENDED:
+        return Transition.SHIFTING_1
+    return Transition.SHIFTING
 
 
 def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfEntry | None:
     """The center the anchor at `position` shows, making `transition`: its own, but a null
     center that continues (only an opener's does; see `classify`) shows as its Cf list's head."""
     cb = grid.cbs[position // grid.width]
-    if cb is None and transition is _CONTINUING:
+    if cb is None and transition is Transition.CONTINUING:
         return grid.cf_list(position % grid.width)[0]
     return cb
 

@@ -30,6 +30,7 @@ from .model import (
     Utterance,
     Value,
     allocate_indices,
+    as_mode,
 )
 
 DIAG_UNRESOLVABLE = "unresolvable-pronoun"
@@ -102,9 +103,6 @@ class UtteranceResult(Value):
 _NO_ANCHORS = AnchorGrid((), ((),))
 _NO_VERDICTS = FilterVerdicts(0, 0, (), ())
 _NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
-# Reading an Enum member off its class costs about five plain attribute
-# reads; each utterance reads these instead.
-_CLASSIC, _EXTENDED, _RETAINING = Mode.CLASSIC, Mode.EXTENDED, Transition.RETAINING
 
 
 def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
@@ -116,13 +114,12 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     `allocate_indices` leaves it; a missing one raises ValueError, and so
     does a `mode` that is neither a Mode nor a Mode's value.
     """
-    if mode is not _EXTENDED and mode is not _CLASSIC:
-        mode = Mode(mode)
+    mode = as_mode(mode)
     if prev is None:
         prev_cb, prior_cf, after_retention = NO_PRIOR, (), False
     else:
         prev_cb = prev.cb.entity if prev.cb is not None else None
-        prior_cf, after_retention = prev.cf, prev.transition is _RETAINING
+        prior_cf, after_retention = prev.cf, prev.transition is Transition.RETAINING
     anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
     kind = message = None
     try:

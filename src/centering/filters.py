@@ -19,7 +19,7 @@ intersections and differences of selectors. Everything but the center
 is shared by a grid's rows: a row's verdicts are `failed`, the filters
 some center fails, less what its center entity passes, one selector per
 entity. The verdicts keep those selectors and each row's entity, and
-write one byte of filter bits per anchor only when `.masks` is read. A
+write one byte of filter bits per anchor only when `.masks()` is called. A
 verdict records every violated filter, not just the first. Under
 constraint 3 only the rows of an entity that tops some Cf list can hold
 survivors, so only those rows are visited for them; the survivors are a
@@ -31,11 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import compress, count
 
-from .model import AnchorGrid, CfList, MarkerKind, Utterance, Value
-
-# Read once per marker: cheaper than the `is_pronoun` property, or than
-# reading the member off the Enum class.
-_PRONOUN = MarkerKind.PRONOUN
+from .model import AnchorGrid, CfList, Utterance, Value
 
 FILTER_NAMES = ("contra", "constraint3", "rule1")
 
@@ -70,10 +66,8 @@ class FilterVerdicts(Value):
     entity id, None for the null center, and `passes` pairs an entity
     with the selector of the bits among those that it passes; an entity
     not listed passes none. Row r's verdicts are `failed` less what its
-    entity passes. `masks` writes them out on each read: `masks[i]` holds
-    the verdict on the anchor with ordinal i + 1: bit b is set iff filter
-    FILTER_NAMES[b] eliminated it, so 0 means it survived. `len()` counts
-    the anchors without writing any.
+    entity passes. `masks()` writes them out, one byte per anchor, on
+    each call. `len()` counts the anchors without writing any.
     """
 
     __slots__ = ("width", "failed", "centers", "passes")
@@ -82,8 +76,10 @@ class FilterVerdicts(Value):
                  passes: tuple[tuple[str | None, int], ...]) -> None:
         self._set(width, failed, centers, passes)
 
-    @property
     def masks(self) -> bytes:
+        """The verdicts, written afresh: byte i holds the verdict on the
+        anchor with ordinal i + 1, where bit b is set iff filter
+        FILTER_NAMES[b] eliminated it, so 0 means it survived."""
         width, failed, passed = self.width, self.failed, dict(self.passes).get
         return b"".join([(failed ^ passed(eid, 0)).to_bytes(width, "big") for eid in self.centers])
 
@@ -92,7 +88,7 @@ class FilterVerdicts(Value):
 
     def __iter__(self) -> Iterator[FilterVerdict]:
         # The benchmark's tracer counts eliminations per filter through this.
-        for i, mask in enumerate(self.masks):
+        for i, mask in enumerate(self.masks()):
             yield FilterVerdict(i + 1, _ELIMINATED[mask])
 
 
@@ -129,7 +125,7 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # entries once per combination of the earlier slots' entries.
     repeats = 1
     for m, slot in zip(u.markers, grid.slots):
-        if m.kind is not _PRONOUN:
+        if not m.is_pronoun:
             if len(slot) != 1:
                 raise ValueError(f"marker {m.mid!r} is not a pronoun, but its slot holds {len(slot)} entries")
             fixed[m.mid] = slot[0].entity.id

@@ -47,6 +47,11 @@ class MarkerKind(Enum):
     __hash__ = object.__hash__
 
 
+# Reading a member off an Enum class costs about five plain attribute
+# reads (CPython 3.11); what runs per marker or per utterance reads a
+# module constant instead.
+_PRONOUN = MarkerKind.PRONOUN
+
 # The index series of each kind that draws from one; names and definites
 # are indexed by their surface string instead.
 INDEX_SERIES = {MarkerKind.PRONOUN: "A", MarkerKind.INDEFINITE: "X"}
@@ -71,6 +76,16 @@ class Mode(Enum):
 
     CLASSIC = "classic"
     EXTENDED = "extended"
+
+
+_CLASSIC, _EXTENDED = Mode.CLASSIC, Mode.EXTENDED  # as _PRONOUN
+
+
+def as_mode(mode: Mode | str) -> Mode:
+    """`mode` itself if it is a Mode, else the Mode whose value it is
+    ("classic", "extended"); raises ValueError on any other value. A
+    member skips the call to `Mode`, an `Enum.__call__`."""
+    return mode if mode is _EXTENDED or mode is _CLASSIC else Mode(mode)
 
 
 class Transition(Enum):
@@ -238,7 +253,7 @@ class ReferenceMarker(Value):
         if isinstance(contra, str):
             raise MarkerError(f"contra must be a collection of marker ids, got the string {contra!r}", "contra")
         contra = frozenset(contra)
-        if kind is MarkerKind.PRONOUN and entity is not None:
+        if kind is _PRONOUN and entity is not None:
             raise MarkerError("pronouns cannot carry an entity id", "entity")
         pattern = _INDEX_PATTERNS.get(kind)
         if pattern is None:
@@ -259,7 +274,7 @@ class ReferenceMarker(Value):
 
     @property
     def is_pronoun(self) -> bool:
-        return self.kind is MarkerKind.PRONOUN
+        return self.kind is _PRONOUN
 
 
 class Utterance(Value):

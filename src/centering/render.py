@@ -140,8 +140,8 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
         binding = _binding_line(r)
         if binding:
             paragraphs.append(binding)
-        # Verdict masks are written on each read: once a result.
-        masks = r.verdicts.masks if dump_anchors or explain else b""
+        # Each call writes the verdict masks afresh: once a result.
+        masks = r.verdicts.masks() if dump_anchors or explain else b""
         if dump_anchors and r.anchors:
             paragraphs.append(_anchor_dump(r, masks))
         if explain and r.verdicts:
@@ -204,7 +204,7 @@ def _structured_line(result: UtteranceResult) -> str:
     diagnostic = "null"
     if result.diagnostic_kind is not None:
         diagnostic = f'{{"kind": {_json_str(result.diagnostic_kind)}, "message": {_json_str(result.diagnostic)}}}'
-    eliminated, survivors = _labels_by_filter(result.verdicts.masks, labels)
+    eliminated, survivors = _labels_by_filter(result.verdicts.masks(), labels)
     by_filter = ", ".join([f"{encode_basestring(name)}: {_json_labels(names)}" for name, names in eliminated.items()])
     transition = result.transition.value if result.transition is not None else None
     return (

@@ -8,12 +8,13 @@ annotations` they are never evaluated, so their mutants cannot be
 killed. For each mutant the script writes the changed module into a copy
 of the repository made with `git archive`, never into the working tree,
 and runs `pytest -x tests` there, less this script's own tests, with a
-timeout. A mutant survives when the tests still pass.
+timeout of TIMEOUT seconds a run. A mutant survives when the tests still
+pass. The copy is of the committed tree, HEAD: commit a change before
+checking it.
 
 Usage (from the repository root; a full module takes minutes to an hour):
 
     python tests/mutants.py src/centering/filters.py src/centering/classification.py
-    python tests/mutants.py --rev HEAD~1 --timeout 300 src/centering/model.py
 
 It prints each survivor by (file, line, operator), with "#n" after an
 operator that its line holds more than once. A survivor listed in
@@ -39,6 +40,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 EQUIVALENT = Path(__file__).resolve().with_name("mutants_equivalent.txt")
+# Seconds a pytest run may take; a mutant that loops forever fails there.
+TIMEOUT = 600
 
 _COMPARE = {
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Lt: ("<", ">="), ast.LtE: ("<=", ">"),
@@ -84,14 +87,16 @@ def _find(text: bytes, token: str, start: int, end: int) -> int:
     """The offset of the operator `token` in text[start:end], the gap
     between two operands, which holds only it, blanks, brackets and
     comments."""
-    gap = text[start:end].decode("utf-8")
-    # Skip comments: an operator never follows a "#" on its line in a gap.
-    lines = [line.split("#", 1)[0] for line in gap.split("\n")]
-    cleaned = "\n".join(lines)
-    at = cleaned.find(token)
+    # Blank out comments byte for byte, so that offsets in the gap stay
+    # those of `text`: an operator never follows a "#" on its line here.
+    lines = []
+    for line in text[start:end].split(b"\n"):
+        comment = line.find(b"#")
+        lines.append(line if comment < 0 else line[:comment] + b" " * (len(line) - comment))
+    at = b"\n".join(lines).find(token.encode("utf-8"))
     if at < 0:
         raise ValueError(f"no {token!r} between offsets {start} and {end}")
-    return start + len(cleaned[:at].encode("utf-8"))
+    return start + at
 
 
 def enumerate_mutants(source: str) -> list[Mutant]:
@@ -156,7 +161,11 @@ def enumerate_mutants(source: str) -> list[Mutant]:
 
 
 def apply(source: str, mutant: Mutant) -> str:
+    """`source` with `mutant`'s bytes replaced; raises ValueError when
+    they do not hold its operator or constant."""
     text = source.encode("utf-8")
+    if text[mutant.start : mutant.end] != mutant.old.encode("utf-8"):
+        raise ValueError(f"line {mutant.line} holds {text[mutant.start : mutant.end]!r} where {mutant.old!r} was found")
     return (text[: mutant.start] + mutant.new.encode("utf-8") + text[mutant.end :]).decode("utf-8")
 
 
@@ -183,8 +192,8 @@ def load_equivalent(path: Path = EQUIVALENT) -> dict[tuple[str, str, str, int], 
     return listed
 
 
-def _checkout(rev: str, into: Path) -> None:
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+def _checkout(into: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, capture_output=True, check=True)
     with tempfile.TemporaryFile() as tar:
         tar.write(archive.stdout)
         tar.seek(0)
@@ -193,15 +202,15 @@ def _checkout(rev: str, into: Path) -> None:
             opened.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def _passes(copy: Path, timeout: float) -> bool:
-    """Whether `pytest -x tests` passes in `copy`; a run over the timeout fails."""
+def _passes(copy: Path) -> bool:
+    """Whether `pytest -x tests` passes in `copy`; a run over TIMEOUT fails."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     # test_mutants.py checks this script and its list against the source
     # text, which a mutant changes; it tests the tool, not the program.
     command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "--ignore=tests/test_mutants.py", "tests"]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -210,16 +219,14 @@ def _passes(copy: Path, timeout: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="paths under the repository root, such as src/centering/filters.py")
-    parser.add_argument("--rev", default="HEAD", help="the revision to copy with git archive (default HEAD)")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per pytest run (default 600)")
     args = parser.parse_args(argv)
     equivalent = load_equivalent()
     findings = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch)
-        _checkout(args.rev, copy)
-        if not _passes(copy, args.timeout):
-            print(f"the tests fail at {args.rev} before any mutation", file=sys.stderr)
+        _checkout(copy)
+        if not _passes(copy):
+            print("the tests fail at HEAD before any mutation", file=sys.stderr)
             return 2
         for path in args.modules:
             target = copy / path
@@ -230,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
                 for mutant in mutants:
                     target.write_text(apply(source, mutant), encoding="utf-8")
                     shutil.rmtree(target.parent / "__pycache__", ignore_errors=True)
-                    if _passes(copy, args.timeout):
+                    if _passes(copy):
                         survivors.append(mutant)
             finally:
                 target.write_text(source, encoding="utf-8")

@@ -376,7 +376,7 @@ def oracle_anchor_dump(result: UtteranceResult) -> str:
     transition_at = {r.anchor.ordinal - 1: r.transition for r in ranked}
     winner = ranked[0].anchor.ordinal - 1 if ranked else None
     lines = [f"anchors ({len(result.anchors)}):"]
-    for anchor, mask in zip(anchors_of(result.anchors), result.verdicts.masks):
+    for anchor, mask in zip(anchors_of(result.anchors), result.verdicts.masks()):
         position = anchor.ordinal - 1
         if mask:
             note = "eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)

@@ -348,18 +348,9 @@ def test_a_grid_keeps_its_slots_and_no_cf_list():
     assert after - before < 16 * 2**10, after - before
 
 
-def test_verdicts_keep_a_selector_per_center_entity_and_write_masks_when_read():
-    # Six `she` after six agreeing names and six names they cannot agree
-    # with: 13 center rows of 6**6 Cf lists. The verdicts keep `failed` and
-    # a pass selector per entity a pronoun binds, 7 selectors of 6**6
-    # bytes, not the 13 rows' verdict bytes; each read of `.masks` writes
-    # them afresh. (Without the six other names the 7 rows are the 6 bound
-    # entities' and the null center's, so the selectors are as large as
-    # the masks there.)
-    prior = cf_of(
-        *(name(f"F{i}", f"F{i}", agr=FEM) for i in range(6)), *(name(f"M{i}", f"M{i}", agr=MASC) for i in range(6))
-    )
-    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 7)))
+def _verdicts_and_bytes_retained(prior, u):
+    """The verdicts `run_filters` returns on `u` after `prior`, and the
+    bytes they retain, by `tracemalloc`."""
     grid = propose_anchors(u, prior)
     run_filters(grid, prior, u)  # warms up what a first call allocates once
     gc.collect()
@@ -371,11 +362,38 @@ def test_verdicts_keep_a_selector_per_center_entity_and_write_masks_when_read():
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return verdicts, after - before
+
+
+def test_verdicts_keep_a_selector_per_center_entity_and_write_masks_on_call():
+    # Six `she` after six agreeing names and six names they cannot agree
+    # with: 13 center rows of 6**6 Cf lists. The verdicts keep `failed` and
+    # a pass selector per entity a pronoun binds, 7 selectors of 6**6
+    # bytes, not the 13 rows' verdict bytes; each call of `masks()` writes
+    # them afresh.
+    prior = cf_of(
+        *(name(f"F{i}", f"F{i}", agr=FEM) for i in range(6)), *(name(f"M{i}", f"M{i}", agr=MASC) for i in range(6))
+    )
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 7)))
+    verdicts, retained = _verdicts_and_bytes_retained(prior, u)
     assert len(verdicts) == 13 * 6**6
-    assert after - before < 7 * 1.1 * 6**6, after - before
-    masks = verdicts.masks
-    assert masks is not verdicts.masks and masks == verdicts.masks
+    assert retained < 7 * 1.1 * 6**6, retained
+    masks = verdicts.masks()
+    assert masks is not verdicts.masks() and masks == verdicts.masks()
     # The masks as every earlier version wrote them: 6**6 survivors, and
     # each other anchor eliminated by constraint 3 alone or with rule 1.
     assert [masks.count(mask) for mask in range(8)] == [6**6, 0, 139530, 0, 0, 0, 420342, 0]
     assert hashlib.sha256(masks).hexdigest() == "d6ced283d0c5b9008e971f0b321f04dcd8b8b10aefe9b371896f17297a46e3bd"
+
+
+def test_verdicts_retain_at_most_a_tenth_more_than_masks_where_every_row_is_bound():
+    # Six `she` after six agreeing names: the 7 center rows are the 6
+    # entities the pronouns bind and the null center's, so the verdicts
+    # keep 7 selectors of 6**6 bytes, as many as the 326,592 bytes of
+    # masks that earlier versions kept. A Python int's 30-bit digits cost
+    # about 7 % over bytes; the selectors may cost no more than 10 %.
+    prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(6)))
+    u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, 7)))
+    verdicts, retained = _verdicts_and_bytes_retained(prior, u)
+    assert len(verdicts) == len(verdicts.masks()) == 7 * 6**6
+    assert retained < 1.1 * 7 * 6**6, retained

@@ -154,7 +154,7 @@ class TestRunFilters:
             survivors, verdicts = run_filters(grid, prior, u)
             assert survivors == () and anchors_of(grid, survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
-            assert verdicts.masks == b""
+            assert verdicts.masks() == b""
 
     def test_refuses_a_grid_that_does_not_match_the_utterance(self):
         # After "Ann met Bea.": a grid without slots for a two-pronoun
@@ -174,7 +174,7 @@ class TestRunFilters:
         _, verdicts = run_filters(anchors, prior_cf, u)
         listed = list(verdicts)
         assert [v.anchor_id for v in listed] == list(range(1, 17))
-        assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
+        assert [bool(m) for m in verdicts.masks()] == [not v.passed for v in listed]
 
     def test_survivors_are_grid_positions(self, grid_scene):
         prior_cf, u, anchors = grid_scene
@@ -193,27 +193,23 @@ class TestRunFilters:
             assert remaining == anchors_of(anchors, survivors)
 
 
-def test_verdicts_write_their_masks_on_each_read_and_a_render_reads_them_once(monkeypatch):
-    # The masks are no field: each read writes them afresh, so a render
-    # reads a result's once, though --dump-anchors and --explain both list
-    # its verdicts.
-    prior_cf, u, _ = race_scene()
-    _, verdicts = run_filters(propose_anchors(u, prior_cf), prior_cf, u)
-    assert "masks" not in FilterVerdicts.__slots__ and verdicts.masks is not verdicts.masks
-    written = FilterVerdicts.masks.fget
-    reads = Counter()
+def test_a_render_writes_each_results_masks_once(monkeypatch):
+    # Each call of `masks()` writes them afresh, so a render calls it once
+    # a result, though --dump-anchors and --explain both list its verdicts.
+    written = FilterVerdicts.masks
+    calls = Counter()
 
     def counted(verdicts):
-        reads["masks"] += 1
+        calls["masks"] += 1
         return written(verdicts)
 
-    monkeypatch.setattr(FilterVerdicts, "masks", property(counted))
+    monkeypatch.setattr(FilterVerdicts, "masks", counted)
     for corpus in bundled_corpora():
         results = process_document(load_bundled(corpus))
         for format, flags in (("figure", {"dump_anchors": True, "explain": True}), ("structured", {})):
-            reads.clear()
+            calls.clear()
             render_trace(results, format, **flags)
-            assert reads["masks"] == len(results), (corpus, format)
+            assert calls["masks"] == len(results), (corpus, format)
 
 
 def test_grid_values_compare_by_fields():
@@ -227,7 +223,7 @@ def test_grid_values_compare_by_fields():
     listed = list(verdicts)
     assert [v.anchor_id for v in listed] == list(range(1, 17))
     assert all(listed[k - 1].eliminated_by == names for k, names in eliminated.items())
-    assert [bool(m) for m in verdicts.masks] == [not v.passed for v in listed]
+    assert [bool(m) for m in verdicts.masks()] == [not v.passed for v in listed]
     assert survivors == (1, 2)
     for value in (grid, verdicts, ranked):
         assert_value_by_fields(value)
@@ -437,7 +433,7 @@ def test_eighteen_pronouns_over_two_names():
     grid = propose_anchors(u, prior)
     width = 2**18
     survivors, verdicts = run_filters(grid, prior, u)
-    eliminated = [verdicts.masks.translate(bytes(m >> bit & 1 for m in range(256))).count(1) for bit in range(3)]
+    eliminated = [verdicts.masks().translate(bytes(m >> bit & 1 for m in range(256))).count(1) for bit in range(3)]
     assert len(grid) == 3 * width and eliminated == [0, 2**19, 2**18 + 2]
     assert survivors == (*range(width - 1), 2 * width - 1)
 

@@ -3,6 +3,8 @@ no clock. The script itself (`tests/mutants.py`) is run by hand."""
 
 import ast
 
+import pytest
+
 from mutants import EQUIVALENT, ROOT, apply, enumerate_mutants, key, load_equivalent
 
 SNIPPET = '''from __future__ import annotations
@@ -54,6 +56,23 @@ def test_a_mutant_changes_its_token_and_nothing_else():
 def test_two_equal_mutants_on_a_line_are_told_apart():
     found = [(m.operator, m.occurrence) for m in enumerate_mutants("y = (1 + 1) + 1\n")]
     assert found == [("1 -> 2", 0), ("+ -> -", 0), ("1 -> 2", 1), ("+ -> -", 1), ("1 -> 2", 2)]
+
+
+def test_a_comment_before_the_operator_shifts_no_offset():
+    # Comments on earlier lines of the gap between two operands, holding
+    # the operator's own token and a non-ASCII letter: each mutant still
+    # changes its operator, and one whose bytes hold something else is refused.
+    source = 'y = (a  # "+", "is", Ü\n     + b) or (c  # is not\n     is not d)\n'
+    mutants = enumerate_mutants(source)
+    assert [(m.line, m.operator) for m in mutants] == [(2, "+ -> -"), (2, "or -> and"), (3, "is not -> is")]
+    assert [apply(source, m).splitlines()[m.line - 1] for m in mutants] == [
+        "     - b) or (c  # is not",
+        "     + b) and (c  # is not",
+        "     is d)",
+    ]
+    for mutant in mutants:
+        with pytest.raises(ValueError, match=f"^line {mutant.line} holds "):
+            apply(source, mutant._replace(start=mutant.start - 1, end=mutant.end - 1))
 
 
 def test_each_listed_equivalent_is_a_mutant_of_the_program_with_a_reason():
