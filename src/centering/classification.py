@@ -91,8 +91,8 @@ class Ranking(Value):
     __slots__ = ("positions", "sizes")
 
     def __init__(self, positions: tuple[int, ...], sizes: tuple[int, int, int, int]) -> None:
-        if len(sizes) != len(_BY_PREFERENCE) or sum(sizes) != len(positions):
-            raise ValueError(f"need one count per transition, summing to {len(positions)}: got {sizes!r}")
+        if len(sizes) != len(_BY_PREFERENCE) or sum(sizes) != len(positions) or min(sizes) < 0:
+            raise ValueError(f"need one count per transition, none negative, summing to {len(positions)}: got {sizes!r}")
         self._set(positions, sizes)
 
     def __iter__(self) -> Iterator[tuple[int, Transition]]:

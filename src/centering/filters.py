@@ -5,31 +5,16 @@ entity; it fails constraint 3 unless its backward center is the most
 prominent prior entity its Cf list realizes, or null when it realizes
 none; and it fails rule 1 when a pronoun binds a prior entity but none
 binds the center. Each filter is a pure pass/fail test of one anchor, so
-they can run in any order without changing the outcome.
-
-`run_filters` decides all three over a whole `AnchorGrid` without a
-Python step per anchor or per Cf list. Every fact it needs about the Cf
-lists is a selector: a Python int holding one byte per Cf list, in grid
-order, that is 1 where the fact holds. A pronoun's slot gives one
-selector per entity it can bind, built from the slot's place in the
-grid's product, and a fixed (non-pronoun) marker binds its entity in
-every Cf list. Contraindexing, the entity that tops each Cf list under
-constraint 3 and the Cf lists where rule 1 applies are then unions,
-intersections and differences of selectors. Everything but the center
-is shared by a grid's rows: a row's verdicts are `failed`, the filters
-some center fails, less what its center entity passes, one selector per
-entity. The verdicts keep those selectors and each row's entity, and
-write one byte of filter bits per anchor only when `.masks()` is called. A
-verdict records every violated filter, not just the first. Under
-constraint 3 only the rows of an entity that tops some Cf list can hold
-survivors, so only those rows are visited for them; the survivors are a
-plain tuple of their increasing grid positions.
+they can run in any order without changing the outcome. A verdict
+records every violated filter, not just the first. `run_filters`
+decides all three over a whole `AnchorGrid` at once; its docstring sets
+out how.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .model import AnchorGrid, CfList, Utterance, Value
 
@@ -57,15 +42,14 @@ _ELIMINATED = tuple(
 
 
 class FilterVerdicts(Value):
-    """The verdicts on an AnchorGrid's anchors, kept as the selectors they
-    come from.
+    """The verdicts on an AnchorGrid's anchors, kept as the selectors
+    (see `run_filters`) they come from.
 
-    `failed` is a selector of `width` bytes, one per Cf list in grid
-    order (see `run_filters`), each setting the bit of every filter that
-    some center fails in that Cf list. `centers` holds each center row's
-    entity id, None for the null center, and `passes` pairs an entity
-    with the selector of the bits among those that it passes; an entity
-    not listed passes none. Row r's verdicts are `failed` less what its
+    `failed` sets, in each Cf list's byte, the bit of every filter that
+    some center fails there. `centers` holds each center row's entity
+    id, None for the null center, and `passes` pairs an entity with the
+    selector of the bits among those that it passes; an entity not
+    listed passes none. Row r's verdicts are `failed` less what its
     entity passes. `masks()` writes them out, one byte per anchor, on
     each call. `len()` counts the anchors without writing any.
     """
@@ -99,26 +83,36 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     entries that can realize marker i, as `propose_anchors(u, ...)`
     builds them: a non-pronoun marker's slot is its one entry. Raises
     ValueError when the grid has another number of slots than `u` has
-    markers, or a non-pronoun marker's slot is not one entry. Returns
-    the survivors, as their increasing positions (ordinal - 1) in
-    `grid`, and the verdicts, which record the full elimination set of
-    every anchor.
+    markers, or a non-pronoun marker's slot is not one entry; a contra
+    reference to a marker id that `u` lacks is ignored. Returns the
+    survivors, as their increasing positions (ordinal - 1) in `grid`,
+    and the verdicts, which record the full elimination set of every
+    anchor.
 
-    Each fact about the Cf lists is a selector: an int whose bytes, one
-    per Cf list in grid order, are 1 where the fact holds and 0 where it
-    does not. Bytes of 0 and 1 carry nothing into each other under |, &,
-    ^ and shifts by up to 7, so each operation decides every Cf list at
-    once, and a center row's verdict bytes, when read, are one `to_bytes`.
+    No Python step runs per anchor or per Cf list. Each fact about the
+    Cf lists is a selector: an int whose bytes, one per Cf list in grid
+    order, are 1 where the fact holds and 0 where it does not. Bytes of
+    0 and 1 carry nothing into each other under |, &, ^ and shifts by up
+    to 7, so each operation decides every Cf list at once, and a center
+    row's verdict bytes, when read, are one `to_bytes`. Each marker has
+    a selector per entity it can realize: a pronoun's follow from its
+    slot's place in the grid's product, and a fixed marker's one entry
+    realizes its entity in every Cf list. Everything but the center is
+    shared by a grid's rows: a row's verdicts are `failed`, the filters
+    some center fails, less what its center entity passes. Only the rows
+    of an entity that tops some Cf list under constraint 3 can hold
+    survivors, so only those rows are visited for them.
     """
     if len(grid.slots) != len(u.markers):
         raise ValueError(f"the grid has {len(grid.slots)} slots for {len(u.markers)} markers")
     width = grid.width
     # The selector of every Cf list: width bytes of 1, (256**width - 1) / 255.
     ones = (1 << 8 * width) // 255
-    # Each fixed marker's entity id; each pronoun's selector per entity it
-    # can bind; per entity, the Cf lists in which some pronoun binds it.
-    fixed: dict[str, str] = {}
+    # Each marker's selector per entity it realizes; per entity, the Cf
+    # lists in which some marker realizes it and those in which some
+    # pronoun binds it.
     binds: dict[str, dict[str, int]] = {}
+    realized: dict[str, int] = {}
     bound: dict[str, int] = {}
     # In grid order a slot holds each entry for a run of Cf lists, one per
     # combination of the later slots' entries, and goes through its
@@ -128,7 +122,8 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
         if not m.is_pronoun:
             if len(slot) != 1:
                 raise ValueError(f"marker {m.mid!r} is not a pronoun, but its slot holds {len(slot)} entries")
-            fixed[m.mid] = slot[0].entity.id
+            binds[m.mid] = {slot[0].entity.id: ones}
+            realized[slot[0].entity.id] = ones
             continue
         ids = [entry.entity.id for entry in slot]
         run = width // (repeats * len(ids)) if width else 0
@@ -139,46 +134,16 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
         for eid in dict.fromkeys(ids):
             sels[eid] = sel = int.from_bytes(b"".join(map(runs.__getitem__, map(eid.__eq__, ids))) * repeats, "big")
             bound[eid] = bound.get(eid, 0) | sel
+            realized[eid] = realized.get(eid, 0) | sel
         repeats *= len(ids)
-    # Contraindexing: a contraindexed pair fails where both bind one
-    # entity: a pronoun pair where they share a candidate, a pronoun and a
-    # fixed marker where the pronoun binds its entity, and two fixed
-    # markers of one entity everywhere.
+    # Contraindexing: a contraindexed pair fails where both realize one entity.
     contra = 0
     for m in u.markers:
-        if not m.contra:
-            continue
-        mine = binds.get(m.mid)
         for other in m.contra:
-            if other in binds:
-                if mine is None:
-                    contra |= binds[other].get(fixed[m.mid], 0)
-                else:
-                    for eid, sel in binds[other].items():
-                        contra |= sel & mine.get(eid, 0)
-            elif other in fixed:
-                if mine is not None:
-                    contra |= mine.get(fixed[other], 0)
-                elif fixed[m.mid] == fixed[other]:
-                    contra = ones
-    # Constraint 3: the prior entities in prominence order each top the
-    # Cf lists that bind them and no entity ahead, up to the first that a
-    # fixed marker realizes, which tops the rest; null tops them when no
-    # fixed marker realizes a prior entity. Only the prior entities that
-    # some marker realizes are visited.
-    prior_ids = {entry.entity.id: None for entry in prior_cf}
-    fixed_ids = set(fixed.values())
-    tops: dict[str | None, int] = {}
-    covered = 0
-    for pid in filter(fixed_ids.union(bound).__contains__, prior_ids):
-        if pid in fixed_ids:
-            tops[pid] = ones ^ covered
-            break
-        tops[pid] = bound[pid] & ~covered
-        covered |= tops[pid]
-    else:
-        tops[None] = ones ^ covered
+            for eid, sel in binds.get(other, {}).items():
+                contra |= sel & binds[m.mid].get(eid, 0)
     # Rule 1: where a pronoun binds a prior entity, no pronoun binds the center.
+    prior_ids = {entry.entity.id: None for entry in prior_cf}
     bound_prior = 0
     for eid, sel in bound.items():
         if eid in prior_ids:
@@ -187,13 +152,19 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # where a pronoun binds it, its constraint 3 where it tops.
     failed = contra | ones << 1 | bound_prior << 2
     centers = tuple([cb.entity.id if cb is not None else None for cb in grid.cbs])
-    passes: dict[str | None, int] = {}
-    for eid, sel in bound.items():
-        passes[eid] = (bound_prior & sel) << 2
-    # Only the rows of an entity that tops some Cf list hold survivors: in
-    # the Cf lists it tops, where contra and rule 1 pass too.
+    passes = {eid: (bound_prior & sel) << 2 for eid, sel in bound.items()}
+    # Constraint 3: walk the realized prior entities in prominence order,
+    # then null, which realizes every Cf list. Each tops the Cf lists it
+    # realizes that no entity ahead of it does, and the walk stops once
+    # every Cf list is topped. An entity's rows hold survivors in the Cf
+    # lists it tops where contra and rule 1 pass too.
+    walk = chain(filter(realized.__contains__, prior_ids), (None,))
+    covered = 0
     survivors: list[int] = []
-    for eid, top in tops.items():
+    while covered != ones:
+        eid = next(walk)
+        top = realized.get(eid, ones) & ~covered
+        covered |= top
         passes[eid] = passes.get(eid, 0) ^ top << 1
         kept = top & ~(contra | bound_prior & ~bound.get(eid, 0))
         if kept:

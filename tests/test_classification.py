@@ -484,8 +484,11 @@ def test_a_ranking_is_its_positions_and_one_count_per_transition():
                     assert same == ranked and list(same) == pairs
                 seen[mode] += len(set(ranks)) > 1
     assert min(seen.values()) > 20, seen
-    for positions, sizes in (((1, 2), (2, 0, 0)), ((1, 2), (1, 0, 0, 0)), ((), (0, 0, 0, 1))):
-        with pytest.raises(ValueError):
+    # Counts of the wrong number or sum, and counts that sum right but go
+    # below 0: (2, -1, 0, 0) would iterate as one CONTINUING anchor.
+    for positions, sizes in (((1, 2), (2, 0, 0)), ((1, 2), (1, 0, 0, 0)), ((), (0, 0, 0, 1)),
+                             ((5,), (2, -1, 0, 0)), ((5,), (0, 0, -1, 2))):
+        with pytest.raises(ValueError, match="^need one count per transition, none negative, summing to "):
             Ranking(positions, sizes)
 
 

@@ -14,6 +14,7 @@ from centering import (
     Ranking,
     ReferenceMarker,
     UnresolvablePronoun,
+    UtteranceResult,
     bundled_corpora,
     load_bundled,
     process_document,
@@ -401,7 +402,10 @@ def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
     # Three `she` after two agreeing names and 4 or 12 names they cannot
     # agree with: the Cf lists are the same 8, the center rows 7 or 15.
     # Only the rows of an entity that tops a Cf list hold survivors, so
-    # the lines that filtering and ranking execute stay nearly the same.
+    # the lines that filtering and ranking execute stay nearly the same,
+    # and so do those of the default `figure` render of the result. The
+    # result is built outside the count: construction's candidate loop
+    # grows with the prior Cf list.
     def work(others):
         prior = cf_of(
             *(name(f"F{i}", f"F{i}", agr=FEM) for i in range(2)),
@@ -411,15 +415,18 @@ def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
         grid = propose_anchors(u, prior)
 
         def filter_and_rank():
-            survivors, _ = run_filters(grid, prior, u)
-            rank_and_select(survivors, grid, prior[0].entity)
-            return survivors
+            survivors, verdicts = run_filters(grid, prior, u)
+            return survivors, verdicts, rank_and_select(survivors, grid, prior[0].entity)
 
-        return len(grid.cbs), filter_and_rank(), line_events(filter_and_rank)
+        survivors, verdicts, ((_, transition, cb, cf), ranked, tie) = filter_and_rank()
+        assert tie
+        result = UtteranceResult(u, transition, cb, cf, grid, verdicts, ranked, False, "tie", "tied")
+        return len(grid.cbs), survivors, line_events(filter_and_rank), line_events(render_trace, [result])
 
-    (few, kept, small), (many, same, large) = work(4), work(12)
+    (few, kept, small, drawn_small), (many, same, large, drawn_large) = work(4), work(12)
     assert (few, many, len(kept)) == (7, 15, 8) and kept == same
     assert large <= 1.1 * small, (small, large)
+    assert drawn_large <= 1.1 * drawn_small, (drawn_small, drawn_large)
 
 
 def test_eighteen_pronouns_over_two_names():
@@ -468,3 +475,26 @@ def test_contra_named_by_one_marker_of_a_pair_binds_both():
         assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
         checked += any(m.contra for m in u.markers)
     assert checked > 50
+
+
+def test_contra_naming_no_marker_of_the_utterance_is_ignored():
+    # A library-built utterance may name, in a marker's contra, a marker id
+    # it does not have (the parser refuses one). That name realizes no
+    # entity, so it eliminates nothing, beside a name's contra or a
+    # pronoun's: the survivors and masks are those without it.
+    prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+
+    def filtered(*unknown):
+        u = utt(
+            "Cat said she met her.",
+            name("Cat", "CAT", agr=FEM, contra=unknown, mid="n1"),
+            pronoun("she", index="A1", agr=FEM, contra={"p2", *unknown}, mid="p1"),
+            pronoun("her", index="A2", gf=OBJ, agr=FEM, contra=unknown, mid="p2"),
+        )
+        survivors, verdicts = run_filters(propose_anchors(u, prior), prior, u)
+        return survivors, verdicts.masks()
+
+    survivors, masks = filtered()
+    assert survivors and any(mask & 1 for mask in masks)  # she and her never co-refer
+    for unknown in (("x9",), ("x9", "x8")):
+        assert filtered(*unknown) == (survivors, masks)
