@@ -38,6 +38,9 @@ class NoViableAnchor(Exception):
 # Transition's declaration order is the preference order. Iterating an
 # Enum class runs Python code, so the hot paths read this tuple instead.
 _BY_PREFERENCE = tuple(Transition)
+# As model._PRONOUN: what runs per block or per anchor reads these, not the Enum classes.
+_CONTINUING, _RETAINING, _SHIFTING_1, _SHIFTING = _BY_PREFERENCE
+_EXTENDED = Mode.EXTENDED
 _PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
 
 
@@ -60,21 +63,21 @@ def classify(
         raise EmptyCf("utterance has no centers to classify")
     cp = cf[0].entity
     if prev_cb is NO_PRIOR:
-        return Transition.CONTINUING if cb is None or cb.entity == cp else Transition.RETAINING
+        return _CONTINUING if cb is None or cb.entity == cp else _RETAINING
     same_cb = cb is not None and prev_cb is not None and cb.entity == prev_cb
     cb_is_cp = cb is not None and cb.entity == cp
     if same_cb:
-        return Transition.CONTINUING if cb_is_cp else Transition.RETAINING
-    if cb_is_cp and mode is Mode.EXTENDED:
-        return Transition.SHIFTING_1
-    return Transition.SHIFTING
+        return _CONTINUING if cb_is_cp else _RETAINING
+    if cb_is_cp and mode is _EXTENDED:
+        return _SHIFTING_1
+    return _SHIFTING
 
 
 def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfEntry | None:
     """The center the anchor at `position` shows, making `transition`: its own, but a null
     center that continues (only an opener's does; see `classify`) shows as its Cf list's head."""
     cb = grid.cbs[position // grid.width]
-    if cb is None and transition is Transition.CONTINUING:
+    if cb is None and transition is _CONTINUING:
         return grid.cf_list(position % grid.width)[0]
     return cb
 

@@ -93,17 +93,20 @@ NON_EMPTY_NP_FIELDS = ("id", "surface", "entity")
 
 # An np line in format_corpus's own layout: the fields in NP_FIELDS order,
 # one space apart, the last four optional, each value one non-empty
-# plain, "double-quoted" or 'single-quoted' piece, one group per form. A
-# piece's form is fixed by its first character, a value ends only at a
-# space or the end, and each key is a distinct literal, so a failing match
-# gives back at most the piece it is in: matching is linear in the line
-# length. A string, which parse_corpus compiles through re's cache, so
-# importing the module costs nothing.
-_VALUE = r"""(?:([^ \t\r\n"'\\]+)|"([^"\\]+)"|'([^']+)')"""
-_CANONICAL_NP = " ".join(f"{key}={_VALUE}" for key in REQUIRED_NP_FIELDS) + "".join(
-    f"(?: {key}={_VALUE})?" for key in NP_FIELDS[len(REQUIRED_NP_FIELDS) :]
+# plain, "double-quoted" or 'single-quoted' piece. Each field has two
+# groups: its opening quote, empty for a plain piece, which the piece's
+# end matches again, and its value, whose characters the lookbehind on
+# that quote (or on the `=` before a plain piece) selects. So
+# `groups()[1::2]` are the values in NP_FIELDS order, None where a field
+# is absent. A piece's form is fixed by its first character, a value
+# ends only at a space or the end, and each key is a distinct literal, so
+# a failing match gives back at most the piece it is in: matching is
+# linear in the line length. A string, which parse_corpus compiles
+# through re's cache, so importing the module costs nothing.
+_VALUE = r"""(["']?)((?<==)[^ \t\r\n"'\\]+|(?<=")[^"\\]+|(?<=')[^']+)\{}"""
+_CANONICAL_NP = " ".join(f"{key}={_VALUE.format(2 * i + 1)}" for i, key in enumerate(REQUIRED_NP_FIELDS)) + "".join(
+    f"(?: {key}={_VALUE.format(2 * i + 1)})?" for i, key in enumerate(NP_FIELDS) if key not in REQUIRED_NP_FIELDS
 )
-_CANONICAL_GROUPS = tuple((key, 3 * i) for i, key in enumerate(NP_FIELDS))
 
 
 class CorpusError(Exception):
@@ -185,18 +188,6 @@ def _np_fields(tokens: list[str], line: int) -> dict[str, str]:
     return fields
 
 
-def _canonical_fields(match: re.Match[str]) -> dict[str, str]:
-    """The fields of a line that `_CANONICAL_NP` matched, as `_np_fields`
-    gives them: its values, unquoted, in file order."""
-    groups = match.groups()
-    fields = {}
-    for key, i in _CANONICAL_GROUPS:
-        value = groups[i] or groups[i + 1] or groups[i + 2]
-        if value is not None:
-            fields[key] = value
-    return fields
-
-
 def _same_name(a: str, b: str) -> bool:
     """Whether two surfaces that derive one entity id may share it without
     an entity=: equal after NFC normalization and case-folding."""
@@ -204,41 +195,38 @@ def _same_name(a: str, b: str) -> bool:
 
 
 def _np_marker(
-    fields: dict[str, str],
+    values: Iterable[str | None],
     line: int,
     agreements: dict[str, Agreement],
     entities: dict[str, Entity],
     derived: dict[str, tuple[str, int]],
 ) -> ReferenceMarker:
-    """One np line's fields as a marker. Both ways of reading a line end
-    here, so each rule on the values, and its error, is stated once.
-    `agreements` maps each `agr=` value parsed so far to its Agreement (a
-    bad value is never stored, so it raises on each line that holds it);
-    `entities` interns the document's entities by id, so every marker of
-    one entity shares one Entity; `derived` maps each entity id derived
-    so far to the surface and line that first derived it."""
-    kind = KIND_TOKENS.get(fields["kind"])
+    """One np line's field values as a marker: the eight in NP_FIELDS
+    order, None for a field the line leaves out. Both ways of reading a
+    line end here, so each rule on the values, and its error, is stated
+    once. `agreements` maps each `agr=` value parsed so far to its
+    Agreement (a bad value is never stored, so it raises on each line that
+    holds it); `entities` interns the document's entities by id, so every
+    marker of one entity shares one Entity; `derived` maps each entity id
+    derived so far to the surface and line that first derived it."""
+    mid, surface, kind_text, gf_text, agr_text, eid, index, contra_text = values
+    kind = KIND_TOKENS.get(kind_text)
     if kind is None:
-        raise SchemaError(f"bad kind {fields['kind']!r}", line, "kind")
-    gf = GF_TOKENS.get(fields["gf"])
+        raise SchemaError(f"bad kind {kind_text!r}", line, "kind")
+    gf = GF_TOKENS.get(gf_text)
     if gf is None:
-        raise SchemaError(f"bad gf {fields['gf']!r}", line, "gf")
-    mid = fields["id"]
+        raise SchemaError(f"bad gf {gf_text!r}", line, "gf")
     if "," in mid:
         # contra= lists are comma-separated, so such an id could not be named there.
         raise SchemaError(f"np id {mid!r} cannot hold a ','", line, "id")
-    agr_text = fields.get("agr")
     if agr_text is None:
         agr = Agreement()
     else:
         agr = agreements.get(agr_text)
         if agr is None:
             agr = agreements[agr_text] = _parse_agreement(agr_text, line)
-    surface = fields["surface"]
-    index = fields.get("index")
     if index is not None and kind not in INDEX_SERIES:
         raise SchemaError("names and definites take their surface as index", line, "index")
-    eid = fields.get("entity")
     if eid is None and kind not in INDEX_SERIES:
         try:
             eid = derive_entity_id(surface)
@@ -257,7 +245,7 @@ def _np_marker(
         entity = entities.get(eid)
         if entity is None:
             entity = entities[eid] = Entity(eid, surface)
-    contra = frozenset(filter(None, fields.get("contra", "").split(",")))
+    contra = filter(None, contra_text.split(",")) if contra_text else ()
     try:
         return ReferenceMarker(surface, kind, gf, agr, contra, entity, index, mid)
     except MarkerError as exc:
@@ -265,11 +253,13 @@ def _np_marker(
 
 
 def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> CorpusUtterance:
-    by_id: dict[str, ReferenceMarker] = {}
-    for np, np_line in nps:
-        if np.mid in by_id:
-            raise SchemaError(f"np id {np.mid!r} already used in this utterance", np_line, "id")
-        by_id[np.mid] = np
+    by_id = {np.mid: np for np, _ in nps}
+    if len(by_id) != len(nps):  # a repeated id: blame its second line
+        seen: set[str] = set()
+        for np, np_line in nps:
+            if np.mid in seen:
+                raise SchemaError(f"np id {np.mid!r} already used in this utterance", np_line, "id")
+            seen.add(np.mid)
     # Normalize contra symmetry: if a lists b, b lists a. Only an NP that
     # lacks a back-reference is rebuilt.
     missing: dict[str, set[str]] = {}
@@ -280,14 +270,16 @@ def _close_utterance(text: str, nps: list[tuple[ReferenceMarker, int]]) -> Corpu
                 raise SchemaError(f"contra reference {ref!r} names no np here", np_line, "contra")
             if np.mid not in other.contra:
                 missing.setdefault(ref, set()).add(np.mid)
-    closed = tuple(
-        ReferenceMarker(
-            np.surface, np.kind, np.gf, np.agr, np.contra | missing[np.mid], np.entity, np.index, np.mid
-        )
-        if np.mid in missing
-        else np
-        for np, _ in nps
-    )
+    closed = by_id.values()  # the markers in file order: no id repeats
+    if missing:
+        closed = [
+            ReferenceMarker(
+                np.surface, np.kind, np.gf, np.agr, np.contra | missing[np.mid], np.entity, np.index, np.mid
+            )
+            if np.mid in missing
+            else np
+            for np in closed
+        ]
     return CorpusUtterance(text, closed)
 
 
@@ -325,14 +317,14 @@ def parse_corpus(text: str) -> CorpusDocument:
                 raise SchemaError("np outside any utterance", lineno)
             match = canonical_np(rest)
             if match is not None:
-                fields = _canonical_fields(match)
+                values = match.groups()[1::2]
             else:
                 try:
                     tokens = shlex.split(rest)
                 except ValueError as exc:
                     raise SchemaError(f"bad quoting: {exc}", lineno) from None
-                fields = _np_fields(tokens, lineno)
-            nps.append((_np_marker(fields, lineno, agreements, entities, derived), lineno))
+                values = map(_np_fields(tokens, lineno).get, NP_FIELDS)
+            nps.append((_np_marker(values, lineno, agreements, entities, derived), lineno))
         elif not directive or directive.startswith("#"):
             continue
         elif directive == "discourse":

@@ -103,6 +103,7 @@ class UtteranceResult(Value):
 _NO_ANCHORS = AnchorGrid((), ((),))
 _NO_VERDICTS = FilterVerdicts(0, 0, (), ())
 _NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
+_RETAINING = Transition.RETAINING  # as model._PRONOUN
 
 
 def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = Mode.EXTENDED) -> UtteranceResult:
@@ -119,7 +120,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
         prev_cb, prior_cf, after_retention = NO_PRIOR, (), False
     else:
         prev_cb = prev.cb.entity if prev.cb is not None else None
-        prior_cf, after_retention = prev.cf, prev.transition is Transition.RETAINING
+        prior_cf, after_retention = prev.cf, prev.transition is _RETAINING
     anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
     kind = message = None
     try:

@@ -18,6 +18,7 @@ import re
 from collections.abc import Iterable, Sequence
 from enum import Enum, IntEnum
 from math import prod
+from operator import attrgetter
 
 GENDERS = frozenset({"fem", "masc", "neut"})
 NUMBERS = frozenset({"sg", "pl"})
@@ -50,7 +51,7 @@ class MarkerKind(Enum):
 # Reading a member off an Enum class costs about five plain attribute
 # reads (CPython 3.11); what runs per marker or per utterance reads a
 # module constant instead.
-_PRONOUN = MarkerKind.PRONOUN
+_PRONOUN, _INDEFINITE = MarkerKind.PRONOUN, MarkerKind.INDEFINITE
 
 # The index series of each kind that draws from one; names and definites
 # are indexed by their surface string instead.
@@ -277,15 +278,17 @@ class ReferenceMarker(Value):
         return self.kind is _PRONOUN
 
 
+_GF, _MID = attrgetter("gf"), attrgetter("mid")
+
+
 class Utterance(Value):
     """One utterance; construction sorts its markers stably by obliqueness."""
 
     __slots__ = ("text", "markers", "position")
 
     def __init__(self, text: str, markers: Iterable[ReferenceMarker], position: int = 1) -> None:
-        ordered = tuple(sorted(markers, key=lambda m: m.gf))
-        mids = [m.mid for m in ordered]
-        if len(set(mids)) != len(mids):
+        ordered = tuple(sorted(markers, key=_GF))
+        if len(set(map(_MID, ordered))) != len(ordered):
             raise ValueError(f"duplicate marker ids in utterance {position}")
         self._set(text, ordered, position)
 
@@ -305,7 +308,7 @@ class CfEntry(Value):
             raise ValueError(f"entry for marker {marker.mid!r} has no entity")
         # An anonymous indefinite's entity id is its index; showing the
         # surface there keeps displays like [X2:Alfa Romeo] readable.
-        anonymous = marker.kind is MarkerKind.INDEFINITE and marker.index == entity.id
+        anonymous = marker.kind is _INDEFINITE and marker.index == entity.id
         tag = marker.surface if anonymous else marker.index
         self._set(entity, marker, f"[{entity.id}:{tag}]")
 
@@ -373,7 +376,7 @@ def reserved_ids(markers: Iterable[ReferenceMarker]) -> set[str]:
             if m.index in taken:
                 raise MarkerError(f"index {m.index} already used in this discourse", "index", m)
             taken.add(m.index)
-            if m.entity is None and m.kind is MarkerKind.INDEFINITE:
+            if m.entity is None and m.kind is _INDEFINITE:
                 anonymous.append(m)
     for m in anonymous:
         if m.index in entity_ids:
@@ -404,23 +407,31 @@ def allocate_indices(utterances: Sequence[Utterance]) -> list[Utterance]:
     counts = dict.fromkeys(INDEX_SERIES, 0)
     out = []
     for u in utterances:
-        for m in u.markers:
-            if m.index is not None and m.kind in INDEX_SERIES:
-                counts[m.kind] = max(counts[m.kind], int(m.index[1:]))
-        markers = None
+        missing = []  # (position, marker) of each marker short of an index or an entity
         for i, m in enumerate(u.markers):
-            index, entity = m.index, m.entity
-            if index is None:  # only A-/X-series kinds are left without one
+            if m.index is None:  # only A-/X-series kinds are left without one
+                missing.append((i, m))
+            elif m.kind in INDEX_SERIES:
+                count = int(m.index[1:])
+                if count > counts[m.kind]:
+                    counts[m.kind] = count
+                if m.entity is None and m.kind is _INDEFINITE:
+                    missing.append((i, m))
+        if not missing:
+            out.append(u)
+            continue
+        markers = list(u.markers)
+        for i, m in missing:
+            index = m.index
+            if index is None:
                 prefix, count = INDEX_SERIES[m.kind], counts[m.kind] + 1
                 while f"{prefix}{count}" in taken:
                     count += 1
                 counts[m.kind] = count
                 index = f"{prefix}{count}"
-            if entity is None and m.kind is MarkerKind.INDEFINITE:
+            entity = m.entity
+            if entity is None and m.kind is _INDEFINITE:
                 entity = Entity(index, m.surface)
-            if index is not m.index or entity is not m.entity:
-                if markers is None:
-                    markers = list(u.markers)
-                markers[i] = ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid)
-        out.append(u if markers is None else Utterance(u.text, tuple(markers), u.position))
+            markers[i] = ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid)
+        out.append(Utterance(u.text, markers, u.position))
     return out

@@ -419,6 +419,42 @@ def oracle_dump_trace(results: list[UtteranceResult]) -> str:
     return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
 
 
+def oracle_allocate(utterances: list[Utterance]) -> list[Utterance]:
+    """`allocate_indices` restated plainly, for discourses it accepts:
+    every utterance and marker rebuilt, in two passes an utterance.
+
+    Fresh A-/X-indices skip every explicit A-/X-index and every entity id
+    of the discourse. In each utterance the explicit indices first raise
+    their series' counter to their number; then, in marker order, each
+    marker without an index takes its series' next number that is not
+    skipped, and an indefinite without an entity gets one named after its
+    index, shown by its surface.
+    """
+    series = {MarkerKind.PRONOUN: "A", MarkerKind.INDEFINITE: "X"}
+    markers = [m for u in utterances for m in u.markers]
+    skipped = {m.index for m in markers if m.kind in series and m.index is not None}
+    skipped |= {m.entity.id for m in markers if m.entity is not None}
+    counter = dict.fromkeys(series, 0)
+    out = []
+    for u in utterances:
+        for m in u.markers:
+            if m.kind in series and m.index is not None:
+                counter[m.kind] = max(counter[m.kind], int(m.index[1:]))
+        rebuilt = []
+        for m in u.markers:
+            index, entity = m.index, m.entity
+            if index is None:
+                counter[m.kind] += 1
+                while series[m.kind] + str(counter[m.kind]) in skipped:
+                    counter[m.kind] += 1
+                index = series[m.kind] + str(counter[m.kind])
+            if m.kind is MarkerKind.INDEFINITE and entity is None:
+                entity = Entity(index, m.surface)
+            rebuilt.append(ReferenceMarker(m.surface, m.kind, m.gf, m.agr, m.contra, entity, index, m.mid))
+        out.append(Utterance(u.text, rebuilt, u.position))
+    return out
+
+
 # --- randomized inputs -----------------------------------------------------
 
 _GENDERS = ("fem", "masc", "neut")

@@ -17,6 +17,7 @@ from centering import (
     Mode,
     ReferenceMarker,
     SchemaError,
+    Utterance,
     allocate_indices,
     build_utterances,
     bundled_corpora,
@@ -97,17 +98,21 @@ class TestErrors:
         assert str(err.value) == "line 3: contra: contra reference 'ghost' names no np here"
 
     def test_duplicate_np_id(self):
-        text = (
-            "discourse d\n"
-            "utterance x y.\n"
-            "np id=a surface=x kind=name gf=SUBJ\n"
-            "np id=a surface=y kind=name gf=OBJ\n"
-        )
-        with pytest.raises(SchemaError) as err:
-            parse_corpus(text)
-        assert err.value.line == 4
-        assert err.value.fieldname == "id"
-        assert str(err.value) == "line 4: id: np id 'a' already used in this utterance"
+        # Adjacent, apart, and after an np whose contra list would be normalized.
+        for lines in (
+            ("np id=a surface=x kind=name gf=SUBJ", "np id=a surface=y kind=name gf=OBJ"),
+            ("np id=a surface=x kind=name gf=SUBJ", "np id=b surface=y kind=name gf=OBJ",
+             "np id=a surface=z kind=name gf=OBJ2"),
+            ("np id=b surface=x kind=name gf=SUBJ contra=a", "np id=a surface=y kind=name gf=OBJ",
+             "np id=a surface=z kind=name gf=OBJ2"),
+        ):
+            text = "discourse d\nutterance x y.\n" + "\n".join(lines) + "\n"
+            with pytest.raises(SchemaError) as err:
+                parse_corpus(text)
+            line = 2 + len(lines)
+            assert err.value.line == line
+            assert err.value.fieldname == "id"
+            assert str(err.value) == f"line {line}: id: np id 'a' already used in this utterance"
 
     def test_unknown_field_rejected(self):
         text = "discourse d\nutterance x.\nnp id=a surface=x kind=name gf=SUBJ color=red\n"
@@ -974,3 +979,39 @@ def test_parse_work_grows_with_the_np_lines_and_no_faster():
     assert not re.fullmatch(corpus._CANONICAL_NP, large.splitlines()[-1][3:])
     grown = line_events(parse_corpus, large) / line_events(parse_corpus, small)
     assert grown < 4, grown
+
+
+def test_the_front_end_builds_each_value_once(monkeypatch):
+    # Contra lists are symmetric, so parsing rebuilds no marker. The first
+    # utterance misses nothing; the second misses a pronoun's index and an
+    # indexed indefinite's entity; the third an indefinite's index and entity.
+    text = (
+        "discourse d\n"
+        "utterance one.\n"
+        "np id=a surface=Ann kind=name gf=SUBJ contra=b\n"
+        "np id=b surface=she kind=pronoun gf=OBJ index=A1 contra=a\n"
+        "utterance two.\n"
+        "np id=c surface=Bo kind=name gf=SUBJ\n"
+        "np id=d surface=he kind=pronoun gf=OBJ contra=e\n"
+        'np id=e surface="a dog" kind=indefinite gf=ADJ index=X2 contra=d\n'
+        "utterance three.\n"
+        "np id=f surface=Ann kind=name gf=SUBJ\n"
+        'np id=g surface="a car" kind=indefinite gf=OBJ\n'
+    )
+    built = {}
+    for cls in (Entity, ReferenceMarker, Utterance):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    doc = parse_corpus(text)
+    assert built == {"Entity": 2, "ReferenceMarker": 7}
+    built.clear()
+    utterances = build_utterances(doc)
+    assert built == {"Utterance": 3}
+    built.clear()
+    allocated = allocate_indices(utterances)
+    assert built == {"Entity": 2, "ReferenceMarker": 3, "Utterance": 2}
+    assert allocated[0] is utterances[0]
+    assert [m.index for u in allocated for m in u.markers] == ["Ann", "A1", "Bo", "A2", "X2", "Ann", "X3"]

@@ -6,7 +6,7 @@ import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centering import (
@@ -19,6 +19,7 @@ from centering import (
     UnresolvablePronoun,
     Utterance,
     allocate_indices,
+    build_utterances,
     format_corpus,
     parse_corpus,
     process_discourse,
@@ -30,6 +31,7 @@ from centering.corpus import derive_entity_id
 from centering.model import unify_agreement
 from support import (
     filtered_in_every_order,
+    oracle_allocate,
     oracle_rank_then_filter,
     pronoun,
     random_discourse,
@@ -286,6 +288,54 @@ def test_corpus_text_parses_or_raises_a_corpus_error_and_round_trips(text):
         assert exc.line is not None
         return
     assert parse_corpus(format_corpus(doc)) == doc
+
+
+def _allocated(utterances):
+    """What allocation decides, with each entity's name, which equality
+    of entities (by id) leaves out."""
+    return [(u, [m.entity and m.entity.name for m in u.markers]) for u in utterances]
+
+
+def test_allocation_matches_the_oracle_on_random_discourses():
+    rng = random.Random("allocate")
+    for _ in range(200):
+        utterances = random_discourse(rng, max_utterances=8)
+        assert _allocated(allocate_indices(utterances)) == _allocated(oracle_allocate(utterances))
+
+
+# A4 and X3 pull their series forward ahead of the fresh indices drawn
+# before them in marker order; X1, X2 and A1 are entity ids that fresh
+# indices skip; `d` is an anonymous indefinite with an explicit index,
+# `c` and `g` ones without.
+_ALLOCATION_CASES = """\
+discourse h
+utterance u0.
+np id=p surface=she kind=pronoun gf=SUBJ agr=fem,sg,3
+np id=c surface="a car" kind=indefinite gf=OBJ
+np id=q surface=he kind=pronoun gf=OBJ2 agr=masc,sg,3 index=A4
+np id=d surface="a dog" kind=indefinite gf=ADJ index=X3
+utterance u1.
+np id=a surface=Ann kind=name gf=SUBJ entity=X5
+np id=b surface=Bo kind=definite gf=OBJ entity=A6
+np id=r surface=it kind=pronoun gf=OTHER
+np id=g surface="a dog" kind=indefinite gf=ADJ
+utterance u2.
+np id=e surface=Cy kind=name gf=SUBJ entity=X1
+np id=f surface="a car" kind=indefinite gf=OBJ entity=A1
+np id=t surface=they kind=pronoun gf=ADJ agr=-,pl,3
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_texts())
+@example(_ALLOCATION_CASES)
+@example(_ALLOCATION_CASES.replace(" index=A4", "").replace(" index=X3", " index=X2"))
+def test_allocation_matches_the_oracle_on_parsed_corpus_text(text):
+    try:
+        utterances = build_utterances(parse_corpus(text))
+    except CorpusError:
+        return
+    assert _allocated(allocate_indices(utterances)) == _allocated(oracle_allocate(utterances))
 
 
 @pytest.fixture(scope="module")
