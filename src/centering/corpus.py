@@ -17,9 +17,10 @@ A directive's keyword ends at the first space or tab.
 A line is read in one of two ways, with identical results. A line in
 `format_corpus`'s own layout (the fields in the order below, one space
 apart, each value one non-empty plain, "double-quoted" or 'single-quoted'
-piece) is read by one regular-expression match; any other line goes
-through shlex. `format_corpus` rewrites a file into that layout. The
-fields:
+piece) is read by one regular-expression match, whose groups hold the
+values in field order; any other line goes through shlex and the key
+checks. Both hand the values by position to one set of value checks.
+`format_corpus` rewrites a file into that layout. The fields:
 
     id=<np-id>      required, non-empty, without a `,`; unique within the
                     utterance; what `contra` references point at
