@@ -75,6 +75,7 @@ from .model import (
     ReferenceMarker,
     Utterance,
     Value,
+    as_mode,
     reserved_ids,
 )
 
@@ -155,7 +156,7 @@ class CorpusDocument(Value):
     ) -> None:
         if isinstance(utterances, (str, CorpusUtterance)):
             raise ValueError(f"utterances must be a collection of CorpusUtterances, got {utterances!r}")
-        self._set(id, Mode(mode), tuple(utterances))
+        self._set(id, as_mode(mode), tuple(utterances))
 
 
 def _parse_agreement(value: str, line: int) -> Agreement:
@@ -342,7 +343,7 @@ def parse_corpus(text: str) -> CorpusDocument:
             if utterances or current is not None:
                 raise SchemaError("mode must precede the first utterance", lineno)
             try:
-                mode = Mode(rest)
+                mode = as_mode(rest)
             except ValueError:
                 raise SchemaError(f"bad mode {rest!r}", lineno, "mode") from None
         elif directive == "utterance":

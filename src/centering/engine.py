@@ -101,7 +101,7 @@ class UtteranceResult(Value):
 # No center, and one slot without entries: a pronoun with no candidate
 # leaves no Cf list, so a failed utterance's grid holds no anchor.
 _NO_ANCHORS = AnchorGrid((), ((),))
-_NO_VERDICTS = FilterVerdicts(0, 0, (), ())
+_NO_VERDICTS = FilterVerdicts(_NO_ANCHORS, 0, ())
 _NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
 _RETAINING = Transition.RETAINING  # as model._PRONOUN
 
@@ -125,7 +125,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     kind = message = None
     try:
         anchors = propose_anchors(u, prior_cf)
-        survivors, verdicts = run_filters(anchors, prior_cf, u)
+        survivors, verdicts = run_filters(anchors)
         winner, ranked, tie = rank_and_select(survivors, anchors, prev_cb, mode)
     except tuple(_FAILURES) as exc:  # evaluated only when something is raised
         # Commit a null center and the fixed (non-pronoun) entities.

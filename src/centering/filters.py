@@ -7,8 +7,8 @@ none; and it fails rule 1 when a pronoun binds a prior entity but none
 binds the center. Each filter is a pure pass/fail test of one anchor, so
 they can run in any order without changing the outcome. A verdict
 records every violated filter, not just the first. `run_filters`
-decides all three over a whole `AnchorGrid` at once; its docstring sets
-out how.
+decides all three over a whole `AnchorGrid` at once, reading the prior
+entities off the grid's centers; its docstring sets out how.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain, compress, count
 
-from .model import AnchorGrid, CfList, Utterance, Value
+from .model import AnchorGrid, Value
 
 FILTER_NAMES = ("contra", "constraint3", "rule1")
 
@@ -42,33 +42,31 @@ _ELIMINATED = tuple(
 
 
 class FilterVerdicts(Value):
-    """The verdicts on an AnchorGrid's anchors, kept as the selectors
-    (see `run_filters`) they come from.
+    """The verdicts on an AnchorGrid's anchors, kept as the grid and the
+    selectors (see `run_filters`) they come from.
 
     `failed` sets, in each Cf list's byte, the bit of every filter that
-    some center fails there. `centers` holds each center row's entity
-    id, None for the null center, and `passes` pairs an entity with the
+    some center fails there, and `passes` pairs an entity with the
     selector of the bits among those that it passes; an entity not
-    listed passes none. Row r's verdicts are `failed` less what its
-    entity passes. `masks()` writes them out, one byte per anchor, on
-    each call. `len()` counts the anchors without writing any.
+    listed passes none. Row r's verdicts are `failed` less what the
+    entity of `grid.cbs[r]` passes. `masks()` writes them, one byte per
+    anchor, on each call; `len()` counts the anchors without writing any.
     """
 
-    __slots__ = ("width", "failed", "centers", "passes")
+    __slots__ = ("grid", "failed", "passes")
 
-    def __init__(self, width: int, failed: int, centers: tuple[str | None, ...],
-                 passes: tuple[tuple[str | None, int], ...]) -> None:
-        self._set(width, failed, centers, passes)
+    def __init__(self, grid: AnchorGrid, failed: int, passes: tuple[tuple[str | None, int], ...]) -> None:
+        self._set(grid, failed, passes)
 
     def masks(self) -> bytes:
         """The verdicts, written afresh: byte i holds the verdict on the
         anchor with ordinal i + 1, where bit b is set iff filter
         FILTER_NAMES[b] eliminated it, so 0 means it survived."""
-        width, failed, passed = self.width, self.failed, dict(self.passes).get
-        return b"".join([(failed ^ passed(eid, 0)).to_bytes(width, "big") for eid in self.centers])
+        width, failed, passed = self.grid.width, self.failed, dict(self.passes).get
+        return b"".join([(failed ^ passed(cb and cb.entity.id, 0)).to_bytes(width, "big") for cb in self.grid.cbs])
 
     def __len__(self) -> int:
-        return len(self.centers) * self.width
+        return len(self.grid)
 
     def __iter__(self) -> Iterator[FilterVerdict]:
         # The benchmark's tracer counts eliminations per filter through this.
@@ -76,18 +74,17 @@ class FilterVerdicts(Value):
             yield FilterVerdict(i + 1, _ELIMINATED[mask])
 
 
-def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple[int, ...], FilterVerdicts]:
+def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
     """Evaluate all three filters on every anchor of `grid`.
 
-    The grid's slots are those of `u`'s markers, slot i holding the
-    entries that can realize marker i, as `propose_anchors(u, ...)`
-    builds them: a non-pronoun marker's slot is its one entry. Raises
-    ValueError when the grid has another number of slots than `u` has
-    markers, or a non-pronoun marker's slot is not one entry; a contra
-    reference to a marker id that `u` lacks is ignored. Returns the
-    survivors, as their increasing positions (ordinal - 1) in `grid`,
-    and the verdicts, which record the full elimination set of every
-    anchor.
+    The grid is the whole input: slot i's entries realize one marker,
+    its first entry's, and the prior entities, most prominent first, are
+    the non-null centers' in row order; in `propose_anchors(u,
+    prior_cf)`'s grid, `u`'s i-th marker and `prior_cf`'s entities. Any
+    grid is decided, and a contra reference to a marker id that no
+    slot's marker has is ignored. Returns the survivors, as increasing
+    positions (ordinal - 1) in `grid`, and the verdicts, which record
+    the full elimination set of every anchor.
 
     No Python step runs per anchor or per Cf list. Each fact about the
     Cf lists is a selector: an int whose bytes, one per Cf list in grid
@@ -95,16 +92,14 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     0 and 1 carry nothing into each other under |, &, ^ and shifts by up
     to 7, so each operation decides every Cf list at once, and a center
     row's verdict bytes, when read, are one `to_bytes`. Each marker has
-    a selector per entity it can realize: a pronoun's follow from its
-    slot's place in the grid's product, and a fixed marker's one entry
-    realizes its entity in every Cf list. Everything but the center is
-    shared by a grid's rows: a row's verdicts are `failed`, the filters
-    some center fails, less what its center entity passes. Only the rows
-    of an entity that tops some Cf list under constraint 3 can hold
-    survivors, so only those rows are visited for them.
+    a selector per entity it can realize, which follows from its slot's
+    place in the grid's product; a one-entry slot realizes its entity in
+    every Cf list. Everything but the center is shared by a grid's rows:
+    a row's verdicts are `failed`, the filters some center fails, less
+    what its center entity passes. Only the rows of an entity that tops
+    some Cf list under constraint 3 can hold survivors, so only those
+    rows are visited for them.
     """
-    if len(grid.slots) != len(u.markers):
-        raise ValueError(f"the grid has {len(grid.slots)} slots for {len(u.markers)} markers")
     width = grid.width
     # The selector of every Cf list: width bytes of 1, (256**width - 1) / 255.
     ones = (1 << 8 * width) // 255
@@ -118,32 +113,36 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # combination of the later slots' entries, and goes through its
     # entries once per combination of the earlier slots' entries.
     repeats = 1
-    for m, slot in zip(u.markers, grid.slots):
-        if not m.is_pronoun:
-            if len(slot) != 1:
-                raise ValueError(f"marker {m.mid!r} is not a pronoun, but its slot holds {len(slot)} entries")
-            binds[m.mid] = {slot[0].entity.id: ones}
-            realized[slot[0].entity.id] = ones
-            continue
-        ids = [entry.entity.id for entry in slot]
-        run = width // (repeats * len(ids)) if width else 0
-        runs = (bytes(run), b"\1" * run)
-        # An entity's selector: the slot's runs, of 1 where the slot's entry
-        # binds that entity and of 0 elsewhere, once per repeat.
-        sels = binds[m.mid] = {}
-        for eid in dict.fromkeys(ids):
-            sels[eid] = sel = int.from_bytes(b"".join(map(runs.__getitem__, map(eid.__eq__, ids))) * repeats, "big")
-            bound[eid] = bound.get(eid, 0) | sel
-            realized[eid] = realized.get(eid, 0) | sel
-        repeats *= len(ids)
+    markers = []
+    for slot in filter(None, grid.slots):
+        m = slot[0].marker
+        markers.append(m)
+        if len(slot) == 1:
+            sels = binds[m.mid] = {slot[0].entity.id: ones}
+            realized.update(sels)  # ones | any selector is ones
+        else:
+            ids = [entry.entity.id for entry in slot]
+            run = width // (repeats * len(ids))
+            runs = (bytes(run), b"\1" * run)
+            # An entity's selector: the slot's runs, of 1 where the slot's
+            # entry binds that entity and of 0 elsewhere, once per repeat.
+            sels = binds[m.mid] = {}
+            for eid in dict.fromkeys(ids):
+                sels[eid] = sel = int.from_bytes(b"".join(map(runs.__getitem__, map(eid.__eq__, ids))) * repeats, "big")
+                realized[eid] = realized.get(eid, 0) | sel
+            repeats *= len(ids)
+        if m.is_pronoun:
+            for eid, sel in sels.items():
+                bound[eid] = bound.get(eid, 0) | sel
     # Contraindexing: a contraindexed pair fails where both realize one entity.
     contra = 0
-    for m in u.markers:
+    for m in markers:
         for other in m.contra:
             for eid, sel in binds.get(other, {}).items():
                 contra |= sel & binds[m.mid].get(eid, 0)
     # Rule 1: where a pronoun binds a prior entity, no pronoun binds the center.
-    prior_ids = {entry.entity.id: None for entry in prior_cf}
+    centers = [cb and cb.entity.id for cb in grid.cbs]  # None for the null center
+    prior_ids = dict.fromkeys(centers)  # None is no entity's id
     bound_prior = 0
     for eid, sel in bound.items():
         if eid in prior_ids:
@@ -151,7 +150,6 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
     # Every filter failed, less what each center entity passes: its rule 1
     # where a pronoun binds it, its constraint 3 where it tops.
     failed = contra | ones << 1 | bound_prior << 2
-    centers = tuple([cb.entity.id if cb is not None else None for cb in grid.cbs])
     passes = {eid: (bound_prior & sel) << 2 for eid, sel in bound.items()}
     # Constraint 3: walk the realized prior entities in prominence order,
     # then null, which realizes every Cf list. Each tops the Cf lists it
@@ -174,4 +172,4 @@ def run_filters(grid: AnchorGrid, prior_cf: CfList, u: Utterance) -> tuple[tuple
                 row = centers.index(eid, row + 1)
                 survivors += compress(count(row * width), columns)
     survivors.sort()  # the rows of two entities may interleave
-    return tuple(survivors), FilterVerdicts(width, failed, centers, tuple(passes.items()))
+    return tuple(survivors), FilterVerdicts(grid, failed, tuple(passes.items()))

@@ -197,7 +197,7 @@ def stages(u: Utterance, prior_cf: CfList, prev_cb=NO_PRIOR, mode: Mode = Mode.E
     Ranking runs only when something survived and `u` has markers; every
     exception a stage raises propagates."""
     grid = propose_anchors(u, prior_cf)
-    survivors, verdicts = run_filters(grid, prior_cf, u)
+    survivors, verdicts = run_filters(grid)
     ranked, tie = [], False
     if survivors and u.markers:
         _, ranking, tie = rank_and_select(survivors, grid, prev_cb, mode)

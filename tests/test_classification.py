@@ -58,7 +58,7 @@ from support import (
 def surviving(prior_cf, u):
     """The grid and its survivors' positions."""
     grid = propose_anchors(u, prior_cf)
-    survivors, _ = run_filters(grid, prior_cf, u)
+    survivors, _ = run_filters(grid)
     return grid, survivors
 
 
@@ -284,7 +284,7 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
                 grid = propose_anchors(u, prior_cf)
             except UnresolvablePronoun:
                 continue
-            survivors, _ = run_filters(grid, prior_cf, u)
+            survivors, _ = run_filters(grid)
             passing = [a for a in anchors_of(grid) if oracle_passes_filters(a, prior_cf, u)]
             ids = [e.entity.id for e in prior_cf]
             for prev_cb in (NO_PRIOR, None, *(e.entity for e in prior_cf[:1]), Entity("FRESH")):
@@ -330,7 +330,7 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
             grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        survivors, _ = run_filters(grid, prior_cf, u)
+        survivors, _ = run_filters(grid)
         if not survivors or not u.markers:
             continue
         for positions in (survivors, range(len(grid))):
@@ -361,7 +361,7 @@ def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
             grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        survivors, verdicts = run_filters(grid, prior_cf, u)
+        survivors, verdicts = run_filters(grid)
         if not survivors or not u.markers:
             continue
         for prev_cb, mode in product((NO_PRIOR, None), Mode):
@@ -438,7 +438,7 @@ def test_ranking_and_reading_it_grow_with_the_survivors():
         prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names)))
         u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
         grid = propose_anchors(u, prior)
-        survivors, _ = run_filters(grid, prior, u)
+        survivors, _ = run_filters(grid)
 
         def rank_and_read():
             _, ranked, _ = rank_and_select(survivors, grid, prior[0].entity)

@@ -352,12 +352,12 @@ def _verdicts_and_bytes_retained(prior, u):
     """The verdicts `run_filters` returns on `u` after `prior`, and the
     bytes they retain, by `tracemalloc`."""
     grid = propose_anchors(u, prior)
-    run_filters(grid, prior, u)  # warms up what a first call allocates once
+    run_filters(grid)  # warms up what a first call allocates once
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        survivors, verdicts = run_filters(grid, prior, u)
+        survivors, verdicts = run_filters(grid)
         del survivors
         after, _ = tracemalloc.get_traced_memory()
     finally:

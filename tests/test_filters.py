@@ -137,7 +137,7 @@ class TestRule1:
 class TestRunFilters:
     def test_survivors_are_ii_and_iii(self, grid_scene):
         prior_cf, u, anchors = grid_scene
-        survivors, verdicts = run_filters(anchors, prior_cf, u)
+        survivors, verdicts = run_filters(anchors)
         assert [a.ordinal for a in anchors_of(anchors, survivors)] == [2, 3]
         assert len(verdicts) == 16
         by_id = {v.anchor_id: v.eliminated_by for v in verdicts}
@@ -152,34 +152,21 @@ class TestRunFilters:
         prior, u, _ = race_scene()
         scene = propose_anchors(u, prior)
         for grid in (AnchorGrid((), scene.slots), AnchorGrid(scene.cbs, (scene.slots[0], ()))):
-            survivors, verdicts = run_filters(grid, prior, u)
+            survivors, verdicts = run_filters(grid)
             assert survivors == () and anchors_of(grid, survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks() == b""
 
-    def test_refuses_a_grid_that_does_not_match_the_utterance(self):
-        # After "Ann met Bea.": a grid without slots for a two-pronoun
-        # utterance, and grids whose slot for a name holds no entry or two.
-        prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
-        two = utt("She met her.", pronoun("She", index="A1", agr=FEM), pronoun("her", index="A2", gf=OBJ, agr=FEM))
-        with pytest.raises(ValueError, match="^the grid has 0 slots for 2 markers$"):
-            run_filters(AnchorGrid((*prior, None), ()), prior, two)
-        named = utt("Ann met her.", name("Ann", "ANN", agr=FEM), pronoun("her", index="A3", gf=OBJ, agr=FEM))
-        grid = propose_anchors(named, prior)
-        for slot in ((), prior):
-            with pytest.raises(ValueError, match=f"^marker 'Ann' is not a pronoun, but its slot holds {len(slot)} entries$"):
-                run_filters(AnchorGrid(grid.cbs, (slot, grid.slots[1])), prior, named)
-
     def test_verdicts_iterate_in_ordinal_order(self, grid_scene):
         prior_cf, u, anchors = grid_scene
-        _, verdicts = run_filters(anchors, prior_cf, u)
+        _, verdicts = run_filters(anchors)
         listed = list(verdicts)
         assert [v.anchor_id for v in listed] == list(range(1, 17))
         assert [bool(m) for m in verdicts.masks()] == [not v.passed for v in listed]
 
     def test_survivors_are_grid_positions(self, grid_scene):
         prior_cf, u, anchors = grid_scene
-        survivors, _ = run_filters(anchors, prior_cf, u)
+        survivors, _ = run_filters(anchors)
         assert survivors == (1, 2)
         assert len(survivors) == 2 and anchors_of(anchors, survivors) == anchors_of(anchors)[1:3]
         # The opener reading is carried by the ranking's transitions, not the survivors.
@@ -189,7 +176,7 @@ class TestRunFilters:
 
     def test_order_invariance_against_sequential_application(self, grid_scene):
         prior_cf, u, anchors = grid_scene
-        survivors, _ = run_filters(anchors, prior_cf, u)
+        survivors, _ = run_filters(anchors)
         for remaining in filtered_in_every_order(anchors_of(anchors), prior_cf, u):
             assert remaining == anchors_of(anchors, survivors)
 
@@ -218,7 +205,7 @@ def test_grid_values_compare_by_fields():
     # and print by their fields.
     prior_cf, u, prev_cb = race_scene()
     grid = propose_anchors(u, prior_cf)
-    survivors, verdicts = run_filters(grid, prior_cf, u)
+    survivors, verdicts = run_filters(grid)
     _, ranked, _ = rank_and_select(survivors, grid, prev_cb)
     eliminated = {1: {"contra"}, 2: set(), 3: set(), 6: {"constraint3"}, 16: {"contra", "constraint3", "rule1"}}
     listed = list(verdicts)
@@ -229,7 +216,7 @@ def test_grid_values_compare_by_fields():
     for value in (grid, verdicts, ranked):
         assert_value_by_fields(value)
     # Equal anchors do not make equal values: a value equals only its own type.
-    empty = (AnchorGrid((), ()), FilterVerdicts(0, 0, (), ()), Ranking((), (0, 0, 0, 0)))
+    empty = (AnchorGrid((), ()), FilterVerdicts(AnchorGrid((), ()), 0, ()), Ranking((), (0, 0, 0, 0)))
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
 
@@ -271,9 +258,10 @@ def _per_anchor_verdicts(anchors, prior_cf, u):
 
 
 def _grids(rng, grid, prior_cf):
-    """The canonical grid, its slots under re-paired centers, and those
+    """The canonical grid, its slots under re-paired centers, those
     centers over pronoun slots that repeat an entry or hold an equal but
-    distinct copy of one."""
+    distinct copy of one, and over slots where one fixed marker may
+    realize a second entity."""
     yield grid
     # Centers from anywhere, the slots' own entries included, not just
     # the prior centers; the same center may come back.
@@ -288,6 +276,14 @@ def _grids(rng, grid, prior_cf):
         for slot in grid.slots
     ]
     yield AnchorGrid(cbs, slots)
+    # A fixed marker's slot of two entries, which no utterance's grid
+    # holds: the second may bind any entity, its own one included.
+    fixed = [i for i, slot in enumerate(grid.slots) if not slot[0].marker.is_pronoun]
+    if fixed:
+        i = rng.choice(fixed)
+        entry = grid.slots[i][0]
+        other = rng.choice([e.entity for e in (*prior_cf, *own)])
+        yield AnchorGrid(cbs, (*grid.slots[:i], (entry, bind(entry.marker, other)), *grid.slots[i + 1 :]))
 
 
 def _crowded(rng, u):
@@ -314,12 +310,11 @@ def _risks(grid, prior_cf, u):
     Cf lists as a whole could go wrong, worked out one Cf list at a time."""
     risks = set()
     prior_ids = [e.entity.id for e in prior_cf]
-    fixed_ids = {m.entity.id for m in u.markers if not m.is_pronoun}
     pairs = [(a, b) for a, b in combinations(u.markers, 2) if b.mid in a.contra or a.mid in b.contra]
     for cf in cf_lists_of(grid):
         bound = {e.marker.mid: e.entity.id for e in cf}
         top = next((pid for pid in prior_ids if pid in bound.values()), None)
-        if top is not None and top not in fixed_ids:
+        if top is not None and top not in {e.entity.id for e in cf if not e.marker.is_pronoun}:
             risks.add("pronoun top ahead of every fixed entity")
         for a, b in pairs:
             if bound[a.mid] == bound[b.mid] and (a.is_pronoun or b.is_pronoun):
@@ -344,11 +339,13 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
             grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        # A shorter prior list leaves some pronouns bound outside it.
-        priors = (prior_cf, prior_cf[1:])
-        for variant in _grids(rng, grid, prior_cf):
-            for prior in priors:
-                survivors, verdicts = run_filters(variant, prior, u)
+        # Without the head prior center, some pronouns are bound outside
+        # the prior entities.
+        for base in (grid, AnchorGrid(grid.cbs[1:], grid.slots)):
+            for variant in _grids(rng, base, base.cbs[:-1]):
+                # The prior entities are the variant's non-null centers.
+                prior = tuple(cb for cb in variant.cbs if cb is not None)
+                survivors, verdicts = run_filters(variant)
                 expected_survivors, expected = _per_anchor_verdicts(anchors_of(variant), prior, u)
                 assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
                 # The very center and Cf list entries of each survivor.
@@ -356,9 +353,9 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
                     (a.ordinal, id(a.cb), [*map(id, a.cf)]) for a in expected_survivors
                 ]
                 risks.update(_risks(variant, prior, u))
-            checked += 1
-            cf_lists = cf_lists_of(variant)
-            repeated += len(set(cf_lists)) < len(cf_lists)
+                checked += 1
+                cf_lists = cf_lists_of(variant)
+                repeated += len(set(cf_lists)) < len(cf_lists)
     assert checked > 900 and repeated > 120
     floors = {
         "pronoun top ahead of every fixed entity": 400,
@@ -380,7 +377,7 @@ def test_run_filters_work_grows_with_the_slots_not_the_anchors():
         mids = ("A1", "A2", "A3")
         u = utt("x", *(pronoun("she", index=mid, agr=FEM, contra=set(mids) - {mid}) for mid in mids))
         grid = propose_anchors(u, prior)
-        return len(grid), line_events(run_filters, grid, prior, u)
+        return len(grid), line_events(run_filters, grid)
 
     # A trace function installed before the count is installed again after it.
     def installed(frame, event, arg):
@@ -415,7 +412,7 @@ def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
         grid = propose_anchors(u, prior)
 
         def filter_and_rank():
-            survivors, verdicts = run_filters(grid, prior, u)
+            survivors, verdicts = run_filters(grid)
             return survivors, verdicts, rank_and_select(survivors, grid, prior[0].entity)
 
         survivors, verdicts, ((_, transition, cb, cf), ranked, tie) = filter_and_rank()
@@ -439,7 +436,7 @@ def test_eighteen_pronouns_over_two_names():
     u = utt("x", *(pronoun("one", index=f"A{j}", agr=Agreement(None, "sg", "3")) for j in range(1, 19)))
     grid = propose_anchors(u, prior)
     width = 2**18
-    survivors, verdicts = run_filters(grid, prior, u)
+    survivors, verdicts = run_filters(grid)
     eliminated = [verdicts.masks().translate(bytes(m >> bit & 1 for m in range(256))).count(1) for bit in range(3)]
     assert len(grid) == 3 * width and eliminated == [0, 2**19, 2**18 + 2]
     assert survivors == (*range(width - 1), 2 * width - 1)
@@ -470,7 +467,7 @@ def test_contra_named_by_one_marker_of_a_pair_binds_both():
             grid = propose_anchors(u, prior_cf)
         except UnresolvablePronoun:
             continue
-        _, verdicts = run_filters(grid, prior_cf, u)
+        _, verdicts = run_filters(grid)
         _, expected = _per_anchor_verdicts(anchors_of(grid), prior_cf, u)
         assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
         checked += any(m.contra for m in u.markers)
@@ -491,7 +488,7 @@ def test_contra_naming_no_marker_of_the_utterance_is_ignored():
             pronoun("she", index="A1", agr=FEM, contra={"p2", *unknown}, mid="p1"),
             pronoun("her", index="A2", gf=OBJ, agr=FEM, contra=unknown, mid="p2"),
         )
-        survivors, verdicts = run_filters(propose_anchors(u, prior), prior, u)
+        survivors, verdicts = run_filters(propose_anchors(u, prior))
         return survivors, verdicts.masks()
 
     survivors, masks = filtered()

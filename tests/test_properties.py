@@ -110,6 +110,8 @@ def test_random_discourses_satisfy_the_constraints():
         utterances = random_discourse(rng)
         results = process_discourse(utterances)
         assert validate_committed(results) == []
+        # The verdicts keep the result's own grid, a failed utterance's too.
+        assert all(r.verdicts.grid is r.anchors for r in results)
 
 
 def test_index_allocation_never_reuses_indices():
