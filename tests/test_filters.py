@@ -157,6 +157,27 @@ class TestRunFilters:
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks() == b""
 
+    def test_decides_a_grid_that_does_not_match_the_utterance(self):
+        # After "Ann met Bea.": a grid without slots for a two-pronoun
+        # utterance, and grids whose slot for a name holds no entry or two.
+        # Each is decided from the grid alone, as the per-anchor oracles
+        # decide its anchors.
+        prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+        two = utt("She met her.", pronoun("She", index="A1", agr=FEM), pronoun("her", index="A2", gf=OBJ, agr=FEM))
+        named = utt("Ann met her.", name("Ann", "ANN", agr=FEM), pronoun("her", index="A3", gf=OBJ, agr=FEM))
+        grid = propose_anchors(named, prior)
+        cases = [
+            # One empty Cf list under each center: only the null center passes.
+            (AnchorGrid((*prior, None), ()), two, (2,)),
+            (AnchorGrid(grid.cbs, ((), grid.slots[1])), named, ()),
+            (AnchorGrid(grid.cbs, (prior, grid.slots[1])), named, (0, 2, 7)),
+        ]
+        for variant, u, expected_survivors in cases:
+            survivors, verdicts = run_filters(variant)
+            _, expected = _per_anchor_verdicts(anchors_of(variant), prior, u)
+            assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
+            assert survivors == expected_survivors and len(verdicts) == len(variant)
+
     def test_verdicts_iterate_in_ordinal_order(self, grid_scene):
         prior_cf, u, anchors = grid_scene
         _, verdicts = run_filters(anchors)
