@@ -40,6 +40,7 @@ from .engine import (
 from .filters import (
     FilterVerdict,
     FilterVerdicts,
+    SurvivorRows,
     run_filters,
 )
 from .model import (
@@ -83,6 +84,7 @@ __all__ = [
     "Ranking",
     "ReferenceMarker",
     "SchemaError",
+    "SurvivorRows",
     "Transition",
     "UnresolvablePronoun",
     "Utterance",

@@ -10,8 +10,9 @@ shift) and plain shifting; classic mode lumps both under shifting.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 
+from .filters import SurvivorRows
 from .model import AnchorGrid, CfEntry, CfList, Entity, Mode, Transition, Value, as_mode
 
 
@@ -36,12 +37,12 @@ class NoViableAnchor(Exception):
 
 
 # Transition's declaration order is the preference order. Iterating an
-# Enum class runs Python code, so the hot paths read this tuple instead.
+# Enum class runs Python code, and hashing a member does too, so the hot
+# paths read this tuple instead, and find a member's rank by `.index`.
 _BY_PREFERENCE = tuple(Transition)
 # As model._PRONOUN: what runs per block or per anchor reads these, not the Enum classes.
 _CONTINUING, _RETAINING, _SHIFTING_1, _SHIFTING = _BY_PREFERENCE
 _EXTENDED = Mode.EXTENDED
-_PREFERENCE = {transition: rank for rank, transition in enumerate(_BY_PREFERENCE)}
 
 
 def classify(
@@ -83,30 +84,50 @@ def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfE
 
 
 class Ranking(Value):
-    """The surviving anchors in rank order: positions, a count per transition.
+    """The surviving anchors in rank order, as blocks of their rows' bytes.
 
-    `positions` are the ranked anchors' grid positions, best class first,
-    and `sizes[k]` counts those that make `Transition`'s k-th member (0
-    for SHIFTING-1 in classic mode). Iterating yields each ranked
-    anchor's (position, transition).
+    `blocks[k]` holds, in grid order, the (base, start, stop, kept)
+    blocks of the anchors that make `Transition`'s k-th member: one center
+    row under one head entry, at the positions base + i, i in
+    range(start, stop), where its row's `SurvivorRows` bytes `kept` hold
+    a 1. `sizes[k]` counts them (0 for SHIFTING-1 in classic mode).
+    `.positions` and iterating, by (position, transition), write them.
     """
 
-    __slots__ = ("positions", "sizes")
+    __slots__ = ("blocks", "sizes")
 
-    def __init__(self, positions: tuple[int, ...], sizes: tuple[int, int, int, int]) -> None:
-        if len(sizes) != len(_BY_PREFERENCE) or sum(sizes) != len(positions) or min(sizes) < 0:
-            raise ValueError(f"need one count per transition, none negative, summing to {len(positions)}: got {sizes!r}")
-        self._set(positions, sizes)
+    def __init__(self, blocks: tuple[tuple[tuple[int, int, int, bytes], ...], ...]) -> None:
+        if len(blocks) != len(_BY_PREFERENCE):
+            raise ValueError(f"need one tuple of blocks per transition: got {len(blocks)}")
+        sizes = [0, 0, 0, 0]
+        for k, group in enumerate(blocks):
+            for _, start, stop, kept in group:
+                sizes[k] += kept.count(1, start, stop)
+        self._set(tuple(map(tuple, blocks)), tuple(sizes))
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(map(block_positions, chain.from_iterable(self.blocks))))
 
     def __iter__(self) -> Iterator[tuple[int, Transition]]:
-        return zip(self.positions, chain.from_iterable(map(repeat, _BY_PREFERENCE, self.sizes)))
+        return chain.from_iterable([
+            zip(block_positions(block), repeat(transition))
+            for transition, group in zip(_BY_PREFERENCE, self.blocks)
+            for block in group
+        ])
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return sum(self.sizes)
+
+
+def block_positions(block: tuple[int, int, int, bytes]) -> Iterator[int]:
+    """The positions of a `Ranking` block's anchors, increasing."""
+    base, start, stop, kept = block
+    return compress(count(base + start), kept[start:stop])
 
 
 def rank_and_select(
-    survivors: tuple[int, ...],
+    survivors: SurvivorRows,
     grid: AnchorGrid,
     prev_cb: Entity | None | _NoPrior,
     mode: Mode = Mode.EXTENDED,
@@ -114,49 +135,53 @@ def rank_and_select(
     """Order the surviving anchors of `grid` by transition preference and
     pick the winner, the first ranked anchor.
 
-    `survivors` are grid positions, in any order. An anchor's transition
-    depends only on its center and the head of its Cf list, which are
-    fixed over each block of `width // len(slots[0])` consecutive
-    positions, so `classify` runs once per block, on its head entry.
-    The survivors are bucketed by preference in increasing grid order,
-    which puts them in (preference, construction ordinal) order. `tie`
-    reports whether the top preference class holds two readings, each a
-    shown center's entity and a Cf list: two center rows of one prior
-    entity give one. The winner is the construction-order first, leaving
-    the ambiguity visible to callers; it shows its `shown_center`, and
-    its Cf list is the only one decoded. Raises NoViableAnchor when
-    nothing survived.
+    `survivors` are `run_filters`' SurvivorRows of `grid`. An anchor's
+    transition depends only on its center and the head of its Cf list,
+    which are fixed over each block of `width // len(slots[0])`
+    consecutive positions, so `classify` runs once per block that holds
+    a survivor, on its head entry. The blocks are bucketed by preference
+    in grid order, which puts their anchors in (preference, construction
+    ordinal) order. `tie` reports whether the top preference class holds
+    two readings, each a shown center's entity and a Cf list: two center
+    rows of one prior entity give one. The winner is the first in
+    construction order, leaving the ambiguity visible to callers; it
+    shows its `shown_center`, and its Cf list is the only one decoded.
+    Raises NoViableAnchor when nothing survived.
     """
-    if not survivors:
+    if not survivors.rows:
         raise NoViableAnchor("no anchor survived filtering")
     cbs, width = grid.cbs, grid.width
     # Without markers, one block of the empty Cf list.
     head_slot = grid.slots[0] if grid.slots else ()
     heads = len(head_slot) or 1
     tail = width // heads
-    # One bucket per transition, in preference order; sorted, a block's
-    # survivors are consecutive, so `classify` runs when the block changes.
-    buckets: list[list[int]] = [[], [], [], []]
-    best = len(buckets)
-    block = None
-    for position in sorted(survivors):
-        if position // tail != block:
-            block = position // tail
-            row, head = divmod(block, heads)
-            rank = _PREFERENCE[classify(cbs[row], head_slot[head : head + 1], prev_cb, mode)]
-            bucket = buckets[rank]
-            if rank < best:
-                best = rank
-        bucket.append(position)
-    ranked = Ranking(tuple(chain.from_iterable(buckets)), tuple(map(len, buckets)))
-    top, transition = buckets[best], _BY_PREFERENCE[best]
-    position = top[0]
+    # One bucket of blocks per transition, in preference order.
+    buckets: tuple[list[tuple[int, int, int, bytes]], ...] = ([], [], [], [])
+    for row, kept in survivors.rows:
+        cb = cbs[row]
+        lead = width - len(kept)  # the row's columns before its kept bytes
+        base = row * width + lead
+        for head in range(lead // tail, heads):  # the first block may be cut short
+            start, stop = max(head * tail - lead, 0), (head + 1) * tail - lead
+            if kept.find(1, start, stop) >= 0:
+                transition = classify(cb, head_slot[head : head + 1], prev_cb, mode)
+                buckets[_BY_PREFERENCE.index(transition)].append((base, start, stop, kept))
+    ranked = Ranking(buckets)
+    for best, top in enumerate(ranked.blocks):
+        if top:
+            break
+    transition = _BY_PREFERENCE[best]
+    base, start, stop, kept = top[0]
+    position = base + kept.find(1, start, stop)
     cb, cf = shown_center(grid, position, transition), grid.cf_list(position % width)
-    tie = False
-    if len(top) > 1:
-        # A reading is (shown center's entity, column); the top class makes one transition.
-        shown = (shown_center(grid, p, transition) for p in top)
-        readings = ((None if c is None else c.entity.id, p % width) for c, p in zip(shown, top))
-        first = next(readings)
-        tie = any(reading != first for reading in readings)
+    # A block's survivors have distinct Cf lists. Blocks of one survivor each may
+    # share a reading, (shown center's entity, column): the class makes one transition.
+    tie = ranked.sizes[best] > len(top)
+    if not tie and len(top) > 1:
+        readings = set()
+        for base, start, stop, kept in top:
+            p = base + kept.find(1, start, stop)
+            c = shown_center(grid, p, transition)
+            readings.add((None if c is None else c.entity.id, p % width))
+        tie = len(readings) > 1
     return (position, transition, cb, cf), ranked, tie

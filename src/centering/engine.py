@@ -51,12 +51,12 @@ class UtteranceResult(Value):
     names the failure, and otherwise is "tie" or None. `cb` is the
     center the winner shows (`shown_center`), with its realizing marker:
     the prior utterance's, or an opener's own preferred-center marker.
-    `ranked` is empty when no anchor was committed.
+    `ranked` is empty when no anchor was committed. `anchors`, the grid,
+    is read off `verdicts`.
     """
 
     __slots__ = (
-        "utterance", "transition", "cb", "cf", "anchors", "verdicts", "ranked",
-        "after_retention", "diagnostic_kind", "diagnostic",
+        "utterance", "transition", "cb", "cf", "verdicts", "ranked", "after_retention", "diagnostic_kind", "diagnostic",
     )
 
     def __init__(
@@ -65,19 +65,21 @@ class UtteranceResult(Value):
         transition: Transition | None,
         cb: CfEntry | None,
         cf: CfList,
-        anchors: AnchorGrid,
         verdicts: FilterVerdicts,
         ranked: Ranking,
         after_retention: bool,
         diagnostic_kind: str | None = None,
         diagnostic: str | None = None,
     ) -> None:
-        self._set(utterance, transition, cb, cf, anchors, verdicts, ranked, after_retention, diagnostic_kind,
-                  diagnostic)
+        self._set(utterance, transition, cb, cf, verdicts, ranked, after_retention, diagnostic_kind, diagnostic)
 
     @property
     def position(self) -> int:
         return self.utterance.position
+
+    @property
+    def anchors(self) -> AnchorGrid:
+        return self.verdicts.grid
 
     @property
     def anchors_constructed(self) -> int:
@@ -100,9 +102,8 @@ class UtteranceResult(Value):
 
 # No center, and one slot without entries: a pronoun with no candidate
 # leaves no Cf list, so a failed utterance's grid holds no anchor.
-_NO_ANCHORS = AnchorGrid((), ((),))
-_NO_VERDICTS = FilterVerdicts(_NO_ANCHORS, 0, ())
-_NOTHING_RANKED = Ranking((), (0, 0, 0, 0))
+_NO_VERDICTS = FilterVerdicts(AnchorGrid((), ((),)), 0, ())
+_NOTHING_RANKED = Ranking(((), (), (), ()))
 _RETAINING = Transition.RETAINING  # as model._PRONOUN
 
 
@@ -121,7 +122,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
     else:
         prev_cb = prev.cb.entity if prev.cb is not None else None
         prior_cf, after_retention = prev.cf, prev.transition is _RETAINING
-    anchors, verdicts, ranked = _NO_ANCHORS, _NO_VERDICTS, _NOTHING_RANKED
+    verdicts, ranked = _NO_VERDICTS, _NOTHING_RANKED
     kind = message = None
     try:
         anchors = propose_anchors(u, prior_cf)
@@ -140,7 +141,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
                 f"{next(filter(None, ranked.sizes))} anchors share transition {transition.value}; "
                 "kept the construction-order first"
             )
-    return UtteranceResult(u, transition, cb, cf, anchors, verdicts, ranked, after_retention, kind, message)
+    return UtteranceResult(u, transition, cb, cf, verdicts, ranked, after_retention, kind, message)
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:

@@ -74,7 +74,30 @@ class FilterVerdicts(Value):
             yield FilterVerdict(i + 1, _ELIMINATED[mask])
 
 
-def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
+class SurvivorRows(Value):
+    """The surviving anchors of an AnchorGrid, as bytes per center row.
+
+    `rows` pairs each center row that holds a survivor, in increasing
+    order, with its kept bytes, shared by the rows of one entity: 1 for
+    each of the last `len(kept)` of the `width` columns whose anchor
+    survived, and 0 for the others; the first is a 1. `len()` and
+    iterating, which yields the positions in increasing order, read them.
+    """
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int, rows: tuple[tuple[int, bytes], ...]) -> None:
+        self._set(width, rows)
+
+    def __len__(self) -> int:
+        return sum([kept.count(1) for _, kept in self.rows])
+
+    def __iter__(self) -> Iterator[int]:
+        width = self.width
+        return chain.from_iterable([compress(count((row + 1) * width - len(kept)), kept) for row, kept in self.rows])
+
+
+def run_filters(grid: AnchorGrid) -> tuple[SurvivorRows, FilterVerdicts]:
     """Evaluate all three filters on every anchor of `grid`.
 
     The grid is the whole input: slot i's entries realize one marker,
@@ -82,9 +105,9 @@ def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
     the non-null centers' in row order; in `propose_anchors(u,
     prior_cf)`'s grid, `u`'s i-th marker and `prior_cf`'s entities. Any
     grid is decided, and a contra reference to a marker id that no
-    slot's marker has is ignored. Returns the survivors, as increasing
-    positions (ordinal - 1) in `grid`, and the verdicts, which record
-    the full elimination set of every anchor.
+    slot's marker has is ignored. Returns the survivors, as the kept
+    bytes of the center rows that hold any, and the verdicts, which
+    record the full elimination set of every anchor.
 
     No Python step runs per anchor or per Cf list. Each fact about the
     Cf lists is a selector: an int whose bytes, one per Cf list in grid
@@ -93,12 +116,13 @@ def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
     to 7, so each operation decides every Cf list at once, and a center
     row's verdict bytes, when read, are one `to_bytes`. Each marker has
     a selector per entity it can realize, which follows from its slot's
-    place in the grid's product; a one-entry slot realizes its entity in
-    every Cf list. Everything but the center is shared by a grid's rows:
-    a row's verdicts are `failed`, the filters some center fails, less
+    place in the grid's product: one `from_bytes` per slot, shifted by
+    whole runs of bytes; a one-entry slot realizes its entity in every
+    Cf list. Everything but the center is shared by a grid's rows: a
+    row's verdicts are `failed`, the filters some center fails, less
     what its center entity passes. Only the rows of an entity that tops
-    some Cf list under constraint 3 can hold survivors, so only those
-    rows are visited for them.
+    some Cf list under constraint 3 can hold survivors; they share that
+    entity's kept selector, written once as bytes.
     """
     width = grid.width
     # The selector of every Cf list: width bytes of 1, (256**width - 1) / 255.
@@ -121,16 +145,18 @@ def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
             sels = binds[m.mid] = {slot[0].entity.id: ones}
             realized.update(sels)  # ones | any selector is ones
         else:
-            ids = [entry.entity.id for entry in slot]
-            run = width // (repeats * len(ids))
-            runs = (bytes(run), b"\1" * run)
-            # An entity's selector: the slot's runs, of 1 where the slot's
-            # entry binds that entity and of 0 elsewhere, once per repeat.
+            k = len(slot)
+            run = width // (repeats * k)
+            # The first entry's selector: a run of 1 and k - 1 runs of 0,
+            # once per repeat. Entry j's is that shifted j runs later, and
+            # an entity's is the OR of its entries'.
+            first = int.from_bytes((b"\1" * run + bytes(run * (k - 1))) * repeats, "big")
             sels = binds[m.mid] = {}
-            for eid in dict.fromkeys(ids):
-                sels[eid] = sel = int.from_bytes(b"".join(map(runs.__getitem__, map(eid.__eq__, ids))) * repeats, "big")
+            for j, entry in enumerate(slot):
+                eid = entry.entity.id
+                sels[eid] = sel = sels.get(eid, 0) | first >> 8 * run * j
                 realized[eid] = realized.get(eid, 0) | sel
-            repeats *= len(ids)
+            repeats *= k
         if m.is_pronoun:
             for eid, sel in sels.items():
                 bound[eid] = bound.get(eid, 0) | sel
@@ -154,22 +180,26 @@ def run_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
     # Constraint 3: walk the realized prior entities in prominence order,
     # then null, which realizes every Cf list. Each tops the Cf lists it
     # realizes that no entity ahead of it does, and the walk stops once
-    # every Cf list is topped. An entity's rows hold survivors in the Cf
-    # lists it tops where contra and rule 1 pass too.
+    # every Cf list is topped. An entity's rows keep the Cf lists it tops
+    # where contra passes and rule 1 does: `clear` of both, or bound to it.
+    # A complement is taken by `ones ^`, as ~'s negative ints cost more.
+    free = ones ^ contra
+    clear = free ^ (free & bound_prior)
     walk = chain(filter(realized.__contains__, prior_ids), (None,))
-    covered = 0
-    survivors: list[int] = []
-    while covered != ones:
+    uncovered = ones
+    rows: list[tuple[int, bytes]] = []
+    while uncovered:
         eid = next(walk)
-        top = realized.get(eid, ones) & ~covered
-        covered |= top
+        top = realized.get(eid, ones) & uncovered
+        uncovered ^= top
         passes[eid] = passes.get(eid, 0) ^ top << 1
-        kept = top & ~(contra | bound_prior & ~bound.get(eid, 0))
+        kept = top & (clear | free & bound.get(eid, 0))
         if kept:
-            columns = kept.to_bytes(width, "big")
+            # Its bytes from the first kept column on.
+            columns = kept.to_bytes((kept.bit_length() + 7) // 8, "big")
             row = -1
             for _ in range(centers.count(eid)):
                 row = centers.index(eid, row + 1)
-                survivors += compress(count(row * width), columns)
-    survivors.sort()  # the rows of two entities may interleave
-    return tuple(survivors), FilterVerdicts(grid, failed, tuple(passes.items()))
+                rows.append((row, columns))
+    rows.sort()  # the rows of two entities may interleave; no two rows are equal
+    return SurvivorRows(width, tuple(rows)), FilterVerdicts(grid, failed, tuple(passes.items()))

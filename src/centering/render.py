@@ -13,7 +13,7 @@ from itertools import chain, compress, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
-from .classification import shown_center
+from .classification import block_positions, shown_center
 from .engine import UtteranceResult
 from .filters import FILTER_NAMES
 from .model import CfEntry, CfList, Transition
@@ -102,7 +102,7 @@ def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
     for position, transition in ranked:
         notes[position] = _TRANSITION_NOTES[transition]
     if ranked:
-        notes[ranked.positions[0]] += "  <- selected"
+        notes[next(iter(ranked))[0]] += "  <- selected"
     # Each center and each slot entry is formatted once, and a Cf list's
     # entries are joined as the product of the slots yields them; the
     # columns are zipped in grid order, center-major.
@@ -154,7 +154,8 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
 # `structured` writes each record's JSON itself, in the layout of
 # json.dumps(record, ensure_ascii=False): ", " and ": " separators, and
 # strings escaped by encode_basestring, as json.dumps escapes them.
-_TRANSITION_JSON = {t: encode_basestring(t.value) for t in Transition}
+# Each transition with its JSON, in preference order, as `Ranking.blocks` holds them.
+_TRANSITION_JSON = tuple((t, encode_basestring(t.value)) for t in Transition)
 
 
 def _json_str(text: str | None) -> str:
@@ -186,13 +187,18 @@ def _structured_line(result: UtteranceResult) -> str:
         entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
         cf_lists = list(map(", ".join, product(*entries)))
         width = len(cf_lists)
-        for position, transition in result.ranked:
-            row, column = divmod(position, width)
-            center = centers[row] or encode_basestring(display_cb(shown_center(grid, position, transition)))
-            cells.append(
-                f'{{"anchor": "{labels[position]}", "transition": {_TRANSITION_JSON[transition]}, '
-                f'"cb": {center}, "cf": [{cf_lists[column]}]}}'
-            )
+        # A block fixes its center row, so its shown center, and its transition.
+        for (transition, label), group in zip(_TRANSITION_JSON, result.ranked.blocks):
+            for block in group:
+                base, start, _, _ = block
+                row = (base + start) // width
+                center = centers[row] or encode_basestring(display_cb(shown_center(grid, base + start, transition)))
+                fixed = f'"transition": {label}, "cb": {center}, "cf": ['
+                first = row * width  # the row's first position
+                cells += [
+                    f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - first]}]}}'
+                    for position in block_positions(block)
+                ]
     ranked = ", ".join(cells)
     bindings = "null"
     bound = result.bindings

@@ -13,7 +13,7 @@ import pickle
 import random
 import sys
 from collections.abc import Iterable
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, compress, count, permutations, product
 from typing import NamedTuple
 
 from centering import (
@@ -23,12 +23,15 @@ from centering import (
     CfEntry,
     CfList,
     Entity,
+    FilterVerdicts,
     GrammaticalFunction,
     MarkerKind,
     Mode,
     ReferenceMarker,
+    SurvivorRows,
     Transition,
     Utterance,
+    NoViableAnchor,
     classify,
     propose_anchors,
     rank_and_select,
@@ -36,6 +39,7 @@ from centering import (
     roman,
     run_filters,
 )
+from centering.classification import shown_center
 from centering.engine import FAILURE_DIAGNOSTICS, UtteranceResult
 from centering.filters import FILTER_NAMES
 
@@ -156,6 +160,21 @@ def anchors_of(grid: AnchorGrid, positions: Iterable[int] | None = None) -> list
     return [Anchor(grid.cbs[p // width], cf_lists[p % width], p + 1) for p in positions]
 
 
+def survivors_of(positions: Iterable[int], grid: AnchorGrid) -> SurvivorRows:
+    """The SurvivorRows of `grid` that hold the anchors at `positions`,
+    given in any order: per row with one, its bytes from its first kept
+    column on."""
+    width = grid.width
+    columns: dict[int, set[int]] = {}
+    for p in positions:
+        columns.setdefault(p // width, set()).add(p % width)
+    rows = []
+    for row in sorted(columns):
+        lead = min(columns[row])
+        rows.append((row, bytes(c in columns[row] for c in range(lead, width))))
+    return SurvivorRows(width, tuple(rows))
+
+
 def cf_lists_of(grid: AnchorGrid) -> list[CfList]:
     """A grid's Cf lists in column order: the product of its slots."""
     return list(product(*grid.slots))
@@ -255,6 +274,93 @@ def line_events(fn, *args) -> int:
     finally:
         sys.settrace(previous)
     return events
+
+
+# --- references: the filters and ranking by positions ---------------------
+
+
+def reference_filters(grid: AnchorGrid) -> tuple[tuple[int, ...], FilterVerdicts]:
+    """`run_filters` as it was before it kept its survivors as bytes: the
+    same selectors, each entity's built by one `int.from_bytes` of its
+    slot's runs, and the survivors written as increasing positions."""
+    width = grid.width
+    ones = (1 << 8 * width) // 255
+    binds: dict[str, dict[str, int]] = {}
+    realized: dict[str, int] = {}
+    bound: dict[str, int] = {}
+    repeats = 1
+    markers = []
+    for slot in filter(None, grid.slots):
+        m = slot[0].marker
+        markers.append(m)
+        ids = [entry.entity.id for entry in slot]
+        run = width // (repeats * len(ids))
+        sels = binds[m.mid] = {}
+        for eid in dict.fromkeys(ids):
+            runs = b"".join(b"\1" * run if other == eid else bytes(run) for other in ids)
+            sels[eid] = sel = int.from_bytes(runs * repeats, "big")
+            realized[eid] = realized.get(eid, 0) | sel
+        repeats *= len(ids)
+        if m.is_pronoun:
+            for eid, sel in sels.items():
+                bound[eid] = bound.get(eid, 0) | sel
+    contra = 0
+    for m in markers:
+        for other in m.contra:
+            for eid, sel in binds.get(other, {}).items():
+                contra |= sel & binds[m.mid].get(eid, 0)
+    centers = [cb and cb.entity.id for cb in grid.cbs]
+    prior_ids = dict.fromkeys(centers)
+    bound_prior = 0
+    for eid, sel in bound.items():
+        if eid in prior_ids:
+            bound_prior |= sel
+    failed = contra | ones << 1 | bound_prior << 2
+    passes = {eid: (bound_prior & sel) << 2 for eid, sel in bound.items()}
+    walk = chain(filter(realized.__contains__, prior_ids), (None,))
+    covered = 0
+    survivors: list[int] = []
+    while covered != ones:
+        eid = next(walk)
+        top = realized.get(eid, ones) & ~covered
+        covered |= top
+        passes[eid] = passes.get(eid, 0) ^ top << 1
+        kept = top & ~(contra | bound_prior & ~bound.get(eid, 0))
+        if kept:
+            columns = kept.to_bytes(width, "big")
+            for row, center in enumerate(centers):
+                if center == eid:
+                    survivors += compress(count(row * width), columns)
+    return tuple(sorted(survivors)), FilterVerdicts(grid, failed, tuple(passes.items()))
+
+
+def reference_ranking(positions: Iterable[int], grid: AnchorGrid, prev_cb, mode: Mode = Mode.EXTENDED):
+    """`rank_and_select` as it was before it ranked blocks of bytes:
+    ((winner's position, transition, shown center, Cf list), the ranked
+    positions, one count per transition, tie), from the survivors'
+    positions in any order, classifying each on its center and head."""
+    positions = sorted(positions)
+    if not positions:
+        raise NoViableAnchor("no anchor survived filtering")
+    width = grid.width
+    head_slot = grid.slots[0] if grid.slots else ()
+    tail = width // (len(head_slot) or 1)
+    buckets: list[list[int]] = [[] for _ in Transition]
+    for p in positions:
+        head = p % width // tail
+        transition = classify(grid.cbs[p // width], head_slot[head : head + 1], prev_cb, mode)
+        buckets[list(Transition).index(transition)].append(p)
+    best = next(k for k, bucket in enumerate(buckets) if bucket)
+    top, transition = buckets[best], list(Transition)[best]
+    winner = top[0]
+    shown = [shown_center(grid, p, transition) for p in top]
+    readings = {(None if c is None else c.entity.id, p % width) for c, p in zip(shown, top)}
+    return (
+        (winner, transition, shown[0], grid.cf_list(winner % width)),
+        tuple(chain.from_iterable(buckets)),
+        tuple(map(len, buckets)),
+        len(readings) > 1,
+    )
 
 
 # --- independent oracles ---------------------------------------------------

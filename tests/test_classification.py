@@ -50,13 +50,16 @@ from support import (
     random_discourse,
     random_scene,
     ranked_of,
+    reference_filters,
+    reference_ranking,
     stages,
+    survivors_of,
     utt,
 )
 
 
 def surviving(prior_cf, u):
-    """The grid and its survivors' positions."""
+    """The grid and its survivors."""
     grid = propose_anchors(u, prior_cf)
     survivors, _ = run_filters(grid)
     return grid, survivors
@@ -183,7 +186,7 @@ class TestRankAndSelect:
 
     def test_empty_survivors_raise(self):
         with pytest.raises(NoViableAnchor):
-            rank_and_select((), AnchorGrid((), ()), NO_PRIOR)
+            rank_and_select(survivors_of((), AnchorGrid((), ())), AnchorGrid((), ()), NO_PRIOR)
 
     def test_winner_invariant_under_permutation(self):
         prior_cf, u, prev_cb = race_scene()
@@ -192,7 +195,7 @@ class TestRankAndSelect:
         for _ in range(10):
             shuffled = list(survivors)
             rng.shuffle(shuffled)
-            winner, ranked, _ = select((grid, shuffled), prev_cb)
+            winner, ranked, _ = select((grid, survivors_of(shuffled, grid)), prev_cb)
             assert winner.anchor.ordinal == 2
             assert [c.anchor.ordinal for c in ranked] == [2, 3]
 
@@ -211,7 +214,7 @@ def test_winner_permutation_invariance_randomized():
         winner, _, _ = select((grid, survivors), prev_cb)
         shuffled = list(survivors)
         rng.shuffle(shuffled)
-        again, _, _ = select((grid, shuffled), prev_cb)
+        again, _, _ = select((grid, survivors_of(shuffled, grid)), prev_cb)
         assert winner.anchor.ordinal == again.anchor.ordinal
 
 
@@ -313,6 +316,50 @@ def test_grid_ranking_matches_the_per_anchor_reference_randomized():
     assert min(seen.values()) > 20, seen
 
 
+def test_ranking_matches_the_position_reference_randomized():
+    # In both modes, the ranking of the kept bytes equals the ranking of
+    # the same survivors as positions by `reference_ranking`: winner,
+    # positions, sizes and tie, as do the verdicts' masks. The scenes
+    # include contra, openers, fixed markers that realize prior
+    # entities, a prior Cf list that realizes an entity twice, every
+    # anchor ranked unfiltered, and a slot emptied, which leaves nothing.
+    rng = random.Random(3637)
+    seen = {"contra": 0, "opener": 0, "fixed prior": 0, "twice": 0, "tie": 0, "empty slot": 0}
+    for _ in range(250):
+        scene_prior, u = random_scene(rng)
+        for prior_cf in _priors(rng, scene_prior):
+            try:
+                grid = propose_anchors(u, prior_cf)
+            except UnresolvablePronoun:
+                continue
+            grids = [grid]
+            if grid.slots:
+                grids.append(AnchorGrid(grid.cbs, (*grid.slots[:-1], ())))
+            for variant in grids:
+                survivors, verdicts = run_filters(variant)
+                positions, expected = reference_filters(variant)
+                assert verdicts.masks() == expected.masks()
+                inputs = [(survivors, positions), (survivors_of(range(len(variant)), variant), range(len(variant)))]
+                for (kept, listed), prev_cb, mode in product(inputs, (NO_PRIOR, None, *(e.entity for e in prior_cf[:1])), Mode):
+                    try:
+                        want = reference_ranking(listed, variant, prev_cb, mode)
+                    except (NoViableAnchor, EmptyCf) as exc:
+                        with pytest.raises(type(exc)):
+                            rank_and_select(kept, variant, prev_cb, mode)
+                        seen["empty slot"] += not variant.width
+                        continue
+                    winner, ranked, tie = rank_and_select(kept, variant, prev_cb, mode)
+                    assert (winner, ranked.positions, ranked.sizes, tie) == want
+                    seen["tie"] += tie
+                    seen["opener"] += prev_cb is NO_PRIOR
+                    seen["contra"] += any(m.contra for m in u.markers)
+                    seen["twice"] += len({e.entity.id for e in prior_cf}) < len(prior_cf)
+                    ids = {e.entity.id for e in prior_cf}
+                    seen["fixed prior"] += any(not m.is_pronoun and m.entity.id in ids for m in u.markers)
+    floors = {"contra": 250, "opener": 350, "fixed prior": 450, "twice": 450, "tie": 250, "empty slot": 1000}
+    assert all(seen[case] >= floors[case] for case in floors), seen
+
+
 def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
     # Two center rows of one prior entity give one reading: a top class
     # of one Cf list under both rows is no tie, and a tie is reported
@@ -333,10 +380,10 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
         survivors, _ = run_filters(grid)
         if not survivors or not u.markers:
             continue
-        for positions in (survivors, range(len(grid))):
+        for kept in (survivors, survivors_of(range(len(grid)), grid)):
             for prev_cb in (None, prior_cf[0].entity, Entity("FRESH")):
                 for mode in Mode:
-                    _, ranked, tie = rank_and_select(positions, grid, prev_cb, mode)
+                    _, ranked, tie = rank_and_select(kept, grid, prev_cb, mode)
                     cells = [(c.transition, c.anchor.cb, c.anchor.cf) for c in ranked_of(ranked, grid)]
                     assert tie == oracle_tie(cells)
                     seen["tie"] += tie
@@ -366,10 +413,10 @@ def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
             continue
         for prev_cb, mode in product((NO_PRIOR, None), Mode):
             (_, transition, cb, cf), ranked, _ = rank_and_select(survivors, grid, prev_cb, mode)
-            result = UtteranceResult(u, transition, cb, cf, grid, verdicts, ranked, False)
+            result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False)
             (record,) = map(json.loads, render_trace([result], "structured").splitlines())
             for (position, _), cell in zip(ranked, record["ranked"], strict=True):
-                (_, _, alone, _), _, _ = rank_and_select((position,), grid, prev_cb, mode)
+                (_, _, alone, _), _, _ = rank_and_select(survivors_of((position,), grid), grid, prev_cb, mode)
                 assert cell["cb"] == display_cb(alone), (position, prev_cb, mode)
                 null = grid.cbs[position // grid.width] is None
                 seen["opener"] += not prior_cf
@@ -378,10 +425,11 @@ def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
     assert min(seen.values()) > 20, seen
 
 
-def _split_shifting(classic: Ranking, grid: AnchorGrid) -> Ranking:
-    """`classic`, a ranking of `grid`, with its SHIFTING bucket split in
-    two: the anchors whose center is their own preferred center, as
-    SHIFTING-1, then the rest, each part in the bucket's order."""
+def _split_shifting(classic: Ranking, grid: AnchorGrid) -> tuple[tuple[int, ...], tuple[int, int, int, int]]:
+    """The positions and sizes of `classic`, a ranking of `grid`, with its
+    SHIFTING bucket split in two: the anchors whose center is their own
+    preferred center, as SHIFTING-1, then the rest, each part in the
+    bucket's order."""
     kept, centered, shifting = [], [], []
     for c in ranked_of(classic, grid):
         position, cb, cf = c.anchor.ordinal - 1, c.anchor.cb, c.anchor.cf
@@ -392,7 +440,7 @@ def _split_shifting(classic: Ranking, grid: AnchorGrid) -> Ranking:
         else:
             shifting.append(position)
     continuing, retaining, _, _ = classic.sizes
-    return Ranking((*kept, *centered, *shifting), (continuing, retaining, len(centered), len(shifting)))
+    return (*kept, *centered, *shifting), (continuing, retaining, len(centered), len(shifting))
 
 
 def test_extended_ranking_splits_the_classic_shifting_bucket():
@@ -418,12 +466,12 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                 except (UnresolvablePronoun, NoViableAnchor, EmptyCf):
                     pass
                 else:
-                    expected = _split_shifting(classic, grid)
-                    assert extended == expected
-                    cells = ranked_of(expected, grid)
+                    positions, sizes = _split_shifting(classic, grid)
+                    assert (extended.positions, extended.sizes) == (positions, sizes)
+                    cells = ranked_of(extended, grid)
                     assert tie == oracle_tie((c.transition, c.anchor.cb, c.anchor.cf) for c in cells)
-                    splits += expected.sizes[2] > 0
-                    mixed += expected.sizes[2] > 0 and expected.sizes[3] > 0
+                    splits += sizes[2] > 0
+                    mixed += sizes[2] > 0 and sizes[3] > 0
                 prev = process_utterance(prev, u, mode)
     assert splits > 50 and mixed > 0
 
@@ -451,11 +499,12 @@ def test_ranking_and_reading_it_grow_with_the_survivors():
     assert large < 1.1 * 8 * small, (small, large)
 
 
-def test_a_ranking_is_its_positions_and_one_count_per_transition():
-    # In both modes a ranking keeps the ranked positions and one count
-    # per transition, in preference order; iterating it pairs each
-    # position with its class, and it pickles and copies as those fields.
-    assert Ranking.__slots__ == ("positions", "sizes")
+def test_a_ranking_is_its_blocks_and_one_count_per_transition():
+    # In both modes a ranking keeps its blocks, one tuple per transition,
+    # and one count per transition, in preference order; its positions
+    # and iterating it, which pairs each position with its class, are
+    # written from the blocks, and it pickles and copies as those fields.
+    assert Ranking.__slots__ == ("blocks", "sizes")
     rng = random.Random(3030)
     seen = {mode: 0 for mode in Mode}
     for _ in range(200):
@@ -467,11 +516,11 @@ def test_a_ranking_is_its_positions_and_one_count_per_transition():
         if not survivors or not u.markers:
             continue
         # Ranked unfiltered too, so that a ranking often spans classes.
-        for positions in (survivors, range(len(grid))):
+        for kept in (survivors, survivors_of(range(len(grid)), grid)):
             for prev_cb, mode in product((NO_PRIOR, None, *(e.entity for e in prior_cf[:1])), Mode):
-                _, ranked, _ = rank_and_select(positions, grid, prev_cb, mode)
+                _, ranked, _ = rank_and_select(kept, grid, prev_cb, mode)
                 assert len(ranked.sizes) == 4 and sum(ranked.sizes) == len(ranked.positions) == len(ranked)
-                assert sorted(ranked.positions) == list(positions)
+                assert sorted(ranked.positions) == list(kept)
                 if mode is Mode.CLASSIC:
                     assert ranked.sizes[2] == 0
                 pairs = list(ranked)
@@ -480,22 +529,30 @@ def test_a_ranking_is_its_positions_and_one_count_per_transition():
                 assert ranks == sorted(ranks)
                 assert [ranks.count(k) for k in range(4)] == list(ranked.sizes)
                 assert [(c.anchor.ordinal - 1, c.transition) for c in ranked_of(ranked, grid)] == pairs
+                # Each block is one center row under one head entry, read in its row's own bytes.
+                rows = dict(kept.rows)
+                for group in ranked.blocks:
+                    for base, start, stop, row_bytes in group:
+                        row = (base + start) // grid.width
+                        assert row_bytes is rows[row] and 0 < row_bytes.count(1, start, stop)
                 for same in (pickle.loads(pickle.dumps(ranked)), copy.copy(ranked), copy.deepcopy(ranked)):
                     assert same == ranked and list(same) == pairs
                 seen[mode] += len(set(ranks)) > 1
     assert min(seen.values()) > 20, seen
-    # Counts of the wrong number or sum, and counts that sum right but go
-    # below 0: (2, -1, 0, 0) would iterate as one CONTINUING anchor.
-    for positions, sizes in (((1, 2), (2, 0, 0)), ((1, 2), (1, 0, 0, 0)), ((), (0, 0, 0, 1)),
-                             ((5,), (2, -1, 0, 0)), ((5,), (0, 0, -1, 2))):
-        with pytest.raises(ValueError, match="^need one count per transition, none negative, summing to "):
-            Ranking(positions, sizes)
+    # The counts are the blocks' survivors per transition, read off their bytes.
+    ranked = Ranking((((0, 0, 3, b"\1\0\1"),), (), (), ((5, 1, 3, b"\1\1\0"),)))
+    assert ranked.sizes == (2, 0, 0, 1) and ranked.positions == (0, 2, 6)
+    assert list(ranked) == [(0, Transition.CONTINUING), (2, Transition.CONTINUING), (6, Transition.SHIFTING)]
+    # Blocks grouped for too few or too many transitions.
+    for groups in (((),) * 3, ((),) * 5, ()):
+        with pytest.raises(ValueError, match="^need one tuple of blocks per transition"):
+            Ranking(groups)
 
 
-def test_a_ranking_retains_its_positions_and_a_constant():
-    # 8 agreeing names and 3 pronouns leave 512 survivors in one class. The
-    # ranking keeps their positions, the survivors' own int objects, and a
-    # count per class: nothing else grows with the survivors.
+def test_a_ranking_retains_its_blocks_and_a_constant():
+    # 8 agreeing names and 3 pronouns leave 512 survivors. The ranking
+    # keeps its blocks, each of a few ints and the survivors' own bytes,
+    # and a count per class: nothing grows with the survivors.
     prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(8)))
     u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
     grid, survivors = surviving(prior, u)
@@ -508,4 +565,9 @@ def test_a_ranking_retains_its_positions_and_a_constant():
     finally:
         tracemalloc.stop()
     assert len(ranked) == 8**3
-    assert after - before <= sys.getsizeof(ranked.positions) + 512, (after - before, sys.getsizeof(ranked.positions))
+    blocks = [block for group in ranked.blocks for block in group]
+    assert {id(kept) for *_, kept in blocks} <= {id(kept) for _, kept in survivors.rows}
+    held = sys.getsizeof(ranked.blocks) + sum(map(sys.getsizeof, ranked.blocks)) + sum(
+        sys.getsizeof(block) + sum(map(sys.getsizeof, block[:3])) for block in blocks
+    )
+    assert after - before <= held + 512, (after - before, held)

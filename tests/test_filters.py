@@ -13,6 +13,7 @@ from centering import (
     GrammaticalFunction,
     Ranking,
     ReferenceMarker,
+    SurvivorRows,
     UnresolvablePronoun,
     UtteranceResult,
     bundled_corpora,
@@ -43,7 +44,9 @@ from support import (
     pronoun,
     race_scene,
     random_scene,
+    reference_filters,
     stages,
+    survivors_of,
     utt,
 )
 
@@ -153,7 +156,8 @@ class TestRunFilters:
         scene = propose_anchors(u, prior)
         for grid in (AnchorGrid((), scene.slots), AnchorGrid(scene.cbs, (scene.slots[0], ()))):
             survivors, verdicts = run_filters(grid)
-            assert survivors == () and anchors_of(grid, survivors) == []
+            assert survivors == survivors_of((), grid) and not survivors and len(survivors) == 0
+            assert anchors_of(grid, survivors) == []
             assert len(verdicts) == 0 and list(verdicts) == []
             assert verdicts.masks() == b""
 
@@ -176,7 +180,8 @@ class TestRunFilters:
             survivors, verdicts = run_filters(variant)
             _, expected = _per_anchor_verdicts(anchors_of(variant), prior, u)
             assert [(v.anchor_id, v.passed, v.eliminated_by) for v in verdicts] == expected
-            assert survivors == expected_survivors and len(verdicts) == len(variant)
+            assert survivors == survivors_of(expected_survivors, variant) and len(verdicts) == len(variant)
+            assert tuple(survivors) == expected_survivors
 
     def test_verdicts_iterate_in_ordinal_order(self, grid_scene):
         prior_cf, u, anchors = grid_scene
@@ -188,7 +193,7 @@ class TestRunFilters:
     def test_survivors_are_grid_positions(self, grid_scene):
         prior_cf, u, anchors = grid_scene
         survivors, _ = run_filters(anchors)
-        assert survivors == (1, 2)
+        assert survivors == survivors_of((2, 1), anchors) and tuple(survivors) == (1, 2)
         assert len(survivors) == 2 and anchors_of(anchors, survivors) == anchors_of(anchors)[1:3]
         # The opener reading is carried by the ranking's transitions, not the survivors.
         _, as_opener, _ = rank_and_select(survivors, anchors, NO_PRIOR)
@@ -233,11 +238,13 @@ def test_grid_values_compare_by_fields():
     assert [v.anchor_id for v in listed] == list(range(1, 17))
     assert all(listed[k - 1].eliminated_by == names for k, names in eliminated.items())
     assert [bool(m) for m in verdicts.masks()] == [not v.passed for v in listed]
-    assert survivors == (1, 2)
-    for value in (grid, verdicts, ranked):
+    assert survivors == survivors_of((2, 1), grid) and tuple(survivors) == (1, 2)
+    for value in (grid, verdicts, ranked, survivors):
         assert_value_by_fields(value)
     # Equal anchors do not make equal values: a value equals only its own type.
-    empty = (AnchorGrid((), ()), FilterVerdicts(AnchorGrid((), ()), 0, ()), Ranking((), (0, 0, 0, 0)))
+    empty = (
+        AnchorGrid((), ()), FilterVerdicts(AnchorGrid((), ()), 0, ()), Ranking(((), (), (), ())), SurvivorRows(1, ())
+    )
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
 
@@ -388,6 +395,42 @@ def test_run_filters_matches_the_per_anchor_predicates_randomized():
     assert risks.keys() == floors.keys() and all(risks[case] >= floors[case] for case in floors), risks
 
 
+def test_run_filters_matches_the_position_reference_randomized():
+    # The survivors and verdicts equal those of `reference_filters`, which
+    # builds each entity's selector by one `int.from_bytes` of its slot's
+    # runs and writes the survivors as positions, on the grids of the
+    # test above: slots that repeat an entry, so a slot's entity is the
+    # OR of its entries' shifted selectors, and fixed slots of two.
+    rng = random.Random(3636)
+    seen = Counter()
+    for k in range(300):
+        prior_cf, u = random_scene(rng)
+        if k >= 200:
+            u = _crowded(rng, u)
+        try:
+            grid = propose_anchors(u, prior_cf)
+        except UnresolvablePronoun:
+            continue
+        for variant in _grids(rng, grid, prior_cf):
+            survivors, verdicts = run_filters(variant)
+            positions, expected = reference_filters(variant)
+            assert verdicts == expected and verdicts.masks() == expected.masks()
+            assert survivors == survivors_of(positions, variant)
+            assert tuple(survivors) == positions and len(survivors) == len(positions)
+            # Each center entity's rows share one bytes object.
+            kept = {}
+            for row, columns in survivors.rows:
+                cb = variant.cbs[row]
+                assert kept.setdefault(cb and cb.entity.id, columns) is columns
+            seen["survivors"] += bool(survivors)
+            seen["rows sharing bytes"] += len(kept) < len(survivors.rows)
+            seen["slot repeating an entity"] += any(
+                len({e.entity.id for e in slot}) < len(slot) for slot in variant.slots
+            )
+    floors = {"survivors": 350, "rows sharing bytes": 160, "slot repeating an entity": 110}
+    assert seen.keys() == floors.keys() and all(seen[case] >= floors[case] for case in floors), seen
+
+
 def test_run_filters_work_grows_with_the_slots_not_the_anchors():
     # Three contraindexed pronouns after 4 and after 8 agreeing names: the
     # anchors grow by 14.4 (9 * 8**3 against 5 * 4**3), and the entries
@@ -438,7 +481,7 @@ def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
 
         survivors, verdicts, ((_, transition, cb, cf), ranked, tie) = filter_and_rank()
         assert tie
-        result = UtteranceResult(u, transition, cb, cf, grid, verdicts, ranked, False, "tie", "tied")
+        result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False, "tie", "tied")
         return len(grid.cbs), survivors, line_events(filter_and_rank), line_events(render_trace, [result])
 
     (few, kept, small, drawn_small), (many, same, large, drawn_large) = work(4), work(12)
@@ -460,7 +503,8 @@ def test_eighteen_pronouns_over_two_names():
     survivors, verdicts = run_filters(grid)
     eliminated = [verdicts.masks().translate(bytes(m >> bit & 1 for m in range(256))).count(1) for bit in range(3)]
     assert len(grid) == 3 * width and eliminated == [0, 2**19, 2**18 + 2]
-    assert survivors == (*range(width - 1), 2 * width - 1)
+    assert survivors == survivors_of((2 * width - 1, *range(width - 1)), grid)
+    assert tuple(survivors) == (*range(width - 1), 2 * width - 1)
 
 
 def _one_sided(rng, u):

@@ -16,6 +16,7 @@ from centering import (
     Mode,
     Ranking,
     ReferenceMarker,
+    SurvivorRows,
     Utterance,
     UtteranceResult,
     allocate_indices,
@@ -39,6 +40,7 @@ from support import (
     indefinite,
     name,
     pronoun,
+    survivors_of,
     utt,
 )
 
@@ -336,6 +338,7 @@ def test_every_value_type_is_a_value_of_its_fields():
         AnchorGrid: (grid, first.anchors),
         FilterVerdicts: (verdicts, first.verdicts),
         Ranking: (ranked, first.ranked),
+        SurvivorRows: (survivors_of([p for p, _ in ranked], grid), survivors_of((0,), grid)),
     }
     assert set(cases) == set(_value_types())
     for value, other in cases.values():
