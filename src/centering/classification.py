@@ -107,23 +107,17 @@ class Ranking(Value):
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(map(block_positions, chain.from_iterable(self.blocks))))
+        positions: list[int] = []
+        for group in self.blocks:
+            for base, start, stop, kept in group:
+                positions += compress(count(base + start), kept[start:stop])
+        return tuple(positions)
 
     def __iter__(self) -> Iterator[tuple[int, Transition]]:
-        return chain.from_iterable([
-            zip(block_positions(block), repeat(transition))
-            for transition, group in zip(_BY_PREFERENCE, self.blocks)
-            for block in group
-        ])
+        return zip(self.positions, chain.from_iterable(map(repeat, _BY_PREFERENCE, self.sizes)))
 
     def __len__(self) -> int:
         return sum(self.sizes)
-
-
-def block_positions(block: tuple[int, int, int, bytes]) -> Iterator[int]:
-    """The positions of a `Ranking` block's anchors, increasing."""
-    base, start, stop, kept = block
-    return compress(count(base + start), kept[start:stop])
 
 
 def rank_and_select(

@@ -9,11 +9,11 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, count, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
-from .classification import block_positions, shown_center
+from .classification import shown_center
 from .engine import UtteranceResult
 from .filters import FILTER_NAMES
 from .model import CfEntry, CfList, Transition
@@ -97,12 +97,12 @@ def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
     or, for a ranked survivor, its transition, with `<- selected` on the
     winner."""
     grid = result.anchors
-    ranked = result.ranked
+    ranked = list(result.ranked)
     notes = [_MASK_NOTES[mask] for mask in masks]
     for position, transition in ranked:
         notes[position] = _TRANSITION_NOTES[transition]
     if ranked:
-        notes[next(iter(ranked))[0]] += "  <- selected"
+        notes[ranked[0][0]] += "  <- selected"
     # Each center and each slot entry is formatted once, and a Cf list's
     # entries are joined as the product of the slots yields them; the
     # columns are zipped in grid order, center-major.
@@ -189,15 +189,16 @@ def _structured_line(result: UtteranceResult) -> str:
         width = len(cf_lists)
         # A block fixes its center row, so its shown center, and its transition.
         for (transition, label), group in zip(_TRANSITION_JSON, result.ranked.blocks):
-            for block in group:
-                base, start, _, _ = block
-                row = (base + start) // width
-                center = centers[row] or encode_basestring(display_cb(shown_center(grid, base + start, transition)))
+            for base, start, stop, kept in group:
+                first = base + start  # the block's first position
+                center = centers[first // width] or encode_basestring(
+                    display_cb(shown_center(grid, first, transition))
+                )
                 fixed = f'"transition": {label}, "cb": {center}, "cf": ['
-                first = row * width  # the row's first position
+                row = first - first % width  # the row's first position
                 cells += [
-                    f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - first]}]}}'
-                    for position in block_positions(block)
+                    f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - row]}]}}'
+                    for position in compress(count(first), kept[start:stop])
                 ]
     ranked = ", ".join(cells)
     bindings = "null"
