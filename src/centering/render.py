@@ -96,13 +96,16 @@ def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
     and either the filters that eliminated it, by its verdict in `masks`,
     or, for a ranked survivor, its transition, with `<- selected` on the
     winner."""
-    grid = result.anchors
-    ranked = list(result.ranked)
+    grid, ranked = result.anchors, result.ranked
     notes = [_MASK_NOTES[mask] for mask in masks]
-    for position, transition in ranked:
-        notes[position] = _TRANSITION_NOTES[transition]
-    if ranked:
-        notes[ranked[0][0]] += "  <- selected"
+    # The notes are in preference order, as the ranking's groups of blocks.
+    for note, group in zip(_TRANSITION_NOTES.values(), ranked.blocks):
+        for base, start, stop, kept in group:
+            for position in compress(count(base + start), kept[start:stop]):
+                notes[position] = note
+    if ranked:  # the winner is the first anchor of the first block
+        base, start, stop, kept = next(filter(None, ranked.blocks))[0]
+        notes[base + kept.find(1, start, stop)] += "  <- selected"
     # Each center and each slot entry is formatted once, and a Cf list's
     # entries are joined as the product of the slots yields them; the
     # columns are zipped in grid order, center-major.
@@ -154,8 +157,7 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
 # `structured` writes each record's JSON itself, in the layout of
 # json.dumps(record, ensure_ascii=False): ", " and ": " separators, and
 # strings escaped by encode_basestring, as json.dumps escapes them.
-# Each transition with its JSON, in preference order, as `Ranking.blocks` holds them.
-_TRANSITION_JSON = tuple((t, encode_basestring(t.value)) for t in Transition)
+_TRANSITION_JSON = {t: encode_basestring(t.value) for t in Transition}  # in preference order
 
 
 def _json_str(text: str | None) -> str:
@@ -188,18 +190,14 @@ def _structured_line(result: UtteranceResult) -> str:
         cf_lists = list(map(", ".join, product(*entries)))
         width = len(cf_lists)
         # A block fixes its center row, so its shown center, and its transition.
-        for (transition, label), group in zip(_TRANSITION_JSON, result.ranked.blocks):
+        for (transition, label), group in zip(_TRANSITION_JSON.items(), result.ranked.blocks):
             for base, start, stop, kept in group:
                 first = base + start  # the block's first position
-                center = centers[first // width] or encode_basestring(
-                    display_cb(shown_center(grid, first, transition))
-                )
+                center = centers[first // width] or encode_basestring(display_cb(shown_center(grid, first, transition)))
                 fixed = f'"transition": {label}, "cb": {center}, "cf": ['
                 row = first - first % width  # the row's first position
-                cells += [
-                    f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - row]}]}}'
-                    for position in compress(count(first), kept[start:stop])
-                ]
+                for position in compress(count(first), kept[start:stop]):
+                    cells.append(f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - row]}]}}')
     ranked = ", ".join(cells)
     bindings = "null"
     bound = result.bindings
