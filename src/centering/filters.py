@@ -80,7 +80,7 @@ class SurvivorRows(Value):
     `rows` pairs each center row that holds a survivor, in increasing
     order, with its kept bytes, shared by the rows of one entity: 1 for
     each of the last `len(kept)` of the `width` columns whose anchor
-    survived, and 0 for the others; the first is a 1. `len()` and
+    survived, and 0 for the others; its first byte is a 1. `len()` and
     iterating, which yields the positions in increasing order, read them.
     """
 
@@ -112,17 +112,18 @@ def run_filters(grid: AnchorGrid) -> tuple[SurvivorRows, FilterVerdicts]:
     No Python step runs per anchor or per Cf list. Each fact about the
     Cf lists is a selector: an int whose bytes, one per Cf list in grid
     order, are 1 where the fact holds and 0 where it does not. Bytes of
-    0 and 1 carry nothing into each other under |, &, ^ and shifts by up
-    to 7, so each operation decides every Cf list at once, and a center
-    row's verdict bytes, when read, are one `to_bytes`. Each marker has
-    a selector per entity it can realize, which follows from its slot's
-    place in the grid's product: one `from_bytes` per slot, shifted by
-    whole runs of bytes; a one-entry slot realizes its entity in every
-    Cf list. Everything but the center is shared by a grid's rows: a
-    row's verdicts are `failed`, the filters some center fails, less
-    what its center entity passes. Only the rows of an entity that tops
-    some Cf list under constraint 3 can hold survivors; they share that
-    entity's kept selector, written once as bytes.
+    0 and 1 carry nothing into each other under |, &, ^, shifts by up to
+    7 and shifts by whole bytes, so each operation decides every Cf list
+    at once, and a center row's verdict bytes, when read, are one
+    `to_bytes`. Each marker has a selector per entity it can realize,
+    which follows from its slot's place in the grid's product: one
+    `from_bytes` per slot, shifted by whole runs of bytes; a one-entry
+    slot realizes its entity in every Cf list. Everything but the center
+    is shared by a grid's rows: a row's verdicts are `failed`, the
+    filters some center fails, less what its center entity passes. Only
+    the rows of an entity that tops some Cf list under constraint 3 can
+    hold survivors; they share that entity's kept selector, written once
+    as bytes.
     """
     width = grid.width
     # The selector of every Cf list: width bytes of 1, (256**width - 1) / 255.

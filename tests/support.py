@@ -27,11 +27,11 @@ from centering import (
     GrammaticalFunction,
     MarkerKind,
     Mode,
+    NoViableAnchor,
     ReferenceMarker,
     SurvivorRows,
     Transition,
     Utterance,
-    NoViableAnchor,
     classify,
     propose_anchors,
     rank_and_select,

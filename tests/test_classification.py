@@ -340,7 +340,9 @@ def test_ranking_matches_the_position_reference_randomized():
                 positions, expected = reference_filters(variant)
                 assert verdicts.masks() == expected.masks()
                 inputs = [(survivors, positions), (survivors_of(range(len(variant)), variant), range(len(variant)))]
-                for (kept, listed), prev_cb, mode in product(inputs, (NO_PRIOR, None, *(e.entity for e in prior_cf[:1])), Mode):
+                # The second prior entity may head a better class in a later block of its row.
+                prev_cbs = (NO_PRIOR, None, *(e.entity for e in prior_cf[:2]))
+                for (kept, listed), prev_cb, mode in product(inputs, prev_cbs, Mode):
                     try:
                         want = reference_ranking(listed, variant, prev_cb, mode)
                     except (NoViableAnchor, EmptyCf) as exc:

@@ -16,8 +16,8 @@ from centering import (
     process_utterance,
     render_trace,
 )
-from support import FEM, MASC, NEUT, OBJ, SUBJ, anchors_of, indefinite, line_events, name, pronoun, ranked_of, stages, utt
-from support import validate_committed
+from support import FEM, MASC, NEUT, OBJ, SUBJ, anchors_of, indefinite, name, pronoun, ranked_of, stages, utt
+from support import line_events, validate_committed
 
 
 def bindings_by_surface(result):
@@ -263,8 +263,8 @@ class TestModes:
 def _pronouns_after_names(names, pronouns):
     """The opener of `names` agreeing names, and an utterance of
     `pronouns` pronouns after it, each of which may bind any of them."""
-    opener = process_utterance(None, utt("They met.", *(name(f"N{i}", f"N{i}", gf=OBJ, agr=FEM) for i in range(names))))
-    u = utt("She saw her.", *(pronoun("she", index=f"A{j}", gf=OBJ, agr=FEM) for j in range(1, pronouns + 1)), position=2)
+    opener = process_utterance(None, utt("They met.", *(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names))))
+    u = utt("She saw her.", *(pronoun("she", index=f"A{j}", agr=FEM) for j in range(1, pronouns + 1)), position=2)
     return opener, u
 
 
