@@ -27,6 +27,7 @@ from centering import (
     propose_anchors,
     rank_and_select,
     render_trace,
+    roman,
     run_filters,
 )
 from centering.render import display_cb
@@ -393,6 +394,22 @@ def test_a_tie_needs_two_readings_when_the_prior_realizes_an_entity_twice():
                     seen["one reading"] += top_class > 1 and not tie
                     seen["one Cf list"] += tie and len({cf for t, _, cf in cells if t is cells[0][0]}) == 1
     assert min(seen.values()) > 20, seen
+
+
+def test_the_dump_selects_a_winner_that_is_not_its_rows_first_anchor():
+    # Every anchor ranked after Bea's center: the winner continues in Bea's
+    # row under the head `She` = Bea, the third anchor of its row. The
+    # `--dump-anchors` listing marks that anchor, found in its block.
+    prior = cf_of(name("Ann", "ANN", agr=FEM), name("Bea", "BEA", gf=OBJ, agr=FEM))
+    u = utt("She met her.", pronoun("She", index="A1", agr=FEM), pronoun("her", index="A2", gf=OBJ, agr=FEM))
+    grid = propose_anchors(u, prior)
+    _, verdicts = run_filters(grid)
+    everything = survivors_of(range(len(grid)), grid)
+    (position, transition, cb, cf), ranked, _ = rank_and_select(everything, grid, prior[1].entity)
+    assert (position, transition) == (6, Transition.CONTINUING)
+    result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False)
+    lines = render_trace([result], dump_anchors=True).splitlines()
+    assert [line.split(".")[0].strip() for line in lines if line.endswith("<- selected")] == [roman(position + 1)]
 
 
 def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
