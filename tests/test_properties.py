@@ -112,6 +112,11 @@ def test_random_discourses_satisfy_the_constraints():
         assert validate_committed(results) == []
         # The verdicts keep the result's own grid, a failed utterance's too.
         assert all(r.verdicts.grid is r.anchors for r in results)
+        # A committed result's transition is the one its first ranked anchor
+        # makes, and a failed result ranks nothing.
+        for r in results:
+            first = next(iter(r.ranked), None)
+            assert r.transition is (None if first is None else first[1])
 
 
 def test_index_allocation_never_reuses_indices():
