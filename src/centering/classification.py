@@ -9,7 +9,7 @@ shift) and plain shifting; classic mode lumps both under shifting.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, repeat
 
 from .filters import SurvivorRows
@@ -37,8 +37,8 @@ class NoViableAnchor(Exception):
 
 
 # Transition's declaration order is the preference order. Iterating an
-# Enum class runs Python code, and hashing a member does too, so the hot
-# paths read this tuple instead, and find a member's rank by `.index`.
+# Enum class runs Python code, so the hot paths read this tuple instead,
+# and find a member's rank by `.index`.
 _BY_PREFERENCE = tuple(Transition)
 # As model._PRONOUN: what runs per block or per anchor reads these, not the Enum classes.
 _CONTINUING, _RETAINING, _SHIFTING_1, _SHIFTING = _BY_PREFERENCE
@@ -86,38 +86,35 @@ def shown_center(grid: AnchorGrid, position: int, transition: Transition) -> CfE
 class Ranking(Value):
     """The surviving anchors in rank order, as blocks of their rows' bytes.
 
-    `blocks[k]` holds, in grid order, the (base, start, stop, kept)
-    blocks of the anchors that make `Transition`'s k-th member: one center
-    row under one head entry, at the positions base + i, i in
-    range(start, stop), where its row's `SurvivorRows` bytes `kept` hold
-    a 1. `sizes[k]` counts them (0 for SHIFTING-1 in classic mode).
-    `.positions` and iterating, by (position, transition), write them.
+    `blocks` holds the (transition, base, start, stop, kept) blocks in
+    rank order: best transition first, and in grid order within one. A
+    block is one center row under one head entry, whose anchors make
+    `transition` and sit at the positions base + i, i in range(start,
+    stop), where its row's `SurvivorRows` bytes `kept` hold a 1. `.sizes`
+    (one count per transition, 0 for SHIFTING-1 in classic mode), `len()`
+    and iterating, by (position, transition), read the blocks on each call.
     """
 
-    __slots__ = ("blocks", "sizes")
+    __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[tuple[int, int, int, bytes], ...], ...]) -> None:
-        if len(blocks) != len(_BY_PREFERENCE):
-            raise ValueError(f"need one tuple of blocks per transition: got {len(blocks)}")
-        sizes = [0, 0, 0, 0]
-        for k, group in enumerate(blocks):
-            for _, start, stop, kept in group:
-                sizes[k] += kept.count(1, start, stop)
-        self._set(tuple(map(tuple, blocks)), tuple(sizes))
+    def __init__(self, blocks: Iterable[tuple[Transition, int, int, int, bytes]]) -> None:
+        self._set(tuple(blocks))
 
     @property
-    def positions(self) -> tuple[int, ...]:
-        positions: list[int] = []
-        for group in self.blocks:
-            for base, start, stop, kept in group:
-                positions += compress(count(base + start), kept[start:stop])
-        return tuple(positions)
+    def sizes(self) -> tuple[int, ...]:
+        sizes = [0, 0, 0, 0]
+        for transition, _, start, stop, kept in self.blocks:
+            sizes[_BY_PREFERENCE.index(transition)] += kept.count(1, start, stop)
+        return tuple(sizes)
 
     def __iter__(self) -> Iterator[tuple[int, Transition]]:
-        return zip(self.positions, chain.from_iterable(map(repeat, _BY_PREFERENCE, self.sizes)))
+        return chain.from_iterable([
+            zip(compress(count(base + start), kept[start:stop]), repeat(transition))
+            for transition, base, start, stop, kept in self.blocks
+        ])
 
     def __len__(self) -> int:
-        return sum(self.sizes)
+        return sum([kept.count(1, start, stop) for _, _, start, stop, kept in self.blocks])
 
 
 def rank_and_select(
@@ -150,7 +147,7 @@ def rank_and_select(
     heads = len(head_slot) or 1
     tail = width // heads
     # One bucket of blocks per transition, in preference order.
-    buckets: tuple[list[tuple[int, int, int, bytes]], ...] = ([], [], [], [])
+    buckets: tuple[list[tuple[Transition, int, int, int, bytes]], ...] = ([], [], [], [])
     for row, kept in survivors.rows:
         cb = cbs[row]
         lead = width - len(kept)  # the row's columns before its kept bytes
@@ -159,23 +156,20 @@ def rank_and_select(
             start, stop = max(head * tail - lead, 0), (head + 1) * tail - lead
             if kept.find(1, start, stop) >= 0:
                 transition = classify(cb, head_slot[head : head + 1], prev_cb, mode)
-                buckets[_BY_PREFERENCE.index(transition)].append((base, start, stop, kept))
-    ranked = Ranking(buckets)
-    for best, top in enumerate(ranked.blocks):
-        if top:
-            break
-    transition = _BY_PREFERENCE[best]
-    base, start, stop, kept = top[0]
+                buckets[_BY_PREFERENCE.index(transition)].append((transition, base, start, stop, kept))
+    top = next(filter(None, buckets))
+    transition, base, start, stop, kept = top[0]
     position = base + kept.find(1, start, stop)
     cb, cf = shown_center(grid, position, transition), grid.cf_list(position % width)
     # A block's survivors have distinct Cf lists. Blocks of one survivor each may
     # share a reading, (shown center's entity, column): the class makes one transition.
-    tie = ranked.sizes[best] > len(top)
+    tie = sum([kept.count(1, start, stop) for _, _, start, stop, kept in top]) > len(top)
     if not tie and len(top) > 1:
         readings = set()
-        for base, start, stop, kept in top:
+        for _, base, start, stop, kept in top:
             p = base + kept.find(1, start, stop)
             c = shown_center(grid, p, transition)
             readings.add((None if c is None else c.entity.id, p % width))
         tie = len(readings) > 1
+    ranked = Ranking(chain.from_iterable(buckets))
     return (position, transition, cb, cf), ranked, tie

@@ -33,36 +33,29 @@ from .model import (
     as_mode,
 )
 
-DIAG_UNRESOLVABLE = "unresolvable-pronoun"
-DIAG_NO_VIABLE = "no-viable-anchor"
-DIAG_EMPTY = "empty-utterance"
-DIAG_BUDGET = "anchor-budget"
 DIAG_TIE = "tie"
 # The diagnostic of each resolution failure.
-_FAILURES = {UnresolvablePronoun: DIAG_UNRESOLVABLE, AnchorBudgetExceeded: DIAG_BUDGET,
-             NoViableAnchor: DIAG_NO_VIABLE, EmptyCf: DIAG_EMPTY}
+_FAILURES = {UnresolvablePronoun: "unresolvable-pronoun", AnchorBudgetExceeded: "anchor-budget",
+             NoViableAnchor: "no-viable-anchor", EmptyCf: "empty-utterance"}
 FAILURE_DIAGNOSTICS = frozenset(_FAILURES.values())
 
 
 class UtteranceResult(Value):
     """Everything recorded about one processed utterance.
 
-    `transition` is None when resolution failed; `diagnostic_kind` then
+    `ranked` is empty when resolution failed; `diagnostic_kind` then
     names the failure, and otherwise is "tie" or None. `cb` is the
     center the winner shows (`shown_center`), with its realizing marker:
     the prior utterance's, or an opener's own preferred-center marker.
-    `ranked` is empty when no anchor was committed. `anchors`, the grid,
-    is read off `verdicts`.
+    `anchors`, the grid, is read off `verdicts`, and `transition` off
+    `ranked`.
     """
 
-    __slots__ = (
-        "utterance", "transition", "cb", "cf", "verdicts", "ranked", "after_retention", "diagnostic_kind", "diagnostic",
-    )
+    __slots__ = ("utterance", "cb", "cf", "verdicts", "ranked", "after_retention", "diagnostic_kind", "diagnostic")
 
     def __init__(
         self,
         utterance: Utterance,
-        transition: Transition | None,
         cb: CfEntry | None,
         cf: CfList,
         verdicts: FilterVerdicts,
@@ -71,7 +64,7 @@ class UtteranceResult(Value):
         diagnostic_kind: str | None = None,
         diagnostic: str | None = None,
     ) -> None:
-        self._set(utterance, transition, cb, cf, verdicts, ranked, after_retention, diagnostic_kind, diagnostic)
+        self._set(utterance, cb, cf, verdicts, ranked, after_retention, diagnostic_kind, diagnostic)
 
     @property
     def position(self) -> int:
@@ -80,6 +73,13 @@ class UtteranceResult(Value):
     @property
     def anchors(self) -> AnchorGrid:
         return self.verdicts.grid
+
+    @property
+    def transition(self) -> Transition | None:
+        """The transition of the first ranked anchor, the committed one;
+        None when resolution failed."""
+        blocks = self.ranked.blocks
+        return blocks[0][0] if blocks else None
 
     @property
     def anchors_constructed(self) -> int:
@@ -103,7 +103,7 @@ class UtteranceResult(Value):
 # No center, and one slot without entries: a pronoun with no candidate
 # leaves no Cf list, so a failed utterance's grid holds no anchor.
 _NO_VERDICTS = FilterVerdicts(AnchorGrid((), ((),)), 0, ())
-_NOTHING_RANKED = Ranking(((), (), (), ()))
+_NOTHING_RANKED = Ranking(())
 _RETAINING = Transition.RETAINING  # as model._PRONOUN
 
 
@@ -130,7 +130,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
         winner, ranked, tie = rank_and_select(survivors, anchors, prev_cb, mode)
     except tuple(_FAILURES) as exc:  # evaluated only when something is raised
         # Commit a null center and the fixed (non-pronoun) entities.
-        transition, cb = None, None
+        cb = None
         cf = tuple(CfEntry(m.entity, m) for m in u.markers if not m.is_pronoun)
         kind, message = _FAILURES[type(exc)], str(exc)
     else:
@@ -141,7 +141,7 @@ def process_utterance(prev: UtteranceResult | None, u: Utterance, mode: Mode = M
                 f"{next(filter(None, ranked.sizes))} anchors share transition {transition.value}; "
                 "kept the construction-order first"
             )
-    return UtteranceResult(u, transition, cb, cf, verdicts, ranked, after_retention, kind, message)
+    return UtteranceResult(u, cb, cf, verdicts, ranked, after_retention, kind, message)
 
 
 def process_discourse(utterances: list[Utterance], mode: Mode = Mode.EXTENDED) -> list[UtteranceResult]:

@@ -9,7 +9,7 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 
@@ -76,11 +76,10 @@ def display_cf(cf: CfList) -> str:
     return "(" + " ".join(map(_display, cf)) + ")"
 
 
-def _binding_line(result: UtteranceResult) -> str:
-    """How a committed utterance bound its pronouns; empty when it has none."""
-    if result.transition is None:
-        return ""
-    return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in result.cf if e.marker.is_pronoun)
+def _binding_line(cf: CfList) -> str:
+    """How a committed Cf list binds its pronouns; empty when it has none,
+    as a failed utterance's, which holds its fixed entities only."""
+    return ", ".join(f"{e.marker.surface} = {e.entity.name}" for e in cf if e.marker.is_pronoun)
 
 
 def _labels_by_filter(masks: bytes, labels: list[str]) -> tuple[dict[str, list[str]], list[str]]:
@@ -96,16 +95,12 @@ def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
     and either the filters that eliminated it, by its verdict in `masks`,
     or, for a ranked survivor, its transition, with `<- selected` on the
     winner."""
-    grid, ranked = result.anchors, result.ranked
+    grid, ranked = result.anchors, iter(result.ranked)
     notes = [_MASK_NOTES[mask] for mask in masks]
-    # The notes are in preference order, as the ranking's groups of blocks.
-    for note, group in zip(_TRANSITION_NOTES.values(), ranked.blocks):
-        for base, start, stop, kept in group:
-            for position in compress(count(base + start), kept[start:stop]):
-                notes[position] = note
-    if ranked:  # the winner is the first anchor of the first block
-        base, start, stop, kept = next(filter(None, ranked.blocks))[0]
-        notes[base + kept.find(1, start, stop)] += "  <- selected"
+    for position, transition in islice(ranked, 1):  # the winner, the first ranked anchor
+        notes[position] = _TRANSITION_NOTES[transition] + "  <- selected"
+    for position, transition in ranked:
+        notes[position] = _TRANSITION_NOTES[transition]
     # Each center and each slot entry is formatted once, and a Cf list's
     # entries are joined as the product of the slots yields them; the
     # columns are zipped in grid order, center-major.
@@ -132,15 +127,16 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
     paragraphs = []
     for r in results:
         stanza = []
-        if r.transition is not None:
-            stanza.append(f"{r.transition.value}...")
+        transition = r.transition
+        if transition is not None:
+            stanza.append(f"{transition.value}...")
         else:
             stanza.append(f"** {r.diagnostic_kind}: {r.diagnostic}")
         stanza.append(f"U{r.position}: {r.utterance.text}")
         stanza.append(f"Cb: {display_cb(r.cb)}")
         stanza.append(f"Cf: {display_cf(r.cf)}")
         paragraphs.append("\n".join(stanza))
-        binding = _binding_line(r)
+        binding = _binding_line(r.cf)
         if binding:
             paragraphs.append(binding)
         # Each call writes the verdict masks afresh: once a result.
@@ -157,7 +153,7 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
 # `structured` writes each record's JSON itself, in the layout of
 # json.dumps(record, ensure_ascii=False): ", " and ": " separators, and
 # strings escaped by encode_basestring, as json.dumps escapes them.
-_TRANSITION_JSON = {t: encode_basestring(t.value) for t in Transition}  # in preference order
+_TRANSITION_JSON = {t: encode_basestring(t.value) for t in Transition}
 
 
 def _json_str(text: str | None) -> str:
@@ -189,15 +185,14 @@ def _structured_line(result: UtteranceResult) -> str:
         entries = [map(encode_basestring, map(_display, slot)) for slot in grid.slots]
         cf_lists = list(map(", ".join, product(*entries)))
         width = len(cf_lists)
-        # A block fixes its center row, so its shown center, and its transition.
-        for (transition, label), group in zip(_TRANSITION_JSON.items(), result.ranked.blocks):
-            for base, start, stop, kept in group:
-                first = base + start  # the block's first position
-                center = centers[first // width] or encode_basestring(display_cb(shown_center(grid, first, transition)))
-                fixed = f'"transition": {label}, "cb": {center}, "cf": ['
-                row = first - first % width  # the row's first position
-                for position in compress(count(first), kept[start:stop]):
-                    cells.append(f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - row]}]}}')
+        # A block fixes its transition and center row, so its shown center.
+        for transition, base, start, stop, kept in result.ranked.blocks:
+            first = base + start  # the block's first position
+            center = centers[first // width] or encode_basestring(display_cb(shown_center(grid, first, transition)))
+            fixed = f'"transition": {_TRANSITION_JSON[transition]}, "cb": {center}, "cf": ['
+            row = first - first % width  # the row's first position
+            for position in compress(count(first), kept[start:stop]):
+                cells.append(f'{{"anchor": "{labels[position]}", {fixed}{cf_lists[position - row]}]}}')
     ranked = ", ".join(cells)
     bindings = "null"
     bound = result.bindings

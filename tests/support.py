@@ -182,13 +182,15 @@ def cf_lists_of(grid: AnchorGrid) -> list[CfList]:
 
 def ranked_of(ranking, grid: AnchorGrid) -> list[Ranked]:
     """A Ranking of `grid`'s anchors in rank order, each with its
-    transition. The anchors are rebuilt by `anchors_of`, and each
-    position's transition is read off `ranking.sizes`, not by iterating
-    the ranking. An opener centers its own preferred center, so a null
-    center that continues shows as the head of its Cf list."""
+    transition. The anchors are rebuilt by `anchors_of` from the
+    positions that iterating the ranking yields, and each position's
+    transition is read off `ranking.sizes`, not off the iteration, so
+    the two cross-check. An opener centers its own preferred center, so
+    a null center that continues shows as the head of its Cf list."""
     transitions = [t for t, size in zip(Transition, ranking.sizes) for _ in range(size)]
+    positions = [position for position, _ in ranking]
     ranked = []
-    for anchor, transition in zip(anchors_of(grid, ranking.positions), transitions, strict=True):
+    for anchor, transition in zip(anchors_of(grid, positions), transitions, strict=True):
         if anchor.cb is None and transition is Transition.CONTINUING:
             anchor = anchor._replace(cb=anchor.cf[0])
         ranked.append(Ranked(anchor, transition))
@@ -207,7 +209,7 @@ class Stages(NamedTuple):
 
 # The stage calls and the shapes they return, which only support.py and
 # the tests that pin the documented shapes name.
-STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_list|width|cbs|slots|masks|positions|sizes)\b"
+STAGE_SHAPES = r"\b(propose_anchors|run_filters|rank_and_select)\b|\.(cf_list|width|cbs|slots|masks|blocks|sizes)\b"
 SHAPE_MODULES = frozenset({"support.py", "test_construction.py", "test_filters.py", "test_classification.py"})
 
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 import random
@@ -76,6 +77,11 @@ def select(grid_and_survivors, prev_cb, mode=Mode.EXTENDED):
     first = ranked[0]
     assert winner == (first.anchor.ordinal - 1, first.transition, first.anchor.cb, first.anchor.cf)
     return first, ranked, tie
+
+
+def _positions(ranking: Ranking) -> tuple[int, ...]:
+    """The ranked anchors' positions, in rank order."""
+    return tuple(position for position, _ in ranking)
 
 
 class TestClassify:
@@ -352,7 +358,7 @@ def test_ranking_matches_the_position_reference_randomized():
                         seen["empty slot"] += not variant.width
                         continue
                     winner, ranked, tie = rank_and_select(kept, variant, prev_cb, mode)
-                    assert (winner, ranked.positions, ranked.sizes, tie) == want
+                    assert (winner, _positions(ranked), ranked.sizes, tie) == want
                     seen["tie"] += tie
                     seen["opener"] += prev_cb is NO_PRIOR
                     seen["contra"] += any(m.contra for m in u.markers)
@@ -407,7 +413,7 @@ def test_the_dump_selects_a_winner_that_is_not_its_rows_first_anchor():
     everything = survivors_of(range(len(grid)), grid)
     (position, transition, cb, cf), ranked, _ = rank_and_select(everything, grid, prior[1].entity)
     assert (position, transition) == (6, Transition.CONTINUING)
-    result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False)
+    result = UtteranceResult(u, cb, cf, verdicts, ranked, False)
     lines = render_trace([result], dump_anchors=True).splitlines()
     assert [line.split(".")[0].strip() for line in lines if line.endswith("<- selected")] == [roman(position + 1)]
 
@@ -431,8 +437,8 @@ def test_structured_shows_each_ranked_center_as_that_anchor_would_win():
         if not survivors or not u.markers:
             continue
         for prev_cb, mode in product((NO_PRIOR, None), Mode):
-            (_, transition, cb, cf), ranked, _ = rank_and_select(survivors, grid, prev_cb, mode)
-            result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False)
+            (_, _, cb, cf), ranked, _ = rank_and_select(survivors, grid, prev_cb, mode)
+            result = UtteranceResult(u, cb, cf, verdicts, ranked, False)
             (record,) = map(json.loads, render_trace([result], "structured").splitlines())
             for (position, _), cell in zip(ranked, record["ranked"], strict=True):
                 (_, _, alone, _), _, _ = rank_and_select(survivors_of((position,), grid), grid, prev_cb, mode)
@@ -486,7 +492,7 @@ def test_extended_ranking_splits_the_classic_shifting_bucket():
                     pass
                 else:
                     positions, sizes = _split_shifting(classic, grid)
-                    assert (extended.positions, extended.sizes) == (positions, sizes)
+                    assert (_positions(extended), extended.sizes) == (positions, sizes)
                     cells = ranked_of(extended, grid)
                     assert tie == oracle_tie((c.transition, c.anchor.cb, c.anchor.cf) for c in cells)
                     splits += sizes[2] > 0
@@ -499,8 +505,8 @@ def test_ranking_and_reading_it_grow_with_the_survivors():
     # Three pronouns after 4 and after 8 agreeing names: every Cf list
     # survives in one row, so the survivors grow by 8 (8**3 against 4**3),
     # and the lines that ranking them and reading the ranking back execute
-    # grow as fast, and no faster. Iterating a ranking runs no Python
-    # line, so the count is rank_and_select's.
+    # grow as fast, and no faster. Iterating a ranking runs Python once
+    # per block, not per survivor, so most of the count is rank_and_select's.
     def work(names):
         prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(names)))
         u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
@@ -519,11 +525,12 @@ def test_ranking_and_reading_it_grow_with_the_survivors():
 
 
 def test_a_ranking_is_its_blocks_and_one_count_per_transition():
-    # In both modes a ranking keeps its blocks, one tuple per transition,
-    # and one count per transition, in preference order; its positions
-    # and iterating it, which pairs each position with its class, are
-    # written from the blocks, and it pickles and copies as those fields.
-    assert Ranking.__slots__ == ("blocks", "sizes")
+    # In both modes a ranking keeps one flat tuple of blocks, each tagged
+    # with the transition that `classify` gives its center row and head
+    # entry, in preference order; its counts per transition, its length
+    # and iterating it, which pairs each position with its transition,
+    # are read off the blocks, and it pickles and copies as those blocks.
+    assert Ranking.__slots__ == ("blocks",)
     rng = random.Random(3030)
     seen = {mode: 0 for mode in Mode}
     for _ in range(200):
@@ -534,44 +541,49 @@ def test_a_ranking_is_its_blocks_and_one_count_per_transition():
             continue
         if not survivors or not u.markers:
             continue
+        width, head_slot = grid.width, grid.slots[0]
+        tail = width // len(head_slot)
         # Ranked unfiltered too, so that a ranking often spans classes.
         for kept in (survivors, survivors_of(range(len(grid)), grid)):
             for prev_cb, mode in product((NO_PRIOR, None, *(e.entity for e in prior_cf[:1])), Mode):
                 _, ranked, _ = rank_and_select(kept, grid, prev_cb, mode)
-                assert len(ranked.sizes) == 4 and sum(ranked.sizes) == len(ranked.positions) == len(ranked)
-                assert sorted(ranked.positions) == list(kept)
+                positions = _positions(ranked)
+                assert len(ranked.sizes) == 4 and sum(ranked.sizes) == len(positions) == len(ranked)
+                assert sorted(positions) == list(kept)
                 if mode is Mode.CLASSIC:
                     assert ranked.sizes[2] == 0
                 pairs = list(ranked)
-                assert [p for p, _ in pairs] == list(ranked.positions)
                 ranks = [preference_rank(t) for _, t in pairs]
                 assert ranks == sorted(ranks)
                 assert [ranks.count(k) for k in range(4)] == list(ranked.sizes)
                 assert [(c.anchor.ordinal - 1, c.transition) for c in ranked_of(ranked, grid)] == pairs
-                # Each block is one center row under one head entry, read in its row's own bytes.
+                # Each block is one center row under one head entry, read in its
+                # row's own bytes, and tagged with the transition they make.
                 rows = dict(kept.rows)
-                for group in ranked.blocks:
-                    for base, start, stop, row_bytes in group:
-                        row = (base + start) // grid.width
-                        assert row_bytes is rows[row] and 0 < row_bytes.count(1, start, stop)
+                block_ranks = []
+                for transition, base, start, stop, row_bytes in ranked.blocks:
+                    row, column = divmod(base + start, width)
+                    head = column // tail
+                    assert row_bytes is rows[row] and 0 < row_bytes.count(1, start, stop)
+                    assert base + stop == row * width + (head + 1) * tail
+                    assert transition is classify(grid.cbs[row], head_slot[head : head + 1], prev_cb, mode)
+                    block_ranks.append(preference_rank(transition))
+                assert block_ranks == sorted(block_ranks)
                 for same in (pickle.loads(pickle.dumps(ranked)), copy.copy(ranked), copy.deepcopy(ranked)):
                     assert same == ranked and list(same) == pairs
                 seen[mode] += len(set(ranks)) > 1
     assert min(seen.values()) > 20, seen
     # The counts are the blocks' survivors per transition, read off their bytes.
-    ranked = Ranking((((0, 0, 3, b"\1\0\1"),), (), (), ((5, 1, 3, b"\1\1\0"),)))
-    assert ranked.sizes == (2, 0, 0, 1) and ranked.positions == (0, 2, 6)
+    ranked = Ranking(((Transition.CONTINUING, 0, 0, 3, b"\1\0\1"), (Transition.SHIFTING, 5, 1, 3, b"\1\1\0")))
+    assert ranked.sizes == (2, 0, 0, 1) and len(ranked) == 3
     assert list(ranked) == [(0, Transition.CONTINUING), (2, Transition.CONTINUING), (6, Transition.SHIFTING)]
-    # Blocks grouped for too few or too many transitions.
-    for groups in (((),) * 3, ((),) * 5, ()):
-        with pytest.raises(ValueError, match="^need one tuple of blocks per transition"):
-            Ranking(groups)
+    assert Ranking(()).sizes == (0, 0, 0, 0) and list(Ranking(())) == [] and not Ranking(())
 
 
 def test_a_ranking_retains_its_blocks_and_a_constant():
     # 8 agreeing names and 3 pronouns leave 512 survivors. The ranking
-    # keeps its blocks, each of a few ints and the survivors' own bytes,
-    # and a count per class: nothing grows with the survivors.
+    # keeps its blocks, each of a transition, a few ints and the
+    # survivors' own bytes: nothing grows with the survivors.
     prior = cf_of(*(name(f"N{i}", f"N{i}", agr=FEM) for i in range(8)))
     u = utt("x", *(pronoun("she", index=f"A{j}", agr=FEM) for j in (1, 2, 3)))
     grid, survivors = surviving(prior, u)
@@ -584,9 +596,35 @@ def test_a_ranking_retains_its_blocks_and_a_constant():
     finally:
         tracemalloc.stop()
     assert len(ranked) == 8**3
-    blocks = [block for group in ranked.blocks for block in group]
-    assert {id(kept) for *_, kept in blocks} <= {id(kept) for _, kept in survivors.rows}
-    held = sys.getsizeof(ranked.blocks) + sum(map(sys.getsizeof, ranked.blocks)) + sum(
-        sys.getsizeof(block) + sum(map(sys.getsizeof, block[:3])) for block in blocks
+    assert {id(kept) for *_, kept in ranked.blocks} <= {id(kept) for _, kept in survivors.rows}
+    held = sys.getsizeof(ranked.blocks) + sum(
+        sys.getsizeof(block) + sum(map(sys.getsizeof, block[1:4])) for block in ranked.blocks
     )
     assert after - before <= held + 512, (after - before, held)
+
+
+def test_a_one_block_ranking_retains_its_tuple_of_blocks_and_that_block():
+    # One pronoun after one name: the ranking holds one block. Each of a
+    # thousand such rankings retains itself, its tuple of blocks and that
+    # block, with the ints it holds; no tuple per transition and no stored
+    # counts. A full collection first empties the free lists, which would
+    # otherwise hand back tuples that an earlier test freed.
+    prior = cf_of(name("Ann", "ANN", agr=FEM))
+    u = utt("She left.", pronoun("She", index="A1", agr=FEM))
+    grid, survivors = surviving(prior, u)
+    rank_and_select(survivors, grid, prior[0].entity)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        rankings = [rank_and_select(survivors, grid, prior[0].entity)[1] for _ in range(1000)]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ranked = rankings[0]
+    (block,) = ranked.blocks
+    assert block[-1] is survivors.rows[0][1]
+    each = sys.getsizeof(ranked) + sys.getsizeof(ranked.blocks) + sys.getsizeof(block)
+    each += sum(map(sys.getsizeof, block[1:4]))
+    retained = (after - before - sys.getsizeof(rankings)) / len(rankings)
+    assert retained <= each, (retained, each)

@@ -198,7 +198,7 @@ class TestRunFilters:
         # The opener reading is carried by the ranking's transitions, not the survivors.
         _, as_opener, _ = rank_and_select(survivors, anchors, NO_PRIOR)
         _, as_follower, _ = rank_and_select(survivors, anchors, None)
-        assert as_opener.positions == as_follower.positions and as_opener.sizes != as_follower.sizes
+        assert [p for p, _ in as_opener] == [p for p, _ in as_follower] and as_opener.sizes != as_follower.sizes
 
     def test_order_invariance_against_sequential_application(self, grid_scene):
         prior_cf, u, anchors = grid_scene
@@ -243,7 +243,7 @@ def test_grid_values_compare_by_fields():
         assert_value_by_fields(value)
     # Equal anchors do not make equal values: a value equals only its own type.
     empty = (
-        AnchorGrid((), ()), FilterVerdicts(AnchorGrid((), ()), 0, ()), Ranking(((), (), (), ())), SurvivorRows(1, ())
+        AnchorGrid((), ()), FilterVerdicts(AnchorGrid((), ()), 0, ()), Ranking(()), SurvivorRows(1, ())
     )
     for a, b in combinations(empty, 2):
         assert a != b and len(a) == len(b) == 0
@@ -479,9 +479,9 @@ def test_filtering_and_ranking_work_does_not_grow_with_the_center_rows():
             survivors, verdicts = run_filters(grid)
             return survivors, verdicts, rank_and_select(survivors, grid, prior[0].entity)
 
-        survivors, verdicts, ((_, transition, cb, cf), ranked, tie) = filter_and_rank()
+        survivors, verdicts, ((_, _, cb, cf), ranked, tie) = filter_and_rank()
         assert tie
-        result = UtteranceResult(u, transition, cb, cf, verdicts, ranked, False, "tie", "tied")
+        result = UtteranceResult(u, cb, cf, verdicts, ranked, False, "tie", "tied")
         return len(grid.cbs), survivors, line_events(filter_and_rank), line_events(render_trace, [result])
 
     (few, kept, small, drawn_small), (many, same, large, drawn_large) = work(4), work(12)
