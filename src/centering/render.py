@@ -9,9 +9,9 @@ tie flags; field order is fixed, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice, product, repeat
+from itertools import chain, compress, count, product, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .classification import shown_center
 from .engine import UtteranceResult
@@ -35,10 +35,15 @@ def roman(n: int) -> str:
 
 
 # _LABELS[i] is the label of ordinal i + 1, grown on demand up to
-# _CACHED, the last roman one; labels above it are built for one call and
-# dropped with its list, so a render keeps no table of a huge utterance.
+# _CACHED, the last roman one; labels above it, their decimal ordinals,
+# are built for one call and dropped with its list, so a render keeps no
+# table of a huge utterance. _STARTS[i] is what starts ordinal i + 1's
+# `--dump-anchors` line: a newline, two spaces and the label right-aligned
+# to 5 columns. It grows beside _LABELS and is capped the same way.
 _CACHED = 3999
 _LABELS: list[str] = []
+_STARTS: list[str] = []
+_START = "\n  {:>5}".format
 
 
 def _labels(n: int) -> list[str]:
@@ -47,7 +52,17 @@ def _labels(n: int) -> list[str]:
         _LABELS.extend(roman(k) for k in range(len(_LABELS) + 1, min(n, _CACHED) + 1))
     if n <= _CACHED:
         return _LABELS
-    return _LABELS + [roman(k) for k in range(_CACHED + 1, n + 1)]
+    return _LABELS + list(map(str, range(_CACHED + 1, n + 1)))
+
+
+def _starts(n: int) -> list[str]:
+    """A table of dump line starts holding at least those of ordinals 1..n."""
+    cached = min(n, _CACHED)
+    if len(_STARTS) < cached:
+        _STARTS.extend(map(_START, _labels(cached)[len(_STARTS) : cached]))
+    if n <= _CACHED:
+        return _STARTS
+    return _STARTS + list(map(_START, range(_CACHED + 1, n + 1)))
 
 
 # Verdict masks (see FilterVerdicts) translated to 1 where a filter's bit
@@ -57,14 +72,24 @@ _HAS_BIT = {
 }
 _SURVIVED = bytes(mask == 0 for mask in range(256))
 # What `--dump-anchors` writes after the entries of an anchor's Cf list,
-# by verdict mask: the close of the anchor, then the filters that
-# eliminated it, and nothing for a survivor, whose transition comes from
-# the ranking instead.
-_MASK_NOTES = (")>",) + tuple(
-    ")>  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
-    for mask in range(1, 1 << len(FILTER_NAMES))
+# by note code. Codes below _RANKED are verdict masks: the close of the
+# anchor, then the filters that eliminated it, and nothing for a survivor
+# that was not ranked. Then come a ranked survivor's transition, one code
+# per Transition, and the same again with `<- selected`, for the winner.
+_RANKED = 1 << len(FILTER_NAMES)
+_NOTES = (
+    (")>",)
+    + tuple(
+        ")>  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+        for mask in range(1, _RANKED)
+    )
+    + tuple(")>  " + t.value for t in Transition)
+    + tuple(")>  " + t.value + "  <- selected" for t in Transition)
 )
-_TRANSITION_NOTES = {t: ")>  " + t.value for t in Transition}
+# Per transition, the verdict masks translated to note codes: a survivor's
+# (mask 0) to the transition's, any other to itself.
+_TO_RANKED = {t: bytes([_RANKED + i]) + bytes(range(1, 256)) for i, t in enumerate(Transition)}
+_SELECTED = len(Transition)  # from a ranked survivor's code to the winner's
 _display = attrgetter("display")
 
 
@@ -90,64 +115,70 @@ def _labels_by_filter(masks: bytes, labels: list[str]) -> tuple[dict[str, list[s
     return eliminated, list(compress(labels, masks.translate(_SURVIVED)))
 
 
-def _anchor_dump(result: UtteranceResult, masks: bytes) -> str:
-    """One line per anchor, in grid order: its label, `<center, Cf list>`,
-    and either the filters that eliminated it, by its verdict in `masks`,
-    or, for a ranked survivor, its transition, with `<- selected` on the
-    winner."""
-    grid, ranked = result.anchors, iter(result.ranked)
-    notes = [_MASK_NOTES[mask] for mask in masks]
-    for position, transition in islice(ranked, 1):  # the winner, the first ranked anchor
-        notes[position] = _TRANSITION_NOTES[transition] + "  <- selected"
-    for position, transition in ranked:
-        notes[position] = _TRANSITION_NOTES[transition]
+def _anchor_dump(out: list[str], result: UtteranceResult, masks: bytes) -> None:
+    """Append one line per anchor, in grid order: its label, `<center, Cf
+    list>`, and either the filters that eliminated it, by its verdict in
+    `masks`, or, for a ranked survivor, its transition, with `<- selected`
+    on the winner. Four pieces go out per anchor, none built for it alone."""
+    grid, blocks = result.anchors, result.ranked.blocks
+    # A ranked block's survivors are the zero masks of its columns.
+    codes = bytearray(masks)
+    for transition, base, start, stop, _ in blocks:
+        codes[base + start : base + stop] = masks[base + start : base + stop].translate(_TO_RANKED[transition])
+    if blocks:  # the winner is the first survivor of the first block
+        transition, base, start, _, kept = blocks[0]
+        codes[base + kept.find(1, start)] = _TO_RANKED[transition][0] + _SELECTED
+    # One trailing code keeps a one-anchor dump's notes a tuple; zip drops it.
+    notes = itemgetter(*codes, 0)(_NOTES)
     # Each center and each slot entry is formatted once, and a Cf list's
     # entries are joined as the product of the slots yields them; the
     # columns are zipped in grid order, center-major.
     cf_lists = list(map(" ".join, product(*[map(_display, slot) for slot in grid.slots])))
-    centers = chain.from_iterable(repeat(f". <{display_cb(cb)}, (", len(cf_lists)) for cb in grid.cbs)
-    labels = map(str.rjust, _labels(len(notes)), repeat(5))
-    return f"anchors ({len(notes)}):\n  " + "\n  ".join(
-        map("".join, zip(labels, centers, cf_lists * len(grid.cbs), notes))
-    )
+    centers = [f". <{display_cb(cb)}, (" for cb in grid.cbs]
+    out.append(f"\n\nanchors ({len(masks)}):")
+    out += chain.from_iterable(zip(
+        _starts(len(masks)), chain.from_iterable(map(repeat, centers, repeat(len(cf_lists)))),
+        cf_lists * len(centers), notes,
+    ))
 
 
-def _filter_explain(result: UtteranceResult, masks: bytes) -> str:
+def _filter_explain(out: list[str], result: UtteranceResult, masks: bytes) -> None:
     eliminated, survivors = _labels_by_filter(masks, _labels(len(masks)))
-    lines = ["filters:"]
+    out.append("\n\nfilters:")
     for name, labels in eliminated.items():
-        lines.append(f"  {name}: " + (" ".join(labels) if labels else "-"))
-    lines.append("  survivors: " + (" ".join(survivors) if survivors else "-"))
+        out += f"\n  {name}: ", " ".join(labels) or "-"
+    out += "\n  survivors: ", " ".join(survivors) or "-"
     if result.after_retention:
-        lines.append("  note: previous transition was RETAINING")
-    return "\n".join(lines)
+        out.append("\n  note: previous transition was RETAINING")
 
 
 def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -> str:
-    paragraphs = []
+    # Every paragraph goes out as pieces led by its "\n\n" separator, into
+    # one list that is joined once.
+    out: list[str] = []
     for r in results:
-        stanza = []
         transition = r.transition
         if transition is not None:
-            stanza.append(f"{transition.value}...")
+            head = f"{transition.value}..."
         else:
-            stanza.append(f"** {r.diagnostic_kind}: {r.diagnostic}")
-        stanza.append(f"U{r.position}: {r.utterance.text}")
-        stanza.append(f"Cb: {display_cb(r.cb)}")
-        stanza.append(f"Cf: {display_cf(r.cf)}")
-        paragraphs.append("\n".join(stanza))
+            head = f"** {r.diagnostic_kind}: {r.diagnostic}"
+        out.append(f"\n\n{head}\nU{r.position}: {r.utterance.text}\nCb: {display_cb(r.cb)}\nCf: {display_cf(r.cf)}")
         binding = _binding_line(r.cf)
         if binding:
-            paragraphs.append(binding)
+            out.append("\n\n" + binding)
         # Each call writes the verdict masks afresh: once a result.
         masks = r.verdicts.masks() if dump_anchors or explain else b""
         if dump_anchors and r.anchors:
-            paragraphs.append(_anchor_dump(r, masks))
+            _anchor_dump(out, r, masks)
         if explain and r.verdicts:
-            paragraphs.append(_filter_explain(r, masks))
+            _filter_explain(out, r, masks)
         if r.tie:
-            paragraphs.append(f"** tie: {r.diagnostic}")
-    return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
+            out.append(f"\n\n** tie: {r.diagnostic}")
+    if not out:
+        return ""
+    out[0] = out[0][2:]  # the first stanza has no separator before it
+    out.append("\n")
+    return "".join(out)
 
 
 # `structured` writes each record's JSON itself, in the layout of

@@ -35,7 +35,6 @@ from centering import (
     classify,
     propose_anchors,
     rank_and_select,
-    render_trace,
     roman,
     run_filters,
 )
@@ -514,16 +513,48 @@ def oracle_ranked_records(result: UtteranceResult) -> list[dict]:
     ]
 
 
-def oracle_dump_trace(results: list[UtteranceResult]) -> str:
-    """`render_trace(results, dump_anchors=True)` rebuilt from each
-    result's plain `figure` stanzas, with `oracle_anchor_dump` put in
-    before its tie line."""
+def oracle_filter_explain(result: UtteranceResult) -> str:
+    """The `--explain` block of one result, written one anchor at a time:
+    per filter, the labels of the anchors whose verdict has its bit set,
+    then those of the survivors, "-" for none, and a note after a
+    retaining transition."""
+    masks = result.verdicts.masks()
+    lines = ["filters:"]
+    for bit, name in enumerate(FILTER_NAMES):
+        labels = [roman(p + 1) for p, mask in enumerate(masks) if mask >> bit & 1]
+        lines.append(f"  {name}: " + (" ".join(labels) if labels else "-"))
+    survivors = [roman(p + 1) for p, mask in enumerate(masks) if mask == 0]
+    lines.append("  survivors: " + (" ".join(survivors) if survivors else "-"))
+    if result.after_retention:
+        lines.append("  note: previous transition was RETAINING")
+    return "\n".join(lines)
+
+
+def oracle_figure_trace(results: list[UtteranceResult], dump_anchors: bool = False, explain: bool = False) -> str:
+    """`render_trace(results, dump_anchors=..., explain=...)` restated from
+    each result's fields. A result's paragraphs: its transition, or its
+    failure; its text and position, center and Cf list; the binding of
+    each pronoun of its Cf list, when it has one; `oracle_anchor_dump` and
+    `oracle_filter_explain` when asked for and its grid holds an anchor;
+    and its tie diagnostic. Paragraphs are separated by a blank line."""
     paragraphs: list[str] = []
     for r in results:
-        own = render_trace([r]).removesuffix("\n").split("\n\n")
-        if r.anchors:
-            own.insert(len(own) - r.tie, oracle_anchor_dump(r))
-        paragraphs += own
+        if r.transition is not None:
+            head = f"{r.transition.value}..."
+        else:
+            head = f"** {r.diagnostic_kind}: {r.diagnostic}"
+        cb = r.cb.display if r.cb is not None else "NIL"
+        cf = "(" + " ".join(e.display for e in r.cf) + ")"
+        paragraphs.append(f"{head}\nU{r.position}: {r.utterance.text}\nCb: {cb}\nCf: {cf}")
+        bound = [f"{e.marker.surface} = {e.entity.name}" for e in r.cf if e.marker.is_pronoun]
+        if bound:
+            paragraphs.append(", ".join(bound))
+        if dump_anchors and r.anchors_constructed:
+            paragraphs.append(oracle_anchor_dump(r))
+        if explain and r.anchors_constructed:
+            paragraphs.append(oracle_filter_explain(r))
+        if r.diagnostic_kind == "tie":
+            paragraphs.append(f"** tie: {r.diagnostic}")
     return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
 
 

@@ -23,7 +23,7 @@ from support import (
     line_events,
     name,
     FEM,
-    oracle_dump_trace,
+    oracle_figure_trace,
     oracle_ranked_records,
     pronoun,
     random_discourse,
@@ -40,21 +40,28 @@ def _crowd(names, pronouns):
 
 
 def test_a_render_keeps_no_long_labels():
-    # A render builds the labels of ordinals from 4,000 on for itself and
-    # drops them: what it leaves allocated does not grow with the anchor
-    # count. Six names, then five pronouns: 7 * 6**5 = 54,432 anchors.
+    # A render builds the labels and dump line starts of ordinals from
+    # 4,000 on for itself and drops them: what it leaves allocated does not
+    # grow with the anchor count, in `structured` or in a `figure` that
+    # dumps and explains. Six names, then five pronouns: 7 * 6**5 = 54,432
+    # anchors.
     utterances = _crowd(6, 5)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        text = render_trace(process_discourse(utterances), "structured")
+        results = process_discourse(utterances)
+        text = render_trace(results, "structured")
         assert '"4000"' in text and '"54432"' in text
-        del text
+        text = render_trace(results, dump_anchors=True, explain=True)
+        assert "\n   4000. <" in text and "\n  54432. <" in text
+        assert any(label.isdigit() for label in text.rsplit("filters:", 1)[1].split())
+        del results, text
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # At most the labels of ordinals 1-3,999, about 0.25 MB.
+    # At most the labels of ordinals 1-3,999 and their dump line starts,
+    # about 0.25 MB each.
     assert after - before < 2**20, after - before
 
 
@@ -73,6 +80,37 @@ def _step_after(names):
         _render_step(opener, u, format)
         events[format] = line_events(_render_step, opener, u, format)
     return events
+
+
+def _contra_crowd(pronouns):
+    """Two names, then `pronouns` pronouns each contraindexed with every
+    other: 3 * 2**pronouns anchors in three center rows. From three
+    pronouns on, two of them always bind one name, so nothing survives."""
+    mids = [f"p{i}" for i in range(pronouns)]
+    they = [pronoun("they", gf=OBJ, mid=m, contra=[o for o in mids if o != m]) for m in mids]
+    return [utt("Ann met Ben.", name("Ann", "ANN"), name("Ben", "BEN", gf=OBJ)), utt("They met.", *they, position=2)]
+
+
+def _render_everything(results):
+    return render_trace(results, dump_anchors=True, explain=True)
+
+
+def test_the_figure_render_runs_no_line_per_anchor():
+    # From 3 to 6 pronouns the anchors grow by 8 (24 to 192), while the
+    # center rows (3), the survivors (none) and the filters stay fixed.
+    # Dumping and explaining a `figure` lists every anchor, so it writes
+    # bytes per anchor but must run no Python line for one: its lines grow
+    # by under 1.5, against the anchors' 8.
+    events = []
+    for pronouns in (3, 6):
+        results = process_discourse(_contra_crowd(pronouns))
+        assert results[1].anchors_constructed == 3 * 2**pronouns and not results[1].ranked
+        assert results[1].diagnostic_kind == "no-viable-anchor"
+        text = _render_everything(results)  # grows the label tables it needs
+        assert text.count(")>  eliminated: contra") == 3 * 2**pronouns
+        events.append(line_events(_render_everything, results))
+    small, large = events
+    assert large < 1.5 * small, events
 
 
 def test_trace_work_grows_slower_than_the_grid():
@@ -155,16 +193,27 @@ def test_anchor_dump_lists_all_sixteen():
     assert "survivors: ii iii" in text
 
 
-def _dump(results):
-    """`render_trace(results, dump_anchors=True)`, checked against the
-    per-anchor oracle line by line, so that a failure names the first
-    line that differs instead of diffing thousands of them."""
-    text = render_trace(results, dump_anchors=True)
-    lines, expected = text.split("\n"), oracle_dump_trace(results).split("\n")
+def _figure(results, dump_anchors=True, explain=False):
+    """`render_trace(results, dump_anchors=..., explain=...)`, checked
+    against `oracle_figure_trace` line by line, so that a failure names
+    the first line that differs instead of diffing thousands of them."""
+    text = render_trace(results, dump_anchors=dump_anchors, explain=explain)
+    lines, expected = text.split("\n"), oracle_figure_trace(results, dump_anchors, explain).split("\n")
     for number, (line, want) in enumerate(zip(lines, expected), 1):
         assert line == want, f"line {number}"
     assert len(lines) == len(expected)
     return text
+
+
+def _every_figure(results):
+    """`_figure` of `results` under each of the four flag sets; the
+    dumped one's text."""
+    for dump_anchors in (False, True):
+        for explain in (False, True):
+            text = _figure(results, dump_anchors, explain)
+            if dump_anchors and not explain:
+                dumped = text
+    return dumped
 
 
 def _structured(results):
@@ -181,10 +230,18 @@ def _structured(results):
 @pytest.mark.parametrize("mode", [Mode.EXTENDED, Mode.CLASSIC])
 def test_renderers_match_the_per_anchor_oracles(mode):
     rng = random.Random(2424)
+    seen = dict.fromkeys(("opener", "failed", "empty-utterance", "tie", "after retention"), 0)
     for _ in range(300):
         results = process_discourse(random_discourse(rng), mode)
-        _dump(results)
+        _every_figure(results)
         _structured(results)
+        for r in results:
+            seen["opener"] += r.position == 1
+            seen["failed"] += r.transition is None
+            seen["empty-utterance"] += r.diagnostic_kind == "empty-utterance"
+            seen["tie"] += r.tie
+            seen["after retention"] += r.after_retention
+    assert all(seen.values()), seen
 
 
 def _dump_lines(text):
@@ -196,7 +253,7 @@ def test_renderers_on_an_empty_utterance():
     # Nothing is ranked when the utterance has no centers, so its one
     # survivor, the null center, has no transition to show.
     results = process_discourse([utt("Ann left.", name("Ann", "ANN")), utt("Silence.", position=2)])
-    text = _dump(results)
+    text = _every_figure(results)
     assert results[1].diagnostic_kind == "empty-utterance"
     assert _dump_lines(text)[-2:] == ["      i. <[ANN:Ann], ()>  eliminated: constraint3", "     ii. <NIL, ()>"]
     record = _structured(results)[1]
@@ -206,7 +263,7 @@ def test_renderers_on_an_empty_utterance():
 def test_renderers_on_an_opener():
     # The opener's null center continues, as its preferred center.
     results = process_discourse([utt("Ann met Ben.", name("Ann", "ANN"), name("Ben", "BEN", gf=OBJ))])
-    text = _dump(results)
+    text = _every_figure(results)
     assert _dump_lines(text) == ["      i. <NIL, ([ANN:Ann] [BEN:Ben])>  CONTINUING  <- selected"]
     (record,) = _structured(results)
     assert record["ranked"] == [
@@ -220,7 +277,7 @@ def test_renderers_on_a_one_candidate_pronoun():
         utt("Ann met Ben.", name("Ann", "ANN", agr=FEM), name("Ben", "BEN", gf=OBJ, agr=MASC)),
         utt("She left Cal.", pronoun("She", agr=FEM), name("Cal", "CAL", gf=OBJ, agr=MASC), position=2),
     ])
-    text = _dump(results)
+    text = _every_figure(results)
     assert results[1].anchors_constructed == 3
     assert _dump_lines(text)[1:] == [
         "      i. <[ANN:Ann], ([ANN:A1] [CAL:Cal])>  CONTINUING  <- selected",
@@ -235,7 +292,7 @@ def test_renderers_on_a_one_candidate_pronoun():
 def test_anchor_dump_of_a_classic_tie():
     results = process_document(load_bundled("fig4"), Mode.CLASSIC)
     assert results[3].tie
-    text = _dump(results)
+    text = _every_figure(results)
     assert text.endswith(f"\n\n** tie: {results[3].diagnostic}\n")
     assert text.count("<- selected") == len(results)
 
@@ -245,7 +302,7 @@ def test_anchor_dump_past_the_roman_labels():
     # roman ones are wider than the 5 columns labels are padded to.
     results = process_discourse(_crowd(6, 4))
     assert results[1].anchors_constructed == 9072
-    text = _dump(results)
+    text = _every_figure(results)
     lines = _dump_lines(text)[1:]  # after the opener's one anchor
     assert len(lines) == 9072
     assert lines[3998].startswith("  mmmcmxcix. <") and lines[3999].startswith("   4000. <")
