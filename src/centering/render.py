@@ -77,15 +77,10 @@ _SURVIVED = bytes(mask == 0 for mask in range(256))
 # that was not ranked. Then come a ranked survivor's transition, one code
 # per Transition, and the same again with `<- selected`, for the winner.
 _RANKED = 1 << len(FILTER_NAMES)
-_NOTES = (
-    (")>",)
-    + tuple(
-        ")>  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
-        for mask in range(1, _RANKED)
-    )
-    + tuple(")>  " + t.value for t in Transition)
-    + tuple(")>  " + t.value + "  <- selected" for t in Transition)
-)
+_NOTES = (")>",) + tuple(
+    ")>  eliminated: " + ", ".join(name for bit, name in enumerate(FILTER_NAMES) if mask >> bit & 1)
+    for mask in range(1, _RANKED)
+) + tuple(f")>  {t.value}{selected}" for selected in ("", "  <- selected") for t in Transition)
 # Per transition, the verdict masks translated to note codes: a survivor's
 # (mask 0) to the transition's, any other to itself.
 _TO_RANKED = {t: bytes([_RANKED + i]) + bytes(range(1, 256)) for i, t in enumerate(Transition)}
@@ -158,10 +153,7 @@ def _figure(results: list[UtteranceResult], dump_anchors: bool, explain: bool) -
     out: list[str] = []
     for r in results:
         transition = r.transition
-        if transition is not None:
-            head = f"{transition.value}..."
-        else:
-            head = f"** {r.diagnostic_kind}: {r.diagnostic}"
+        head = f"{transition.value}..." if transition is not None else f"** {r.diagnostic_kind}: {r.diagnostic}"
         out.append(f"\n\n{head}\nU{r.position}: {r.utterance.text}\nCb: {display_cb(r.cb)}\nCf: {display_cf(r.cf)}")
         binding = _binding_line(r.cf)
         if binding:
