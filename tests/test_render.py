@@ -206,14 +206,10 @@ def _figure(results, dump_anchors=True, explain=False):
 
 
 def _every_figure(results):
-    """`_figure` of `results` under each of the four flag sets; the
-    dumped one's text."""
-    for dump_anchors in (False, True):
-        for explain in (False, True):
-            text = _figure(results, dump_anchors, explain)
-            if dump_anchors and not explain:
-                dumped = text
-    return dumped
+    """`_figure` of `results` under each of the four flag sets; the text
+    that dumps the anchors and does not explain."""
+    texts = {(d, e): _figure(results, d, e) for d in (False, True) for e in (False, True)}
+    return texts[True, False]
 
 
 def _structured(results):
